@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Callable, List
 
 from .compute import Deployment
@@ -147,7 +147,7 @@ class GeoBackend(SimBackend):
 # -- emulator backend --------------------------------------------------------
 
 class _EmulatorTimeout:
-    """Sleep marker yielded by :meth:`EmulatorEnv.timeout`."""
+    """Sleep marker yielded by :meth:`ThreadedEnv.timeout`."""
 
     __slots__ = ("seconds",)
 
@@ -155,22 +155,23 @@ class _EmulatorTimeout:
         self.seconds = seconds
 
 
-class EmulatorEnv:
+class ThreadedEnv:
     """The slice of the simkit ``Environment`` surface role bodies use.
 
-    ``now`` reads the account's clock in *virtual* seconds (wall seconds
-    divided by ``time_scale``); ``timeout`` returns a marker the worker
-    trampoline turns into a scaled ``time.sleep``.  One virtual second
-    therefore costs ``time_scale`` wall seconds everywhere.
+    ``now`` is the backend's wall clock (the ``now`` callable, in
+    seconds) in *virtual* seconds, i.e. divided by ``time_scale``;
+    ``timeout`` returns a marker the worker trampoline turns into a
+    scaled ``time.sleep``.  One virtual second therefore costs
+    ``time_scale`` wall seconds everywhere.
     """
 
-    def __init__(self, account: EmulatorAccount, time_scale: float) -> None:
-        self._account = account
+    def __init__(self, now: Callable[[], float], time_scale: float) -> None:
+        self._now = now
         self.time_scale = time_scale
 
     @property
     def now(self) -> float:
-        return self._account.state.clock.now() / self.time_scale
+        return self._now() / self.time_scale
 
     def timeout(self, delay: float = 0.0) -> _EmulatorTimeout:
         return _EmulatorTimeout(delay)
@@ -210,7 +211,7 @@ class ShimAccount:
         "cache_client": _ShimCacheClient,
     }
 
-    def __init__(self, account: EmulatorAccount, env: EmulatorEnv) -> None:
+    def __init__(self, account: EmulatorAccount, env: ThreadedEnv) -> None:
         self.emulator = account
         self.env = env
         self.state = account.state
@@ -235,7 +236,7 @@ class ShimAccount:
         return self._make("cache_client")
 
 
-def _trampoline(gen, env: EmulatorEnv):
+def _trampoline(gen, env: ThreadedEnv):
     """Drive one role body to completion on the current thread."""
     try:
         value = next(gen)
@@ -250,6 +251,44 @@ def _trampoline(gen, env: EmulatorEnv):
             value = gen.send(None)
     except StopIteration as stop:
         return stop.value
+
+
+def _run_threaded(body_factory, config, env: ThreadedEnv, account,
+                  tracing) -> BenchResult:
+    """Run ``config.workers`` role bodies, one thread each, to completion.
+
+    ``account`` is the sim-style shim the bodies see; ``tracing`` is the
+    context the threads run under, yielding the run's tracer (or None).
+    """
+    if config.instrument is not None:
+        config.instrument(account)
+    body = body_factory()
+    results: List[object] = [None] * config.workers
+    failures: List[BaseException] = []
+
+    def work(role_id: int) -> None:
+        ctx = RoleContext(
+            env, role_id=role_id, instance_count=config.workers,
+            account=account, vm_size=config.vm_size, role_name="azurebench",
+        )
+        try:
+            results[role_id] = _trampoline(body(ctx), env)
+        except BaseException as exc:  # surfaced after join
+            failures.append(exc)
+
+    threads = [
+        threading.Thread(target=work, args=(i,),
+                         name=f"azurebench#{i}", daemon=True)
+        for i in range(config.workers)
+    ]
+    with tracing as tracer:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
+    return _collect(config, results, trace=tracer)
 
 
 class EmulatorBackend(Backend):
@@ -273,62 +312,13 @@ class EmulatorBackend(Backend):
         account = EmulatorAccount(
             limits=config.limits, fifo_jitter_seed=config.fifo_jitter_seed,
         )
-        env = EmulatorEnv(account, self.time_scale)
-        shim = ShimAccount(account, env)
-        if config.instrument is not None:
-            config.instrument(shim)
-        body = body_factory()
-        results: List[object] = [None] * config.workers
-        failures: List[BaseException] = []
-
-        def work(role_id: int) -> None:
-            ctx = RoleContext(
-                env, role_id=role_id, instance_count=config.workers,
-                account=shim, vm_size=config.vm_size, role_name="azurebench",
-            )
-            try:
-                results[role_id] = _trampoline(body(ctx), env)
-            except BaseException as exc:  # surfaced after join
-                failures.append(exc)
-
-        threads = [
-            threading.Thread(target=work, args=(i,),
-                             name=f"azurebench#{i}", daemon=True)
-            for i in range(config.workers)
-        ]
-        with _maybe_trace(config, account,
-                          thread_worker_resolver()) as tracer:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        if failures:
-            raise failures[0]
-        return _collect(config, results, trace=tracer)
+        env = ThreadedEnv(account.state.clock.now, self.time_scale)
+        return _run_threaded(
+            body_factory, config, env, ShimAccount(account, env),
+            _maybe_trace(config, account, thread_worker_resolver()))
 
 
 # -- service backend ---------------------------------------------------------
-
-class _ServiceEnv:
-    """The ``env`` surface for bodies running against a live cluster.
-
-    There is no local account clock here (state lives across sockets on
-    the data nodes), so virtual time is wall time since the run began,
-    divided by ``time_scale`` — the same contract as
-    :class:`EmulatorEnv`.
-    """
-
-    def __init__(self, time_scale: float) -> None:
-        self.time_scale = time_scale
-        self._origin = time.monotonic()
-
-    @property
-    def now(self) -> float:
-        return (time.monotonic() - self._origin) / self.time_scale
-
-    def timeout(self, delay: float = 0.0) -> _EmulatorTimeout:
-        return _EmulatorTimeout(delay)
-
 
 class _ServiceShimAccount:
     """A live SN/DN cluster dressed up as a ``SimStorageAccount``.
@@ -340,7 +330,7 @@ class _ServiceShimAccount:
     """
 
     def __init__(self, endpoints_for, account: str, key: str,
-                 env: _ServiceEnv) -> None:
+                 env: ThreadedEnv) -> None:
         self._endpoints_for = endpoints_for
         self._account = account
         self._key = key
@@ -415,39 +405,17 @@ class ServiceBackend(Backend):
         runner = ClusterRunner(cluster)
         runner.start()
         try:
-            env = _ServiceEnv(self.time_scale)
+            # No local account clock here (state lives across sockets on
+            # the data nodes): virtual time is wall time since the run
+            # began, scaled like the emulator's.
+            origin = time.monotonic()
+            env = ThreadedEnv(lambda: time.monotonic() - origin,
+                              self.time_scale)
             shim = _ServiceShimAccount(
                 lambda i: cluster.endpoints(i % self.nodes),
                 tenants.accounts()[0], DEV_KEY, env)
-            if config.instrument is not None:
-                config.instrument(shim)
-            body = body_factory()
-            results: List[object] = [None] * config.workers
-            failures: List[BaseException] = []
-
-            def work(role_id: int) -> None:
-                ctx = RoleContext(
-                    env, role_id=role_id, instance_count=config.workers,
-                    account=shim, vm_size=config.vm_size,
-                    role_name="azurebench",
-                )
-                try:
-                    results[role_id] = _trampoline(body(ctx), env)
-                except BaseException as exc:  # surfaced after join
-                    failures.append(exc)
-
-            threads = [
-                threading.Thread(target=work, args=(i,),
-                                 name=f"azurebench#{i}", daemon=True)
-                for i in range(config.workers)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            if failures:
-                raise failures[0]
-            return _collect(config, results)
+            return _run_threaded(body_factory, config, env, shim,
+                                 nullcontext())
         finally:
             runner.stop()
 

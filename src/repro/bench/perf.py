@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 #: Schema 2 adds the calendar-scheduler kernel figure
-#: (``kernel_calendar``) and the flock-mode scale figure (``flock``).
+#: (``kernel_calendar``) and the million-client scale figure (``flock``).
 BENCH_SCHEMA_VERSION = 2
 
 #: Default kernel microbenchmark shape: 100 concurrent sleepers x 2,000
@@ -99,10 +99,10 @@ def flock_load_metrics(*, clients: int = 1_000_000,
                        per_client_rate: float = 0.001,
                        duration: float = 10.0,
                        flock_size: int = 8192) -> Dict[str, object]:
-    """Flock-mode ops/sec + peak RSS: the million-client scale figure.
+    """Open-loop ops/sec + peak RSS: the million-client scale figure.
 
-    Runs one seeded open-loop ``repro load`` with the columnar flock
-    path on the calendar scheduler; the offered rate is
+    Runs one seeded open-loop ``repro load`` (columnar schedule, chunks
+    of ``flock_size``) on the calendar scheduler; the offered rate is
     ``clients * per_client_rate`` ops/s.  Peak RSS is the process
     high-water mark, so run this before anything memory-hungry when the
     number matters.

@@ -384,10 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--clients", type=int, default=1, metavar="N",
                       help="simulated clients: multiplies the per-client "
                            "arrival rate (default 1)")
-    load.add_argument("--flock-size", type=int, default=0, metavar="N",
-                      help="sim/geo backends: drive arrivals from a "
-                           "columnar schedule in chunks of N (0 = "
-                           "classic per-op path; default 0)")
+    load.add_argument("--flock-size", type=int, default=8192, metavar="N",
+                      help="sim/geo backends: arrivals injected and "
+                           "completions folded into the stats per chunk "
+                           "(>= 1; changes no result; default 8192)")
     load.add_argument("--scheduler", choices=["heap", "calendar"],
                       default="heap",
                       help="DES kernel event queue (default heap; "
@@ -903,7 +903,11 @@ def _run_load(args) -> int:
         for path in result.write_artifacts(args.out):
             print(f"wrote {path}", file=sys.stderr)
     totals = result.aggregator
-    verdict = "clean" if result.passed else "SLO violations"
+    if result.slo_report is None:
+        failed = totals.total_errors / max(1, totals.total_completions)
+        verdict = f"{failed:.1%} failed, no SLO given"
+    else:
+        verdict = "clean" if result.passed else "SLO violations"
     print(f"{totals.total_completions} ops "
           f"({totals.total_errors} errors) over "
           f"{len(result.rows)} windows: {verdict}", file=sys.stderr)

@@ -35,20 +35,9 @@ from .events import (
     URGENT,
 )
 from .exceptions import EmptySchedule, Interrupt, SimkitError, StopProcess
-from .monitor import Tally, TimeSeries, UtilizationMonitor
+from .monitor import Tally, UtilizationMonitor
 from .process import Process, ProcessGenerator
-from .resources import (
-    Container,
-    FilterStore,
-    Preempted,
-    PreemptiveResource,
-    PriorityRequest,
-    PriorityResource,
-    Release,
-    Request,
-    Resource,
-    Store,
-)
+from .resources import Release, Request, Resource, Store
 
 __all__ = [
     "Environment",
@@ -68,16 +57,9 @@ __all__ = [
     "StopProcess",
     "EmptySchedule",
     "Resource",
-    "PriorityResource",
-    "PreemptiveResource",
-    "Preempted",
     "Request",
-    "PriorityRequest",
     "Release",
-    "Container",
     "Store",
-    "FilterStore",
     "Tally",
-    "TimeSeries",
     "UtilizationMonitor",
 ]

@@ -7,57 +7,9 @@ aggregate them into the statistics the benchmark harness reports.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
-__all__ = ["TimeSeries", "Tally", "UtilizationMonitor"]
-
-
-class TimeSeries:
-    """An append-only series of ``(time, value)`` samples.
-
-    A plain ``__slots__`` class (not a dataclass): sweeps allocate one
-    per measured signal and samples arrive on the hot path.
-    """
-
-    __slots__ = ("name", "times", "values")
-
-    def __init__(self, name: str = "",
-                 times: Optional[List[float]] = None,
-                 values: Optional[List[float]] = None) -> None:
-        self.name = name
-        self.times: List[float] = [] if times is None else times
-        self.values: List[float] = [] if values is None else values
-
-    def record(self, time: float, value: float) -> None:
-        self.times.append(time)
-        self.values.append(value)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"TimeSeries(name={self.name!r}, n={len(self.times)})"
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def last(self) -> Tuple[float, float]:
-        if not self.times:
-            raise ValueError(f"series {self.name!r} is empty")
-        return self.times[-1], self.values[-1]
-
-    def time_weighted_mean(self, until: Optional[float] = None) -> float:
-        """Mean of the piecewise-constant signal defined by the samples."""
-        if not self.times:
-            raise ValueError(f"series {self.name!r} is empty")
-        end = self.times[-1] if until is None else until
-        total = 0.0
-        span = 0.0
-        for i, (t, v) in enumerate(zip(self.times, self.values)):
-            t_next = self.times[i + 1] if i + 1 < len(self.times) else end
-            dt = max(0.0, t_next - t)
-            total += v * dt
-            span += dt
-        if span == 0.0:
-            return self.values[-1]
-        return total / span
+__all__ = ["Tally", "UtilizationMonitor"]
 
 
 class Tally:

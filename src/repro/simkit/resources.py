@@ -1,18 +1,15 @@
 """Shared-resource primitives for :mod:`repro.simkit`.
 
-Three classic primitives, mirroring SimPy's semantics:
+Two classic primitives, mirroring SimPy's semantics:
 
-* :class:`Resource` — a semaphore with ``capacity`` slots and a FIFO (or
-  priority) wait queue.  Models servers, NICs, connection pools.
-* :class:`Container` — a continuous quantity (tokens, bytes of budget).
+* :class:`Resource` — a semaphore with ``capacity`` slots and a FIFO
+  wait queue.  Models servers, NICs, connection pools.
 * :class:`Store` — a queue of discrete Python objects.
 """
 
 from __future__ import annotations
 
-import heapq
-from itertools import count
-from typing import Any, Callable, List, Optional
+from typing import Any, List
 
 from .events import Event
 
@@ -20,13 +17,7 @@ __all__ = [
     "Request",
     "Release",
     "Resource",
-    "PriorityRequest",
-    "PriorityResource",
-    "PreemptiveResource",
-    "Preempted",
-    "Container",
     "Store",
-    "FilterStore",
 ]
 
 
@@ -40,12 +31,11 @@ class Request(Event):
             ... hold the resource ...
     """
 
-    __slots__ = ("resource", "proc")
+    __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.env)
         self.resource = resource
-        self.proc = self.env.active_process
         resource._do_request(self)
 
     def __enter__(self) -> "Request":
@@ -76,8 +66,6 @@ class Resource:
 
     __slots__ = ("env", "_capacity", "users", "queue")
 
-    request_cls = Request
-
     def __init__(self, env, capacity: int = 1) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be > 0")
@@ -99,7 +87,7 @@ class Resource:
 
     def request(self) -> Request:
         """Request a slot; the returned event fires once granted."""
-        return self.request_cls(self)
+        return Request(self)
 
     def release(self, request: Request) -> Release:
         """Release the slot held by ``request`` (or cancel a pending one)."""
@@ -135,180 +123,6 @@ class Resource:
                 f"count={self.count} queued={len(self.queue)}>")
 
 
-class PriorityRequest(Request):
-    """Request with a ``priority`` (lower first) and FIFO tie-breaking."""
-
-    __slots__ = ("priority", "time", "key")
-
-    def __init__(self, resource: "PriorityResource", priority: int = 0) -> None:
-        self.priority = priority
-        self.time = resource.env.now
-        self.key = (priority, next(resource._tiebreak))
-        super().__init__(resource)
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose wait queue is ordered by request priority."""
-
-    __slots__ = ("_tiebreak",)
-
-    request_cls = PriorityRequest
-
-    def __init__(self, env, capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._tiebreak = count()
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        return PriorityRequest(self, priority)
-
-    def _do_request(self, request: Request) -> None:
-        if len(self.users) < self._capacity:
-            self.users.append(request)
-            request.succeed()
-        else:
-            self.queue.append(request)
-            self.queue.sort(key=lambda r: r.key)  # type: ignore[attr-defined]
-
-
-class Preempted:
-    """Cause attached to the Interrupt a preempted process receives."""
-
-    __slots__ = ("by", "usage_since")
-
-    def __init__(self, by, usage_since: float) -> None:
-        #: The request that preempted us.
-        self.by = by
-        #: Simulation time at which the victim acquired the slot.
-        self.usage_since = usage_since
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Preempted(by={self.by!r}, usage_since={self.usage_since})"
-
-
-class PreemptiveRequest(PriorityRequest):
-    """Priority request that may evict a lower-priority slot holder."""
-
-    __slots__ = ("preempt",)
-
-    def __init__(self, resource: "PreemptiveResource", priority: int = 0,
-                 preempt: bool = True) -> None:
-        self.preempt = preempt
-        super().__init__(resource, priority)
-
-
-class PreemptiveResource(PriorityResource):
-    """A :class:`PriorityResource` whose requests may preempt users.
-
-    When full, an arriving request with ``preempt=True`` evicts the
-    *worst* current user (highest priority value, most recent tie-break)
-    if that user's priority is strictly worse than the newcomer's.  The
-    victim's process receives an :class:`~repro.simkit.Interrupt` whose
-    cause is a :class:`Preempted` record.
-    """
-
-    __slots__ = ()
-
-    request_cls = PreemptiveRequest
-
-    def request(self, priority: int = 0, preempt: bool = True  # type: ignore[override]
-                ) -> PreemptiveRequest:
-        return PreemptiveRequest(self, priority, preempt)
-
-    def _do_request(self, request: Request) -> None:
-        if (len(self.users) >= self._capacity
-                and getattr(request, "preempt", False)):
-            # Find the worst current user (largest key sorts last).
-            victim = max(self.users, key=lambda r: getattr(r, "key", (0, 0)))
-            if getattr(victim, "key", (0, 0)) > request.key:  # type: ignore[attr-defined]
-                self.users.remove(victim)
-                if victim.proc is not None and victim.proc.is_alive:
-                    victim.proc.interrupt(
-                        Preempted(by=request, usage_since=victim.time))
-        super()._do_request(request)
-
-
-class _ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError("amount must be > 0")
-        super().__init__(container.env)
-        self.amount = amount
-        container._put_waiters.append(self)
-        container._trigger()
-
-
-class _ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError("amount must be > 0")
-        super().__init__(container.env)
-        self.amount = amount
-        container._get_waiters.append(self)
-        container._trigger()
-
-
-class Container:
-    """A continuous quantity with optional capacity bound.
-
-    ``put(x)`` blocks while the container would overflow; ``get(x)`` blocks
-    while fewer than ``x`` units are available.
-    """
-
-    __slots__ = ("env", "_capacity", "_level", "_put_waiters", "_get_waiters")
-
-    def __init__(self, env, capacity: float = float("inf"),
-                 init: float = 0.0) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be > 0")
-        if not (0 <= init <= capacity):
-            raise ValueError("init must be within [0, capacity]")
-        self.env = env
-        self._capacity = capacity
-        self._level = init
-        self._put_waiters: List[_ContainerPut] = []
-        self._get_waiters: List[_ContainerGet] = []
-
-    @property
-    def capacity(self) -> float:
-        return self._capacity
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> _ContainerPut:
-        return _ContainerPut(self, amount)
-
-    def get(self, amount: float) -> _ContainerGet:
-        return _ContainerGet(self, amount)
-
-    def _trigger(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._put_waiters:
-                put = self._put_waiters[0]
-                if self._level + put.amount <= self._capacity:
-                    self._put_waiters.pop(0)
-                    self._level += put.amount
-                    put.succeed()
-                    progressed = True
-            if self._get_waiters:
-                get = self._get_waiters[0]
-                if self._level >= get.amount:
-                    self._get_waiters.pop(0)
-                    self._level -= get.amount
-                    get.succeed(get.amount)
-                    progressed = True
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Container level={self._level}/{self._capacity}>"
-
-
 class _StorePut(Event):
     __slots__ = ("item",)
 
@@ -320,12 +134,10 @@ class _StorePut(Event):
 
 
 class _StoreGet(Event):
-    __slots__ = ("filter",)
+    __slots__ = ()
 
-    def __init__(self, store: "Store",
-                 filter: Optional[Callable[[Any], bool]] = None) -> None:
+    def __init__(self, store: "Store") -> None:
         super().__init__(store.env)
-        self.filter = filter
         store._get_waiters.append(self)
         store._trigger()
 
@@ -354,15 +166,6 @@ class Store:
     def get(self) -> _StoreGet:
         return _StoreGet(self)
 
-    def _match(self, get: _StoreGet) -> Optional[int]:
-        """Index of the first item satisfying the get, or None."""
-        if get.filter is None:
-            return 0 if self.items else None
-        for i, item in enumerate(self.items):
-            if get.filter(item):
-                return i
-        return None
-
     def _trigger(self) -> None:
         progressed = True
         while progressed:
@@ -373,27 +176,10 @@ class Store:
                 self.items.append(put.item)
                 put.succeed()
                 progressed = True
-            # Serve gets in FIFO order; a blocked filter-get does not block
-            # later gets that can be satisfied.
-            remaining: List[_StoreGet] = []
-            for get in self._get_waiters:
-                idx = self._match(get)
-                if idx is None:
-                    remaining.append(get)
-                else:
-                    item = self.items.pop(idx)
-                    get.succeed(item)
-                    progressed = True
-            self._get_waiters = remaining
+            # Serve gets in FIFO order.
+            while self._get_waiters and self.items:
+                self._get_waiters.pop(0).succeed(self.items.pop(0))
+                progressed = True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} items={len(self.items)}>"
-
-
-class FilterStore(Store):
-    """A :class:`Store` whose gets may specify a predicate."""
-
-    __slots__ = ()
-
-    def get(self, filter: Optional[Callable[[Any], bool]] = None) -> _StoreGet:  # type: ignore[override]
-        return _StoreGet(self, filter)

@@ -27,7 +27,6 @@ from .engine import (
     LoadConfig,
     LoadResult,
     ScheduledOp,
-    build_schedule,
     run_load,
     schedule_digest,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "LoadConfig",
     "LoadResult",
     "ScheduledOp",
-    "build_schedule",
     "run_load",
     "schedule_digest",
     "FlockSchedule",

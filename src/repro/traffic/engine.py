@@ -3,18 +3,20 @@
 :func:`run_load` drives a seeded operation schedule against any backend:
 
 * **sim / geo** — arrivals are injected into the DES as independent
-  processes: each scheduled instant spawns one operation process
-  regardless of how many earlier operations are still in flight, which
-  is what makes the load open-loop (a saturated fabric accumulates
-  in-flight work instead of throttling the offered rate).
+  processes (:func:`~repro.traffic.flock.run_flock_des`): each scheduled
+  instant spawns one operation process regardless of how many earlier
+  operations are still in flight, which is what makes the load open-loop
+  (a saturated fabric accumulates in-flight work instead of throttling
+  the offered rate).
 * **emulator / service** — a dispatcher thread releases operations at
   their (time-scaled) wall-clock instants into a bounded client pool.
 
 The **schedule** — arrival instants from the
 :class:`~repro.traffic.arrivals.ArrivalSpec` plus seeded operation-mix
-and key draws — is precomputed before anything runs, so it is a pure
-function of the spec: every backend issues the *identical* operation
-sequence for a given seed (pinned by
+and key draws, held columnar as a
+:class:`~repro.traffic.flock.FlockSchedule` — is precomputed before
+anything runs, so it is a pure function of the spec: every backend
+issues the *identical* operation sequence for a given seed (pinned by
 ``tests/traffic/test_backend_equivalence.py``).  Completions stream into
 a :class:`~repro.traffic.stats.StatsAggregator` and the optional
 :class:`~repro.traffic.slo.SLOSpec` turns the windows into a verdict.
@@ -29,9 +31,8 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from random import Random
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from ..simkit.environment import SCHEDULERS
 from ..storage import KB
@@ -41,12 +42,14 @@ from .arrivals import ArrivalSpec
 from .slo import SLOReport, SLOSpec
 from .stats import WINDOW_CSV_HEADER, StatsAggregator, WindowRow
 
+if TYPE_CHECKING:
+    from .flock import FlockSchedule
+
 __all__ = [
     "LoadConfig",
     "ScheduledOp",
     "LoadResult",
     "MIXES",
-    "build_schedule",
     "schedule_digest",
     "run_load",
 ]
@@ -56,6 +59,8 @@ LOAD_QUEUE = "loadq"
 LOAD_CONTAINER = "loadc"
 LOAD_TABLE = "loadt"
 LOAD_PARTITION = "load"
+
+DEFAULT_FLOCK_SIZE = 8192
 
 #: mix name -> ((weight, service, op), ...).  Weights need not sum to 1.
 MIXES: Dict[str, Tuple[Tuple[float, str, str], ...]] = {
@@ -100,9 +105,9 @@ class LoadConfig:
     kill_at: Optional[float] = None
     #: Simulated clients: multiplies the per-client arrival rate.
     clients: int = 1
-    #: DES backends only: drive ops from a columnar schedule in chunks of
-    #: this many arrivals (0 = classic per-op schedule objects).
-    flock_size: int = 0
+    #: DES backends: arrivals the injector unpacks, and completions the
+    #: stats flush folds, at a time.  Results do not depend on it.
+    flock_size: int = DEFAULT_FLOCK_SIZE
     #: DES kernel event queue ("heap" or "calendar").
     scheduler: str = "heap"
 
@@ -140,12 +145,8 @@ class LoadConfig:
             raise ValueError("clients scales the arrival rate, which "
                              "trace replay ignores; pre-scale the trace "
                              "instants instead")
-        if self.flock_size < 0:
-            raise ValueError("flock_size must be >= 0 (0 disables "
-                             "flock mode)")
-        if self.flock_size and self.backend not in ("sim", "geo"):
-            raise ValueError("flock mode applies to the DES backends "
-                             "(sim, geo) only")
+        if self.flock_size < 1:
+            raise ValueError("flock_size must be >= 1")
         if self.scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {self.scheduler!r}; "
                              f"choose from {', '.join(SCHEDULERS)}")
@@ -173,7 +174,7 @@ class LoadConfig:
         # Scale/kernel knobs likewise appear only when engaged.
         if self.clients != 1:
             out["clients"] = self.clients
-        if self.flock_size:
+        if self.flock_size != DEFAULT_FLOCK_SIZE:
             out["flock_size"] = self.flock_size
         if self.scheduler != "heap":
             out["scheduler"] = self.scheduler
@@ -198,47 +199,13 @@ class ScheduledOp:
     nbytes: int
 
 
-def build_schedule(config: LoadConfig) -> List[ScheduledOp]:
-    """The full, deterministic operation schedule for one run.
-
-    Arrival instants come from the arrival process; the operation mix
-    and key choices come from an independent stream seeded off the same
-    arrival seed — so changing the mix does not perturb the instants and
-    vice versa.
-    """
-    instants = config.effective_arrivals().build().times(config.duration)
-    rng = Random(f"{config.arrivals.seed}:{config.mix}:ops")
-    mix = MIXES[config.mix]
-    total = sum(w for w, _, _ in mix)
-    out: List[ScheduledOp] = []
-    for index, at in enumerate(instants):
-        draw = rng.random() * total
-        for weight, service, op in mix:
-            draw -= weight
-            if draw < 0:
-                break
-        preloaded = f"obj-{rng.randrange(config.preload)}"
-        if (service, op) in (("blob", "upload"), ("table", "insert")):
-            key = f"new-{index}"
-        elif (service, op) == ("table", "query"):
-            key = LOAD_PARTITION
-        elif service == "queue":
-            key = LOAD_QUEUE
-        else:
-            key = preloaded
-        nbytes = config.payload_bytes if op in ("put", "upload", "insert",
-                                                "upsert") else 0
-        out.append(ScheduledOp(index, at, service, op, key, nbytes))
-    return out
-
-
 def schedule_digest(schedule: Iterable[ScheduledOp],
                     outcomes: Optional[Sequence] = None) -> str:
     """SHA-256 over the issued operation sequence (and outcomes).
 
-    ``schedule`` may be any iterable of ops (flock mode streams them
-    from its columnar arrays); ``outcomes`` any indexable of
-    None/bool-convertible entries.
+    ``schedule`` is any iterable of ops (``FlockSchedule.iter_ops()``
+    streams them from its columnar arrays); ``outcomes`` any indexable
+    of None/bool-convertible entries.
     """
     h = hashlib.sha256()
     for s in schedule:
@@ -435,36 +402,26 @@ def run_load(config: LoadConfig) -> LoadResult:
     """Run one open-loop load campaign on the configured backend."""
     from ..backend import (EmulatorBackend, ServiceBackend, SimBackend,
                            get_backend)
+    from .flock import build_flock_schedule, run_flock_des
 
     agg = StatsAggregator(config.window_s)
     backend = get_backend(config.backend)
     disruption = None
     events: Optional[int] = None
     wall_start = time.perf_counter()
+    schedule = build_flock_schedule(config)
     if isinstance(backend, SimBackend):  # includes GeoBackend
-        if config.flock_size:
-            from .flock import build_flock_schedule, run_flock_des
-            flock = build_flock_schedule(config)
-            outcomes, elapsed, events = run_flock_des(
-                backend, config, flock, agg)
-            digest = schedule_digest(flock.iter_ops(), outcomes)
-        else:
-            schedule = build_schedule(config)
-            outcomes, elapsed, events = _run_des(
-                backend, config, schedule, agg)
-            digest = schedule_digest(schedule, outcomes)
+        outcomes, elapsed, events = run_flock_des(
+            backend, config, schedule, agg)
     elif isinstance(backend, EmulatorBackend):
-        schedule = build_schedule(config)
         outcomes, elapsed = _run_wallclock(
             config, schedule, agg, _emulator_client_factory(config))
-        digest = schedule_digest(schedule, outcomes)
     elif isinstance(backend, ServiceBackend):
-        schedule = build_schedule(config)
         outcomes, elapsed, disruption = _run_service(config, schedule, agg)
-        digest = schedule_digest(schedule, outcomes)
     else:  # pragma: no cover - registry covers all names
         raise ValueError(f"backend {config.backend!r} cannot run "
                          f"open-loop load")
+    digest = schedule_digest(schedule.iter_ops(), outcomes)
     wall = time.perf_counter() - wall_start
     horizon = max(config.duration, elapsed)
     rows = agg.rows(duration=horizon, servers=config.servers)
@@ -498,58 +455,6 @@ def _resource_usage(wall_s: float,
     return out
 
 
-def _run_des(backend, config: LoadConfig, schedule: List[ScheduledOp],
-             agg: StatsAggregator):
-    """Seeded DES execution (sim and geo backends)."""
-    from ..core.runner import RunConfig
-    from ..simkit import Environment
-
-    env = Environment(scheduler=config.scheduler)
-    account = backend._make_account(
-        env, RunConfig(seed=config.seed, label="load"))
-    clients = {"queue": account.queue_client(),
-               "blob": account.blob_client(),
-               "table": account.table_client()}
-
-    setup = env.process(_run_script_des(_setup_script(clients, config)),
-                        name="load-setup")
-    env.run(until=setup)
-    origin = env.now
-
-    outcomes: List[Optional[bool]] = [None] * len(schedule)
-    pending = {"n": len(schedule)}
-    done = env.event()
-    last_end = {"t": 0.0}
-
-    def op_proc(s: ScheduledOp):
-        t0 = env.now
-        try:
-            yield from _run_script_des(_op_script(clients, config, s))
-            ok = True
-        except StorageError:
-            ok = False
-        outcomes[s.index] = ok
-        end = env.now
-        agg.record(t0 - origin, end - origin, ok=ok, nbytes=s.nbytes,
-                   operation=f"{s.service}.{s.op}")
-        last_end["t"] = max(last_end["t"], end - origin)
-        pending["n"] -= 1
-        if pending["n"] == 0:
-            done.succeed()
-
-    def injector():
-        for s in schedule:
-            wait = origin + s.at - env.now
-            if wait > 0:
-                yield env.timeout(wait)
-            env.process(op_proc(s), name=f"load-op-{s.index}")
-
-    if schedule:
-        env.process(injector(), name="load-injector")
-        env.run(until=done)
-    return outcomes, last_end["t"], env.events_processed
-
-
 def _emulator_client_factory(config: LoadConfig) -> Callable[[], Dict]:
     from ..emulator import EmulatorAccount
 
@@ -562,7 +467,7 @@ def _emulator_client_factory(config: LoadConfig) -> Callable[[], Dict]:
     return make
 
 
-def _run_service(config: LoadConfig, schedule: List[ScheduledOp],
+def _run_service(config: LoadConfig, schedule: FlockSchedule,
                  agg: StatsAggregator):
     """Boot an in-process SN/DN cluster and drive it over signed HTTP.
 
@@ -645,7 +550,7 @@ def _run_service(config: LoadConfig, schedule: List[ScheduledOp],
         runner.stop()
 
 
-def _run_wallclock(config: LoadConfig, schedule: List[ScheduledOp],
+def _run_wallclock(config: LoadConfig, schedule: FlockSchedule,
                    agg: StatsAggregator, make_clients: Callable[[], Dict],
                    on_origin: Optional[Callable[[], None]] = None):
     """Dispatcher + bounded client pool on wall-clock backends.
@@ -656,6 +561,11 @@ def _run_wallclock(config: LoadConfig, schedule: List[ScheduledOp],
     thread is busy (queueing shows up as latency, as it should).
     ``on_origin`` (if given) runs right as the dispatch origin is pinned
     — the hook the service backend uses to arm its DN-kill timer.
+
+    An op that dies on the transport (``OSError``: a socket timeout, a
+    reset the connection's one retry did not cure) is recorded as
+    failed like any storage error; any other exception fails the run
+    once the pool has drained.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -679,7 +589,7 @@ def _run_wallclock(config: LoadConfig, schedule: List[ScheduledOp],
         try:
             _run_script_blocking(_op_script(clients, config, s))
             ok = True
-        except StorageError:
+        except (StorageError, OSError):
             ok = False
         outcomes[s.index] = ok
         end = virtual_now()
@@ -688,10 +598,13 @@ def _run_wallclock(config: LoadConfig, schedule: List[ScheduledOp],
                        operation=f"{s.service}.{s.op}")
             last_end["t"] = max(last_end["t"], end)
 
+    futures = []
     with ThreadPoolExecutor(max_workers=config.max_clients) as pool:
-        for s in schedule:
+        for s in schedule.iter_ops():
             wait = s.at * config.time_scale - (time.monotonic() - origin)
             if wait > 0:
                 time.sleep(wait)
-            pool.submit(run_op, s)
+            futures.append(pool.submit(run_op, s))
+    for future in futures:
+        future.result()
     return outcomes, last_end["t"]

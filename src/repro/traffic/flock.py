@@ -1,24 +1,21 @@
-"""Vectorized client flocks: the DES scale path for huge client counts.
+"""The columnar operation schedule and the DES loop that drives it.
 
-The classic DES load path materialises one :class:`ScheduledOp` object
-(plus a key string and a named process) per arrival — fine at thousands
-of ops, prohibitive at the million-client scale ROADMAP item 3 targets.
-Flock mode keeps the *execution* semantics identical (each arrival is
-still an independent open-loop operation process charging the simulated
-cluster) but changes the *representation*:
+One object graph per arrival (an op record, a key string, a named
+process) is fine at thousands of ops and prohibitive at a million
+clients, so the schedule every backend runs is columnar:
 
-* the schedule is columnar — numpy arrays of arrival instants, mix-kind
-  ids and key draws (13 bytes/op instead of an object graph), built by
-  replaying the exact RNG draw sequence of
-  :func:`~repro.traffic.engine.build_schedule`;
-* the injector consumes those arrays in chunks of ``flock_size``,
+* numpy arrays of arrival instants, mix-kind ids and key draws
+  (13 bytes/op); key strings and :class:`ScheduledOp` views are derived
+  on demand, one at a time;
+* the DES injector consumes those arrays in chunks of ``flock_size``,
   converting one chunk at a time to plain scalars;
 * completions are buffered and flushed to
   :meth:`~repro.traffic.stats.StatsAggregator.record_chunk` per chunk.
 
-Because the per-op event sequence is unchanged, a flock run produces the
-byte-identical op digest (and equal aggregator state) of a classic run
-with the same seed — pinned by ``tests/traffic/test_flock.py``.
+Each arrival is still an independent open-loop operation process
+charging the simulated cluster; the chunk size changes no result
+(pinned, with the goldens of the per-op-object path this replaced, by
+``tests/traffic/test_flock.py``).
 """
 
 from __future__ import annotations
@@ -35,12 +32,12 @@ from .engine import (LOAD_PARTITION, LOAD_QUEUE, MIXES, LoadConfig,
 
 __all__ = ["FlockSchedule", "build_flock_schedule", "run_flock_des"]
 
-#: Ops that carry the configured payload (mirrors build_schedule).
+#: Ops that carry the configured payload.
 _PAYLOAD_OPS = ("put", "upload", "insert", "upsert")
 
 
 class FlockSchedule:
-    """Columnar operation schedule for one flock-mode run.
+    """Columnar operation schedule for one load run.
 
     ``at`` (float64), ``kind`` (int8 index into ``kinds``) and
     ``key_id`` (int32 preload draw) fully determine every op; key
@@ -67,11 +64,7 @@ class FlockSchedule:
         return len(self.at)
 
     def op(self, index: int) -> ScheduledOp:
-        """The :class:`ScheduledOp` view of arrival ``index``.
-
-        Field-identical to ``build_schedule(config)[index]`` (pinned by
-        the flock parity test).
-        """
+        """The :class:`ScheduledOp` view of arrival ``index``."""
         k = self.kind[index]
         service, opname = self.kinds[k]
         if (service, opname) in (("blob", "upload"), ("table", "insert")):
@@ -91,11 +84,13 @@ class FlockSchedule:
 
 
 def build_flock_schedule(config: LoadConfig) -> FlockSchedule:
-    """The columnar twin of :func:`~repro.traffic.engine.build_schedule`.
+    """The full, deterministic operation schedule for one run.
 
-    Replays the identical RNG draw sequence (one mix draw plus one
-    preload draw per arrival, whether or not the key is used) so the op
-    stream matches element for element.
+    Arrival instants come from the arrival process; the operation mix
+    and key choices come from an independent stream seeded off the same
+    arrival seed — so changing the mix does not perturb the instants and
+    vice versa.  Every arrival takes one mix draw plus one preload draw,
+    whether or not its key is used: the golden digests depend on it.
     """
     instants = config.effective_arrivals().build().times(config.duration)
     n = len(instants)
@@ -112,7 +107,7 @@ def build_flock_schedule(config: LoadConfig) -> FlockSchedule:
     preload = config.preload
     for i in range(n):
         draw = random() * total
-        k = len(weights) - 1  # float-edge fallthrough, like build_schedule
+        k = len(weights) - 1  # float-edge fallthrough
         for j, w in enumerate(weights):
             draw -= w
             if draw < 0:
@@ -126,13 +121,12 @@ def build_flock_schedule(config: LoadConfig) -> FlockSchedule:
 
 def run_flock_des(backend, config: LoadConfig, flock: FlockSchedule,
                   agg) -> Tuple["np.ndarray", float, int]:
-    """Flock-mode DES execution (sim and geo backends).
+    """Seeded DES execution (sim and geo backends).
 
-    Same open-loop semantics as ``_run_des`` — every arrival spawns an
-    independent operation process at its scheduled instant — but driven
-    off the columnar schedule in ``flock_size`` chunks, with unnamed op
-    processes and batched stats flushes.  Returns
-    ``(outcomes, last_end, events_processed)``.
+    Every arrival spawns an independent operation process at its
+    scheduled instant, driven off the columnar schedule in
+    ``flock_size`` chunks, with unnamed op processes and batched stats
+    flushes.  Returns ``(outcomes, last_end, events_processed)``.
     """
     from ..core.runner import RunConfig
     from ..simkit import Environment

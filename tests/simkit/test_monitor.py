@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.simkit import Environment, Tally, TimeSeries, UtilizationMonitor
+from repro.simkit import Environment, Tally, UtilizationMonitor
 
 
 class TestTally:
@@ -46,33 +46,6 @@ class TestTally:
         t = Tally()
         t.record(1.0)
         assert set(t.summary()) == {"count", "total", "mean", "stdev", "min", "max"}
-
-
-class TestTimeSeries:
-    def test_record_and_last(self):
-        s = TimeSeries("s")
-        s.record(0, 1.0)
-        s.record(5, 2.0)
-        assert len(s) == 2
-        assert s.last() == (5, 2.0)
-
-    def test_empty_raises(self):
-        s = TimeSeries("s")
-        with pytest.raises(ValueError):
-            s.last()
-        with pytest.raises(ValueError):
-            s.time_weighted_mean()
-
-    def test_time_weighted_mean(self):
-        s = TimeSeries()
-        s.record(0, 10.0)   # 10 for [0, 4)
-        s.record(4, 20.0)   # 20 for [4, 8)
-        assert s.time_weighted_mean(until=8) == pytest.approx(15.0)
-
-    def test_time_weighted_mean_zero_span(self):
-        s = TimeSeries()
-        s.record(3, 42.0)
-        assert s.time_weighted_mean(until=3) == 42.0
 
 
 class TestUtilizationMonitor:

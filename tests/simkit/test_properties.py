@@ -1,10 +1,9 @@
 """Property-based tests (hypothesis) on the simkit kernel."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simkit import Container, Environment, Resource, Store
+from repro.simkit import Environment, Resource, Store
 
 
 @given(delays=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=30))
@@ -84,35 +83,6 @@ def test_store_conserves_items(items, capacity):
     env.run()
     assert received == items       # FIFO and lossless
     assert store.items == []
-
-
-@given(amounts=st.lists(st.floats(0.1, 50.0), min_size=1, max_size=20),
-       capacity=st.floats(50.0, 500.0))
-@settings(max_examples=50, deadline=None)
-def test_container_level_bounded(amounts, capacity):
-    env = Environment()
-    c = Container(env, capacity=capacity)
-    levels = []
-
-    def producer(env):
-        for a in amounts:
-            amt = min(a, capacity)
-            yield c.put(amt)
-            levels.append(c.level)
-            yield env.timeout(0.1)
-
-    def consumer(env):
-        for a in amounts:
-            amt = min(a, capacity)
-            yield c.get(amt)
-            levels.append(c.level)
-            yield env.timeout(0.1)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert all(0 <= lv <= capacity + 1e-9 for lv in levels)
-    assert c.level == pytest.approx(0.0, abs=1e-9)
 
 
 @given(seed_graph=st.lists(

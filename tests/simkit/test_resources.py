@@ -1,15 +1,8 @@
-"""Unit tests for simkit resources: Resource, Container, Store."""
+"""Unit tests for simkit resources: Resource, Store."""
 
 import pytest
 
-from repro.simkit import (
-    Container,
-    Environment,
-    FilterStore,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from repro.simkit import Environment, Resource, Store
 
 
 @pytest.fixture
@@ -130,103 +123,6 @@ class TestResource:
         assert res.count == 0
 
 
-class TestPriorityResource:
-    def test_priority_order(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def user(env, name, prio, delay):
-            yield env.timeout(delay)
-            with res.request(priority=prio) as req:
-                yield req
-                order.append(name)
-                yield env.timeout(10)
-
-        env.process(user(env, "first", 5, 0))     # holds the resource
-        env.process(user(env, "low", 5, 1))
-        env.process(user(env, "high", 0, 2))      # arrives later, jumps queue
-        env.run()
-        assert order == ["first", "high", "low"]
-
-    def test_fifo_within_priority(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def user(env, name, delay):
-            yield env.timeout(delay)
-            with res.request(priority=1) as req:
-                yield req
-                order.append(name)
-                yield env.timeout(10)
-
-        env.process(user(env, "a", 0))
-        env.process(user(env, "b", 1))
-        env.process(user(env, "c", 2))
-        env.run()
-        assert order == ["a", "b", "c"]
-
-
-class TestContainer:
-    def test_validation(self, env):
-        with pytest.raises(ValueError):
-            Container(env, capacity=0)
-        with pytest.raises(ValueError):
-            Container(env, capacity=10, init=11)
-
-    def test_put_get(self, env):
-        c = Container(env, capacity=10, init=5)
-
-        def proc(env):
-            yield c.get(3)
-            yield c.put(6)
-            return c.level
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == 8
-
-    def test_get_blocks_until_available(self, env):
-        c = Container(env, init=0)
-        times = []
-
-        def getter(env):
-            yield c.get(5)
-            times.append(env.now)
-
-        def putter(env):
-            yield env.timeout(3)
-            yield c.put(5)
-
-        env.process(getter(env))
-        env.process(putter(env))
-        env.run()
-        assert times == [3]
-
-    def test_put_blocks_at_capacity(self, env):
-        c = Container(env, capacity=5, init=5)
-        times = []
-
-        def putter(env):
-            yield c.put(2)
-            times.append(env.now)
-
-        def getter(env):
-            yield env.timeout(4)
-            yield c.get(3)
-
-        env.process(putter(env))
-        env.process(getter(env))
-        env.run()
-        assert times == [4]
-
-    def test_nonpositive_amounts_rejected(self, env):
-        c = Container(env)
-        with pytest.raises(ValueError):
-            c.put(0)
-        with pytest.raises(ValueError):
-            c.get(-1)
-
-
 class TestStore:
     def test_fifo_order(self, env):
         s = Store(env)
@@ -280,113 +176,3 @@ class TestStore:
         env.process(consumer(env))
         env.run()
         assert done == [5]
-
-    def test_filter_store(self, env):
-        s = FilterStore(env)
-        out = []
-
-        def producer(env):
-            for i in range(5):
-                yield s.put(i)
-
-        def even_consumer(env):
-            for _ in range(2):
-                item = yield s.get(lambda x: x % 2 == 0)
-                out.append(item)
-
-        env.process(producer(env))
-        env.process(even_consumer(env))
-        env.run()
-        assert out == [0, 2]
-        assert s.items == [1, 3, 4]
-
-    def test_blocked_filter_get_does_not_block_others(self, env):
-        s = FilterStore(env)
-        out = []
-
-        def wants_99(env):
-            item = yield s.get(lambda x: x == 99)
-            out.append(("99", item, env.now))
-
-        def wants_any(env):
-            item = yield s.get()
-            out.append(("any", item, env.now))
-
-        def producer(env):
-            yield env.timeout(1)
-            yield s.put(1)
-            yield env.timeout(1)
-            yield s.put(99)
-
-        env.process(wants_99(env))
-        env.process(wants_any(env))
-        env.process(producer(env))
-        env.run()
-        assert ("any", 1, 1) in out and ("99", 99, 2) in out
-
-
-class TestPreemptiveResource:
-    def test_higher_priority_preempts(self, env):
-        from repro.simkit import Interrupt, Preempted, PreemptiveResource
-        res = PreemptiveResource(env, capacity=1)
-        log = []
-
-        def low(env):
-            with res.request(priority=5) as req:
-                yield req
-                try:
-                    yield env.timeout(10)
-                except Interrupt as i:
-                    assert isinstance(i.cause, Preempted)
-                    log.append(("preempted", env.now, i.cause.usage_since))
-
-        def high(env):
-            yield env.timeout(2)
-            with res.request(priority=0) as req:
-                yield req
-                log.append(("high", env.now))
-                yield env.timeout(1)
-
-        env.process(low(env))
-        env.process(high(env))
-        env.run()
-        assert log == [("preempted", 2, 0), ("high", 2)]
-
-    def test_equal_priority_does_not_preempt(self, env):
-        from repro.simkit import PreemptiveResource
-        res = PreemptiveResource(env, capacity=1)
-        order = []
-
-        def user(env, name, delay):
-            yield env.timeout(delay)
-            with res.request(priority=1) as req:
-                yield req
-                order.append((name, env.now))
-                yield env.timeout(5)
-
-        env.process(user(env, "first", 0))
-        env.process(user(env, "second", 1))
-        env.run()
-        assert order == [("first", 0), ("second", 5)]
-
-    def test_preempt_false_waits(self, env):
-        from repro.simkit import PreemptiveResource
-        res = PreemptiveResource(env, capacity=1)
-        order = []
-
-        def low(env):
-            with res.request(priority=5) as req:
-                yield req
-                yield env.timeout(10)
-                order.append(("low done", env.now))
-
-        def polite_high(env):
-            yield env.timeout(1)
-            with res.request(priority=0, preempt=False) as req:
-                yield req
-                order.append(("high in", env.now))
-
-        env.process(low(env))
-        env.process(polite_high(env))
-        env.run()
-        assert order == [("low done", 10), ("high in", 10)]

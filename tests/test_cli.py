@@ -254,6 +254,17 @@ class TestLoadCommand:
         assert verdict["passed"] is False
         assert verdict["slo_report"]["violations"]
 
+    def test_load_summary_without_slo_reports_failed_share(self, capsys):
+        """A run that is mostly ServerBusy refusals is not "clean"."""
+        assert main(["load", "--mix", "queue", "--rate", "2000",
+                     "--duration", "4"]) == 0
+        captured = capsys.readouterr()
+        totals = json.loads(captured.out)["totals"]
+        assert totals["errors"] > totals["completions"] / 2
+        share = totals["errors"] / totals["completions"]
+        assert f"{share:.1%} failed, no SLO given" in captured.err
+        assert "clean" not in captured.err
+
     def test_load_find_knee_stable(self, capsys, tmp_path):
         argv = ["load", "--find-knee", "--slo", "p95=120ms",
                 "--duration", "6", "--window", "2",
@@ -309,6 +320,8 @@ class TestLoadCommand:
         assert "--trace-file" in capsys.readouterr().err
         assert main(["load", "--mix", "bogus"]) == 2
         assert "unknown mix" in capsys.readouterr().err
+        assert main(["load", "--flock-size", "0"]) == 2
+        assert "flock_size" in capsys.readouterr().err
 
 
 class TestArrivalsFlags:

@@ -3,8 +3,9 @@
 The engine precomputes its whole operation schedule from the arrival
 seed, so the *issued operation sequence* (instants, services, ops, keys,
 outcomes) must be byte-identical across backends at a fixed seed — the
-schedule digest pins it on ``sim`` vs ``emulator``, plus one ``service``
-wire smoke.  The second half pins the *off* path: with the traffic
+schedule digest pins it on ``sim`` vs ``emulator`` (and against the
+golden run digests of ``golden_load.json``), plus one ``service`` wire
+smoke.  The second half pins the *off* path: with the traffic
 engine disabled (``arrivals=None``), the seeded sim figures and the
 golden trace digest are bit-identical to the pre-engine codebase, and
 the knee search is deterministic (same seed ⇒ same knee).
@@ -18,11 +19,12 @@ from repro.traffic import (
     ArrivalSpec,
     LoadConfig,
     SLOSpec,
-    build_schedule,
+    build_flock_schedule,
     find_knee,
     run_load,
     schedule_digest,
 )
+from tests.traffic.test_flock import GOLDEN, golden_cases
 
 SPEC = ArrivalSpec(process="poisson", rate=15.0, seed=7)
 
@@ -38,17 +40,20 @@ def config(**overrides) -> LoadConfig:
 
 def test_schedule_is_pure_function_of_the_spec():
     cfg = config()
-    a, b = build_schedule(cfg), build_schedule(cfg)
-    assert a == b
-    assert schedule_digest(a) == schedule_digest(b)
+    a, b = build_flock_schedule(cfg), build_flock_schedule(cfg)
+    assert list(a.iter_ops()) == list(b.iter_ops())
+    assert schedule_digest(a.iter_ops()) == schedule_digest(b.iter_ops())
 
 
 def test_schedule_changes_with_seed_and_mix():
-    base = schedule_digest(build_schedule(config()))
+    def digest(cfg):
+        return schedule_digest(build_flock_schedule(cfg).iter_ops())
+
+    base = digest(config())
     other_seed = config(
         arrivals=dataclasses.replace(SPEC, seed=8))
-    assert schedule_digest(build_schedule(other_seed)) != base
-    assert schedule_digest(build_schedule(config(mix="queue"))) != base
+    assert digest(other_seed) != base
+    assert digest(config(mix="queue")) != base
 
 
 # -- sim vs emulator ---------------------------------------------------------
@@ -61,8 +66,13 @@ def test_sim_and_emulator_issue_identical_sequences():
     assert sim.digest == emu.digest
     assert (sim.aggregator.total_completions
             == emu.aggregator.total_completions
-            == len(build_schedule(config())))
+            == len(build_flock_schedule(config())))
     assert sim.aggregator.total_errors == emu.aggregator.total_errors == 0
+
+    case_id = "mixed-poisson-2012"
+    golden_emu = run_load(dataclasses.replace(
+        dict(golden_cases())[case_id], backend="emulator"))
+    assert golden_emu.digest == GOLDEN[case_id]["run_digest"]
 
 
 def test_sim_rerun_is_bit_identical():
@@ -71,6 +81,55 @@ def test_sim_rerun_is_bit_identical():
     assert a.digest == b.digest
     assert a.aggregator == b.aggregator
     assert [r.to_dict() for r in a.rows] == [r.to_dict() for r in b.rows]
+
+
+def _run_wallclock_with_one_bad_peek(exc):
+    """Drive the wall-clock loop with emulator clients whose first
+    ``peek_message`` (an op the setup script never issues) raises."""
+    import threading
+
+    from repro.traffic import StatsAggregator
+    from repro.traffic.engine import (_emulator_client_factory,
+                                      _run_wallclock)
+
+    cfg = config(backend="emulator", mix="queue", duration=4.0)
+    make = _emulator_client_factory(cfg)
+    first = threading.Lock()
+
+    class FlakyQueue:
+        def __init__(self, inner):
+            self._inner = inner
+
+        def __getattr__(self, name):
+            return getattr(self._inner, name)
+
+        def peek_message(self, *args, **kwargs):
+            if first.acquire(blocking=False):
+                raise exc
+            return self._inner.peek_message(*args, **kwargs)
+
+    def make_flaky():
+        clients = make()
+        clients["queue"] = FlakyQueue(clients["queue"])
+        return clients
+
+    schedule = build_flock_schedule(cfg)
+    agg = StatsAggregator(cfg.window_s)
+    outcomes, _ = _run_wallclock(cfg, schedule, agg, make_flaky)
+    return schedule, agg, outcomes
+
+
+def test_transport_error_is_a_failed_op_not_a_lost_one():
+    schedule, agg, outcomes = _run_wallclock_with_one_bad_peek(
+        TimeoutError("timed out"))
+    assert agg.total_completions == len(schedule) > 0
+    assert agg.total_errors == 1
+    assert outcomes.count(False) == 1 and None not in outcomes
+
+
+def test_unexpected_op_exception_fails_the_wallclock_run():
+    with pytest.raises(ZeroDivisionError):
+        _run_wallclock_with_one_bad_peek(ZeroDivisionError("bug"))
 
 
 @pytest.mark.slow
