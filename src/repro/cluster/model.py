@@ -17,18 +17,17 @@ from inside a simkit process to charge the timing of each data-plane call.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
 from ..faults.plan import FaultPlan
 from ..faults.spec import FaultKind, FaultSpec
+# ``pipeline.interceptors`` imports ``cluster.ops`` and ``cluster.ratelimit``
+# at module scope, and either package may be the first one imported: this
+# side of the cycle takes the module and reads its names at construction.
+from ..pipeline import interceptors as stages
 from ..pipeline.context import OpContext
-from ..pipeline.interceptors import (
-    FaultInterceptor,
-    Pipeline,
-    ThrottleInterceptor,
-)
 from ..simkit import Environment, Tally
 from ..storage.limits import LIMITS_2012, ServiceLimits
 from .calibration import DEFAULT_CALIBRATION, FabricCalibration
@@ -36,6 +35,9 @@ from .ops import OpDescriptor, OpKind, Service
 from .servers import PartitionServer, ServerPool
 
 __all__ = ["StorageCluster"]
+
+#: Jitter factors drawn per refill (two are used per round trip).
+JITTER_BLOCK = 512
 
 
 class StorageCluster:
@@ -49,7 +51,10 @@ class StorageCluster:
         self.env = env
         self.limits = limits
         self.cal = calibration
+        # Read by ``_jitter`` alone: it draws ahead in blocks, so any other
+        # reader would see (and shift) a stream position no op is at.
         self._rng = np.random.default_rng(seed)
+        self._jitter_block: List[float] = []
 
         cal = calibration
         # Placement (paper IV.A-C): blobs and queues get a server per
@@ -72,15 +77,16 @@ class StorageCluster:
         # charged: fault plan, then the published throttle targets (paper
         # Section IV).  Observers (analytics, auth) insert themselves via
         # ``pipeline.add``.
-        self._fault_stage = FaultInterceptor(
+        self._fault_stage = stages.FaultInterceptor(
             lambda: self.fault_plan, cluster=self, on_busy=self._note_busy)
-        self._throttle_stage = ThrottleInterceptor(
+        self._throttle_stage = stages.ThrottleInterceptor(
             limits,
             window_s=cal.throttle_window_s,
             retry_after_s=cal.throttle_retry_after_s,
             on_busy=self._note_busy,
         )
-        self.pipeline = Pipeline([self._fault_stage, self._throttle_stage])
+        self.pipeline = stages.Pipeline(
+            [self._fault_stage, self._throttle_stage])
 
     def _note_busy(self) -> None:
         self.server_busy_count += 1
@@ -230,11 +236,18 @@ class StorageCluster:
         return self.pool_for(op.service).server_for(op.partition)
 
     def _jitter(self) -> float:
-        sigma = self.cal.jitter_sigma
-        if sigma <= 0:
-            return 1.0
-        # Mean-one lognormal: E[exp(N(-s^2/2, s))] == 1.
-        return float(np.exp(self._rng.normal(-0.5 * sigma * sigma, sigma)))
+        block = self._jitter_block
+        if not block:
+            sigma = self.cal.jitter_sigma
+            if sigma <= 0:
+                return 1.0
+            # Mean-one lognormal: E[exp(N(-s^2/2, s))] == 1.  One vector
+            # draw yields the values the same number of scalar draws would
+            # (tests/cluster/test_jitter_stream.py); kept reversed so that
+            # ``pop()`` hands them out in draw order.
+            block = self._jitter_block = np.exp(self._rng.normal(
+                -0.5 * sigma * sigma, sigma, size=JITTER_BLOCK))[::-1].tolist()
+        return block.pop()
 
     # -- execution ---------------------------------------------------------
     def execute(self, op: OpDescriptor) -> Iterator:
@@ -249,23 +262,28 @@ class StorageCluster:
         burn their ``timeout_after`` first, injected latency windows
         stretch the round trip.
         """
-        active = self.env.active_process
-        ctx = OpContext(op=op, backend="sim", started_at=self.env.now,
+        # ``env._now`` / ``env._active_proc`` are the fields behind the
+        # ``now`` / ``active_process`` properties: this body runs once per
+        # round trip of every figure, and reads the clock six times.
+        env = self.env
+        pipeline = self.pipeline
+        active = env._active_proc
+        ctx = OpContext(op=op, backend="sim", started_at=env._now,
                         worker=active.name if active is not None else None)
         try:
-            self.pipeline.run_before(ctx)
+            pipeline.run_before(ctx)
         except Exception as exc:
-            ctx.finished_at = self.env.now
-            self.pipeline.run_failed(ctx, exc)
+            ctx.finished_at = env._now
+            pipeline.run_failed(ctx, exc)
             raise
         if ctx.timeout_spec is not None:
             # The request is doomed: it consumes the timeout budget (and
             # nothing else — the server never completes the work).
-            yield self.env.timeout(ctx.timeout_spec.timeout_after)
+            yield env.timeout(ctx.timeout_spec.timeout_after)
             error = ctx.fault_plan.record_timeout(
-                ctx.timeout_spec, op, self.env.now)
-            ctx.finished_at = self.env.now
-            self.pipeline.run_failed(ctx, error)
+                ctx.timeout_spec, op, env._now)
+            ctx.finished_at = env._now
+            pipeline.run_failed(ctx, error)
             raise error
         try:
             # Jitter draw order (rtt, then occupancy) is part of the seeded
@@ -274,21 +292,23 @@ class StorageCluster:
             rtt = self.base_rtt(op) * self._jitter() * ctx.latency_factor
             occupancy = ctx.server_latency * self._jitter() * ctx.latency_factor
             server = self.server_for(op)
-            start = self.env.now
+            start = env._now
             # Request leg of the round trip.
-            yield self.env.timeout(rtt / 2)
+            yield env.timeout(rtt / 2)
             yield from server.serve(occupancy, op.nbytes)
             # Response leg.
-            yield self.env.timeout(rtt / 2)
+            yield env.timeout(rtt / 2)
         except Exception as exc:
-            ctx.finished_at = self.env.now
-            self.pipeline.run_failed(ctx, exc)
+            ctx.finished_at = env._now
+            pipeline.run_failed(ctx, exc)
             raise
-        self.op_times.setdefault(op.kind, Tally(op.kind.value)).record(
-            self.env.now - start
-        )
-        ctx.finished_at = self.env.now
-        self.pipeline.run_after(ctx)
+        kind = op.kind
+        tally = self.op_times.get(kind)
+        if tally is None:
+            tally = self.op_times[kind] = Tally(kind.value)
+        tally.record(env._now - start)
+        ctx.finished_at = env._now
+        pipeline.run_after(ctx)
 
     # -- diagnostics ---------------------------------------------------------
     def mean_op_time(self, kind: OpKind) -> Optional[float]:

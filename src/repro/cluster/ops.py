@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-__all__ = ["Service", "OpKind", "OpDescriptor"]
+__all__ = ["Service", "OpKind", "OpDescriptor", "WRITE_KINDS",
+           "QUEUE_MESSAGE_KINDS", "TABLE_ENTITY_KINDS"]
 
 
 class Service(str, Enum):
@@ -65,6 +66,18 @@ WRITE_KINDS = frozenset({
     OpKind.DELETE_ENTITY, OpKind.BATCH, OpKind.CREATE_TABLE,
     OpKind.DELETE_TABLE, OpKind.CACHE_PUT, OpKind.CACHE_REMOVE,
     OpKind.CREATE_CACHE,
+})
+
+#: Kinds counted against the per-queue messages-per-second target.
+QUEUE_MESSAGE_KINDS = frozenset({
+    OpKind.PUT_MESSAGE, OpKind.GET_MESSAGE, OpKind.PEEK_MESSAGE,
+    OpKind.DELETE_MESSAGE, OpKind.UPDATE_MESSAGE,
+})
+
+#: Kinds counted against the per-partition entities-per-second target.
+TABLE_ENTITY_KINDS = frozenset({
+    OpKind.INSERT_ENTITY, OpKind.QUERY_ENTITY, OpKind.UPDATE_ENTITY,
+    OpKind.MERGE_ENTITY, OpKind.DELETE_ENTITY, OpKind.BATCH,
 })
 
 

@@ -55,7 +55,9 @@ class SlidingWindowThrottle:
 
     def charge(self, now: float, units: float = 1.0) -> None:
         """Admit ``units`` at time ``now`` or raise :class:`ServerBusyError`."""
-        self._expire(now)
+        events = self._events
+        if events and events[0][0] <= now - self.window:
+            self._expire(now)
         if self._in_window + units > self.limit:
             self.rejected_ops += 1
             raise ServerBusyError(
@@ -63,7 +65,7 @@ class SlidingWindowThrottle:
                 f"{self.limit:g}/{self.window:g}s",
                 retry_after=self.retry_after,
             )
-        self._events.append((now, units))
+        events.append((now, units))
         self._in_window += units
         self.admitted += units
 

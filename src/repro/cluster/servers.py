@@ -32,21 +32,43 @@ class PartitionServer:
         self.bytes_served = 0
 
     def serve(self, occupancy: float, nbytes: int = 0):
-        """Process generator: hold one slot for ``occupancy`` seconds."""
-        arrived = self.env.now
-        with self.slots.request() as req:
-            yield req
-            self.wait_times.record(self.env.now - arrived)
-            if self.slots.count == 1:
-                self.utilization.mark_busy()
+        """Process generator: hold one slot for ``occupancy`` seconds.
+
+        A free slot is taken on the spot, so an uncontended hold costs one
+        kernel event (its occupancy timeout); a request that has to queue
+        adds one grant event.  The counters record *completed* holds: one
+        cut short by an :class:`~repro.simkit.Interrupt` (a recycled role)
+        gives its slot back — or, if it was still waiting, leaves the
+        queue — and is not counted as served.
+        """
+        env = self.env
+        slots = self.slots
+        if slots.try_acquire():
+            self.wait_times.record(0.0)
+        else:
+            arrived = env._now
+            request = slots.request()
             try:
-                yield self.env.timeout(occupancy)
-            finally:
-                self.service_times.record(occupancy)
-                self.ops_served += 1
-                self.bytes_served += nbytes
-                if self.slots.count == 1:
+                yield request
+            except BaseException:
+                slots.release(request)
+                if slots.count == 0:
+                    # It gave back a slot granted at this instant, after
+                    # the last holder saw it counted and stayed "busy".
                     self.utilization.mark_idle()
+                raise
+            self.wait_times.record(env._now - arrived)
+        if slots.count == 1:
+            self.utilization.mark_busy()
+        try:
+            yield env.timeout(occupancy)
+            self.service_times.record(occupancy)
+            self.ops_served += 1
+            self.bytes_served += nbytes
+        finally:
+            if slots.count == 1:
+                self.utilization.mark_idle()
+            slots.release()
 
     @property
     def queue_length(self) -> int:
@@ -75,6 +97,11 @@ class ServerPool:
         self.slots_per_server = slots_per_server
         self.shards = shards
         self._servers: Dict[str, PartitionServer] = {}
+        # partition -> server, so the shard hash runs once per partition
+        # rather than once per op.  An unsharded pool's server keys *are*
+        # its partitions: there the memo is ``_servers`` itself.
+        self._placed: Dict[str, PartitionServer] = (
+            self._servers if shards is None else {})
 
     def _server_key(self, partition: str) -> str:
         if self.shards is None:
@@ -90,13 +117,16 @@ class ServerPool:
         return self._server_key(partition)
 
     def server_for(self, partition: str) -> PartitionServer:
-        key = self._server_key(partition)
-        server = self._servers.get(key)
+        server = self._placed.get(partition)
         if server is None:
-            server = PartitionServer(
-                self.env, f"{self.name}/{key}", self.slots_per_server
-            )
-            self._servers[key] = server
+            key = self._server_key(partition)
+            server = self._servers.get(key)
+            if server is None:
+                server = PartitionServer(
+                    self.env, f"{self.name}/{key}", self.slots_per_server
+                )
+                self._servers[key] = server
+            self._placed[partition] = server
         return server
 
     def evict(self, partition: str) -> Optional[PartitionServer]:
@@ -107,7 +137,10 @@ class ServerPool:
         queue, cold counters).  Returns the evicted server, or ``None``
         if the range had no server yet.
         """
-        return self._servers.pop(self._server_key(partition), None)
+        server = self._servers.pop(self._server_key(partition), None)
+        if self.shards is not None:
+            self._placed.clear()  # other partitions shared that shard
+        return server
 
     @property
     def servers(self) -> Dict[str, PartitionServer]:

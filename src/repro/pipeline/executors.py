@@ -4,7 +4,7 @@ An executor owns the *how* of a round trip; the operation bodies in
 :mod:`repro.pipeline.registry` own the *what*.
 
 * :class:`SimExecutor` — charges the round trip on the DES fabric:
-  ``charge`` is a simkit generator delegating to
+  ``charge`` hands back the simkit generator of
   :meth:`repro.cluster.model.StorageCluster.execute`, which runs the
   interceptor chain and then the cost model (RTT + partition-server
   occupancy) in simulated time.
@@ -47,8 +47,8 @@ class SimExecutor:
         self.cluster = cluster
 
     def charge(self, desc):
-        """Simkit sub-generator: burn the op's simulated round trip."""
-        yield from self.cluster.execute(desc)
+        """The simkit sub-generator burning the op's simulated round trip."""
+        return self.cluster.execute(desc)
 
 
 def drive_operation(spec, call, args, kwargs, *, pipeline, clock,

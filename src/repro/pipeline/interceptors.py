@@ -25,7 +25,10 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-from ..storage.errors import ServerBusyError
+from ..cluster.ops import QUEUE_MESSAGE_KINDS, TABLE_ENTITY_KINDS, Service
+from ..cluster.ratelimit import SlidingWindowThrottle
+from ..storage.analytics import RequestRecord
+from ..storage.errors import ServerBusyError, StorageError
 from .context import OpContext
 
 __all__ = [
@@ -173,7 +176,6 @@ class AnalyticsInterceptor(Interceptor):
         self.metrics.observe(record)
 
     def after(self, ctx: OpContext) -> None:
-        from ..storage.analytics import RequestRecord
         op = ctx.op
         self._observe(RequestRecord(
             time=ctx.started_at, service=op.service.value,
@@ -185,8 +187,6 @@ class AnalyticsInterceptor(Interceptor):
         ))
 
     def failed(self, ctx: OpContext, exc: BaseException) -> None:
-        from ..storage.analytics import RequestRecord
-        from ..storage.errors import StorageError
         if not isinstance(exc, StorageError):
             return  # non-protocol failures never produced a $logs line
         op = ctx.op
@@ -294,7 +294,6 @@ class ThrottleInterceptor(Interceptor):
     def __init__(self, limits, *, window_s: float = 1.0,
                  retry_after_s: float = 1.0,
                  on_busy: Optional[Callable[[], None]] = None) -> None:
-        from ..cluster.ratelimit import SlidingWindowThrottle
         self.limits = limits
         self.window_s = window_s
         self.retry_after_s = retry_after_s
@@ -311,7 +310,6 @@ class ThrottleInterceptor(Interceptor):
         self.partition_throttles = {}
 
     def queue_throttle(self, partition: str):
-        from ..cluster.ratelimit import SlidingWindowThrottle
         throttle = self.queue_throttles.get(partition)
         if throttle is None:
             throttle = SlidingWindowThrottle(
@@ -323,7 +321,6 @@ class ThrottleInterceptor(Interceptor):
         return throttle
 
     def partition_throttle(self, partition: str):
-        from ..cluster.ratelimit import SlidingWindowThrottle
         throttle = self.partition_throttles.get(partition)
         if throttle is None:
             throttle = SlidingWindowThrottle(
@@ -335,9 +332,9 @@ class ThrottleInterceptor(Interceptor):
         return throttle
 
     def before(self, ctx: OpContext) -> None:
-        from ..cluster.ops import OpKind, Service
         op = ctx.op
-        if op.service is Service.CACHE:
+        service = op.service
+        if service is Service.CACHE:
             # Billed and scaled separately from the storage account: cache
             # ops do not count against the 5,000 tx/s or 3 GB/s targets.
             return
@@ -346,17 +343,10 @@ class ThrottleInterceptor(Interceptor):
             self.account_tx.charge(now, op.units)
             if op.nbytes:
                 self.account_bw.charge(now, op.nbytes)
-            if op.service is Service.QUEUE and op.kind in (
-                OpKind.PUT_MESSAGE, OpKind.GET_MESSAGE,
-                OpKind.PEEK_MESSAGE, OpKind.DELETE_MESSAGE,
-                OpKind.UPDATE_MESSAGE,
-            ):
-                self.queue_throttle(op.partition).charge(now, op.units)
-            elif op.service is Service.TABLE and op.kind in (
-                OpKind.INSERT_ENTITY, OpKind.QUERY_ENTITY,
-                OpKind.UPDATE_ENTITY, OpKind.MERGE_ENTITY,
-                OpKind.DELETE_ENTITY, OpKind.BATCH,
-            ):
+            if service is Service.QUEUE:
+                if op.kind in QUEUE_MESSAGE_KINDS:
+                    self.queue_throttle(op.partition).charge(now, op.units)
+            elif service is Service.TABLE and op.kind in TABLE_ENTITY_KINDS:
                 self.partition_throttle(op.partition).charge(now, op.units)
         except Exception:
             if self.on_busy is not None:

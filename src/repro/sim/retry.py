@@ -21,6 +21,11 @@ from ..storage.errors import RETRYABLE_ERRORS
 
 __all__ = ["retrying"]
 
+# The paper's discipline, for calls that pass no policy: ``backoff`` keeps
+# no state, and with no policy object there is nobody to read stats, so
+# such calls share this instance and count nothing.
+_PAPER_BACKOFF = FixedBackoff().backoff
+
 
 def retrying(env: Environment, op_factory: Callable[[], Iterator], *,
              max_retries: Optional[int] = None,
@@ -55,8 +60,9 @@ def retrying(env: Environment, op_factory: Callable[[], Iterator], *,
       (raises :class:`~repro.resilience.CircuitOpenError`).
     """
     if policy is None:
-        policy = FixedBackoff()
-    stats = policy.stats
+        backoff, stats = _PAPER_BACKOFF, None
+    else:
+        backoff, stats = policy.backoff, policy.stats
     start = env.now
     if isinstance(deadline, (int, float)):
         deadline = Deadline(start + float(deadline))
@@ -64,30 +70,34 @@ def retrying(env: Environment, op_factory: Callable[[], Iterator], *,
     while True:
         if breaker is not None:
             breaker.before_attempt(env.now)
-        stats.attempts += 1
+        if stats is not None:
+            stats.attempts += 1
         try:
             result = yield from op_factory()
         except RETRYABLE_ERRORS as exc:
             if breaker is not None:
                 breaker.record_failure(env.now)
             attempt += 1
-            if max_retries is not None and attempt > max_retries:
-                stats.giveups += 1
+            delay = None  # None: give up and re-raise
+            if max_retries is None or attempt <= max_retries:
+                # The policy may give up too (e.g. budget exhausted).
+                delay = backoff(attempt, exc, now=env.now)
+                if (delay is not None and deadline is not None
+                        and not deadline.allows_sleep(env.now, delay)):
+                    delay = None
+            if delay is None:
+                if stats is not None:
+                    stats.giveups += 1
                 raise
-            delay = policy.backoff(attempt, exc, now=env.now)
-            if delay is None:  # the policy gave up (e.g. budget exhausted)
-                stats.giveups += 1
-                raise
-            if deadline is not None and not deadline.allows_sleep(env.now, delay):
-                stats.giveups += 1
-                raise
-            stats.retries += 1
-            stats.total_backoff += delay
+            if stats is not None:
+                stats.retries += 1
+                stats.total_backoff += delay
             if on_retry is not None:
                 on_retry(attempt, exc)
             yield env.timeout(delay)
         else:
             if breaker is not None:
                 breaker.record_success(env.now)
-            stats.successes += 1
+            if stats is not None:
+                stats.successes += 1
             return result

@@ -37,7 +37,7 @@ from .events import (
 from .exceptions import EmptySchedule, Interrupt, SimkitError, StopProcess
 from .monitor import Tally, UtilizationMonitor
 from .process import Process, ProcessGenerator
-from .resources import Release, Request, Resource, Store
+from .resources import Request, Resource, Store
 
 __all__ = [
     "Environment",
@@ -58,7 +58,6 @@ __all__ = [
     "EmptySchedule",
     "Resource",
     "Request",
-    "Release",
     "Store",
     "Tally",
     "UtilizationMonitor",

@@ -9,34 +9,38 @@ Two classic primitives, mirroring SimPy's semantics:
 
 from __future__ import annotations
 
-from typing import Any, List
+from collections import deque
+from typing import Any, Deque, List, Optional
 
-from .events import Event
+from .events import PENDING, Event
 
 __all__ = [
     "Request",
-    "Release",
     "Resource",
     "Store",
 ]
 
 
 class Request(Event):
-    """Request event for one slot of a :class:`Resource`.
+    """Grant event for one slot of a :class:`Resource`.
 
     Usable as a context manager: the slot is released on exit. ::
 
         with resource.request() as req:
             yield req
             ... hold the resource ...
+
+    A request that found a free slot is *born processed*: yielding it
+    continues the process at once, without a trip through the scheduler.
     """
 
-    __slots__ = ("resource",)
+    __slots__ = ("resource", "_held")
 
     def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.env)
         self.resource = resource
-        resource._do_request(self)
+        #: True from the grant decision until the slot is released.
+        self._held = False
 
     def __enter__(self) -> "Request":
         return self
@@ -49,74 +53,95 @@ class Request(Event):
         self.resource.release(self)
 
 
-class Release(Event):
-    """Immediate event confirming the release of a request's slot."""
-
-    __slots__ = ("request",)
-
-    def __init__(self, resource: "Resource", request: Request) -> None:
-        super().__init__(resource.env)
-        self.request = request
-        resource._do_release(self)
-        self.succeed()
-
-
 class Resource:
-    """A semaphore with ``capacity`` slots and a FIFO wait queue."""
+    """A semaphore with ``capacity`` slots and a FIFO wait queue.
 
-    __slots__ = ("env", "_capacity", "users", "queue")
+    The slot protocol costs a kernel event only when somebody has to
+    wait.  :meth:`try_acquire` takes a free slot on the spot — no event,
+    no object; :meth:`release` hands the slot straight to the oldest
+    waiter (one grant event, delivered at the current instant) or frees
+    it.  :meth:`request` is the event-shaped face of the same two calls.
+
+    **Interrupt rule:** whoever holds a :class:`Request` must pass it to
+    :meth:`release` when it stops waiting or holding, however it stops
+    (``with`` does so).  A queued request is withdrawn; a granted one —
+    delivered or still in the scheduler — passes its slot on.
+    """
+
+    __slots__ = ("env", "_capacity", "count", "queue", "_last_grant")
 
     def __init__(self, env, capacity: int = 1) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be > 0")
         self.env = env
         self._capacity = capacity
-        #: Requests currently holding a slot.
-        self.users: List[Request] = []
+        #: Number of slots currently in use (granted, delivered or not).
+        self.count = 0
         #: Requests waiting for a slot, in grant order.
-        self.queue: List[Request] = []
+        self.queue: Deque[Request] = deque()
+        # The newest grant sent through the scheduler.  Grants are
+        # delivered in order, so while this one is undelivered a newcomer
+        # must not overtake it (see try_acquire).
+        self._last_grant: Optional[Request] = None
 
     @property
     def capacity(self) -> int:
         return self._capacity
 
-    @property
-    def count(self) -> int:
-        """Number of slots currently in use."""
-        return len(self.users)
+    def try_acquire(self) -> bool:
+        """Take a free slot on the spot; False if the caller must wait.
+
+        Also False while an earlier grant is still on its way through the
+        scheduler, so that grants are delivered in decision order.
+        Pair a True with a bare :meth:`release`.
+        """
+        if self.count < self._capacity:
+            last = self._last_grant
+            if last is None or last.callbacks is None:
+                self.count += 1
+                return True
+        return False
 
     def request(self) -> Request:
         """Request a slot; the returned event fires once granted."""
-        return Request(self)
-
-    def release(self, request: Request) -> Release:
-        """Release the slot held by ``request`` (or cancel a pending one)."""
-        return Release(self, request)
-
-    # -- internal ------------------------------------------------------------
-    def _do_request(self, request: Request) -> None:
-        if len(self.users) < self._capacity:
-            self.users.append(request)
-            request.succeed()
+        request = Request(self)
+        if self.try_acquire():
+            request._held = True
+            request._value = None
+            request.callbacks = None
+        elif self.count < self._capacity:
+            self.count += 1
+            self._grant(request)
         else:
             self.queue.append(request)
+        return request
 
-    def _do_release(self, release: Release) -> None:
-        request = release.request
-        if request in self.users:
-            self.users.remove(request)
-            self._grant_next()
-        elif request in self.queue:
-            self.queue.remove(request)
-        # Releasing an unknown/already-released request is a no-op, which
-        # makes the context-manager protocol safe to nest with explicit
-        # releases.
+    def release(self, request: Optional[Request] = None) -> None:
+        """Give back a slot: ``request``'s, or one from :meth:`try_acquire`.
 
-    def _grant_next(self) -> None:
-        while self.queue and len(self.users) < self._capacity:
-            nxt = self.queue.pop(0)
-            self.users.append(nxt)
-            nxt.succeed()
+        A still-queued ``request`` is withdrawn instead; releasing one
+        twice is a no-op, which makes the context-manager protocol safe
+        to nest with explicit releases.
+        """
+        if request is not None:
+            if not request._held:
+                if request._value is PENDING:
+                    try:
+                        self.queue.remove(request)
+                    except ValueError:
+                        pass  # withdrawn before
+                return
+            request._held = False
+        if self.queue:
+            self._grant(self.queue.popleft())
+        else:
+            self.count -= 1
+
+    def _grant(self, request: Request) -> None:
+        request._held = True
+        request._value = None
+        self.env.schedule(request)
+        self._last_grant = request
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<{type(self).__name__} capacity={self._capacity} "

@@ -17,7 +17,7 @@ Implements the behaviours the paper's Algorithms 2-4 depend on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import count
 from typing import Dict, List, Optional
 
@@ -55,6 +55,13 @@ class QueueMessage:
     dequeue_count: int = 0
     #: Receipt returned by the last ``get``; required to delete/update.
     pop_receipt: Optional[str] = None
+
+    def snapshot(self) -> "QueueMessage":
+        """A copy a caller may keep: later gets/updates do not reach it."""
+        return QueueMessage(
+            self.message_id, self.content, self.insertion_time,
+            self.expiration_time, self.next_visible_time,
+            self.dequeue_count, self.pop_receipt)
 
     def visible(self, now: float) -> bool:
         return now >= self.next_visible_time
@@ -161,7 +168,7 @@ class QueueState:
         self._messages.append(msg)
         if msg.expiration_time < self._next_expiry:
             self._next_expiry = msg.expiration_time
-        return replace(msg)
+        return msg.snapshot()
 
     # -- consumer API ---------------------------------------------------------
     def get_messages(self, n: int = 1, *,
@@ -191,7 +198,7 @@ class QueueState:
             m.pop_receipt = f"rcpt-{next(self._receipts)}"
             # Hand out a snapshot: the receipt a consumer holds must not
             # change when another consumer later re-gets the message.
-            got.append(replace(m))
+            got.append(m.snapshot())
         return got
 
     def get_message(self, *, visibility_timeout: Optional[float] = None
@@ -205,7 +212,7 @@ class QueueState:
         if n < 1:
             raise InvalidOperationError("n must be >= 1")
         self._purge_expired()
-        return [replace(self._messages[i])
+        return [self._messages[i].snapshot()
                 for i in self._visible_indices(limit=n)[:n]]
 
     def peek_message(self) -> Optional[QueueMessage]:
@@ -249,7 +256,7 @@ class QueueState:
                     m.content = content
                 m.next_visible_time = self._now() + max(0.0, visibility_timeout)
                 m.pop_receipt = f"rcpt-{next(self._receipts)}"
-                return replace(m)
+                return m.snapshot()
         raise MessageNotFoundError(f"message {message_id!r} not found")
 
     def make_visible(self, message_id: str) -> bool:

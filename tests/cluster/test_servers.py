@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import PartitionServer, ServerPool
-from repro.simkit import Environment
+from repro.simkit import Environment, Interrupt
 
 
 @pytest.fixture
@@ -73,6 +73,47 @@ class TestPartitionServer:
         env.run()
         assert all(t == 1.0 for _, t in done)
 
+    def test_interrupted_requests_are_not_counted_as_served(self, env):
+        """A recycled role's request never completed: no op, no bytes, no
+        full occupancy on the books, and its slot (or its place in the
+        queue) goes to the next waiter at that very instant."""
+        server = PartitionServer(env, "s1", slots=1)
+        log = []
+
+        def client(name, occupancy, nbytes):
+            try:
+                yield from server.serve(occupancy, nbytes)
+                log.append((name, "served", env.now))
+            except Interrupt:
+                log.append((name, "interrupted", env.now))
+
+        holder = env.process(client("holder", 10.0, 100))
+        waiter = env.process(client("waiter", 10.0, 200))
+        env.process(client("next", 2.0, 300))
+
+        def recycler(env):
+            yield env.timeout(1.0)
+            waiter.interrupt("recycled")      # mid-queue
+            assert server.queue_length == 2   # delivered after this event
+            yield env.timeout(2.0)
+            assert server.queue_length == 1
+            holder.interrupt("recycled")      # mid-occupancy, at t=3
+
+        env.process(recycler(env))
+        env.run()
+        assert log == [("waiter", "interrupted", 1.0),
+                       ("holder", "interrupted", 3.0),
+                       ("next", "served", 5.0)]
+        assert server.ops_served == 1
+        assert server.bytes_served == 300
+        assert server.service_times.count == 1
+        assert server.service_times.total == 2.0
+        # holder at once, next at the interrupt instant; waiter never.
+        assert server.wait_times.count == 2
+        assert server.wait_times.max == 3.0
+        assert server.utilization.busy_time == 5.0   # [0, 3) + [3, 5)
+        assert server.slots.count == 0 and server.queue_length == 0
+
 
 class TestServerPool:
     def test_unsharded_pool_is_per_partition(self, env):
@@ -100,3 +141,13 @@ class TestServerPool:
         assert list(snapshot) == ["x"]
         snapshot["y"] = None  # mutating the copy must not affect the pool
         assert len(pool) == 1
+
+    def test_placement_memo_is_dropped_on_evict(self, env):
+        pool = ServerPool(env, "p", 4, shards=3)
+        before = {f"part-{i}": pool.server_for(f"part-{i}") for i in range(12)}
+        evicted = pool.evict("part-0")
+        assert evicted is before["part-0"]
+        for partition, server in before.items():
+            again = pool.server_for(partition)
+            assert again is pool.server_for(partition)
+            assert (again is server) == (server is not evicted)

@@ -37,6 +37,24 @@ class Recorder(Interceptor):
         self.trace.append(("failed", self.name, type(exc).__name__))
 
 
+class TestOpContext:
+    def test_keyword_constructor_and_defaults(self):
+        op = _ctx().op
+        ctx = OpContext(op=op, backend="emulator", started_at=2.5, worker="w")
+        assert (ctx.op, ctx.backend, ctx.started_at, ctx.worker) == (
+            op, "emulator", 2.5, "w")
+        assert (ctx.finished_at, ctx.server_latency, ctx.latency_factor) == (
+            0.0, 0.0, 1.0)
+        assert ctx.timeout_spec is ctx.fault_plan is ctx.error is None
+        ctx.finished_at = 4.0
+        assert ctx.elapsed == 1.5
+
+    def test_extras_is_one_dict_per_context(self):
+        a, b = _ctx(), _ctx()
+        a.extras["k"] = 1
+        assert a.extras == {"k": 1} and b.extras == {}
+
+
 class TestPipeline:
     def test_before_in_order_after_reversed(self):
         trace = []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkit import Environment, Resource, Store
+from repro.simkit import Environment, Interrupt, Resource, Store
 
 
 @pytest.fixture
@@ -121,6 +121,63 @@ class TestResource:
         env.process(user(env))
         env.run()
         assert res.count == 0
+
+    def test_free_slot_costs_no_kernel_event(self, env):
+        res = Resource(env, capacity=2)
+        assert res.try_acquire()
+        req = res.request()
+        assert req.processed and req.ok     # born processed
+        assert res.count == 2
+        assert not res.try_acquire()        # full
+        res.release()
+        res.release(req)
+        assert res.count == 0
+        env.run()
+        assert env.events_processed == 0
+
+    def test_release_hands_the_slot_to_the_oldest_waiter(self, env):
+        res = Resource(env, capacity=1)
+        assert res.try_acquire()
+        first, second = res.request(), res.request()
+        res.release()
+        assert res.count == 1 and list(res.queue) == [second]
+        assert first.triggered and not first.processed
+        # A newcomer must not overtake a grant still in the scheduler.
+        res.release(first)
+        assert second.triggered and not res.try_acquire()
+        env.run()
+        assert env.events_processed == 2    # the two grants, nothing else
+        assert res.try_acquire() is False and res.count == 1
+        res.release(second)
+        assert res.try_acquire()
+
+    def test_interrupt_between_grant_and_delivery_passes_the_slot_on(self, env):
+        res = Resource(env, capacity=1)
+        got = []
+
+        def user(env, name, hold):
+            try:
+                with res.request() as req:
+                    yield req
+                    got.append((name, env.now))
+                    yield env.timeout(hold)
+            except Interrupt:
+                got.append((name, "interrupted", env.now))
+
+        a = env.process(user(env, "a", 5))
+        b = env.process(user(env, "b", 5))
+        env.process(user(env, "c", 1))
+
+        def recycler(env):
+            yield env.timeout(2)
+            a.interrupt()   # frees the slot: b's grant is triggered ...
+            b.interrupt()   # ... and b is interrupted before it arrives
+
+        env.process(recycler(env))
+        env.run()
+        assert got == [("a", 0), ("a", "interrupted", 2),
+                       ("b", "interrupted", 2), ("c", 2)]
+        assert res.count == 0 and len(res.queue) == 0
 
 
 class TestStore:
