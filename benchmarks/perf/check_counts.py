@@ -1,8 +1,8 @@
 """Gate the frozen suite's exact counters against committed ceilings.
 
 The counters the traced suite prints per operation — kernel events,
-throttle transactions, failed share, retries — are pure functions of the
-seed, so a rise is a change of behaviour, never noise, and can fail CI on
+throttle transactions, failed share, retries, and on the live workloads
+the SN<->DN frame bytes per request — are pure functions of the seed, so a rise is a change of behaviour, never noise, and can fail CI on
 any host.  ``COUNTS.json`` beside this file holds the ceilings.
 
     python3 benchmarks/suite/run.py --workload W --seconds 3 --trace 1 > W.log

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 __all__ = [
     "speedup",
@@ -141,6 +140,10 @@ class USLFit:
 
 def fit_usl(workers: Sequence[float], throughput: Sequence[float]) -> USLFit:
     """Least-squares USL fit to a throughput-vs-workers series."""
+    # Imported here: SciPy costs ~0.45 s and ~40 MB, and `repro.cli`
+    # reaches this module in every process, fit or no fit.
+    from scipy.optimize import least_squares
+
     _validate(workers, throughput)
     n = np.asarray(workers, dtype=float)
     x = np.asarray(throughput, dtype=float)

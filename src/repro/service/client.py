@@ -1,8 +1,9 @@
 """Synchronous wire clients: the registry surface over real HTTP.
 
 :class:`ServiceConnection` is a minimal 2012-era SDK: one keep-alive
-``http.client`` connection per service, SharedKey signing on every
-request, and error bodies decoded back into the same
+socket per service (``TCP_NODELAY``, one send per request, replies parsed
+by the same head parser the server reads requests with), SharedKey
+signing on every request, and error bodies decoded back into the same
 :mod:`repro.storage.errors` hierarchy the in-process backends raise — so
 retry loops and fault-handling benchmark bodies run unchanged.
 
@@ -18,7 +19,8 @@ A connection is **not** thread-safe; give each worker thread its own
 
 from __future__ import annotations
 
-import http.client
+import re
+import socket
 import time
 from typing import Any, Dict, Mapping, Tuple
 from urllib.parse import quote
@@ -26,6 +28,7 @@ from urllib.parse import quote
 from ..pipeline import OpSpec, derive_client_class
 from ..storage.errors import StorageError
 from . import sharedkey
+from .httpd import MAX_HEADER_BYTES, HttpError, framed, parse_head
 from .wire import ENCODERS, WIRE_VERSION, WireCall, _http_date, \
     response_to_error
 
@@ -35,6 +38,10 @@ __all__ = [
     "WireQueueClient",
     "WireTableClient",
 ]
+
+
+#: What a request-target may not carry (names are not URL-quoted here).
+_NOT_IN_TARGET = re.compile(r"[\x00-\x20\x7f]")
 
 
 class ServiceConnection:
@@ -56,21 +63,24 @@ class ServiceConnection:
         #: see every rejection.
         self.busy_retries = busy_retries
         self.max_retry_after = max_retry_after
-        self._conns: Dict[str, http.client.HTTPConnection] = {}
+        self._conns: Dict[str, socket.socket] = {}
 
     def close(self) -> None:
-        for conn in self._conns.values():
-            conn.close()
+        for sock in self._conns.values():
+            sock.close()
         self._conns.clear()
 
-    def _connection(self, service: str) -> http.client.HTTPConnection:
-        conn = self._conns.get(service)
-        if conn is None:
-            host, port = self.endpoints[service]
-            conn = http.client.HTTPConnection(host, port,
-                                              timeout=self.timeout)
-            self._conns[service] = conn
-        return conn
+    def _connection(self, service: str) -> socket.socket:
+        sock = self._conns.get(service)
+        if sock is None:
+            sock = socket.create_connection(self.endpoints[service],
+                                            timeout=self.timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._conns[service] = sock
+        return sock
+
+    def _drop(self, service: str) -> None:
+        self._conns.pop(service).close()
 
     def exchange(self, call: WireCall) -> Any:
         """Send one encoded call; return its parsed result or raise.
@@ -118,24 +128,81 @@ class ServiceConnection:
 
     def _send(self, service: str, method: str, target: str,
               headers: Mapping[str, str], body: bytes):
+        host, port = self.endpoints[service]
+        if _NOT_IN_TARGET.search(target):
+            raise ValueError(f"request target {target!r} holds whitespace "
+                             f"or control characters")
+        lines = [f"{method} {target} HTTP/1.1", f"Host: {host}:{port}",
+                 "Accept-Encoding: identity"]
+        if body or method in ("PUT", "POST", "PATCH"):
+            lines.append(f"Content-Length: {len(body)}")
+        lines.extend(f"{k}: {v}" for k, v in headers.items())
+        if any("\r" in line or "\n" in line for line in lines):
+            raise ValueError("line break inside a request header")
+        pieces = framed(
+            ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"), body)
         for attempt in (0, 1):
-            conn = self._connection(service)
+            sock = self._connection(service)
             try:
-                conn.request(method, target, body=body or None,
-                             headers=dict(headers))
-                resp = conn.getresponse()
-                payload = resp.read()
-            except (ConnectionError, http.client.BadStatusLine,
-                    http.client.CannotSendRequest, BrokenPipeError):
+                for piece in pieces:
+                    sock.sendall(piece)
+                status, resp_headers, payload = _read_response(sock)
+            except ConnectionError:
                 # A stale keep-alive socket; rebuild it once.
-                conn.close()
-                del self._conns[service]
+                self._drop(service)
                 if attempt:
                     raise
                 continue
-            lower = {k.lower(): v for k, v in resp.getheaders()}
-            return resp.status, lower, payload
+            except BaseException:
+                # Timed out or malformed: whatever else is in flight on
+                # this socket must not answer the next request.
+                self._drop(service)
+                raise
+            if resp_headers.get("connection", "").lower() == "close":
+                self._drop(service)
+            return status, resp_headers, payload
         raise RuntimeError("unreachable")  # pragma: no cover
+
+
+def _read_response(sock: socket.socket) -> Tuple[int, Dict[str, str], bytes]:
+    """Read one ``Content-Length``-framed reply off a keep-alive socket.
+
+    ``ConnectionError`` when the peer closed before the first byte (a
+    stale keep-alive socket, safe to retry); any other ``OSError`` for a
+    reply that is truncated, oversized, malformed or late.
+    """
+    buf = b""
+    while True:
+        end = buf.find(b"\r\n\r\n")
+        if end >= 0:
+            break
+        if len(buf) > MAX_HEADER_BYTES:
+            raise OSError("response head exceeds limit")
+        chunk = sock.recv(65536)
+        if not chunk:
+            if buf:
+                raise OSError("truncated response head")
+            raise ConnectionResetError("server closed the connection")
+        buf += chunk
+    try:
+        start, headers, length = parse_head(buf[:end + 4])
+        version, status = start.split(" ", 2)[:2]
+        if not version.startswith("HTTP/1."):
+            raise HttpError(f"unsupported protocol {version!r}")
+        status = int(status)
+    except (HttpError, ValueError) as exc:
+        raise OSError(f"malformed response: {exc}") from None
+    chunks = [buf[end + 4:]]
+    missing = length - len(chunks[0])
+    while missing > 0:
+        chunk = sock.recv(min(missing, 1 << 20))
+        if not chunk:
+            raise OSError(f"truncated response body ({missing} B short)")
+        chunks.append(chunk)
+        missing -= len(chunk)
+    if missing < 0:
+        raise OSError("response runs past its Content-Length")
+    return status, headers, b"".join(chunks)
 
 
 def _wire_shim_method(spec: OpSpec):

@@ -25,6 +25,7 @@ __all__ = [
     "HttpError",
     "HttpRequest",
     "HttpResponse",
+    "parse_head",
     "read_request",
     "write_response",
     "serve",
@@ -33,10 +34,50 @@ __all__ = [
 #: Largest accepted request body: one 4 MB block plus generous headroom.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 MAX_HEADER_BYTES = 64 * 1024
+#: A body shorter than this rides in the same send as its head.
+COALESCE_BYTES = 64 * 1024
 
 
 class HttpError(Exception):
-    """Malformed request framing (maps to a 400 close)."""
+    """Malformed message framing (maps to a 400 close)."""
+
+
+def framed(head: bytes, body: bytes) -> Tuple[bytes, ...]:
+    """The sends one message takes, for the server and the client alike.
+
+    A small body joins its head (one syscall, one packet); copying a
+    large one behind the head would cost more than the second send.
+    """
+    return (head + body,) if len(body) < COALESCE_BYTES else (head, body)
+
+
+def parse_head(head: bytes) -> Tuple[str, Dict[str, str], int]:
+    """One HTTP/1.x message head -> ``(start line, headers, body length)``.
+
+    The tier's only head parser: :func:`read_request` reads requests
+    through it and the wire client reads responses through it, so both
+    ends reject the same lies.  Header names are lower-cased;
+    ``Content-Length`` must be plain decimal digits and repeated copies
+    must agree.
+    """
+    lines = head.decode("latin-1").split("\r\n")
+    headers: Dict[str, str] = {}
+    for line in lines[1:]:
+        if not line:
+            continue
+        name, sep, value = line.partition(":")
+        if not sep:
+            raise HttpError(f"bad header line {line!r}")
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise HttpError("conflicting Content-Length headers")
+        headers[name] = value
+    if headers.get("transfer-encoding"):
+        raise HttpError("chunked transfer encoding not supported")
+    length = headers.get("content-length") or "0"
+    if not (length.isascii() and length.isdigit()):
+        raise HttpError(f"bad Content-Length {length!r}")
+    return lines[0], headers, int(length)
 
 
 def parse_qs_flat(raw: str) -> Dict[str, str]:
@@ -103,24 +144,13 @@ async def read_request(reader: asyncio.StreamReader,
         raise HttpError("request head exceeds limit") from None
     if len(head) > MAX_HEADER_BYTES:
         raise HttpError("request head too large")
-    lines = head.decode("latin-1").split("\r\n")
+    start, headers, length = parse_head(head)
     try:
-        method, target, version = lines[0].split(" ", 2)
+        method, target, version = start.split(" ", 2)
     except ValueError:
-        raise HttpError(f"bad request line {lines[0]!r}") from None
+        raise HttpError(f"bad request line {start!r}") from None
     if not version.startswith("HTTP/1."):
         raise HttpError(f"unsupported protocol {version!r}")
-    headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, sep, value = line.partition(":")
-        if not sep:
-            raise HttpError(f"bad header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
-    if headers.get("transfer-encoding"):
-        raise HttpError("chunked transfer encoding not supported")
-    length = int(headers.get("content-length", "0") or "0")
     if length > MAX_BODY_BYTES:
         raise HttpError(f"body of {length} B exceeds {MAX_BODY_BYTES} B")
     body = await reader.readexactly(length) if length else b""
@@ -135,16 +165,17 @@ async def read_request(reader: asyncio.StreamReader,
 async def write_response(writer: asyncio.StreamWriter,
                          response: HttpResponse, *,
                          keep_alive: bool = True) -> None:
+    body = response.body
     head = [f"HTTP/1.1 {response.status} {response.reason_phrase()}"]
     names = {name.lower() for name, _ in response.headers}
     head.extend(f"{name}: {value}" for name, value in response.headers)
     if "content-length" not in names:
-        head.append(f"Content-Length: {len(response.body)}")
+        head.append(f"Content-Length: {len(body)}")
     if "connection" not in names:
         head.append(f"Connection: {'keep-alive' if keep_alive else 'close'}")
-    writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
-    if response.body:
-        writer.write(response.body)
+    for piece in framed(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"),
+                        body):
+        writer.write(piece)
     await writer.drain()
 
 

@@ -32,11 +32,12 @@ static single-owner routing (pinned by ``tests/service/test_ring.py``).
 from __future__ import annotations
 
 import asyncio
-import dataclasses
+import collections
 import itertools
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from ..cluster.ops import OpDescriptor
 from ..pipeline import OpContext
 from ..resilience import CircuitOpenError
 from ..storage.clock import WallClock
@@ -78,10 +79,15 @@ PRIMARY_ONLY_OPS = frozenset({"get_message", "get_messages",
 _REPLICA_FAILURES = TRANSPORT_ERRORS + (RuntimeError, CircuitOpenError)
 
 SERVICES = ("blob", "queue", "table")
+_VERSION_HEADER = ("x-ms-version", WIRE_VERSION)
+
+#: The newest requests kept in memory, and how many of them wait before
+#: they are appended to ``access_log_path`` in one write.
+ACCESS_LOG_TAIL = 1024
+ACCESS_LOG_BATCH = 256
 
 
-@dataclasses.dataclass
-class AccessLogEntry:
+class AccessLogEntry(NamedTuple):
     """One served request, for the access-log artifact."""
 
     time: float
@@ -95,6 +101,38 @@ class AccessLogEntry:
     def format(self) -> str:
         return (f"{self.time:.6f} {self.account} {self.service} "
                 f"{self.method} {self.target} {self.status} {self.nbytes}")
+
+
+async def _within(timeout: float, call):
+    """``await call`` in the current task, ``TimeoutError`` after ``timeout``.
+
+    What ``asyncio.wait_for`` does without the task it wraps the call
+    in: a timer cancels *this* task, and that one cancellation is
+    translated.  A cancellation from outside (client gone, loop
+    teardown) stays a ``CancelledError``.  Written by hand because
+    ``asyncio.timeout`` is 3.11+.
+    """
+    task = asyncio.current_task()
+    expired = False
+
+    def expire() -> None:
+        nonlocal expired
+        expired = True
+        task.cancel()
+
+    timer = asyncio.get_running_loop().call_later(timeout, expire)
+    try:
+        return await call
+    except asyncio.CancelledError:
+        if not expired:
+            raise
+        # 3.11+ counts cancel requests: take ours back, and if another
+        # is still pending it came from outside and wins.
+        if hasattr(task, "uncancel") and task.uncancel() > 0:
+            raise
+        raise asyncio.TimeoutError() from None
+    finally:
+        timer.cancel()
 
 
 class ServiceNode:
@@ -116,8 +154,12 @@ class ServiceNode:
         self.membership = membership if membership is not None else (
             Membership(FailureDomainConfig(), self.data_nodes, []))
         self.clock = clock if clock is not None else WallClock()
-        self.access_log: List[AccessLogEntry] = []
+        #: The last ``ACCESS_LOG_TAIL`` requests; with a path, older
+        #: ones are already in the file.
+        self.access_log: Deque[AccessLogEntry] = collections.deque(
+            maxlen=ACCESS_LOG_TAIL)
         self.access_log_path = access_log_path
+        self._unwritten = 0  # newest entries not yet in the file
         self._servers: Dict[str, asyncio.AbstractServer] = {}
         self.endpoints: Dict[str, Tuple[str, int]] = {}
         self._request_ids = itertools.count(1)
@@ -144,11 +186,7 @@ class ServiceNode:
         deadline = time.monotonic() + grace_s
         while self.inflight > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
-        if self.access_log_path:
-            with open(self.access_log_path, "a", encoding="utf-8") as fh:
-                for entry in self.access_log:
-                    fh.write(entry.format() + "\n")
-            self.access_log.clear()
+        self._flush_access_log()
 
     # -- request handling ---------------------------------------------------
     def _make_handler(self, service: str):
@@ -209,11 +247,9 @@ class ServiceNode:
             self._log(account, service, request, response)
             return response
         response = decoded.encode(result)
-        response.headers.extend([
-            ("x-ms-request-id", request_id),
-            ("x-ms-version", WIRE_VERSION),
-            ("Date", _http_date(time.time())),
-        ])
+        response.headers += (("x-ms-request-id", request_id),
+                             _VERSION_HEADER,
+                             ("Date", _http_date(time.time())))
         self._log(account, service, request, response)
         return response
 
@@ -234,8 +270,10 @@ class ServiceNode:
         if decoded.result_nbytes is not None:
             # Reads are admitted before their size is known; patch the
             # descriptor so analytics charge actual egress bytes.
-            ctx.op = dataclasses.replace(
-                ctx.op, nbytes=decoded.result_nbytes(result))
+            op = ctx.op
+            ctx.op = OpDescriptor(op.service, op.kind, op.partition,
+                                  decoded.result_nbytes(result), op.units,
+                                  op.block_count)
         ctx.finished_at = self.clock.now()
         tenant.pipeline.run_after(ctx)
         return result
@@ -258,11 +296,11 @@ class ServiceNode:
         breaker = membership.breaker(node)
         breaker.before_attempt(time.monotonic())  # CircuitOpenError if open
         try:
-            result = await asyncio.wait_for(
+            result = await _within(
+                membership.config.dn_timeout,
                 self.data_nodes[node].call(
                     account, decoded.client, decoded.op,
-                    decoded.args, decoded.kwargs),
-                membership.config.dn_timeout)
+                    decoded.args, decoded.kwargs))
         except StorageError:
             # The link worked; the *storage* answered.  Healthy node.
             breaker.record_success(time.monotonic())
@@ -287,6 +325,22 @@ class ServiceNode:
             return await self._write(account, decoded, owners)
         return await self._read(account, decoded, owners, hedge=True)
 
+    async def _settle(self, nodes: Sequence[int], account: str,
+                      decoded: DecodedOp) -> list:
+        """Every node's outcome, failures as values, in ``nodes`` order.
+
+        A single node is awaited in the calling task; only a real
+        fan-out pays for tasks.
+        """
+        if len(nodes) == 1:
+            try:
+                return [await self._attempt(nodes[0], account, decoded)]
+            except Exception as exc:
+                return [exc]
+        return await asyncio.gather(
+            *(self._attempt(node, account, decoded) for node in nodes),
+            return_exceptions=True)
+
     async def _write(self, account: str, decoded: DecodedOp,
                      owners: Tuple[int, ...]):
         """Fan a mutation to every routable owner of its label.
@@ -298,9 +352,7 @@ class ServiceNode:
         may retry a write a backup already holds, which every op here
         tolerates — uploads overwrite, puts re-deliver, upserts upsert).
         """
-        results = await asyncio.gather(
-            *(self._attempt(node, account, decoded) for node in owners),
-            return_exceptions=True)
+        results = await self._settle(owners, account, decoded)
         primary = results[0]
         for secondary in results[1:]:
             if isinstance(secondary, StorageError):
@@ -336,43 +388,47 @@ class ServiceNode:
         tasks: Dict[asyncio.Task, int] = {}
         not_found: Optional[ResourceNotFoundError] = None
 
-        def launch() -> bool:
-            if not remaining:
-                return False
+        def launch() -> None:
             node = remaining.pop(0)
             task = asyncio.ensure_future(
                 self._attempt(node, account, decoded))
             tasks[task] = node
-            return True
 
-        launch()
         hedged = not hedge
         try:
-            while tasks:
-                timeout = (membership.config.hedge_delay
-                           if not hedged and remaining else None)
-                done, _ = await asyncio.wait(
-                    set(tasks), timeout=timeout,
-                    return_when=asyncio.FIRST_COMPLETED)
-                if not done:
-                    # Primary is slow: race one backup against it.
-                    hedged = True
-                    if membership.allow_hedge(time.monotonic()):
+            while remaining or tasks:
+                if not tasks and (hedged or len(remaining) == 1):
+                    # Nothing to race this replica against: no task.
+                    outcomes = await self._settle(
+                        [remaining.pop(0)], account, decoded)
+                else:
+                    if not tasks:
                         launch()
-                    continue
-                for task in done:
-                    del tasks[task]
-                    exc = task.exception()
-                    if exc is None:
-                        return task.result()
-                    if isinstance(exc, ResourceNotFoundError):
-                        not_found = not_found or exc
-                        if not tasks:
+                    timeout = (membership.config.hedge_delay
+                               if not hedged and remaining else None)
+                    done, _ = await asyncio.wait(
+                        set(tasks), timeout=timeout,
+                        return_when=asyncio.FIRST_COMPLETED)
+                    if not done:
+                        # Primary is slow: race one backup against it.
+                        hedged = True
+                        if membership.allow_hedge(time.monotonic()):
                             launch()
-                    elif isinstance(exc, StorageError):
-                        raise exc
-                    elif not tasks:
-                        launch()  # transport failure: next replica
+                        continue
+                    outcomes = []
+                    for task in done:
+                        del tasks[task]
+                        exc = task.exception()
+                        outcomes.append(
+                            exc if exc is not None else task.result())
+                for outcome in outcomes:
+                    if isinstance(outcome, ResourceNotFoundError):
+                        not_found = not_found or outcome
+                    elif isinstance(outcome, StorageError):
+                        raise outcome
+                    elif not isinstance(outcome, BaseException):
+                        return outcome
+                    # else a transport failure: on to the next replica
         finally:
             for task in tasks:
                 task.cancel()
@@ -389,9 +445,7 @@ class ServiceNode:
         targets = self.membership.live_indices()
         if not targets:
             raise self._no_owner("the namespace (no live data nodes)")
-        results = await asyncio.gather(
-            *(self._attempt(node, account, decoded) for node in targets),
-            return_exceptions=True)
+        results = await self._settle(targets, account, decoded)
         transport_failure = None
         for result in results:
             if isinstance(result, StorageError):
@@ -413,7 +467,20 @@ class ServiceNode:
     def _log(self, account: str, service: str, request: HttpRequest,
              response: HttpResponse) -> None:
         self.access_log.append(AccessLogEntry(
-            time=self.clock.now(), account=account, service=service,
-            method=request.method, target=request.target,
-            status=response.status,
-            nbytes=len(request.body) + len(response.body)))
+            self.clock.now(), account, service, request.method,
+            request.target, response.status,
+            len(request.body) + len(response.body)))
+        if self.access_log_path:
+            self._unwritten += 1
+            if self._unwritten >= ACCESS_LOG_BATCH:
+                self._flush_access_log()
+
+    def _flush_access_log(self) -> None:
+        """Append the entries the file does not hold yet, in one write."""
+        if not self._unwritten:
+            return
+        first = len(self.access_log) - self._unwritten
+        with open(self.access_log_path, "a", encoding="utf-8") as fh:
+            fh.writelines(entry.format() + "\n" for entry in
+                          itertools.islice(self.access_log, first, None))
+        self._unwritten = 0

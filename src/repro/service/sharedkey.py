@@ -14,7 +14,7 @@ verifies for a real SDK following the published algorithm.
 from __future__ import annotations
 
 import base64
-import hashlib
+import functools
 import hmac
 from typing import Dict, Mapping, Tuple
 from urllib.parse import unquote
@@ -45,14 +45,13 @@ class SignatureError(Exception):
     """The request's Authorization header failed verification."""
 
 
-def _canonicalized_headers(headers: Mapping[str, str]) -> str:
-    lines = []
-    for name in sorted(k.lower() for k in headers):
-        if name.startswith("x-ms-"):
-            value = headers.get(name) or next(
-                v for k, v in headers.items() if k.lower() == name)
-            lines.append(f"{name}:{value.strip()}")
-    return "\n".join(lines)
+_DATE_AT = _STANDARD_HEADERS.index("date")
+_LENGTH_AT = _STANDARD_HEADERS.index("content-length")
+
+
+def _canonicalized_headers(lowered: Mapping[str, str]) -> str:
+    return "\n".join(f"{name}:{lowered[name].strip()}"
+                     for name in sorted(lowered) if name.startswith("x-ms-"))
 
 
 def _canonicalized_resource(account: str, path: str, query: Mapping[str, str],
@@ -87,14 +86,11 @@ def string_to_sign(account: str, method: str, path: str,
             date,
             _canonicalized_resource(account, path, query, table_flavor=True),
         ])
-    std = []
-    for name in _STANDARD_HEADERS:
-        value = h.get(name, "")
-        if name == "date" and h.get("x-ms-date"):
-            value = ""  # x-ms-date supersedes Date in the signature
-        if name == "content-length" and value == "0":
-            value = ""  # 2015-02-21+ semantics, matched by Azurite
-        std.append(value)
+    std = [h.get(name, "") for name in _STANDARD_HEADERS]
+    if h.get("x-ms-date"):
+        std[_DATE_AT] = ""  # x-ms-date supersedes Date in the signature
+    if std[_LENGTH_AT] == "0":
+        std[_LENGTH_AT] = ""  # 2015-02-21+ semantics, matched by Azurite
     pieces = [method.upper(), *std]
     canon_headers = _canonicalized_headers(h)
     if canon_headers:
@@ -104,9 +100,14 @@ def string_to_sign(account: str, method: str, path: str,
     return "\n".join(pieces)
 
 
+@functools.lru_cache(maxsize=256)
+def _key_bytes(key: str) -> bytes:
+    """An account key decoded once, not once per request."""
+    return base64.b64decode(key)
+
+
 def compute_signature(key: str, to_sign: str) -> str:
-    digest = hmac.new(base64.b64decode(key), to_sign.encode("utf-8"),
-                      hashlib.sha256).digest()
+    digest = hmac.digest(_key_bytes(key), to_sign.encode("utf-8"), "sha256")
     return base64.b64encode(digest).decode("ascii")
 
 

@@ -28,11 +28,14 @@ from __future__ import annotations
 
 import base64
 import email.utils
+import functools
 import json
+import math
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from xml.sax.saxutils import escape
 
 from ..cluster.ops import OpDescriptor, OpKind, Service
 from ..storage import errors as storage_errors
@@ -66,6 +69,7 @@ __all__ = [
 WIRE_VERSION = "2012-02-12"
 
 _EXT = "x-ms-repro-"  # prefix for precision-extension headers/elements
+_XML_DECL = '<?xml version="1.0" encoding="utf-8"?>'
 
 
 class UnsupportedVersionError(StorageError):
@@ -140,8 +144,7 @@ def error_to_response(exc: StorageError, *, table: bool = False,
         root = ET.Element("Error")
         ET.SubElement(root, "Code").text = exc.error_code
         ET.SubElement(root, "Message").text = message
-        body = ('<?xml version="1.0" encoding="utf-8"?>'
-                + ET.tostring(root, encoding="unicode")).encode("utf-8")
+        body = _xml_body(root)
         headers.append(("Content-Type", "application/xml"))
     return HttpResponse(exc.status_code, headers, body)
 
@@ -226,13 +229,25 @@ def response_to_error(status: int, headers: Mapping[str, str],
 # Small shared helpers
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _date_of_second(second: int) -> str:
+    return email.utils.formatdate(second, usegmt=True)
+
+
 def _http_date(epoch: float) -> str:
-    return email.utils.formatdate(epoch, usegmt=True)
+    """RFC 1123 date; formatted once per distinct second, not per call.
+
+    ``formatdate`` shows the second ``datetime.fromtimestamp`` lands on,
+    which rounds half-even to a microsecond before dropping the fraction.
+    """
+    fraction, whole = math.modf(epoch)
+    micros = round(fraction * 1e6)
+    return _date_of_second(
+        int(whole) + (micros >= 1000000) - (micros < 0))
 
 
 def _xml_body(root: ET.Element) -> bytes:
-    return ('<?xml version="1.0" encoding="utf-8"?>'
-            + ET.tostring(root, encoding="unicode")).encode("utf-8")
+    return (_XML_DECL + ET.tostring(root, encoding="unicode")).encode("utf-8")
 
 
 def _content_bytes(data: Any) -> bytes:
@@ -272,33 +287,40 @@ def _parse_names_xml(kind: str, body: bytes) -> List[str]:
 # Queue message codec
 # ---------------------------------------------------------------------------
 
-def _message_element(msg: QueueMessage, *, peeked: bool = False) -> ET.Element:
-    el = ET.Element("QueueMessage")
-    ET.SubElement(el, "MessageId").text = msg.message_id
-    ET.SubElement(el, "InsertionTime").text = _http_date(msg.insertion_time)
-    ET.SubElement(el, "ExpirationTime").text = _http_date(msg.expiration_time)
-    ET.SubElement(el, "DequeueCount").text = str(msg.dequeue_count)
+def _el(tag: str, text: str) -> str:
+    """One text element, exactly as ElementTree serialises it."""
+    return f"<{tag}>{escape(text)}</{tag}>" if text else f"<{tag} />"
+
+
+def _message_xml(msg: QueueMessage, peeked: bool) -> str:
+    # Dates, counts, reprs of floats and base64 never need escaping.
+    checkout = ""  # what a peek does not show
     if not peeked:
         if msg.pop_receipt is not None:
-            ET.SubElement(el, "PopReceipt").text = msg.pop_receipt
-        ET.SubElement(el, "TimeNextVisible").text = \
-            _http_date(msg.next_visible_time)
-    ET.SubElement(el, "MessageText").text = \
-        base64.b64encode(msg.content.to_bytes()).decode("ascii")
-    # Float-precision epochs the RFC-1123 dates above cannot carry.
-    ET.SubElement(el, "InsertionTimeEpoch").text = repr(msg.insertion_time)
-    ET.SubElement(el, "ExpirationTimeEpoch").text = repr(msg.expiration_time)
-    ET.SubElement(el, "TimeNextVisibleEpoch").text = \
-        repr(msg.next_visible_time)
-    return el
+            checkout = _el("PopReceipt", msg.pop_receipt)
+        checkout += (f"<TimeNextVisible>{_http_date(msg.next_visible_time)}"
+                     f"</TimeNextVisible>")
+    text = base64.b64encode(msg.content.to_bytes()).decode("ascii")
+    return (
+        f"<QueueMessage>{_el('MessageId', msg.message_id)}"
+        f"<InsertionTime>{_http_date(msg.insertion_time)}</InsertionTime>"
+        f"<ExpirationTime>{_http_date(msg.expiration_time)}</ExpirationTime>"
+        f"<DequeueCount>{msg.dequeue_count}</DequeueCount>{checkout}"
+        f"{_el('MessageText', text)}"
+        # Float-precision epochs the RFC-1123 dates above cannot carry.
+        f"<InsertionTimeEpoch>{msg.insertion_time!r}</InsertionTimeEpoch>"
+        f"<ExpirationTimeEpoch>{msg.expiration_time!r}</ExpirationTimeEpoch>"
+        f"<TimeNextVisibleEpoch>{msg.next_visible_time!r}"
+        f"</TimeNextVisibleEpoch></QueueMessage>")
 
 
 def _messages_xml(messages: List[QueueMessage], *,
                   peeked: bool = False) -> bytes:
-    root = ET.Element("QueueMessagesList")
-    for msg in messages:
-        root.append(_message_element(msg, peeked=peeked))
-    return _xml_body(root)
+    """The message list, from a template: no element tree per message."""
+    inner = "".join(_message_xml(msg, peeked) for msg in messages)
+    root = (f"<QueueMessagesList>{inner}</QueueMessagesList>" if inner
+            else "<QueueMessagesList />")
+    return (_XML_DECL + root).encode("utf-8")
 
 
 def _epoch_from(el: ET.Element, ext: str, rfc: str) -> float:
@@ -1120,10 +1142,9 @@ def _enc_list_queues(prefix=""):
 
 
 def _message_body(data) -> bytes:
-    root = ET.Element("QueueMessage")
-    ET.SubElement(root, "MessageText").text = \
-        base64.b64encode(_content_bytes(data)).decode("ascii")
-    return _xml_body(root)
+    text = base64.b64encode(_content_bytes(data)).decode("ascii")
+    return (f"{_XML_DECL}<QueueMessage>{_el('MessageText', text)}"
+            f"</QueueMessage>").encode("utf-8")
 
 
 @_encoder("queue", "put_message")
