@@ -36,7 +36,7 @@ from .events import (
 )
 from .exceptions import EmptySchedule, Interrupt, SimkitError, StopProcess
 from .monitor import Tally, UtilizationMonitor
-from .process import Process, ProcessGenerator
+from .process import Detached, Process, ProcessGenerator
 from .resources import Request, Resource, Store
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "URGENT",
     "NORMAL",
     "Process",
+    "Detached",
     "ProcessGenerator",
     "Interrupt",
     "SimkitError",

@@ -2,7 +2,9 @@
 
 A *process* wraps a Python generator.  The generator yields events; the
 process suspends until the yielded event fires and is resumed with the
-event's value (or the event's exception thrown into it).
+event's value (or the event's exception thrown into it).  A
+:class:`Detached` generator is driven by the same loop without being an
+event itself.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Any, Generator, Optional
 from .events import Event, PENDING, URGENT
 from .exceptions import Interrupt, StopProcess
 
-__all__ = ["Process", "ProcessGenerator"]
+__all__ = ["Process", "Detached", "ProcessGenerator"]
 
 ProcessGenerator = Generator[Event, Any, Any]
 
@@ -59,60 +61,26 @@ class _Interruption(Event):
         self.process._resume(self)
 
 
-class Process(Event):
-    """An event-yielding coroutine executing on an environment.
+class _Resumable:
+    """The resume loop of :class:`Process` and :class:`Detached`.
 
-    The process itself is an event that triggers when the generator returns
-    (successfully, with the generator's return value) or raises (failed with
-    that exception).
+    Hosts supply ``_send`` (the generator's bound ``send``), ``_resume``
+    (this method, bound; appended to a callback list per suspension, so
+    a process stores one rather than allocate one per event), ``_active``
+    (what ``env.active_process`` reports) and ``_exit(ok, value)``.
     """
 
-    __slots__ = ("_generator", "_target", "name", "_resume", "_send")
-
-    def __init__(self, env, generator: ProcessGenerator,
-                 name: Optional[str] = None) -> None:
-        if not hasattr(generator, "throw"):
-            raise ValueError(f"{generator!r} is not a generator")
-        super().__init__(env)
-        self._generator = generator
-        # Pre-bound hot-path callables: the resume callback is appended to
-        # an event's callback list on every suspension and ``send`` is
-        # called on every resumption, so binding them per use would
-        # allocate a method object per event.
-        resume = self._resume = self._do_resume
-        self._send = generator.send
-        init = _Initialize.__new__(_Initialize)
-        init.env = env
-        init.callbacks = [resume]
-        init._value = None
-        init._ok = True
-        init._defused = False
-        env.schedule(init, URGENT)
-        self._target: Optional[Event] = init
-        self.name = name or getattr(generator, "__name__", "process")
+    __slots__ = ()
 
     @property
     def target(self) -> Optional[Event]:
-        """The event the process currently waits for, if suspended."""
+        """The event the generator currently waits for, if suspended."""
         return self._target
 
-    @property
-    def is_alive(self) -> bool:
-        """True until the generator has terminated."""
-        return self._value is PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        _Interruption(self, cause)
-
     def _do_resume(self, event: Event) -> None:
-        """Advance the generator with the outcome of ``event``.
-
-        Reached through the pre-bound ``self._resume`` alias the
-        constructor installs (see there).
-        """
+        """Advance the generator with the outcome of ``event``."""
         env = self.env
-        env._active_proc = self
+        env._active_proc = self._active
         self._target = None
 
         while True:
@@ -121,28 +89,18 @@ class Process(Event):
                     next_event = self._send(event._value)
                 else:
                     # The waited-on event failed: throw its exception into the
-                    # generator.  Mark it defused: the process took delivery.
+                    # generator.  Mark it defused: the waiter took delivery.
                     event._defused = True
                     exc = event._value
                     if isinstance(exc, BaseException):
                         next_event = self._generator.throw(exc)
                     else:  # pragma: no cover - defensive
                         next_event = self._generator.throw(RuntimeError(exc))
-            except StopIteration as stop:
-                self._ok = True
-                self._value = stop.value
-                env.schedule(self)
-                break
-            except StopProcess as stop:
-                self._ok = True
-                self._value = stop.value
-                env.schedule(self)
+            except (StopIteration, StopProcess) as stop:
+                self._exit(True, stop.value)
                 break
             except BaseException as exc:
-                self._ok = False
-                self._value = exc
-                self._defused = False
-                env.schedule(self)
+                self._exit(False, exc)
                 break
 
             try:
@@ -151,13 +109,9 @@ class Process(Event):
                 callbacks = next_event.callbacks
             except AttributeError:
                 gen = self._generator
-                self._generator.close()
-                self._ok = False
-                self._value = RuntimeError(
-                    f"{gen!r} yielded {next_event!r}, expected an Event"
-                )
-                self._defused = False
-                env.schedule(self)
+                gen.close()
+                self._exit(False, RuntimeError(
+                    f"{gen!r} yielded {next_event!r}, expected an Event"))
                 break
 
             if callbacks is not None:
@@ -171,6 +125,85 @@ class Process(Event):
 
         env._active_proc = None
 
+
+class Process(Event, _Resumable):
+    """An event-yielding coroutine executing on an environment.
+
+    The process itself is an event that triggers when the generator returns
+    (successfully, with the generator's return value) or raises (failed with
+    that exception).
+    """
+
+    __slots__ = ("_generator", "_target", "name", "_resume", "_send",
+                 "_active")
+
+    def __init__(self, env, generator: ProcessGenerator,
+                 name: Optional[str] = None) -> None:
+        if not hasattr(generator, "throw"):
+            raise ValueError(f"{generator!r} is not a generator")
+        super().__init__(env)
+        self._generator = generator
+        self._active = self
+        resume = self._resume = self._do_resume
+        self._send = generator.send
+        init = _Initialize.__new__(_Initialize)
+        init.env = env
+        init.callbacks = [resume]
+        init._value = None
+        init._ok = True
+        init._defused = False
+        env.schedule(init, URGENT)
+        self._target: Optional[Event] = init
+        self.name = name or getattr(generator, "__name__", "process")
+
+    @property
+    def is_alive(self) -> bool:
+        """True until the generator has terminated."""
+        return self._value is PENDING
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Throw :class:`Interrupt` into the process at the current time."""
+        _Interruption(self, cause)
+
+    def _exit(self, ok: bool, value: Any) -> None:
+        self._ok = ok
+        self._value = value
+        if not ok:
+            self._defused = False
+        self.env.schedule(self)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "alive" if self.is_alive else "dead"
         return f"<Process({self.name}) object at {id(self):#x} [{state}]>"
+
+
+#: What a :class:`Detached` generator's first ``send`` is resumed with.
+_START = _Initialize.__new__(_Initialize)
+_START._ok, _START._value = True, None
+
+
+class Detached(_Resumable):
+    """A generator driven by the events it yields that is no event itself.
+
+    For fire-and-forget work at volume.  Nothing can wait on it or
+    interrupt it and ``env.active_process`` is ``None`` while it runs; it
+    costs no kernel event of its own: the first ``send`` happens in the
+    constructor and ``on_exit(ok, value)`` is called on the spot when the
+    generator returns (``value``) or raises (``ok=False``, the
+    exception).  What ``on_exit`` raises propagates out of ``env.run``.
+    """
+
+    __slots__ = ("env", "_generator", "_target", "_send", "_exit")
+
+    _active = None
+    #: Bound per suspension: holding it would be a cycle for the gc to free.
+    _resume = _Resumable._do_resume
+
+    def __init__(self, env, generator: ProcessGenerator, on_exit) -> None:
+        self.env = env
+        self._generator = generator
+        self._send = generator.send
+        self._exit = on_exit
+        active = env._active_proc  # when started from inside a process
+        self._do_resume(_START)
+        env._active_proc = active

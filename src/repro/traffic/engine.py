@@ -2,12 +2,12 @@
 
 :func:`run_load` drives a seeded operation schedule against any backend:
 
-* **sim / geo** — arrivals are injected into the DES as independent
-  processes (:func:`~repro.traffic.flock.run_flock_des`): each scheduled
-  instant spawns one operation process regardless of how many earlier
-  operations are still in flight, which is what makes the load open-loop
-  (a saturated fabric accumulates in-flight work instead of throttling
-  the offered rate).
+* **sim / geo** — arrivals are kernel events of the DES
+  (:func:`~repro.traffic.flock.run_flock_des`): each scheduled instant
+  starts one operation regardless of how many earlier operations are
+  still in flight, which is what makes the load open-loop (a saturated
+  fabric accumulates in-flight work instead of throttling the offered
+  rate).
 * **emulator / service** — a dispatcher thread releases operations at
   their (time-scaled) wall-clock instants into a bounded client pool.
 
@@ -31,8 +31,9 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
-                    Sequence, Tuple)
+from functools import lru_cache
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 from ..simkit.environment import SCHEDULERS
 from ..storage import KB
@@ -105,8 +106,8 @@ class LoadConfig:
     kill_at: Optional[float] = None
     #: Simulated clients: multiplies the per-client arrival rate.
     clients: int = 1
-    #: DES backends: arrivals the injector unpacks, and completions the
-    #: stats flush folds, at a time.  Results do not depend on it.
+    #: DES backends: arrivals unpacked from the columns, and completions
+    #: the stats flush folds, at a time; that is all it sizes, no result.
     flock_size: int = DEFAULT_FLOCK_SIZE
     #: DES kernel event queue ("heap" or "calendar").
     scheduler: str = "heap"
@@ -187,8 +188,7 @@ class LoadConfig:
         return self.arrivals.with_rate(self.arrivals.rate * self.clients)
 
 
-@dataclass(frozen=True)
-class ScheduledOp:
+class ScheduledOp(NamedTuple):
     """One precomputed arrival: when, what, and against which key."""
 
     index: int
@@ -218,50 +218,70 @@ def schedule_digest(schedule: Iterable[ScheduledOp],
 # -- operation scripts -------------------------------------------------------
 # One op = a tiny instruction script yielding (method, args, kwargs) steps;
 # the DES interpreter forwards each step with ``yield from`` while the
-# wall-clock interpreter drives it blocking.  Both backends thereby share
-# one definition of what every scheduled op *does*.
+# wall-clock interpreter drives it blocking.  Set-up runs as a script on
+# every backend and a scheduled op on the wall-clock ones; the DES loop
+# makes the same calls as plain generators (``_op_starters``).
 
-def _payload(config: LoadConfig, s: ScheduledOp) -> SyntheticContent:
-    return SyntheticContent(s.nbytes, seed=s.index)
+@lru_cache(maxsize=1)
+def _entity_props(nbytes: int) -> Dict[str, str]:
+    """The property bag of a run's table writes (entities copy it)."""
+    return {"v": "x" * max(1, nbytes)}
 
 
-def _entity_props(config: LoadConfig, s: ScheduledOp) -> Dict[str, str]:
-    return {"v": "x" * max(1, config.payload_bytes)}
+#: One-step kinds: (service, op) -> (client method, its arguments from
+#: ``(index, key, nbytes)``).  ``queue.get`` is get-then-delete, below.
+_ONE_STEP: Dict[Tuple[str, str], Tuple[str, Callable]] = {
+    ("queue", "put"): ("put_message", lambda i, key, n: (
+        key, SyntheticContent(n, seed=i))),
+    ("queue", "peek"): ("peek_message", lambda i, key, n: (key,)),
+    ("blob", "download"): ("download_block_blob", lambda i, key, n: (
+        LOAD_CONTAINER, key)),
+    ("blob", "upload"): ("upload_blob", lambda i, key, n: (
+        LOAD_CONTAINER, key, SyntheticContent(n, seed=i))),
+    ("table", "insert"): ("insert", lambda i, key, n: (
+        LOAD_TABLE, LOAD_PARTITION, key, _entity_props(n))),
+    ("table", "get"): ("get", lambda i, key, n: (
+        LOAD_TABLE, LOAD_PARTITION, key)),
+    ("table", "upsert"): ("insert_or_replace", lambda i, key, n: (
+        LOAD_TABLE, LOAD_PARTITION, key, _entity_props(n))),
+    ("table", "query"): ("query_partition", lambda i, key, n: (
+        LOAD_TABLE, key)),
+}
 
 
-def _op_script(clients: Dict[str, object], config: LoadConfig,
-               s: ScheduledOp):
-    qc, bc, tc = clients["queue"], clients["blob"], clients["table"]
-    kind = (s.service, s.op)
-    if kind == ("queue", "put"):
-        yield (qc.put_message, (s.key, _payload(config, s)), {})
-    elif kind == ("queue", "peek"):
-        yield (qc.peek_message, (s.key,), {})
-    elif kind == ("queue", "get"):
-        msg = yield (qc.get_message, (s.key,),
+def _op_script(clients: Dict[str, object], s: ScheduledOp):
+    client = clients[s.service]
+    if (s.service, s.op) == ("queue", "get"):
+        msg = yield (client.get_message, (s.key,),
                      {"visibility_timeout": 3600.0})
         if msg is not None:
-            yield (qc.delete_message,
+            yield (client.delete_message,
                    (s.key, msg.message_id, msg.pop_receipt), {})
-    elif kind == ("blob", "download"):
-        yield (bc.download_block_blob, (LOAD_CONTAINER, s.key), {})
-    elif kind == ("blob", "upload"):
-        yield (bc.upload_blob,
-               (LOAD_CONTAINER, s.key, _payload(config, s)), {})
-    elif kind == ("table", "insert"):
-        yield (tc.insert,
-               (LOAD_TABLE, LOAD_PARTITION, s.key,
-                _entity_props(config, s)), {})
-    elif kind == ("table", "get"):
-        yield (tc.get, (LOAD_TABLE, LOAD_PARTITION, s.key), {})
-    elif kind == ("table", "upsert"):
-        yield (tc.insert_or_replace,
-               (LOAD_TABLE, LOAD_PARTITION, s.key,
-                _entity_props(config, s)), {})
-    elif kind == ("table", "query"):
-        yield (tc.query_partition, (LOAD_TABLE, s.key), {})
-    else:  # pragma: no cover - schedule builder emits only known kinds
-        raise ValueError(f"unknown scheduled op {kind}")
+    else:
+        name, args = _ONE_STEP[s.service, s.op]
+        yield (getattr(client, name), args(s.index, s.key, s.nbytes), {})
+
+
+def _op_starters(clients: Dict[str, object],
+                 kinds: Sequence[Tuple[str, str]],
+                 sizes: Sequence[int]) -> Tuple[Callable, ...]:
+    """Per mix kind, ``(index, key) -> generator`` making the calls of
+    :func:`_op_script` directly: a one-step kind *is* its derived client
+    method's generator, with no script and no interpreter around it."""
+    def starter(service: str, op: str, nbytes: int) -> Callable:
+        client = clients[service]
+        if (service, op) == ("queue", "get"):
+            def get_then_delete(i, key):
+                msg = yield from client.get_message(
+                    key, visibility_timeout=3600.0)
+                if msg is not None:
+                    yield from client.delete_message(
+                        key, msg.message_id, msg.pop_receipt)
+            return get_then_delete
+        name, args = _ONE_STEP[service, op]
+        method = getattr(client, name)
+        return lambda i, key: method(*args(i, key, nbytes))
+    return tuple(starter(*kind, n) for kind, n in zip(kinds, sizes))
 
 
 def _setup_script(clients: Dict[str, object], config: LoadConfig):
@@ -286,7 +306,7 @@ def _setup_script(clients: Dict[str, object], config: LoadConfig):
         for i in range(config.preload):
             yield (tc.insert,
                    (LOAD_TABLE, LOAD_PARTITION, f"obj-{i}",
-                    {"v": "x" * max(1, config.payload_bytes)}), {})
+                    _entity_props(config.payload_bytes)), {})
 
 
 def _run_script_des(script):
@@ -587,7 +607,7 @@ def _run_wallclock(config: LoadConfig, schedule: FlockSchedule,
         if clients is None:
             clients = local.clients = make_clients()
         try:
-            _run_script_blocking(_op_script(clients, config, s))
+            _run_script_blocking(_op_script(clients, s))
             ok = True
         except (StorageError, OSError):
             ok = False

@@ -7,19 +7,23 @@ clients, so the schedule every backend runs is columnar:
 * numpy arrays of arrival instants, mix-kind ids and key draws
   (13 bytes/op); key strings and :class:`ScheduledOp` views are derived
   on demand, one at a time;
-* the DES injector consumes those arrays in chunks of ``flock_size``,
-  converting one chunk at a time to plain scalars;
-* completions are buffered and flushed to
+* the DES loop unpacks those arrays ``flock_size`` arrivals at a time
+  into plain scalars and arms one kernel event per arrival;
+* an operation is no simkit process: the arrival's callback starts its
+  client generator as a :class:`~repro.simkit.Detached`, which resumes
+  it off the events it yields and hands its outcome to the completion
+  buffers, flushed to
   :meth:`~repro.traffic.stats.StatsAggregator.record_chunk` per chunk.
 
-Each arrival is still an independent open-loop operation process
-charging the simulated cluster; the chunk size changes no result
-(pinned, with the goldens of the per-op-object path this replaced, by
-``tests/traffic/test_flock.py``).
+Each arrival is still an independent open-loop operation charging the
+simulated cluster; neither the chunk size nor the scheduler changes a
+result (pinned, with the goldens of the per-op-process loops this
+replaced, by ``tests/traffic/test_flock.py``).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from random import Random
 from typing import Iterator, List, Tuple
 
@@ -27,13 +31,24 @@ import numpy as np
 
 from ..storage.errors import StorageError
 from .engine import (LOAD_PARTITION, LOAD_QUEUE, MIXES, LoadConfig,
-                     ScheduledOp, _op_script, _run_script_des,
+                     ScheduledOp, _op_starters, _run_script_des,
                      _setup_script)
 
 __all__ = ["FlockSchedule", "build_flock_schedule", "run_flock_des"]
 
 #: Ops that carry the configured payload.
 _PAYLOAD_OPS = ("put", "upload", "insert", "upsert")
+
+
+def _keyer(service: str, op: str):
+    """``(index, key draw) -> key`` of one mix kind."""
+    if (service, op) in (("blob", "upload"), ("table", "insert")):
+        return lambda index, draw: f"new-{index}"
+    if (service, op) == ("table", "query"):
+        return lambda index, draw: LOAD_PARTITION
+    if service == "queue":
+        return lambda index, draw: LOAD_QUEUE
+    return lambda index, draw: f"obj-{draw}"
 
 
 class FlockSchedule:
@@ -44,8 +59,8 @@ class FlockSchedule:
     strings and :class:`ScheduledOp` views are derived on demand.
     """
 
-    __slots__ = ("at", "kind", "key_id", "kinds", "payload_bytes",
-                 "labels", "kind_nbytes")
+    __slots__ = ("at", "kind", "key_id", "kinds", "labels", "kind_nbytes",
+                 "keyers")
 
     def __init__(self, at: "np.ndarray", kind: "np.ndarray",
                  key_id: "np.ndarray", kinds: Tuple[Tuple[str, str], ...],
@@ -54,33 +69,30 @@ class FlockSchedule:
         self.kind = kind
         self.key_id = key_id
         self.kinds = kinds
-        self.payload_bytes = payload_bytes
         self.labels = tuple(f"{s}.{o}" for s, o in kinds)
         self.kind_nbytes = tuple(
             payload_bytes if op in _PAYLOAD_OPS else 0
             for _, op in kinds)
+        self.keyers = tuple(_keyer(service, op) for service, op in kinds)
 
     def __len__(self) -> int:
         return len(self.at)
 
-    def op(self, index: int) -> ScheduledOp:
-        """The :class:`ScheduledOp` view of arrival ``index``."""
-        k = self.kind[index]
-        service, opname = self.kinds[k]
-        if (service, opname) in (("blob", "upload"), ("table", "insert")):
-            key = f"new-{index}"
-        elif (service, opname) == ("table", "query"):
-            key = LOAD_PARTITION
-        elif service == "queue":
-            key = LOAD_QUEUE
-        else:
-            key = f"obj-{self.key_id[index]}"
-        return ScheduledOp(index, float(self.at[index]), service, opname,
-                           key, self.kind_nbytes[k])
-
     def iter_ops(self) -> Iterator[ScheduledOp]:
         """Stream every op as a transient view (O(1) extra memory)."""
-        return (self.op(i) for i in range(len(self.at)))
+        return (ScheduledOp(i, at, *self.kinds[k], key, self.kind_nbytes[k])
+                for i, at, k, key in self.rows())
+
+    def rows(self, chunk: int = 8192) -> Iterator[tuple]:
+        """Every arrival as ``(index, at, kind id, key)`` of plain scalars,
+        unpacked from the columns ``chunk`` arrivals at a time."""
+        keyers = self.keyers
+        for base in range(0, len(self.at), chunk):
+            part = slice(base, base + chunk)
+            for i, (at, k, draw) in enumerate(zip(
+                    self.at[part].tolist(), self.kind[part].tolist(),
+                    self.key_id[part].tolist()), base):
+                yield i, at, k, keyers[k](i, draw)
 
 
 def build_flock_schedule(config: LoadConfig) -> FlockSchedule:
@@ -123,13 +135,14 @@ def run_flock_des(backend, config: LoadConfig, flock: FlockSchedule,
                   agg) -> Tuple["np.ndarray", float, int]:
     """Seeded DES execution (sim and geo backends).
 
-    Every arrival spawns an independent operation process at its
-    scheduled instant, driven off the columnar schedule in
-    ``flock_size`` chunks, with unnamed op processes and batched stats
-    flushes.  Returns ``(outcomes, last_end, events_processed)``.
+    One kernel event per arrival, whose callback starts the operation's
+    client generator as a :class:`~repro.simkit.Detached` — no process,
+    no start or exit event per op — off the columnar schedule unpacked
+    ``flock_size`` arrivals at a time, completions going to the stats
+    buffers directly.  Returns ``(outcomes, last_end, events_processed)``.
     """
     from ..core.runner import RunConfig
-    from ..simkit import Environment
+    from ..simkit import Detached, Environment
 
     env = Environment(scheduler=config.scheduler)
     account = backend._make_account(
@@ -146,70 +159,63 @@ def run_flock_des(backend, config: LoadConfig, flock: FlockSchedule,
     n = len(flock)
     #: -1 = never completed (impossible after run), 0 = error, 1 = ok.
     outcomes = np.full(n, -1, dtype=np.int8)
-    pending = {"n": n}
+    pending = n
     done = env.event()
-    last_end = {"t": 0.0}
+    last_end = 0.0
     chunk = config.flock_size
     kind_nbytes = flock.kind_nbytes
     labels = flock.labels
+    starters = _op_starters(clients, flock.kinds, kind_nbytes)
+    arrivals = flock.rows(chunk)
+    #: The arrival the armed kernel event stands for.
+    head = None
 
-    buf_start: List[float] = []
-    buf_end: List[float] = []
-    buf_ok: List[bool] = []
-    buf_kind: List[int] = []
+    #: Completions not yet flushed, flat (start, end, ok, kind id, ...).
+    buf: List[object] = []
 
     def flush() -> None:
-        if not buf_start:
-            return
-        agg.record_chunk(
-            buf_start, buf_end, oks=buf_ok,
-            nbytes=[kind_nbytes[k] for k in buf_kind],
-            operations=[labels[k] for k in buf_kind])
-        buf_start.clear()
-        buf_end.clear()
-        buf_ok.clear()
-        buf_kind.clear()
+        if buf:
+            ks = buf[3::4]
+            agg.record_chunk(buf[0::4], buf[1::4], oks=buf[2::4],
+                             nbytes=[kind_nbytes[k] for k in ks],
+                             operations=[labels[k] for k in ks])
+            buf.clear()
 
-    def op_proc(i: int, k: int):
-        t0 = env.now
-        try:
-            yield from _run_script_des(
-                _op_script(clients, config, flock.op(i)))
-            ok = True
-        except StorageError:
-            ok = False
+    def finish(i: int, k: int, started: float, ok: bool, value) -> None:
+        nonlocal pending, last_end
+        if not ok and not isinstance(value, StorageError):
+            raise value  # a bug, not a refused op: out of env.run
         outcomes[i] = ok
         end = env.now - origin
-        buf_start.append(t0 - origin)
-        buf_end.append(end)
-        buf_ok.append(ok)
-        buf_kind.append(k)
-        if len(buf_start) >= chunk:
+        buf.extend((started, end, ok, k))
+        if len(buf) >= 4 * chunk:
             flush()
-        if end > last_end["t"]:
-            last_end["t"] = end
-        pending["n"] -= 1
-        if pending["n"] == 0:
+        if end > last_end:
+            last_end = end
+        pending -= 1
+        if pending == 0:
             done.succeed()
 
-    def injector():
-        timeout = env.timeout
-        process = env.process
-        at_arr = flock.at
-        kind_arr = flock.kind
-        for base in range(0, n, chunk):
-            ats = at_arr[base:base + chunk].tolist()
-            kinds = kind_arr[base:base + chunk].tolist()
-            i = base
-            for t_at, k in zip(ats, kinds):
-                wait = origin + t_at - env.now
-                if wait > 0:
-                    yield timeout(wait)
-                process(op_proc(i, k))
-                i += 1
+    def arrive(_event=None) -> None:
+        """Start every op due now — after arming the next arrival, whose
+        event thereby queues ahead of whatever those ops schedule: the
+        ``(time, priority, seq)`` order the goldens were recorded in."""
+        nonlocal head
+        now = env.now
+        due = [] if head is None else [head]
+        for head in arrivals:
+            wait = origin + head[1] - now
+            if wait > 0:
+                env.timeout(wait).callbacks.append(arrive)
+                break
+            due.append(head)
+        started = now - origin
+        for i, _at, k, key in due:
+            Detached(env, starters[k](i, key),
+                     partial(finish, i, k, started))
 
     if n:
-        env.process(injector(), name="load-injector")
+        arrive()
         env.run(until=done)
     flush()
-    return outcomes, last_end["t"], env.events_processed
+    return outcomes, last_end, env.events_processed

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkit import Environment, Interrupt
+from repro.simkit import Detached, Environment, Interrupt
 
 
 @pytest.fixture
@@ -231,3 +231,130 @@ class TestInterrupts:
         i = Interrupt("why")
         assert i.cause == "why"
         assert "why" in str(i)
+
+
+class TestDetached:
+    """A generator on the process resume loop that is no event itself."""
+
+    def run(self, env, generator):
+        exits = []
+        Detached(env, generator, lambda ok, value: exits.append((ok, value)))
+        return exits
+
+    def test_starts_in_the_constructor_and_costs_no_event(self, env):
+        seen = []
+
+        def gen(env):
+            seen.append(("started", env.now))
+            got = yield env.timeout(2, value="tick")
+            seen.append((got, env.now))
+            return "result"
+
+        exits = self.run(env, gen(env))
+        assert seen == [("started", 0.0)] and exits == []
+        env.run()
+        assert seen[-1] == ("tick", 2.0)
+        assert exits == [(True, "result")]
+        assert env.events_processed == 1  # the timeout, nothing else
+
+    def test_finishing_without_a_yield_exits_synchronously(self, env):
+        def gen():
+            return 5
+            yield
+
+        assert self.run(env, gen()) == [(True, 5)]
+        assert env.peek() == float("inf")
+
+    def test_failed_event_is_thrown_in_and_defused(self, env):
+        trigger = env.event()
+
+        def gen():
+            try:
+                yield trigger
+            except KeyError as exc:
+                return ("caught", exc.args[0])
+
+        exits = self.run(env, gen())
+        trigger.fail(KeyError("boom"))
+        env.run()  # defused: the kernel does not re-raise
+        assert exits == [(True, ("caught", "boom"))]
+
+    def test_exception_reaches_on_exit_not_the_kernel(self, env):
+        def gen(env):
+            yield env.timeout(1)
+            raise ValueError("bad op")
+
+        exits = self.run(env, gen(env))
+        env.run()
+        (ok, value), = exits
+        assert not ok and isinstance(value, ValueError)
+
+    def test_what_on_exit_raises_leaves_env_run(self, env):
+        def gen(env):
+            yield env.timeout(1)
+            raise ValueError("bad op")
+
+        def on_exit(ok, value):
+            raise value
+
+        Detached(env, gen(env), on_exit)
+        with pytest.raises(ValueError, match="bad op"):
+            env.run()
+        assert env.active_process is None
+
+    def test_processed_events_continue_without_suspending(self, env):
+        old = env.timeout(0, value="old")
+        env.run()
+
+        def gen():
+            return (yield old)
+
+        assert self.run(env, gen()) == [(True, "old")]
+
+    def test_non_event_yield_closes_the_generator(self, env):
+        closed = []
+
+        def gen():
+            try:
+                yield 42
+            finally:
+                closed.append(True)
+
+        (ok, value), = self.run(env, gen())
+        assert closed == [True] and not ok
+        assert "expected an Event" in str(value)
+
+    def test_is_no_active_process_and_hands_a_process_its_clock_back(
+            self, env):
+        seen = []
+
+        def gen(env):
+            seen.append(env.active_process)
+            yield env.timeout(1)
+            seen.append(env.active_process)
+
+        def parent(env):
+            Detached(env, gen(env), lambda ok, value: None)
+            seen.append(env.active_process.name)
+            yield env.timeout(5)
+
+        env.process(parent(env), name="parent")
+        env.run()
+        assert seen == [None, "parent", None]
+
+    def test_same_clock_as_a_process_minus_its_two_events(self):
+        """A process pays an _Initialize and an exit event around the
+        same generator; the timeline inside is identical."""
+        def gen(env, log):
+            for delay in (0.5, 0.0, 1.25):
+                yield env.timeout(delay)
+                log.append(env.now)
+
+        as_process, detached = Environment(), Environment()
+        log_p, log_d = [], []
+        as_process.process(gen(as_process, log_p))
+        Detached(detached, gen(detached, log_d), lambda ok, value: None)
+        as_process.run()
+        detached.run()
+        assert log_p == log_d == [0.5, 0.5, 1.75]
+        assert as_process.events_processed == detached.events_processed + 2

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simkit import Environment, Resource, Store
+from repro.simkit import Detached, Environment, Resource, Store
 
 
 @given(delays=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=30))
@@ -116,3 +116,51 @@ def test_random_process_graphs_are_deterministic(seed_graph):
         return trace
 
     assert run_once() == run_once()
+
+
+#: Repeats, so that arrivals, legs and process steps collide on instants.
+TIED = (0.0, 0.0, 0.5, 0.5, 1.0, 1.5)
+
+
+@given(gaps=st.lists(st.sampled_from(TIED), min_size=1, max_size=12),
+       legs=st.lists(st.lists(st.sampled_from(TIED), max_size=3),
+                     min_size=12, max_size=12),
+       walkers=st.lists(st.lists(st.sampled_from(TIED), min_size=1,
+                                 max_size=4), max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_bare_callback_events_tie_alike_on_heap_and_calendar(
+        gaps, legs, walkers):
+    """Events whose only waiter is a plain callback — each arming the
+    next one and then starting a :class:`Detached` generator, the shape
+    of the open-loop load driver — interleaved with process timeouts on
+    shared instants pop in one order on both schedulers."""
+
+    def run(scheduler):
+        env = Environment(scheduler=scheduler)
+        trace = []
+
+        def op(i):
+            for leg in legs[i]:
+                yield env.timeout(leg)
+                trace.append(("leg", i, env.now))
+
+        def arrive(i):
+            if i + 1 < len(gaps):
+                env.timeout(gaps[i + 1]).callbacks.append(
+                    lambda _event: arrive(i + 1))
+            trace.append(("arrive", i, env.now))
+            Detached(env, op(i),
+                     lambda ok, value: trace.append(("exit", i, env.now)))
+
+        def walker(w, delays):
+            for delay in delays:
+                yield env.timeout(delay)
+                trace.append(("walk", w, env.now))
+
+        for w, delays in enumerate(walkers):
+            env.process(walker(w, delays))
+        env.timeout(gaps[0]).callbacks.append(lambda _event: arrive(0))
+        env.run()
+        return trace, env.now, env.events_processed
+
+    assert run("heap") == run("calendar")

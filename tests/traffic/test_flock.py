@@ -16,9 +16,13 @@ import os
 import subprocess
 import sys
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
+from repro.pipeline import Interceptor
+from repro.simkit.environment import SCHEDULERS
+from repro.storage.errors import ServerBusyError
 from repro.traffic import (
     MIXES,
     ArrivalSpec,
@@ -75,6 +79,37 @@ def golden_cases():
                       window_s=1.0))
 
 
+#: mix -> (seed, trace instants that land exactly on a completion).
+#: Found on the parent of the process-free loop by replaying the trace
+#: below with a pipeline recorder and solving the injector's arithmetic
+#: (``now + (origin + t - now)``) for a recorded ``finished_at``; the
+#: first of each pair falls a few ms after the previous arrival, the
+#: second tens of ms after it, and the queue mix's second one is the
+#: completion of a ``get`` whose ``delete`` starts at that same instant.
+EDGE_TIES = {
+    "mixed": (11, (1.42801983986385, 2.716756879915859)),
+    "queue": (2012, (1.2012096681520223, 2.7011779459678187)),
+}
+EDGE_FLOCK_SIZES = (1, 7, 8192)
+
+
+def edge_cases():
+    """``(case id, LoadConfig)`` the 42 classic goldens do not reach: a
+    trace with two arrivals at 0.0, three at one later instant and two
+    landing on completion instants, on ``sim`` and on ``geo``."""
+    for mix, (seed, ties) in EDGE_TIES.items():
+        rng = Random(f"edge-trace:{seed}")
+        trace = tuple(sorted(
+            [0.0, 0.0, 5.5, 5.5, 5.5, *ties]
+            + [round(rng.uniform(0.2, 6.2), 6) for _ in range(110)]))
+        spec = ArrivalSpec(process="trace", rate=25.0, seed=seed, trace=trace)
+        cfg = config(arrivals=spec, mix=mix, seed=seed)
+        yield f"edge-{mix}-trace-ties", cfg
+        if mix == "mixed":
+            yield (f"edge-{mix}-trace-ties-geo",
+                   dataclasses.replace(cfg, backend="geo"))
+
+
 def schedule_mismatches(cases):
     """Case ids whose columnar schedule misses its golden digest."""
     bad = []
@@ -101,13 +136,14 @@ class TestScheduleParity:
         """The digest covers every field of every op, so one match pins
         the schedule element for element."""
         cases = dict(golden_cases())
-        assert set(cases) == set(GOLDEN)
+        assert set(cases) | set(dict(edge_cases())) == set(GOLDEN)
         assert schedule_mismatches(
             (cid, cfg) for cid, cfg in cases.items()
             if cfg.mix == "mixed") == []
 
     def test_parity_holds_for_every_mix(self):
         assert schedule_mismatches(golden_cases()) == []
+        assert schedule_mismatches(edge_cases()) == []
 
     def test_clients_multiply_the_offered_rate(self):
         doubled = config(clients=2)
@@ -153,6 +189,160 @@ class TestRunEquivalence:
         assert resources["kernel_events"] > 0
         assert resources["kernel_events_per_sec"] > 0
         assert verdict["config"]["flock_size"] == 64
+
+
+# -- the edge goldens --------------------------------------------------------
+
+def observed(monkeypatch, interceptor):
+    """Put ``interceptor`` at the front of every sim account's pipeline."""
+    from repro.backend import SimBackend
+
+    make = SimBackend._make_account
+
+    def make_observed(self, env, run_config):
+        account = make(self, env, run_config)
+        account.pipeline.add_first(interceptor)
+        return account
+
+    monkeypatch.setattr(SimBackend, "_make_account", make_observed)
+
+
+class TestEdgeGoldens:
+    """Recorded from the per-op-process loop before it was replaced, at
+    every scheduler x chunk size (which agreed there, as they must here)."""
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("flock_size", EDGE_FLOCK_SIZES)
+    def test_edge_runs_match_the_parent(self, scheduler, flock_size):
+        for case_id, cfg in edge_cases():
+            assert_run_matches_golden(case_id, run_load(dataclasses.replace(
+                cfg, scheduler=scheduler, flock_size=flock_size)))
+
+    @pytest.mark.parametrize("mix", sorted(EDGE_TIES))
+    def test_edge_traces_tie_where_they_claim_to(self, mix, monkeypatch):
+        """Two arrivals at 0.0 start at the origin, three share a later
+        instant, and each tie instant starts an op exactly when another
+        op's round trip completes."""
+        trips = []
+
+        class Recorder(Interceptor):
+            name = "recorder"
+
+            def after(self, ctx):
+                trips.append((ctx.worker, ctx.started_at, ctx.finished_at,
+                              ctx.op.kind.value))
+
+        observed(monkeypatch, Recorder())
+        result = run_load(dict(edge_cases())[f"edge-{mix}-trace-ties"])
+        assert result.aggregator.total_errors == 0
+        origin = max(end for worker, _start, end, _kind in trips
+                     if worker == "load-setup")
+        # A delete is the second step of a get, not an arrival.
+        starts = [start for worker, start, _end, kind in trips
+                  if worker is None and kind != "delete_message"]
+        assert starts.count(origin) == 2
+        assert max(starts.count(t) for t in set(starts) - {origin}) == 3
+        ends = {end for worker, _start, end, _kind in trips if worker is None}
+        assert len(ends.intersection(starts)) == len(EDGE_TIES[mix][1])
+
+
+# -- one definition of what an op does ---------------------------------------
+
+class _Calls:
+    """A stand-in client: every method is a generator recording its call."""
+
+    def __init__(self, log):
+        self._log = log
+
+    def __getattr__(self, name):
+        def method(*args, **kwargs):
+            self._log.append((name, args, kwargs))
+            if name == "get_message" and args[0] == "full":
+                return SimpleNamespace(message_id="m1", pop_receipt="r1")
+            return None
+            yield
+
+        return method
+
+
+@pytest.mark.parametrize("key", ["full", "empty"])
+def test_starters_make_the_calls_of_the_op_script(key):
+    """``_op_starters`` (DES) and ``_op_script`` (wall-clock backends)
+    issue the same client calls for every kind of every mix, including
+    get-then-delete with and without a message."""
+    from repro.traffic.engine import (ScheduledOp, _op_script, _op_starters,
+                                      _run_script_blocking)
+
+    def shape(log):
+        return [(name, [(a.size, a.seed) if hasattr(a, "seed") else a
+                        for a in args], kwargs)
+                for name, args, kwargs in log]
+
+    kinds = sorted({(service, op) for mix in MIXES.values()
+                    for _, service, op in mix})
+    assert len(kinds) == 9
+    for nbytes in (0, 512):
+        scripted, started = [], []
+        clients = {s: _Calls(scripted) for s in ("queue", "blob", "table")}
+        for kind in kinds:
+            _run_script_blocking(_op_script(
+                clients, ScheduledOp(7, 0.5, *kind, key, nbytes)))
+        clients = {s: _Calls(started) for s in ("queue", "blob", "table")}
+        for start in _op_starters(clients, kinds, [nbytes] * len(kinds)):
+            assert list(start(7, key)) == []
+        assert shape(started) == shape(scripted)
+        assert len(started) == (10 if key == "full" else 9)
+
+
+# -- failures ----------------------------------------------------------------
+
+class TestFailurePath:
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_a_bug_inside_an_op_aborts_the_run(self, scheduler, monkeypatch):
+        """Not a StorageError: it leaves ``run_load`` as itself — no
+        hang on the completion event, no op counted as failed."""
+        seen = []
+
+        class Bug(Interceptor):
+            name = "bug"
+
+            def after(self, ctx):
+                seen.append(ctx.worker)
+                if seen.count(None) == 40:
+                    raise RuntimeError("observer bug")
+
+        observed(monkeypatch, Bug())
+        with pytest.raises(RuntimeError, match="observer bug"):
+            run_load(config(scheduler=scheduler))
+        assert seen.count(None) == 40
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_a_run_refused_at_every_admission_completes(self, scheduler,
+                                                        monkeypatch):
+        """Every open-loop op (``worker`` None; set-up runs as the
+        ``load-setup`` process) is refused before it yields once: each
+        completes inside its arrival's callback and the run still ends."""
+        class Refuse(Interceptor):
+            name = "refuse"
+
+            def before(self, ctx):
+                if ctx.worker is None:
+                    raise ServerBusyError("refused")
+                assert ctx.worker == "load-setup"
+
+        observed(monkeypatch, Refuse())
+        result = run_load(config(scheduler=scheduler, mix="queue"))
+        totals = result.aggregator.totals()
+        assert totals["arrivals"] == totals["completions"] > 100
+        assert totals["errors"] == totals["completions"]
+        assert result.digest == schedule_digest(
+            build_flock_schedule(config(mix="queue")).iter_ops(),
+            [False] * totals["arrivals"])
+        # One kernel event per arrival and the completion event, no more.
+        idle = run_load(config(scheduler=scheduler, mix="queue",
+                               arrivals=ArrivalSpec(process="trace")))
+        assert (result.resources["kernel_events"]
+                == idle.resources["kernel_events"] + totals["arrivals"] + 1)
 
 
 # -- config validation -------------------------------------------------------
