@@ -44,9 +44,9 @@ __all__ = [
     "write_bench",
 ]
 
-#: Schema 2 adds the calendar-scheduler kernel figure
-#: (``kernel_calendar``) and the million-client scale figure (``flock``).
-BENCH_SCHEMA_VERSION = 2
+#: Schema 3 drops schema 2's second kernel figure: the kernel has one
+#: event queue.  ``kernel``, ``flock`` and ``sweeps`` are unchanged.
+BENCH_SCHEMA_VERSION = 3
 
 #: Default kernel microbenchmark shape: 100 concurrent sleepers x 2,000
 #: round trips each -> ~200k events per repetition.
@@ -68,14 +68,14 @@ def kernel_events_per_sec(*, procs: int = KERNEL_PROCS,
 
     Best-of-``repeats`` is reported (the standard microbenchmark defence
     against scheduler noise — the *fastest* run is the least disturbed
-    measurement of the code itself).  ``scheduler`` selects the kernel
-    event queue under test (heap reference or calendar).
+    measurement of the code itself).
     """
     from ..simkit import Environment
 
     best = 0.0
     events = 0
     for _ in range(repeats):
+        # Selects nothing: benchmarks/suite/replay.py still passes it.
         env = Environment(scheduler=scheduler)
         for i in range(procs):
             env.process(_ping(env, rounds), name=f"perf-ping-{i}")
@@ -102,17 +102,16 @@ def flock_load_metrics(*, clients: int = 1_000_000,
     """Open-loop ops/sec + peak RSS: the million-client scale figure.
 
     Runs one seeded open-loop ``repro load`` (columnar schedule, chunks
-    of ``flock_size``) on the calendar scheduler; the offered rate is
-    ``clients * per_client_rate`` ops/s.  Peak RSS is the process
-    high-water mark, so run this before anything memory-hungry when the
-    number matters.
+    of ``flock_size``); the offered rate is ``clients * per_client_rate``
+    ops/s.  Peak RSS is the process high-water mark, so run this before
+    anything memory-hungry when the number matters.
     """
     from ..traffic import ArrivalSpec, LoadConfig, run_load
 
     config = LoadConfig(
         arrivals=ArrivalSpec(rate=per_client_rate),
         duration=duration, mix="queue", clients=clients,
-        flock_size=flock_size, scheduler="calendar")
+        flock_size=flock_size)
     result = run_load(config)
     res = result.resources or {}
     ops = result.aggregator.total_completions
@@ -184,12 +183,9 @@ def run_perf(*, quick: bool = False, jobs: Optional[int] = None,
         jobs = default_jobs()
 
     log(f"kernel: {KERNEL_PROCS} procs x {KERNEL_ROUNDS} rounds, "
-        f"best of {KERNEL_REPEATS}, heap vs calendar ...")
+        f"best of {KERNEL_REPEATS} ...")
     kernel = kernel_events_per_sec()
-    log(f"kernel (heap): {kernel['events_per_sec']:,.0f} events/sec")
-    kernel_calendar = kernel_events_per_sec(scheduler="calendar")
-    log(f"kernel (calendar): "
-        f"{kernel_calendar['events_per_sec']:,.0f} events/sec")
+    log(f"kernel: {kernel['events_per_sec']:,.0f} events/sec")
 
     if quick:
         flock = flock_load_metrics(clients=100_000, per_client_rate=0.001,
@@ -212,7 +208,6 @@ def run_perf(*, quick: bool = False, jobs: Optional[int] = None,
         "schema": BENCH_SCHEMA_VERSION,
         "host": _host(),
         "kernel": kernel,
-        "kernel_calendar": kernel_calendar,
         "flock": flock,
         "sweeps": sweeps,
     }
@@ -222,16 +217,14 @@ def run_perf(*, quick: bool = False, jobs: Optional[int] = None,
                 baseline.get("kernel", {}).get("events_per_sec"),
             "host": baseline.get("host"),
         }
-        cal = baseline.get("kernel_calendar", {}).get("events_per_sec")
-        if cal:
-            doc["baseline"]["kernel_calendar_events_per_sec"] = cal
     return doc
 
 
 def load_bench(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("schema") != BENCH_SCHEMA_VERSION:
+    # A schema-2 baseline's ``kernel`` figure is the same measurement.
+    if doc.get("schema") not in (2, BENCH_SCHEMA_VERSION):
         raise ValueError(
             f"{path!r} has BENCH schema {doc.get('schema')!r}, "
             f"expected {BENCH_SCHEMA_VERSION}")
@@ -253,27 +246,17 @@ def check_regression(current: dict, baseline: dict, *,
     """True when current kernel throughput is within ``tolerance`` of base.
 
     The gate is one-sided: faster is always fine, slower than
-    ``(1 - tolerance) * baseline`` fails.  The heap kernel figure is
-    mandatory; the calendar figure is gated too whenever both documents
-    carry it (schema 2), so neither scheduler can silently regress.
+    ``(1 - tolerance) * baseline`` fails.
     """
     base_rate = baseline.get("kernel", {}).get("events_per_sec")
     rate = current.get("kernel", {}).get("events_per_sec")
     if not base_rate or not rate:
         raise ValueError("both documents need kernel.events_per_sec")
-    gates = [("kernel (heap)", rate, base_rate)]
-    cal = current.get("kernel_calendar", {}).get("events_per_sec")
-    base_cal = baseline.get("kernel_calendar", {}).get("events_per_sec")
-    if cal and base_cal:
-        gates.append(("kernel (calendar)", cal, base_cal))
-    ok = True
-    for label, cur, base in gates:
-        floor = (1.0 - tolerance) * base
-        good = cur >= floor
-        ok = ok and good
-        verdict = "ok" if good else "REGRESSION"
-        log(f"{label} events/sec: {cur:,.0f} vs baseline {base:,.0f} "
-            f"(floor {floor:,.0f} at -{tolerance:.0%}): {verdict}")
+    floor = (1.0 - tolerance) * base_rate
+    ok = rate >= floor
+    verdict = "ok" if ok else "REGRESSION"
+    log(f"kernel events/sec: {rate:,.0f} vs baseline {base_rate:,.0f} "
+        f"(floor {floor:,.0f} at -{tolerance:.0%}): {verdict}")
     return ok
 
 

@@ -388,11 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="sim/geo backends: arrivals injected and "
                            "completions folded into the stats per chunk "
                            "(>= 1; changes no result; default 8192)")
+    # Selects nothing: scripts pass it, as benchmarks/suite passes scheduler=.
     load.add_argument("--scheduler", choices=["heap", "calendar"],
                       default="heap",
-                      help="DES kernel event queue (default heap; "
-                           "calendar is the O(1)-amortized bucketed "
-                           "scheduler)")
+                      help="accepted for compatibility; selects nothing "
+                           "(the kernel has one event queue)")
 
     return parser
 
@@ -872,7 +872,7 @@ def _run_load(args) -> int:
             backend=args.backend, slo=slo, servers=args.servers,
             dn=args.dn, replicas=args.replicas, kill_dn=args.kill_dn,
             kill_at=args.kill_at, clients=args.clients,
-            flock_size=args.flock_size, scheduler=args.scheduler)
+            flock_size=args.flock_size)
     except (OSError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -138,11 +138,15 @@ def blob_bench_body(config: BlobBenchConfig):
                 rec.add_op(config.chunk_bytes)
                 block_ids.append(bid)
             # Commit own blocks on top of whatever is already committed
-            # (merge commit: see SimBlobClient.put_block_list).
-            yield from retrying(env, lambda: blob.put_block_list(
-                config.container, config.block_blob, block_ids, merge=True),
-                on_retry=lambda *_: rec.add_retry())
-            rec.add_op(0)
+            # (merge commit: see SimBlobClient.put_block_list).  With
+            # more workers than chunks a share is empty: nothing to
+            # commit, and the blob may not exist yet.
+            if block_ids:
+                yield from retrying(env, lambda: blob.put_block_list(
+                    config.container, config.block_blob, block_ids,
+                    merge=True),
+                    on_retry=lambda *_: rec.add_retry())
+                rec.add_op(0)
             rec.stop()
 
             yield from barrier.wait()  # Synchronize(++syncCount)

@@ -3,18 +3,14 @@
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from itertools import count
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
-from .events import AllOf, AnyOf, Event, NORMAL, Timeout, URGENT
+from .events import AllOf, AnyOf, Event, NORMAL, Timeout
 from .exceptions import EmptySchedule
 from .process import Process, ProcessGenerator
 
-__all__ = ["Environment", "SCHEDULERS"]
-
-#: Event-queue implementations ``Environment(scheduler=...)`` accepts.
-SCHEDULERS = ("heap", "calendar")
+__all__ = ["Environment"]
 
 
 class Environment:
@@ -25,22 +21,11 @@ class Environment:
     insertion-order); this makes runs fully deterministic given the same
     sequence of scheduling operations.
 
-    Two event-queue implementations are available via ``scheduler``:
-
-    * ``"heap"`` (default) — a single binary heap of ``(time, priority,
-      seq, event)`` tuples; the reference implementation.
-    * ``"calendar"`` — a calendar queue: per-timestamp FIFO buckets
-      (one deque per distinct time and priority class) plus a small heap
-      of distinct times.  Under the kernel's dominant traffic — many
-      events sharing the same instant — enqueue and dequeue are O(1)
-      amortized instead of O(log n), roughly doubling events/sec (see
-      ``docs/performance.md``).  Event pop order is **identical** to the
-      heap: a deque preserves insertion (seq) order and urgent events
-      drain before normal events at the same time, which is exactly the
-      ``(time, priority, seq)`` ordering.  The only restriction is that
-      ``schedule`` accepts the kernel's two priority classes
-      (:data:`~repro.simkit.events.URGENT` /
-      :data:`~repro.simkit.events.NORMAL`) rather than arbitrary ints.
+    The queue is one binary heap of ``(time, priority, seq, event)``
+    tuples.  Nine in ten events of this repository's workloads are alone
+    at their instant and fewer than forty instants are ever pending, so
+    per-instant buckets have nothing to save (the measurements are under
+    "Why one event queue" in ``docs/performance.md``).
 
     Example::
 
@@ -57,12 +42,11 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0,
                  scheduler: str = "heap") -> None:
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; choose from "
-                f"{', '.join(SCHEDULERS)}")
+        # Selects nothing: benchmarks/suite still passes both old names.
+        if scheduler not in ("heap", "calendar"):
+            raise ValueError(f"unknown scheduler {scheduler!r}; "
+                             "choose from heap, calendar")
         self._now = float(initial_time)
-        self.scheduler = scheduler
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = count()
         self._active_proc: Optional[Process] = None
@@ -70,21 +54,6 @@ class Environment:
         #: processed — tracing/debugging only, must not mutate the schedule.
         self.tracer = None
         self.events_processed = 0
-        if scheduler == "calendar":
-            #: time -> FIFO deque of NORMAL events at that instant.
-            self._buckets: Dict[float, Deque[Event]] = {}
-            #: time -> FIFO deque of URGENT events at that instant.
-            self._urgent: Dict[float, Deque[Event]] = {}
-            #: Min-heap of (possibly stale/duplicate) distinct times.
-            self._times: List[float] = []
-            # Bound-method dispatch: shadowing the class methods on the
-            # instance avoids a per-event scheduler branch on the hot
-            # paths (the instance dict wins attribute lookup).
-            self.schedule = self._cal_schedule
-            self.timeout = self._cal_timeout
-            self.step = self._cal_step
-            self.peek = self._cal_peek
-            self.run = self._cal_run
 
     # -- clock & scheduling --------------------------------------------------
     @property
@@ -245,315 +214,6 @@ class Environment:
         self._now = horizon
         return None
 
-    # -- calendar-queue scheduler --------------------------------------------
-    # Same observable semantics as the heap methods above; structured as
-    # per-timestamp FIFO buckets so same-instant traffic never touches the
-    # heap.  ``_times`` may hold duplicate/stale entries (cheaper to skip
-    # lazily than to keep exact); a time is live while either table still
-    # has a deque for it.
-
-    def _cal_schedule(self, event: Event, priority: int = NORMAL,
-                      delay: float = 0.0) -> None:
-        """Calendar-queue :meth:`schedule` (bound as ``self.schedule``)."""
-        if delay < 0:
-            raise ValueError(
-                f"cannot schedule {event!r} at t={self._now + delay:g}, "
-                f"which is {-delay:g} time units before now "
-                f"({self._now:g}); events must not be scheduled in the "
-                f"past (typical cause: a delay computed from an absolute "
-                f"timestamp that went stale when run(until=...) advanced "
-                f"the clock)")
-        if priority == NORMAL:
-            table = self._buckets
-        elif priority == URGENT:
-            table = self._urgent
-        else:
-            raise ValueError(
-                f"calendar scheduler orders the kernel's two priority "
-                f"classes (URGENT={URGENT}, NORMAL={NORMAL}); got "
-                f"{priority!r} — use scheduler='heap' for arbitrary "
-                f"priorities")
-        t = self._now + delay
-        try:
-            table[t].append(event)
-        except KeyError:
-            table[t] = deque((event,))
-            heapq.heappush(self._times, t)
-
-    def _cal_timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Calendar-queue :meth:`timeout` (bound as ``self.timeout``)."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        event = Timeout.__new__(Timeout)
-        event.env = self
-        event.callbacks = []
-        event._value = value
-        event._ok = True
-        event._defused = False
-        event._delay = delay
-        t = self._now + delay
-        buckets = self._buckets
-        try:
-            buckets[t].append(event)
-        except KeyError:
-            buckets[t] = deque((event,))
-            heapq.heappush(self._times, t)
-        return event
-
-    def _cal_peek(self) -> float:
-        """Calendar-queue :meth:`peek` (bound as ``self.peek``).
-
-        Skips (and retires) stale heap entries and empty buckets left by
-        an interrupted ``run(until=event)``.
-        """
-        times = self._times
-        buckets = self._buckets
-        urgent = self._urgent
-        while times:
-            t = times[0]
-            u = urgent.get(t)
-            if u is not None:
-                if u:
-                    return t
-                del urgent[t]
-            d = buckets.get(t)
-            if d is not None:
-                if d:
-                    return t
-                del buckets[t]
-            heapq.heappop(times)
-        return float("inf")
-
-    def _cal_step(self) -> None:
-        """Calendar-queue :meth:`step` (bound as ``self.step``)."""
-        times = self._times
-        buckets = self._buckets
-        urgent = self._urgent
-        while times:
-            t = times[0]
-            u = urgent.get(t)
-            if u is not None:
-                if u:
-                    event = u.popleft()
-                    if not u:
-                        del urgent[t]
-                    break
-                del urgent[t]
-            d = buckets.get(t)
-            if d is not None:
-                if d:
-                    event = d.popleft()
-                    if not d:
-                        del buckets[t]
-                    break
-                del buckets[t]
-            heapq.heappop(times)
-        else:
-            raise EmptySchedule()
-
-        self._now = t
-        self.events_processed += 1
-        if self.tracer is not None:
-            self.tracer(t, event)
-
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            exc = event._value
-            if isinstance(exc, BaseException):
-                raise exc
-            raise RuntimeError(exc)  # pragma: no cover - defensive
-
-    def _cal_run(self, until: Any = None) -> Any:
-        """Calendar-queue :meth:`run` (bound as ``self.run``).
-
-        Each distinct time is drained as one bucket: the clock store and
-        the tracer load are hoisted out of the per-event loop (a tracer
-        installed *mid-bucket* by a callback therefore first sees the
-        next bucket).  Urgent events are re-checked between normal
-        events, so an urgent event scheduled at ``now`` by a callback
-        still jumps ahead of the remaining normal events at that instant
-        — the heap's ``(time, priority, seq)`` order exactly.
-        """
-        buckets = self._buckets
-        urgent = self._urgent
-        times = self._times
-        pop_time = heapq.heappop
-        processed = 0
-
-        if until is None:
-            try:
-                while times:
-                    t = times[0]
-                    d = buckets.get(t)
-                    if d is None and not (urgent and t in urgent):
-                        pop_time(times)  # stale or duplicate entry
-                        continue
-                    self._now = t
-                    tracer = self.tracer
-                    while True:
-                        if urgent:
-                            u = urgent.get(t)
-                            if u is not None:
-                                while u:
-                                    event = u.popleft()
-                                    processed += 1
-                                    if tracer is not None:
-                                        tracer(t, event)
-                                    callbacks, event.callbacks = \
-                                        event.callbacks, None
-                                    for callback in callbacks:
-                                        callback(event)
-                                    if not event._ok and not event._defused:
-                                        self._reraise(event)
-                                del urgent[t]
-                        if not d:
-                            if urgent and t in urgent:
-                                continue
-                            break
-                        event = d.popleft()
-                        processed += 1
-                        if tracer is not None:
-                            tracer(t, event)
-                        callbacks, event.callbacks = event.callbacks, None
-                        for callback in callbacks:
-                            callback(event)
-                        if not event._ok and not event._defused:
-                            self._reraise(event)
-                    if d is not None:
-                        del buckets[t]
-                    pop_time(times)
-            finally:
-                self.events_processed += processed
-            return None
-
-        if isinstance(until, Event):
-            if until.callbacks is None:
-                # Already processed.
-                if until._ok:
-                    return until._value
-                raise until._value
-            stop: List[Event] = []
-            until.callbacks.append(stop.append)
-            try:
-                while not stop:
-                    if not times:
-                        raise RuntimeError(
-                            f"no scheduled events left but {until!r} was "
-                            f"not triggered")
-                    t = times[0]
-                    d = buckets.get(t)
-                    if d is None and not (urgent and t in urgent):
-                        pop_time(times)
-                        continue
-                    self._now = t
-                    tracer = self.tracer
-                    while True:
-                        if urgent:
-                            u = urgent.get(t)
-                            if u is not None:
-                                while u:
-                                    event = u.popleft()
-                                    processed += 1
-                                    if tracer is not None:
-                                        tracer(t, event)
-                                    callbacks, event.callbacks = \
-                                        event.callbacks, None
-                                    for callback in callbacks:
-                                        callback(event)
-                                    if not event._ok and not event._defused:
-                                        self._reraise(event)
-                                    if stop:
-                                        break
-                                if not u:
-                                    del urgent[t]
-                        if stop:
-                            break
-                        if not d:
-                            if urgent and t in urgent:
-                                continue
-                            break
-                        event = d.popleft()
-                        processed += 1
-                        if tracer is not None:
-                            tracer(t, event)
-                        callbacks, event.callbacks = event.callbacks, None
-                        for callback in callbacks:
-                            callback(event)
-                        if not event._ok and not event._defused:
-                            self._reraise(event)
-                        if stop:
-                            break
-                    if stop:
-                        # Mid-bucket exit: remaining events stay queued
-                        # (possibly as an empty deque — peek/step/run all
-                        # retire those lazily).
-                        break
-                    if d is not None:
-                        del buckets[t]
-                    pop_time(times)
-            finally:
-                self.events_processed += processed
-            if until._ok:
-                return until._value
-            # The stop callback took delivery of the failure.
-            until._defused = True
-            raise until._value
-
-        # Numeric horizon.
-        horizon = float(until)
-        if horizon < self._now:
-            raise ValueError(f"until ({horizon}) must not be before now ({self._now})")
-        try:
-            while times:
-                t = times[0]
-                if t > horizon:
-                    break
-                d = buckets.get(t)
-                if d is None and not (urgent and t in urgent):
-                    pop_time(times)
-                    continue
-                self._now = t
-                tracer = self.tracer
-                while True:
-                    if urgent:
-                        u = urgent.get(t)
-                        if u is not None:
-                            while u:
-                                event = u.popleft()
-                                processed += 1
-                                if tracer is not None:
-                                    tracer(t, event)
-                                callbacks, event.callbacks = \
-                                    event.callbacks, None
-                                for callback in callbacks:
-                                    callback(event)
-                                if not event._ok and not event._defused:
-                                    self._reraise(event)
-                            del urgent[t]
-                    if not d:
-                        if urgent and t in urgent:
-                            continue
-                        break
-                    event = d.popleft()
-                    processed += 1
-                    if tracer is not None:
-                        tracer(t, event)
-                    callbacks, event.callbacks = event.callbacks, None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        self._reraise(event)
-                if d is not None:
-                    del buckets[t]
-                pop_time(times)
-        finally:
-            self.events_processed += processed
-        self._now = horizon
-        return None
-
     # -- event factories -----------------------------------------------------
     def event(self) -> Event:
         """Create a new untriggered :class:`Event`."""
@@ -596,9 +256,4 @@ class Environment:
         return AnyOf(self, events)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        if self.scheduler == "calendar":
-            queued = (sum(map(len, self._buckets.values()))
-                      + sum(map(len, self._urgent.values())))
-        else:
-            queued = len(self._queue)
-        return f"<Environment now={self._now} queued={queued}>"
+        return f"<Environment now={self._now} queued={len(self._queue)}>"

@@ -16,9 +16,9 @@ clients, so the schedule every backend runs is columnar:
   :meth:`~repro.traffic.stats.StatsAggregator.record_chunk` per chunk.
 
 Each arrival is still an independent open-loop operation charging the
-simulated cluster; neither the chunk size nor the scheduler changes a
-result (pinned, with the goldens of the per-op-process loops this
-replaced, by ``tests/traffic/test_flock.py``).
+simulated cluster; the chunk size changes no result (pinned, with the
+goldens of the per-op-process loops this replaced, by
+``tests/traffic/test_flock.py``).
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def run_flock_des(backend, config: LoadConfig, flock: FlockSchedule,
     from ..core.runner import RunConfig
     from ..simkit import Detached, Environment
 
-    env = Environment(scheduler=config.scheduler)
+    env = Environment()
     account = backend._make_account(
         env, RunConfig(seed=config.seed, label="load"))
     clients = {"queue": account.queue_client(),

@@ -26,6 +26,7 @@ class TestKernelBench:
         assert tiny_kernel()["events"] == tiny_kernel()["events"]
 
     def test_calendar_scheduler_same_event_count(self):
+        """The name selects nothing; ``benchmarks/suite`` still passes it."""
         cal = tiny_kernel(scheduler="calendar")
         assert cal["scheduler"] == "calendar"
         assert cal["events"] == tiny_kernel()["events"]
@@ -63,20 +64,26 @@ class TestBenchDocument:
         with pytest.raises(ValueError, match="schema"):
             perf.load_bench(path)
 
+    def test_schema_2_baseline_still_gates(self, tmp_path):
+        """Its ``kernel`` figure is the one measurement schema 3 keeps."""
+        path = str(tmp_path / "BENCH_core.json")
+        perf.write_bench({"schema": 2,
+                          "kernel": {"events_per_sec": 1000.0},
+                          "kernel_calendar": {"events_per_sec": 9e9}}, path)
+        current = {"kernel": {"events_per_sec": 900.0}}
+        assert perf.check_regression(current, perf.load_bench(path),
+                                     log=lambda message: None)
+
     def test_committed_bench_is_loadable_and_improved(self):
         """The committed trajectory must show the kernel acceptance bar."""
         committed = (Path(__file__).resolve().parents[2]
                      / "benchmarks" / "perf" / "BENCH_core.json")
         doc = perf.load_bench(str(committed))
         rate = doc["kernel"]["events_per_sec"]
-        cal = doc["kernel_calendar"]["events_per_sec"]
         base = doc["baseline"]["kernel_events_per_sec"]
-        assert cal >= 2.0 * base, (
-            f"committed calendar rate {cal:,.0f} is not >=2x the "
-            f"pre-PR heap baseline {base:,.0f}")
         assert rate >= 0.7 * base, (
-            f"committed heap rate {rate:,.0f} regressed below the "
-            f"30% floor of the pre-PR baseline {base:,.0f}")
+            f"committed kernel rate {rate:,.0f} regressed below the "
+            f"30% floor of its baseline {base:,.0f}")
 
     def test_committed_flock_figure_bounded_rss(self):
         committed = (Path(__file__).resolve().parents[2]
@@ -115,20 +122,6 @@ class TestRegressionGate:
         with pytest.raises(ValueError):
             perf.check_regression({}, self.BASE, log=self.quiet)
 
-    def test_calendar_gate_applies_when_both_carry_it(self):
-        base = {"kernel": {"events_per_sec": 1000.0},
-                "kernel_calendar": {"events_per_sec": 2000.0}}
-        current = {"kernel": {"events_per_sec": 1000.0},
-                   "kernel_calendar": {"events_per_sec": 1000.0}}
-        assert not perf.check_regression(current, base, log=self.quiet)
-        current["kernel_calendar"]["events_per_sec"] = 1900.0
-        assert perf.check_regression(current, base, log=self.quiet)
-
-    def test_calendar_gate_skipped_for_schema1_baseline(self):
-        current = {"kernel": {"events_per_sec": 1000.0},
-                   "kernel_calendar": {"events_per_sec": 1.0}}
-        assert perf.check_regression(current, self.BASE, log=self.quiet)
-
 
 class TestRunPerf:
     def test_quick_document_shape(self, monkeypatch):
@@ -152,9 +145,7 @@ class TestRunPerf:
                             log=lines.append)
         assert doc["schema"] == perf.BENCH_SCHEMA_VERSION
         assert doc["kernel"]["events_per_sec"] > 0
-        assert doc["kernel"]["scheduler"] == "heap"
-        assert doc["kernel_calendar"]["scheduler"] == "calendar"
-        assert doc["kernel_calendar"]["events_per_sec"] > 0
+        assert "kernel_calendar" not in doc
         assert doc["flock"]["ops"] > 0
         assert doc["sweeps"]["labels"] == ["fig6"]
         assert doc["baseline"]["kernel_events_per_sec"] == 1.0

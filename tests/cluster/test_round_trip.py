@@ -35,17 +35,15 @@ PUT = OpDescriptor(Service.QUEUE, OpKind.PUT_MESSAGE, "q", nbytes=4 * KB)
 
 
 class TestKernelEventsPerRoundTrip:
-    @pytest.mark.parametrize("scheduler", ("heap", "calendar"))
-    def test_uncontended_round_trip_is_three_events(self, scheduler):
-        env = Environment(scheduler=scheduler)
+    def test_uncontended_round_trip_is_three_events(self):
+        env = Environment()
         cluster = StorageCluster(env, seed=1)
         env.process(cluster.execute(PUT))
         env.run()
         assert env.events_processed == PROCESS_EVENTS + 3
 
-    @pytest.mark.parametrize("scheduler", ("heap", "calendar"))
-    def test_queued_round_trip_is_four_events(self, scheduler):
-        env = Environment(scheduler=scheduler)
+    def test_queued_round_trip_is_four_events(self):
+        env = Environment()
         cal = FabricCalibration(jitter_sigma=0.0, queue_server_slots=1)
         cluster = StorageCluster(env, calibration=cal, seed=1)
         env.process(cluster.execute(PUT))
@@ -62,7 +60,7 @@ class TestKernelEventsPerRoundTrip:
                                  params=(), trace=()),
             duration=20.0, window_s=5.0, mix="mixed", payload_bytes=4096,
             seed=2012, backend="sim", slo=None, preload=16, servers=1,
-            clients=1, flock_size=8192, scheduler="calendar"))
+            clients=1, flock_size=8192))
         assert result.digest == ("8a54c7fa4e516ced6072e0e5a73361681b3cbd05"
                                  "7c89d33cb846e48e09ba4e0f")
         # 86,950 with a grant and a release event on every round trip.

@@ -34,7 +34,6 @@ from repro.simkit import (
     Tally,
     UtilizationMonitor,
 )
-from repro.simkit.environment import SCHEDULERS
 
 # -- the oracle: the parent commit's Resource, verbatim in behaviour ---------
 
@@ -148,8 +147,8 @@ _REQUEST = st.tuples(
 _SCENARIO = st.lists(_REQUEST, min_size=1, max_size=10)
 
 
-def run_scenario(server_cls, scheduler, capacity, requests):
-    env = Environment(scheduler=scheduler)
+def run_scenario(server_cls, capacity, requests):
+    env = Environment()
     server = server_cls(env, "s", capacity)
     server.wait_times = SeqTally(env, "wait")
     server.service_times = SeqTally(env, "service")
@@ -196,16 +195,13 @@ _NEWCOMER_BEHIND_UNDELIVERED_GRANT = [
 _UNDELIVERED_GRANT_WITHDRAWN = [(0, 2, 2), (0, 3, 2), (0, 0, 2)]
 
 
-@given(capacity=st.integers(1, 4), requests=_SCENARIO,
-       scheduler=st.sampled_from(SCHEDULERS))
-@example(capacity=2, requests=_NEWCOMER_BEHIND_UNDELIVERED_GRANT,
-         scheduler="heap")
-@example(capacity=2, requests=_UNDELIVERED_GRANT_WITHDRAWN, scheduler="heap")
+@given(capacity=st.integers(1, 4), requests=_SCENARIO)
+@example(capacity=2, requests=_NEWCOMER_BEHIND_UNDELIVERED_GRANT)
+@example(capacity=2, requests=_UNDELIVERED_GRANT_WITHDRAWN)
 @settings(max_examples=400, deadline=None)
-def test_lean_serve_matches_the_kernel_scheduled_oracle(capacity, requests,
-                                                        scheduler):
-    lean, server = run_scenario(PartitionServer, scheduler, capacity, requests)
-    oracle, _ = run_scenario(OracleServer, scheduler, capacity, requests)
+def test_lean_serve_matches_the_kernel_scheduled_oracle(capacity, requests):
+    lean, server = run_scenario(PartitionServer, capacity, requests)
+    oracle, _ = run_scenario(OracleServer, capacity, requests)
     assert lean == oracle
     # Busy time is the union of the holds (the oracle's monitor is not a
     # reference here: the parent missed mark_busy when two grants were

@@ -85,6 +85,20 @@ class TestBlobBench:
 
         assert once() == once()
 
+    def test_more_workers_than_chunks(self):
+        """The worker with an empty share leaves the barrier (a short
+        poll) before any block is staged: it has nothing to commit, and
+        no blob to commit it to."""
+        cfg = BlobBenchConfig(total_chunks=2, repeats=1, barrier_poll=0.1)
+        result = run_bench(lambda: blob_bench_body(cfg),
+                           RunConfig(workers=3, seed=1, backend="sim"))
+        uploads = {r.worker_id: (r.ops, r.nbytes) for r in result.records
+                   if r.name == PHASE_BLOCK_UPLOAD}
+        # A block and the commit each; the idle worker did neither.
+        assert uploads == {0: (2, 1 * MB), 1: (2, 1 * MB), 2: (0, 0)}
+        seq = result.phase(PHASE_BLOCK_SEQ_DOWNLOAD)
+        assert seq.total_ops == 2 * 3
+
 
 class TestSeparateQueueBench:
     @pytest.fixture(scope="class")

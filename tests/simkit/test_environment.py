@@ -125,6 +125,17 @@ class TestDeterminism:
         env.run()
         assert order == ["urgent", "normal"]
 
+    def test_any_integer_priority_orders_an_instant(self, env):
+        order = []
+        for priority in (5, 1, -3, 5):
+            event = env.event()
+            event._ok, event._value = True, None
+            event.callbacks.append(
+                lambda _e, p=priority: order.append(p))
+            env.schedule(event, priority=priority)
+        env.run()
+        assert order == [-3, 1, 5, 5]
+
 
 class TestRunUntilEdgeCases:
     def test_until_triggered_unprocessed_event(self, env):

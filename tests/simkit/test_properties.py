@@ -128,15 +128,16 @@ TIED = (0.0, 0.0, 0.5, 0.5, 1.0, 1.5)
        walkers=st.lists(st.lists(st.sampled_from(TIED), min_size=1,
                                  max_size=4), max_size=4))
 @settings(max_examples=80, deadline=None)
-def test_bare_callback_events_tie_alike_on_heap_and_calendar(
+def test_bare_callback_events_tie_alike_stepped_and_run(
         gaps, legs, walkers):
     """Events whose only waiter is a plain callback — each arming the
     next one and then starting a :class:`Detached` generator, the shape
     of the open-loop load driver — interleaved with process timeouts on
-    shared instants pop in one order on both schedulers."""
+    shared instants pop in one order from ``run()`` and a ``step()``
+    loop."""
 
-    def run(scheduler):
-        env = Environment(scheduler=scheduler)
+    def run(drive):
+        env = Environment()
         trace = []
 
         def op(i):
@@ -160,7 +161,11 @@ def test_bare_callback_events_tie_alike_on_heap_and_calendar(
         for w, delays in enumerate(walkers):
             env.process(walker(w, delays))
         env.timeout(gaps[0]).callbacks.append(lambda _event: arrive(0))
-        env.run()
+        drive(env)
         return trace, env.now, env.events_processed
 
-    assert run("heap") == run("calendar")
+    def stepped(env):
+        while env.peek() != float("inf"):
+            env.step()
+
+    assert run(Environment.run) == run(stepped)

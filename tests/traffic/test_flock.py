@@ -5,9 +5,9 @@ produced the commit before they were deleted: for every case of
 :func:`golden_cases`, the digest of the schedule alone and, on ``sim``,
 the run digest, ``aggregator.totals()`` and the window rows.  The
 columnar schedule and the chunked loop must reproduce every value, at
-any chunk size and on either kernel scheduler.  The subprocess smoke
-pins the point of the columnar representation: a 100k-client open-loop
-load fits in a small, bounded RSS.
+any chunk size.  The subprocess smoke pins the point of the columnar
+representation: a 100k-client open-loop load fits in a small, bounded
+RSS.
 """
 
 import dataclasses
@@ -21,7 +21,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.pipeline import Interceptor
-from repro.simkit.environment import SCHEDULERS
 from repro.storage.errors import ServerBusyError
 from repro.traffic import (
     MIXES,
@@ -165,11 +164,32 @@ class TestRunEquivalence:
             if case_id.startswith("queue-overload"):
                 assert result.aggregator.total_errors > 1000
 
-    def test_calendar_flock_matches_heap_flock(self):
-        heap = run_load(config(flock_size=64))
-        calendar = run_load(config(flock_size=64, scheduler="calendar"))
-        assert calendar.digest == heap.digest
-        assert calendar.aggregator == heap.aggregator
+    def test_calendar_flock_matches_heap_flock(self, capsys):
+        """Both old names are accepted and select nothing, on every
+        signature ``benchmarks/suite`` and old scripts still pass one to."""
+        from repro.cli import main
+        from repro.simkit import Environment
+
+        default = run_load(config(flock_size=64))
+        for name in ("heap", "calendar"):
+            Environment(scheduler=name)
+            named = run_load(config(flock_size=64, scheduler=name))
+            assert named.digest == default.digest
+            assert named.aggregator == default.aggregator
+            assert named.config.describe() == default.config.describe()
+        with pytest.raises(ValueError, match="scheduler"):
+            Environment(scheduler="wheel")
+
+        argv = ["load", "--rate", "20", "--duration", "4"]
+        verdicts = []
+        for extra in ([], ["--scheduler", "calendar"]):
+            assert main(argv + extra) == 0
+            verdicts.append(json.loads(capsys.readouterr().out))
+            del verdicts[-1]["resources"]      # wall clock and RSS
+        assert verdicts[0] == verdicts[1]
+        with pytest.raises(SystemExit) as usage:
+            main(argv + ["--scheduler", "wheel"])
+        assert usage.value.code == 2
 
     def test_tiny_flock_size_still_matches(self):
         """Chunk boundaries are invisible: chunk=1 flushes per op."""
@@ -209,14 +229,13 @@ def observed(monkeypatch, interceptor):
 
 class TestEdgeGoldens:
     """Recorded from the per-op-process loop before it was replaced, at
-    every scheduler x chunk size (which agreed there, as they must here)."""
+    every chunk size (which agreed there, as they must here)."""
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
     @pytest.mark.parametrize("flock_size", EDGE_FLOCK_SIZES)
-    def test_edge_runs_match_the_parent(self, scheduler, flock_size):
+    def test_edge_runs_match_the_parent(self, flock_size):
         for case_id, cfg in edge_cases():
             assert_run_matches_golden(case_id, run_load(dataclasses.replace(
-                cfg, scheduler=scheduler, flock_size=flock_size)))
+                cfg, flock_size=flock_size)))
 
     @pytest.mark.parametrize("mix", sorted(EDGE_TIES))
     def test_edge_traces_tie_where_they_claim_to(self, mix, monkeypatch):
@@ -297,8 +316,7 @@ def test_starters_make_the_calls_of_the_op_script(key):
 # -- failures ----------------------------------------------------------------
 
 class TestFailurePath:
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_a_bug_inside_an_op_aborts_the_run(self, scheduler, monkeypatch):
+    def test_a_bug_inside_an_op_aborts_the_run(self, monkeypatch):
         """Not a StorageError: it leaves ``run_load`` as itself — no
         hang on the completion event, no op counted as failed."""
         seen = []
@@ -313,12 +331,10 @@ class TestFailurePath:
 
         observed(monkeypatch, Bug())
         with pytest.raises(RuntimeError, match="observer bug"):
-            run_load(config(scheduler=scheduler))
+            run_load(config())
         assert seen.count(None) == 40
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_a_run_refused_at_every_admission_completes(self, scheduler,
-                                                        monkeypatch):
+    def test_a_run_refused_at_every_admission_completes(self, monkeypatch):
         """Every open-loop op (``worker`` None; set-up runs as the
         ``load-setup`` process) is refused before it yields once: each
         completes inside its arrival's callback and the run still ends."""
@@ -331,7 +347,7 @@ class TestFailurePath:
                 assert ctx.worker == "load-setup"
 
         observed(monkeypatch, Refuse())
-        result = run_load(config(scheduler=scheduler, mix="queue"))
+        result = run_load(config(mix="queue"))
         totals = result.aggregator.totals()
         assert totals["arrivals"] == totals["completions"] > 100
         assert totals["errors"] == totals["completions"]
@@ -339,7 +355,7 @@ class TestFailurePath:
             build_flock_schedule(config(mix="queue")).iter_ops(),
             [False] * totals["arrivals"])
         # One kernel event per arrival and the completion event, no more.
-        idle = run_load(config(scheduler=scheduler, mix="queue",
+        idle = run_load(config(mix="queue",
                                arrivals=ArrivalSpec(process="trace")))
         assert (result.resources["kernel_events"]
                 == idle.resources["kernel_events"] + totals["arrivals"] + 1)
@@ -373,12 +389,9 @@ class TestConfigValidation:
         plain = config().describe()
         assert "clients" not in plain
         assert "flock_size" not in plain
-        assert "scheduler" not in plain
-        tuned = config(clients=3, flock_size=64,
-                       scheduler="calendar").describe()
+        tuned = config(clients=3, flock_size=64).describe()
         assert tuned["clients"] == 3
         assert tuned["flock_size"] == 64
-        assert tuned["scheduler"] == "calendar"
 
 
 # -- the scale smoke ---------------------------------------------------------
@@ -392,8 +405,7 @@ from repro.traffic import ArrivalSpec, LoadConfig, run_load
 
 config = LoadConfig(
     arrivals=ArrivalSpec(process="poisson", rate=0.001, seed=5),
-    duration=5.0, mix="queue", clients=100_000, flock_size=2048,
-    scheduler="calendar")
+    duration=5.0, mix="queue", clients=100_000, flock_size=2048)
 result = run_load(config)
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 if sys.platform == "darwin":
