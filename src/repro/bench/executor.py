@@ -1,4 +1,4 @@
-"""Parallel sweep execution: fan independent cells over a process pool.
+"""Sweep execution: the one place a ``label@workers`` cell is run.
 
 Every figure in the paper is a sweep over independent worker counts, and
 every cell of that sweep (one ``label@workers`` benchmark run) builds its
@@ -11,13 +11,15 @@ serial order without moving a single simulated number: a parallel run is
 bit-identical to the serial one, cell for cell (pinned by
 ``tests/bench/test_parallel_equivalence.py``).
 
-Cells are described by plain picklable data — ``(scale, label,
-workers, backend-name)`` — and rebuilt inside the pool worker through
+:meth:`SweepExecutor.run_sweeps` is the only cell path — serial or
+fanned out, it looks a cell up in the checkpoint, builds its
+:class:`~repro.core.runner.RunConfig`, runs it and stores it.  A cell
+travels to a pool worker as plain picklable data — ``(scale, label,
+RunConfig)`` — and its role bodies are rebuilt there through
 :func:`repro.bench.figures.build_body_factory`, so no closures cross the
 process boundary.  Checkpointed cells are resolved in the parent before
 anything is submitted (the checkpoint file never travels either), and
-each finished cell is persisted the moment its future completes, exactly
-as the serial path writes it.
+each finished cell is persisted the moment it completes.
 
 :func:`run_chaos_matrix` applies the same fan-out to the chaos harness's
 seed matrices: one seeded :func:`~repro.chaos.runner.run_chaos` per
@@ -28,7 +30,9 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from ..core.metrics import BenchResult
 from ..core.runner import RunConfig, run_bench
@@ -44,40 +48,40 @@ def default_jobs() -> int:
         return os.cpu_count() or 1
 
 
-def _run_cell(scale, label: str, workers: int, backend: str) -> BenchResult:
-    """Pool worker: run one sweep cell from its picklable description.
+def _run_cell(scale, label: str, config: RunConfig) -> BenchResult:
+    """Run one sweep cell, in this process or in a pool worker.
 
-    Mirrors the serial path's per-cell ``RunConfig`` exactly: the cell
-    re-seeds its own fresh environment from ``scale.seed``, so the result
-    is bit-identical no matter which process (or how many siblings) ran
-    it.  Tracing and instrument hooks are never set here — runners that
-    need them stay serial (``FigureRunner._parallel_eligible``).
+    The cell re-seeds its own fresh environment from ``config.seed``, so
+    the result is bit-identical no matter which process (or how many
+    siblings) ran it.
     """
     from .figures import build_body_factory
 
-    config = RunConfig(seed=scale.seed, workers=workers,
-                       label=f"{label}@{workers}", backend=backend)
     return run_bench(build_body_factory(scale, label), config)
 
 
-def _run_chaos_cell(figure: str, profile: str, seed: int,
-                    retry_budget: int, splice: bool):
-    """Pool worker: one seeded chaos run; only the verdict crosses back."""
-    from ..chaos import run_chaos
-
-    return run_chaos(figure, profile, seed, retry_budget=retry_budget,
-                     splice=splice)
+def _each(jobs: int, fn: Callable, calls: List[tuple]) -> Iterator[tuple]:
+    """Yield ``(args, fn(*args))`` for every call: one after another in
+    this process, or — ``jobs`` > 1 and more than one call — from a
+    process pool, in completion order."""
+    if jobs <= 1 or len(calls) <= 1:
+        for args in calls:
+            yield args, fn(*args)
+        return
+    with ProcessPoolExecutor(max_workers=min(jobs, len(calls))) as pool:
+        futures = {pool.submit(fn, *args): args for args in calls}
+        for future in as_completed(futures):
+            yield futures[future], future.result()
 
 
 class SweepExecutor:
-    """Fans sweep cells out over ``jobs`` worker processes.
+    """Runs sweep cells, fanned out over ``jobs`` worker processes.
 
-    The executor owns scheduling only; what a cell *is* lives in
+    The executor owns the cell loop only; what a cell *is* lives in
     :mod:`repro.bench.figures` (the sweep registry) and what it *means*
-    in :mod:`repro.core.runner`.  Results come back keyed exactly like
-    the serial sweeps: ``{label: {workers: BenchResult}}``, iteration
-    order matching the serial path (labels as given, worker counts as
-    the scale orders them).
+    in :mod:`repro.core.runner`.  Results come back as
+    ``{label: {workers: BenchResult}}``, labels as given, worker counts
+    as the scale orders them, whatever finished first.
     """
 
     def __init__(self, jobs: Optional[int] = None) -> None:
@@ -86,53 +90,47 @@ class SweepExecutor:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     def run_sweeps(self, scale, labels: Sequence[str], *,
-                   backend: str = "sim",
-                   checkpoint=None) -> Dict[str, Dict[int, BenchResult]]:
+                   backend: object = "sim", checkpoint=None,
+                   trace: bool = False,
+                   instrument: Optional[Callable] = None,
+                   arrivals: Optional[object] = None,
+                   ) -> Dict[str, Dict[int, BenchResult]]:
         """Run every cell of ``labels`` x ``scale.worker_counts``.
 
-        Checkpoint hits load in the parent and are never submitted;
-        misses run in the pool and land in the checkpoint as their
-        futures complete.  The merged mapping is ordered like the serial
-        sweeps regardless of completion order.
+        ``backend``, ``trace``, ``instrument`` and ``arrivals`` are the
+        per-run :class:`RunConfig` fields of every cell.  Checkpoint hits
+        load in the parent and never run; misses land in the checkpoint
+        as they complete.  Cells cross a process boundary only when
+        ``jobs`` > 1 *and* nothing the caller needs back lives in this
+        process: a tracer or an instrument hook holds live objects
+        (tracers, fault plans, audit state), and a backend *instance*
+        may carry unpicklable state, so those run here, in serial order.
         """
-        cells: List[Tuple[str, int]] = [
-            (label, workers)
-            for label in labels for workers in scale.worker_counts]
-        results: Dict[Tuple[str, int], BenchResult] = {}
-        pending: List[Tuple[str, int]] = []
-        for label, workers in cells:
-            cached = (checkpoint.get(f"{label}@{workers}")
-                      if checkpoint is not None else None)
-            if cached is not None:
-                results[(label, workers)] = cached
-            else:
-                pending.append((label, workers))
+        base = RunConfig(seed=scale.seed, backend=backend, trace=trace,
+                         instrument=instrument, arrivals=arrivals)
+        results: Dict[str, BenchResult] = {}
+        pending: List[tuple] = []
+        for label in labels:
+            for workers in scale.worker_counts:
+                config = replace(base, workers=workers,
+                                 label=f"{label}@{workers}")
+                cached = (checkpoint.get(config.label)
+                          if checkpoint is not None else None)
+                if cached is not None:
+                    results[config.label] = cached
+                else:
+                    pending.append((scale, label, config))
 
-        if pending:
-            if self.jobs == 1:
-                for label, workers in pending:
-                    result = _run_cell(scale, label, workers, backend)
-                    if checkpoint is not None:
-                        checkpoint.put(f"{label}@{workers}", result)
-                    results[(label, workers)] = result
-            else:
-                max_workers = min(self.jobs, len(pending))
-                with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                    futures = {
-                        pool.submit(_run_cell, scale, label, workers,
-                                    backend): (label, workers)
-                        for label, workers in pending
-                    }
-                    for future in as_completed(futures):
-                        label, workers = futures[future]
-                        result = future.result()
-                        if checkpoint is not None:
-                            checkpoint.put(f"{label}@{workers}", result)
-                        results[(label, workers)] = result
+        portable = (isinstance(backend, str) and not trace
+                    and instrument is None)
+        for (_, _, config), result in _each(
+                self.jobs if portable else 1, _run_cell, pending):
+            if checkpoint is not None:
+                checkpoint.put(config.label, result)
+            results[config.label] = result
 
-        # Ordered merge: serial iteration order, whatever finished first.
         return {
-            label: {workers: results[(label, workers)]
+            label: {workers: results[f"{label}@{workers}"]
                     for workers in scale.worker_counts}
             for label in labels
         }
@@ -148,18 +146,11 @@ def run_chaos_matrix(figure: str, profile: str, seeds: Sequence[int], *,
     account), so the fan-out cannot change any verdict — a parallel
     matrix equals running ``repro chaos --seed s`` once per seed.
     """
+    from ..chaos import run_chaos
+
+    # Only the verdict crosses back from a pool worker.
+    run = partial(run_chaos, retry_budget=retry_budget, splice=splice)
     seeds = list(seeds)
-    if jobs is None or jobs <= 1 or len(seeds) <= 1:
-        return {seed: _run_chaos_cell(figure, profile, seed, retry_budget,
-                                      splice)
-                for seed in seeds}
-    verdicts: Dict[int, object] = {}
-    with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
-        futures = {
-            pool.submit(_run_chaos_cell, figure, profile, seed,
-                        retry_budget, splice): seed
-            for seed in seeds
-        }
-        for future in as_completed(futures):
-            verdicts[futures[future]] = future.result()
+    verdicts = {args[2]: verdict for args, verdict in _each(
+        jobs or 1, run, [(figure, profile, seed) for seed in seeds])}
     return {seed: verdicts[seed] for seed in seeds}

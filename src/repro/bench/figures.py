@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..compute import TABLE_I
@@ -42,7 +42,6 @@ from ..core import (
     PHASE_PAGE_UPLOAD,
     BenchResult,
     BlobBenchConfig,
-    RunConfig,
     SeparateQueueBenchConfig,
     SharedQueueBenchConfig,
     TableBenchConfig,
@@ -51,11 +50,11 @@ from ..core import (
     separate_queue_bench_body,
     shared_phase_name,
     shared_queue_bench_body,
-    run_bench,
     table_bench_body,
     table_phase_name,
 )
 from ..storage import KB, MB
+from .executor import SweepExecutor
 from .report import FigureData, format_table
 
 __all__ = [
@@ -142,9 +141,8 @@ def active_scale() -> BenchScale:
 # -- sweep registry ----------------------------------------------------------
 # One entry per worker-count sweep behind the figures.  Builders are
 # module-level functions of the scale so a sweep cell can be described by
-# plain picklable data (scale, label, workers) and reconstructed inside a
-# process-pool worker (:mod:`repro.bench.executor`) — the serial runner
-# and the parallel executor build bodies through the same table.
+# plain picklable data (scale, label, RunConfig) and reconstructed inside
+# a process-pool worker (:mod:`repro.bench.executor`).
 
 def _blob_bodies(scale: BenchScale) -> Callable[[], Callable]:
     cfg = BlobBenchConfig(
@@ -220,14 +218,6 @@ def figure_table1() -> FigureData:
 class FigureRunner:
     """Runs and caches the sweeps behind Figures 4-9."""
 
-    #: Sweep label -> cache attribute, in serial execution order.
-    _SWEEP_CACHES = {
-        "fig4/5": "_blob",
-        "fig6": "_queue_sep",
-        "fig7": "_queue_shared",
-        "fig8": "_table",
-    }
-
     def __init__(self, scale: Optional[BenchScale] = None, *,
                  backend: object = "sim", trace: bool = False,
                  checkpoint: Optional[object] = None,
@@ -251,24 +241,21 @@ class FigureRunner:
         self.instrument = instrument
         #: Fan independent sweep cells out over this many worker processes
         #: (:class:`repro.bench.executor.SweepExecutor`).  ``None``/``1``
-        #: keeps the serial path; parallel runs are cell-for-cell
+        #: runs them in this process; parallel runs are cell-for-cell
         #: bit-identical to serial ones because every cell re-seeds its own
         #: fresh environment from the scale's seed either way.  Tracing and
         #: instrumented runs hold live objects that cannot cross a process
-        #: boundary, so they always run serially regardless of ``jobs``.
+        #: boundary, so they run in this process regardless of ``jobs``.
         self.jobs = jobs
         #: Optional open-loop arrival spec
         #: (:class:`repro.traffic.ArrivalSpec`): worker starts in every
         #: sweep cell are staggered at the spec's seeded instants
         #: (``RunConfig.arrivals``).  Changes every number, so it is part
-        #: of :meth:`campaign_key`; like tracing it pins sweeps to the
-        #: serial path (the parallel executor rebuilds configs from the
-        #: scale alone and would silently drop the spec).
+        #: of :meth:`campaign_key`; the spec is plain data and fans out
+        #: with its cell.
         self.arrivals = arrivals
-        self._blob: Optional[Dict[int, BenchResult]] = None
-        self._queue_sep: Optional[Dict[int, BenchResult]] = None
-        self._queue_shared: Optional[Dict[int, BenchResult]] = None
-        self._table: Optional[Dict[int, BenchResult]] = None
+        #: Sweep label -> ``{workers: BenchResult}``, filled on first use.
+        self._sweeps: Dict[str, Dict[int, BenchResult]] = {}
 
     def campaign_key(self) -> str:
         """Fingerprint of everything that shapes the sweep numbers.
@@ -287,102 +274,41 @@ class FigureRunner:
         payload = json.dumps(key, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
-    def _parallel_eligible(self) -> bool:
-        """Can sweeps fan out over a process pool?
+    def prefetch(self, labels: Optional[List[str]] = None) -> None:
+        """Run the sweeps among ``labels`` (default: all) not yet cached.
 
-        Tracing and instrument hooks hold live objects (tracers, fault
-        plans, audit state) the parent needs after the run — those cells
-        cannot cross a process boundary and stay serial.  Backend
-        *instances* may carry unpicklable state, so only the registered
-        backend names parallelize.
+        One :meth:`~repro.bench.executor.SweepExecutor.run_sweeps` call
+        covers the *whole* remaining cell matrix (every missing sweep x
+        every worker count), so a multi-figure campaign (``repro all
+        --jobs N``) keeps all N workers busy across sweep boundaries
+        instead of draining one sweep at a time.
         """
-        return (self.jobs is not None and self.jobs > 1
-                and not self.trace
-                and self.instrument is None
-                and self.arrivals is None
-                and isinstance(self.backend, str))
-
-    def _cell_result(self, config: RunConfig, body_factory) -> BenchResult:
-        """The single lookup-or-run path for one sweep cell.
-
-        Checks the checkpoint first; only a miss enters
-        :func:`~repro.core.runner.run_bench`, and the fresh result is
-        persisted before it is returned.  Both the serial sweep and the
-        parallel executor's checkpoint pre-pass resolve cells through
-        this one helper, so there is exactly one place that decides
-        whether a cell re-runs.
-        """
-        cached = (self.checkpoint.get(config.label)
-                  if self.checkpoint is not None else None)
-        if cached is not None:
-            return cached
-        result = run_bench(body_factory, config)
-        if self.checkpoint is not None:
-            self.checkpoint.put(config.label, result)
-        return result
+        missing = [label for label in labels or SWEEP_BUILDERS
+                   if label not in self._sweeps]
+        if missing:
+            jobs = 1 if self.jobs is None else self.jobs
+            self._sweeps.update(SweepExecutor(jobs).run_sweeps(
+                self.scale, missing, backend=self.backend,
+                checkpoint=self.checkpoint, trace=self.trace,
+                instrument=self.instrument, arrivals=self.arrivals))
 
     def _sweep(self, label: str) -> Dict[int, BenchResult]:
-        """One worker-count sweep, checkpointing each completed cell."""
-        if self._parallel_eligible():
-            from .executor import SweepExecutor
-            return SweepExecutor(self.jobs).run_sweeps(
-                self.scale, [label], backend=self.backend,
-                checkpoint=self.checkpoint)[label]
-        body_factory = build_body_factory(self.scale, label)
-        base = RunConfig(seed=self.scale.seed, label=label,
-                         backend=self.backend, trace=self.trace,
-                         instrument=self.instrument,
-                         arrivals=self.arrivals)
-        results: Dict[int, BenchResult] = {}
-        for workers in self.scale.worker_counts:
-            config = replace(base, workers=workers,
-                             label=f"{label}@{workers}")
-            results[workers] = self._cell_result(config, body_factory)
-        return results
-
-    def prefetch(self, labels: Optional[List[str]] = None) -> None:
-        """Warm the sweep caches, fanning cells out when ``jobs`` > 1.
-
-        With a process pool this runs the *whole* remaining cell matrix
-        (every missing sweep x every worker count) in one fan-out, so a
-        multi-figure campaign (``repro all --jobs N``) keeps all N workers
-        busy across sweep boundaries instead of draining one sweep at a
-        time.  Serial runners get the same effect lazily, so this is a
-        no-op for them.
-        """
-        if labels is None:
-            labels = list(self._SWEEP_CACHES)
-        missing = [label for label in labels
-                   if getattr(self, self._SWEEP_CACHES[label]) is None]
-        if not missing or not self._parallel_eligible():
-            return
-        from .executor import SweepExecutor
-        sweeps = SweepExecutor(self.jobs).run_sweeps(
-            self.scale, missing, backend=self.backend,
-            checkpoint=self.checkpoint)
-        for label, results in sweeps.items():
-            setattr(self, self._SWEEP_CACHES[label], results)
+        """One worker-count sweep, run on first use."""
+        self.prefetch([label])
+        return self._sweeps[label]
 
     # -- sweeps (cached) -------------------------------------------------
     def blob_sweep(self) -> Dict[int, BenchResult]:
-        if self._blob is None:
-            self._blob = self._sweep("fig4/5")
-        return self._blob
+        return self._sweep("fig4/5")
 
     def queue_separate_sweep(self) -> Dict[int, BenchResult]:
-        if self._queue_sep is None:
-            self._queue_sep = self._sweep("fig6")
-        return self._queue_sep
+        return self._sweep("fig6")
 
     def queue_shared_sweep(self) -> Dict[int, BenchResult]:
-        if self._queue_shared is None:
-            self._queue_shared = self._sweep("fig7")
-        return self._queue_shared
+        return self._sweep("fig7")
 
     def table_sweep(self) -> Dict[int, BenchResult]:
-        if self._table is None:
-            self._table = self._sweep("fig8")
-        return self._table
+        return self._sweep("fig8")
 
     def traces(self) -> List[Tuple[str, int, object]]:
         """Tracers collected by the sweeps run so far, in sweep order.
@@ -392,11 +318,8 @@ class FigureRunner:
         tracing is off or no sweep has run yet.
         """
         out: List[Tuple[str, int, object]] = []
-        for sweep in (self._blob, self._queue_sep,
-                      self._queue_shared, self._table):
-            if not sweep:
-                continue
-            for workers, result in sweep.items():
+        for label in SWEEP_BUILDERS:
+            for workers, result in self._sweeps.get(label, {}).items():
                 tracer = getattr(result, "trace", None)
                 if tracer is not None:
                     out.append((result.label, workers, tracer))

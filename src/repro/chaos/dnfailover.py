@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..faults.spec import DN_KINDS, FaultKind
 from ..storage.errors import StorageError
+from ..traffic.engine import _drive as drive, dispatch_wallclock
 from .invariants import Violation
 from .schedule import build_schedule
 from .verdict import ChaosRunError, ChaosVerdict
@@ -135,8 +136,7 @@ class _Ledger:
         self.rows: Dict[str, str] = {}      # row key -> value
 
 
-def _run_op(clients, op: DNOp, seed: int, ledger: _Ledger,
-            drive) -> bool:
+def _run_op(clients, op: DNOp, seed: int, ledger: _Ledger) -> bool:
     bc, qc, tc = clients["blob"], clients["queue"], clients["table"]
     try:
         if op.kind == "blob.upload":
@@ -169,8 +169,7 @@ def _run_op(clients, op: DNOp, seed: int, ledger: _Ledger,
         return False
 
 
-def _verify_ledger(clients, ledger: _Ledger, seed: int,
-                   drive) -> List[Violation]:
+def _verify_ledger(clients, ledger: _Ledger, seed: int) -> List[Violation]:
     violations: List[Violation] = []
     bc, qc, tc = clients["blob"], clients["queue"], clients["table"]
     for name, digest in sorted(ledger.blobs.items()):
@@ -246,7 +245,6 @@ def run_dn_failover(profile: str = "dn-failover", seed: int = 0, *,
                                   WireQueueClient, WireTableClient)
     from ..service.cluster import ClusterRunner, ServiceCluster
     from ..service.membership import FailureDomainConfig
-    from ..traffic.engine import _drive as drive
 
     schedule = build_schedule(profile, seed=seed)
     crash_specs = [s for s in schedule.specs
@@ -293,7 +291,6 @@ def run_dn_failover(profile: str = "dn-failover", seed: int = 0, *,
     outcomes: List[Optional[bool]] = [None] * len(ops)
     ledger = _Ledger()
     kill_walls: Dict[int, float] = {}
-    local = threading.local()
 
     def make_clients() -> Dict[str, object]:
         conn = ServiceConnection(cluster.endpoints(0), account, DEV_KEY,
@@ -301,12 +298,6 @@ def run_dn_failover(profile: str = "dn-failover", seed: int = 0, *,
         return {"blob": WireBlobClient(conn),
                 "queue": WireQueueClient(conn),
                 "table": WireTableClient(conn)}
-
-    def pooled_clients() -> Dict[str, object]:
-        clients = getattr(local, "clients", None)
-        if clients is None:
-            clients = local.clients = make_clients()
-        return clients
 
     runner.start()
     try:
@@ -325,45 +316,41 @@ def run_dn_failover(profile: str = "dn-failover", seed: int = 0, *,
                 cluster.set_fault_plan(account,
                                        FaultPlan(other_specs, seed=seed))
 
-            from concurrent.futures import ThreadPoolExecutor
-
             timers: List[threading.Timer] = []
 
             def kill(node: int) -> None:
                 kill_walls[node] = time.monotonic()
                 runner.kill_data_node(node)
 
-            origin = time.monotonic()
-            for spec in crash_specs:
-                t = threading.Timer(spec.start * time_scale, kill,
-                                    [spec.node])
+            def later(at: float, fn, *args) -> None:
+                t = threading.Timer(at * time_scale, fn, args)
                 t.start()
                 timers.append(t)
-            for spec in slow_specs:
-                t_on = threading.Timer(
-                    spec.start * time_scale, runner.set_data_node_slow,
-                    [spec.node, spec.latency_factor])
-                t_on.start()
-                timers.append(t_on)
-                if spec.duration != float("inf"):
-                    t_off = threading.Timer(
-                        spec.end * time_scale, runner.set_data_node_slow,
-                        [spec.node, 0.0])
-                    t_off.start()
-                    timers.append(t_off)
 
-            def run_one(op: DNOp) -> None:
-                outcomes[op.index] = _run_op(
-                    pooled_clients(), op, seed, ledger, drive)
+            def arm_timers() -> None:
+                for spec in crash_specs:
+                    later(spec.start, kill, spec.node)
+                for spec in slow_specs:
+                    later(spec.start, runner.set_data_node_slow,
+                          spec.node, spec.latency_factor)
+                    if spec.duration != float("inf"):
+                        later(spec.end, runner.set_data_node_slow,
+                              spec.node, 0.0)
 
-            with ThreadPoolExecutor(max_workers=max_clients) as pool:
-                for op in ops:
-                    wait = op.at * time_scale - (time.monotonic() - origin)
-                    if wait > 0:
-                        time.sleep(wait)
-                    pool.submit(run_one, op)
-            for t in timers:
-                t.join()
+            def run_one(clients, op: DNOp, _virtual_now) -> None:
+                outcomes[op.index] = _run_op(clients, op, seed, ledger)
+
+            # The load engine's dispatcher: an exception _run_op does not
+            # count as a refused op (a harness or client bug) comes back
+            # out of it and fails the campaign below.
+            try:
+                dispatch_wallclock(
+                    ((op.at, op) for op in ops), run_one, make_clients,
+                    time_scale=time_scale, max_clients=max_clients,
+                    on_origin=arm_timers)
+            finally:
+                for t in timers:
+                    t.join()
 
             membership = cluster.membership
             settled = True
@@ -382,7 +369,7 @@ def run_dn_failover(profile: str = "dn-failover", seed: int = 0, *,
 
             verify_clients = make_clients()
             verdict.violations.extend(
-                _verify_ledger(verify_clients, ledger, seed, drive))
+                _verify_ledger(verify_clients, ledger, seed))
 
             # Bounded unavailability: kill -> heal must fit inside the
             # configured detection window plus a generous migration grace

@@ -54,6 +54,14 @@ _FIGS = {
 }
 
 
+def _jobs(text: str) -> int:
+    """``--jobs N`` counts worker processes: N >= 1, or it is bad usage."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -78,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--checkpoint", metavar="FILE",
                      help="persist each completed sweep cell to FILE and "
                           "resume from it (kill-safe figure campaigns)")
-    fig.add_argument("--jobs", type=int, default=1, metavar="N",
+    fig.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                      help="fan independent sweep cells out over N worker "
                           "processes (default 1: serial; results are "
                           "bit-identical either way)")
@@ -95,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     all_cmd.add_argument("--checkpoint", metavar="FILE",
                          help="persist each completed sweep cell to FILE "
                               "and resume from it")
-    all_cmd.add_argument("--jobs", type=int, default=1, metavar="N",
+    all_cmd.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                          help="fan the whole figure x worker-count cell "
                               "matrix out over N worker processes "
                               "(default 1: serial; bit-identical results)")
@@ -130,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "BENCH_core.json (docs/performance.md)")
     perf.add_argument("--quick", action="store_true",
                       help="CI-smoke budget: time only the fig6 sweep")
-    perf.add_argument("--jobs", type=int, default=None, metavar="N",
+    perf.add_argument("--jobs", type=_jobs, default=None, metavar="N",
                       help="process count for the parallel sweep leg "
                            "(default: all available cores)")
     perf.add_argument("--out", metavar="FILE", default="BENCH_core.json",
@@ -184,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a whole seed matrix instead of one "
                             "--seed; one verdict per seed, exit 1 if any "
                             "fails (figure workloads only)")
-    chaos.add_argument("--jobs", type=int, default=1, metavar="N",
+    chaos.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                        help="run the --seeds matrix over N worker "
                             "processes (each seed is independent, so "
                             "verdicts are identical to serial runs)")

@@ -98,15 +98,16 @@ class StorageCluster:
 
     def inject_outage(self, service: Service, start: float, duration: float,
                       *, partition: Optional[str] = None) -> None:
-        """Schedule an availability outage (compatibility shim).
+        """Schedule an availability outage.
 
         Operations targeting the service (optionally one partition) during
         ``[start, start+duration)`` fail with :class:`ServerBusyError` —
         modelling the storage-stamp incidents the 2012 SLA covered.  The
         paper's retry discipline (sleep 1 s, retry) rides through them.
 
-        This predates :mod:`repro.faults` and now just appends an OUTAGE
-        spec to the installed (or a lazily-created) :class:`FaultPlan`.
+        The short spelling of one OUTAGE :class:`FaultSpec` on the
+        installed (or a lazily-created) :class:`FaultPlan`: callers name
+        a service and a window and never see the spec's fields.
         """
         spec = FaultSpec(
             kind=FaultKind.OUTAGE, service=service.value, partition=partition,
@@ -126,31 +127,6 @@ class StorageCluster:
         if service is Service.CACHE:
             return self.cache_servers
         return self.table_servers
-
-    # -- throttles ----------------------------------------------------------
-    # The throttle windows live on the pipeline's ThrottleInterceptor; these
-    # views keep the cluster's historical surface for tests and diagnostics.
-    @property
-    def account_tx_throttle(self):
-        return self._throttle_stage.account_tx
-
-    @property
-    def account_bw_throttle(self):
-        return self._throttle_stage.account_bw
-
-    @property
-    def _queue_throttles(self):
-        return self._throttle_stage.queue_throttles
-
-    @property
-    def _partition_throttles(self):
-        return self._throttle_stage.partition_throttles
-
-    def _queue_throttle(self, partition: str):
-        return self._throttle_stage.queue_throttle(partition)
-
-    def _partition_throttle(self, partition: str):
-        return self._throttle_stage.partition_throttle(partition)
 
     # -- cost model -------------------------------------------------------
     def base_rtt(self, op: OpDescriptor) -> float:

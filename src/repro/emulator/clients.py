@@ -111,9 +111,6 @@ class EmulatorAccount:
     def _note_busy(self) -> None:
         self.server_busy_count += 1
 
-    def _op(self):
-        return self._lock
-
     def _maybe_sleep(self) -> None:
         if self.latency > 0:
             time.sleep(self.latency)

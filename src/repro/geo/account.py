@@ -39,7 +39,7 @@ from typing import Any, Dict, Optional, Tuple
 from ..cluster import StorageCluster
 from ..cluster.calibration import DEFAULT_CALIBRATION, FabricCalibration
 from ..faults.spec import GEO_KINDS, FaultKind
-from ..pipeline import OpCall, SimExecutor
+from ..pipeline import OpCall
 from ..pipeline.interceptors import (
     GeoRoutingInterceptor,
     GeoSecondaryInterceptor,
@@ -149,7 +149,6 @@ class _SecondaryAccount(SimStorageAccount):
             env, limits=limits, calibration=calibration, seed=seed
         )
         self.cache_state = CacheServiceState(self.state.clock)
-        self.executor = SimExecutor(self.cluster)
         self._op_call = OpCall(
             self.state, self.cache_state,
             now_fn=self.replay_clock.now,

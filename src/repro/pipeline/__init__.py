@@ -2,8 +2,9 @@
 
 One op registry defines the 2012 SDK surface; an ordered interceptor stack
 (auth -> analytics -> faults -> throttles) applies every cross-cutting
-concern on both backends; two thin executors bind the registry to DES
-timing and to blocking threads respectively.
+concern on both backends.  A derived sim client charges the registry's
+descriptors on the DES cluster directly; two thin executors bind the same
+registry to blocking threads and to a data node's event loop.
 """
 
 from .context import OpContext
@@ -19,7 +20,6 @@ from .registry import OPERATIONS, OpCall, OpSpec
 from .executors import (
     AsyncExecutor,
     BlockingExecutor,
-    SimExecutor,
     drive_operation,
 )
 from .clients import (
@@ -42,7 +42,6 @@ __all__ = [
     "OPERATIONS",
     "OpCall",
     "OpSpec",
-    "SimExecutor",
     "BlockingExecutor",
     "AsyncExecutor",
     "drive_operation",

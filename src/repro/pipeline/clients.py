@@ -2,10 +2,12 @@
 
 Both ``Sim*Client`` and ``Emulator*Client`` classes are generated here from
 the single registry in :mod:`repro.pipeline.registry` — one method per
-:class:`~repro.pipeline.registry.OpSpec`, bound to the backend's executor:
+:class:`~repro.pipeline.registry.OpSpec`, bound to what runs it on that
+backend:
 
 * :func:`sim_method` — a simkit **generator method**: prepare, ``yield
-  from`` the DES executor's charge, apply.  Call with ``yield from``.
+  from`` the client's ``cluster.execute(desc)`` (interceptors + cost
+  model in simulated time), apply.  Call with ``yield from``.
 * :func:`blocking_method` — a plain **blocking method** delegating to the
   account's :class:`~repro.pipeline.executors.BlockingExecutor`.
 * :func:`shim_method` — a generator method over the *blocking* executor
@@ -48,7 +50,7 @@ def sim_method(spec: OpSpec) -> Callable:
         gen = body(self._call, *args, **kwargs)
         desc = next(gen)  # prepare: data-plane errors raise before timing
         try:
-            yield from self._executor.charge(desc)
+            yield from self.cluster.execute(desc)
         except BaseException:
             gen.close()
             raise
@@ -65,10 +67,8 @@ def sim_method(spec: OpSpec) -> Callable:
 
 def blocking_method(spec: OpSpec) -> Callable:
     """Plain blocking method over the emulator's executor."""
-    body_spec = spec
-
     def method(self, *args, **kwargs):
-        return self._executor.run(body_spec, self._call, args, kwargs)
+        return self._executor.run(spec, self._call, args, kwargs)
 
     return _describe(method, spec)
 
@@ -79,10 +79,8 @@ def shim_method(spec: OpSpec) -> Callable:
     ``yield from`` on it returns the blocking result immediately, so code
     written for the sim clients drives the emulator unchanged.
     """
-    body_spec = spec
-
     def method(self, *args, **kwargs):
-        return self._executor.run(body_spec, self._call, args, kwargs)
+        return self._executor.run(spec, self._call, args, kwargs)
         yield  # pragma: no cover -- marks this as a generator function
 
     return _describe(method, spec)

@@ -3,8 +3,8 @@
 An executor owns the *how* of a round trip; the operation bodies in
 :mod:`repro.pipeline.registry` own the *what*.
 
-* :class:`SimExecutor` — charges the round trip on the DES fabric:
-  ``charge`` hands back the simkit generator of
+* On the DES there is no executor object: a derived sim client method
+  (:func:`repro.pipeline.clients.sim_method`) ``yield from``s
   :meth:`repro.cluster.model.StorageCluster.execute`, which runs the
   interceptor chain and then the cost model (RTT + partition-server
   occupancy) in simulated time.
@@ -21,10 +21,11 @@ An executor owns the *how* of a round trip; the operation bodies in
 
 The prepare → interceptors → apply sequence itself lives in
 :func:`drive_operation`, a generator shared by the blocking and async
-executors: it yields the seconds of any injected timeout budget and lets
-the caller decide *how* to burn them (``time.sleep``, ``clock.advance``,
-or ``await asyncio.sleep``).  Emulator threads and data-node event loops
-therefore execute byte-for-byte the same state-machine code.
+executors: it yields the seconds of any injected timeout budget.  What
+the two executors add is the wait alone — ``time.sleep`` or ``await
+asyncio.sleep`` — around one burn rule (:func:`_burn_on_clock`) and one
+settle step (:func:`_settle`).  Emulator threads and data-node event
+loops therefore execute byte-for-byte the same state-machine code.
 """
 
 from __future__ import annotations
@@ -34,21 +35,7 @@ import time
 
 from .context import OpContext
 
-__all__ = ["SimExecutor", "BlockingExecutor", "AsyncExecutor",
-           "drive_operation"]
-
-
-class SimExecutor:
-    """DES executor: charge descriptors on a :class:`StorageCluster`."""
-
-    backend = "sim"
-
-    def __init__(self, cluster) -> None:
-        self.cluster = cluster
-
-    def charge(self, desc):
-        """The simkit sub-generator burning the op's simulated round trip."""
-        return self.cluster.execute(desc)
+__all__ = ["BlockingExecutor", "AsyncExecutor", "drive_operation"]
 
 
 def drive_operation(spec, call, args, kwargs, *, pipeline, clock,
@@ -95,6 +82,29 @@ def drive_operation(spec, call, args, kwargs, *, pipeline, clock,
         f"operation body {spec.name!r} yielded more than once")
 
 
+def _burn_on_clock(clock, seconds: float) -> bool:
+    """Burn an injected timeout budget on a clock that can be advanced.
+
+    A :class:`~repro.storage.clock.ManualClock` consumes the budget
+    itself, so tests stay instant; ``False`` means the caller has to
+    wait the seconds out for real.
+    """
+    if hasattr(clock, "advance"):
+        clock.advance(seconds)
+        return True
+    return False
+
+
+def _settle(drive, spec):
+    """Resume a burned :func:`drive_operation` into its timeout raise."""
+    try:
+        drive.send(None)
+    except StopIteration as stop:  # pragma: no cover - defensive
+        return stop.value
+    raise RuntimeError(  # pragma: no cover - drive always raises
+        f"operation body {spec.name!r} survived its timeout")
+
+
 class BlockingExecutor:
     """Emulator executor: lock, run interceptors on the clock, apply."""
 
@@ -103,35 +113,24 @@ class BlockingExecutor:
     def __init__(self, account) -> None:
         self.account = account
 
-    def _burn(self, seconds: float) -> None:
-        """Consume an injected timeout budget on the account's clock."""
-        clock = self.account.state.clock
-        if hasattr(clock, "advance"):
-            clock.advance(seconds)  # ManualClock: tests stay instant
-        else:
-            time.sleep(seconds)
-
     def run(self, spec, call, args, kwargs):
         """Drive one operation body: prepare, pipeline, apply, return."""
         account = self.account
         account._maybe_sleep()
         with account._lock:
+            clock = account.state.clock
             drive = drive_operation(
                 spec, call, args, kwargs,
-                pipeline=account.pipeline, clock=account.state.clock,
+                pipeline=account.pipeline, clock=clock,
                 backend=self.backend,
                 worker=threading.current_thread().name)
             try:
-                burn_seconds = next(drive)
+                seconds = next(drive)
             except StopIteration as stop:
                 return stop.value
-            self._burn(burn_seconds)
-            try:
-                drive.send(None)  # resumes into the timeout raise
-            except StopIteration as stop:  # pragma: no cover - defensive
-                return stop.value
-            raise RuntimeError(  # pragma: no cover - drive always raises
-                f"operation body {spec.name!r} survived its timeout")
+            if not _burn_on_clock(clock, seconds):
+                time.sleep(seconds)
+            return _settle(drive, spec)
 
 
 class AsyncExecutor:
@@ -153,27 +152,17 @@ class AsyncExecutor:
         self.state = state
         self.pipeline = pipeline
 
-    async def _burn(self, seconds: float) -> None:
-        clock = self.state.clock
-        if hasattr(clock, "advance"):
-            clock.advance(seconds)  # ManualClock: tests stay instant
-        else:
-            import asyncio
-            await asyncio.sleep(seconds)
-
     async def run(self, spec, call, args, kwargs, *, worker=None):
+        clock = self.state.clock
         drive = drive_operation(
             spec, call, args, kwargs,
-            pipeline=self.pipeline, clock=self.state.clock,
+            pipeline=self.pipeline, clock=clock,
             backend=self.backend, worker=worker)
         try:
-            burn_seconds = next(drive)
+            seconds = next(drive)
         except StopIteration as stop:
             return stop.value
-        await self._burn(burn_seconds)
-        try:
-            drive.send(None)  # resumes into the timeout raise
-        except StopIteration as stop:  # pragma: no cover - defensive
-            return stop.value
-        raise RuntimeError(  # pragma: no cover - drive always raises
-            f"operation body {spec.name!r} survived its timeout")
+        if not _burn_on_clock(clock, seconds):
+            import asyncio  # the DES backends never load it
+            await asyncio.sleep(seconds)
+        return _settle(drive, spec)

@@ -18,18 +18,18 @@ completes.
 The per-operation method bodies are *not* written here: every class below
 is derived from the shared operation registry
 (:mod:`repro.pipeline.registry`) via
-:func:`repro.pipeline.clients.derive_client_class`, bound to the DES
-executor.  The emulator derives its clients from the same table, which is
-what keeps the two backends semantically identical.
+:func:`repro.pipeline.clients.derive_client_class`, charging the
+account's cluster.  The emulator derives its clients from the same table,
+which is what keeps the two backends semantically identical.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..cluster import OpDescriptor, StorageCluster
+from ..cluster import StorageCluster
 from ..cluster.calibration import DEFAULT_CALIBRATION, FabricCalibration
-from ..pipeline import OpCall, SimExecutor, derive_client_class, sim_method
+from ..pipeline import OpCall, derive_client_class, sim_method
 from ..simkit import Environment
 from ..storage import (
     LIMITS_2012,
@@ -52,9 +52,9 @@ class SimStorageAccount:
     """A storage account bound to a simulated fabric.
 
     Owns the backend-agnostic :class:`StorageAccountState` (driven by the
-    simulation clock), the :class:`StorageCluster` performance model, and
-    the :class:`~repro.pipeline.executors.SimExecutor` that charges every
-    operation through the cluster's interceptor pipeline.
+    simulation clock) and the :class:`StorageCluster` performance model,
+    whose ``execute`` charges every operation through the cluster's
+    interceptor pipeline.
     """
 
     def __init__(self, env: Environment, name: str = "azurebench", *,
@@ -72,7 +72,6 @@ class SimStorageAccount:
         #: The co-located caching service (paper II.B; separate billing, so
         #: it lives beside — not inside — the storage account state).
         self.cache_state = CacheServiceState(self.state.clock)
-        self.executor = SimExecutor(self.cluster)
         self._op_call = OpCall(
             self.state, self.cache_state,
             now_fn=lambda: env.now,
@@ -105,12 +104,7 @@ class _SimClientBase:
         self.env = account.env
         self.cluster = account.cluster
         self.state = account.state
-        self._executor = account.executor
         self._call = account._op_call
-
-    def _charge(self, op: OpDescriptor):
-        """Charge one descriptor on the fabric (back-compat helper)."""
-        yield from self._executor.charge(op)
 
 
 SimBlobClient = derive_client_class(

@@ -8,8 +8,17 @@
   still in flight, which is what makes the load open-loop (a saturated
   fabric accumulates in-flight work instead of throttling the offered
   rate).
-* **emulator / service** — a dispatcher thread releases operations at
-  their (time-scaled) wall-clock instants into a bounded client pool.
+* **emulator / service** — :func:`dispatch_wallclock` releases
+  operations at their (time-scaled) wall-clock instants into a bounded
+  client pool; the DN-failover chaos campaign releases its own seeded
+  workload through the same function.
+
+What an operation *does* is written once, as a sim-style generator
+(``yield from client.op(...)``; :func:`_setup`, :func:`_op_starters`).
+The DES starts it as a :class:`~repro.simkit.Detached` (set-up: a
+process) over sim clients; the wall-clock backends hand it never-yielding
+shim clients (:class:`repro.backend.ShimAccount`, the wire clients of
+:mod:`repro.service.client`) and exhaust it with :func:`_drive`.
 
 The **schedule** — arrival instants from the
 :class:`~repro.traffic.arrivals.ArrivalSpec` plus seeded operation-mix
@@ -31,7 +40,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List,
                     NamedTuple, Optional, Sequence, Tuple)
 
@@ -52,6 +61,7 @@ __all__ = [
     "MIXES",
     "schedule_digest",
     "run_load",
+    "dispatch_wallclock",
 ]
 
 #: Fixed resource names every mix uses.
@@ -212,12 +222,7 @@ def schedule_digest(schedule: Iterable[ScheduledOp],
     return h.hexdigest()
 
 
-# -- operation scripts -------------------------------------------------------
-# One op = a tiny instruction script yielding (method, args, kwargs) steps;
-# the DES interpreter forwards each step with ``yield from`` while the
-# wall-clock interpreter drives it blocking.  Set-up runs as a script on
-# every backend and a scheduled op on the wall-clock ones; the DES loop
-# makes the same calls as plain generators (``_op_starters``).
+# -- operation bodies --------------------------------------------------------
 
 @lru_cache(maxsize=1)
 def _entity_props(nbytes: int) -> Dict[str, str]:
@@ -246,25 +251,12 @@ _ONE_STEP: Dict[Tuple[str, str], Tuple[str, Callable]] = {
 }
 
 
-def _op_script(clients: Dict[str, object], s: ScheduledOp):
-    client = clients[s.service]
-    if (s.service, s.op) == ("queue", "get"):
-        msg = yield (client.get_message, (s.key,),
-                     {"visibility_timeout": 3600.0})
-        if msg is not None:
-            yield (client.delete_message,
-                   (s.key, msg.message_id, msg.pop_receipt), {})
-    else:
-        name, args = _ONE_STEP[s.service, s.op]
-        yield (getattr(client, name), args(s.index, s.key, s.nbytes), {})
-
-
 def _op_starters(clients: Dict[str, object],
                  kinds: Sequence[Tuple[str, str]],
                  sizes: Sequence[int]) -> Tuple[Callable, ...]:
-    """Per mix kind, ``(index, key) -> generator`` making the calls of
-    :func:`_op_script` directly: a one-step kind *is* its derived client
-    method's generator, with no script and no interpreter around it."""
+    """Per mix kind, ``(index, key) -> generator`` of that operation: a
+    one-step kind *is* its client method's generator, with nothing
+    around it."""
     def starter(service: str, op: str, nbytes: int) -> Callable:
         client = clients[service]
         if (service, op) == ("queue", "get"):
@@ -281,67 +273,37 @@ def _op_starters(clients: Dict[str, object],
     return tuple(starter(*kind, n) for kind, n in zip(kinds, sizes))
 
 
-def _setup_script(clients: Dict[str, object], config: LoadConfig):
+def _setup(clients: Dict[str, object], config: LoadConfig):
     """Create the fixed resources and preload read targets."""
     qc, bc, tc = clients["queue"], clients["blob"], clients["table"]
     mix_services = {service for _, service, _ in MIXES[config.mix]}
     if "queue" in mix_services:
-        yield (qc.create_queue, (LOAD_QUEUE,), {})
+        yield from qc.create_queue(LOAD_QUEUE)
         for i in range(min(config.preload, 8)):
-            yield (qc.put_message,
-                   (LOAD_QUEUE, SyntheticContent(config.payload_bytes,
-                                                 seed=-1 - i)), {})
+            yield from qc.put_message(
+                LOAD_QUEUE, SyntheticContent(config.payload_bytes,
+                                             seed=-1 - i))
     if "blob" in mix_services:
-        yield (bc.create_container, (LOAD_CONTAINER,), {})
+        yield from bc.create_container(LOAD_CONTAINER)
         for i in range(config.preload):
-            yield (bc.upload_blob,
-                   (LOAD_CONTAINER, f"obj-{i}",
-                    SyntheticContent(max(1, config.payload_bytes),
-                                     seed=-1 - i)), {})
+            yield from bc.upload_blob(
+                LOAD_CONTAINER, f"obj-{i}",
+                SyntheticContent(max(1, config.payload_bytes), seed=-1 - i))
     if "table" in mix_services:
-        yield (tc.create_table, (LOAD_TABLE,), {})
+        yield from tc.create_table(LOAD_TABLE)
         for i in range(config.preload):
-            yield (tc.insert,
-                   (LOAD_TABLE, LOAD_PARTITION, f"obj-{i}",
-                    _entity_props(config.payload_bytes)), {})
+            yield from tc.insert(LOAD_TABLE, LOAD_PARTITION, f"obj-{i}",
+                                 _entity_props(config.payload_bytes))
 
 
-def _run_script_des(script):
-    """Interpret a script inside the DES (simkit generator)."""
-    try:
-        step = next(script)
-        while True:
-            fn, args, kwargs = step
-            result = yield from fn(*args, **kwargs)
-            step = script.send(result)
-    except StopIteration:
-        return None
-
-
-def _drive(value):
-    """Resolve a client-call result on the wall-clock backends.
-
-    Emulator clients return values directly; the service wire shims are
-    never-yielding generators (so sim-style bodies can ``yield from``
-    them) — exhaust those to their return value.
-    """
-    if not hasattr(value, "send"):
-        return value
+def _drive(gen):
+    """Exhaust a generator over shim clients — one client call, or a
+    body built from them; neither ever yields — to its return value."""
     try:
         while True:
-            next(value)
+            next(gen)
     except StopIteration as stop:
         return stop.value
-
-
-def _run_script_blocking(script) -> None:
-    try:
-        step = next(script)
-        while True:
-            fn, args, kwargs = step
-            step = script.send(_drive(fn(*args, **kwargs)))
-    except StopIteration:
-        return
 
 
 # -- results -----------------------------------------------------------------
@@ -432,7 +394,7 @@ def run_load(config: LoadConfig) -> LoadResult:
             backend, config, schedule, agg)
     elif isinstance(backend, EmulatorBackend):
         outcomes, elapsed = _run_wallclock(
-            config, schedule, agg, _emulator_client_factory(config))
+            config, schedule, agg, _emulator_client_factory())
     elif isinstance(backend, ServiceBackend):
         outcomes, elapsed, disruption = _run_service(config, schedule, agg)
     else:  # pragma: no cover - registry covers all names
@@ -472,16 +434,19 @@ def _resource_usage(wall_s: float,
     return out
 
 
-def _emulator_client_factory(config: LoadConfig) -> Callable[[], Dict]:
+def _clients(account) -> Dict[str, object]:
+    """One client per service of a sim-style account, by service name."""
+    return {"queue": account.queue_client(),
+            "blob": account.blob_client(),
+            "table": account.table_client()}
+
+
+def _emulator_client_factory() -> Callable[[], Dict]:
+    from ..backend import ShimAccount
     from ..emulator import EmulatorAccount
 
-    account = EmulatorAccount()
-
-    def make() -> Dict[str, object]:
-        return {"queue": account.queue_client(),
-                "blob": account.blob_client(),
-                "table": account.table_client()}
-    return make
+    # No env: only role bodies' barriers read a shim client's clock.
+    return partial(_clients, ShimAccount(EmulatorAccount(), None))
 
 
 def _run_service(config: LoadConfig, schedule: FlockSchedule,
@@ -570,58 +535,83 @@ def _run_service(config: LoadConfig, schedule: FlockSchedule,
 def _run_wallclock(config: LoadConfig, schedule: FlockSchedule,
                    agg: StatsAggregator, make_clients: Callable[[], Dict],
                    on_origin: Optional[Callable[[], None]] = None):
-    """Dispatcher + bounded client pool on wall-clock backends.
-
-    Virtual time is wall time since the dispatch origin divided by
-    ``time_scale``; arrivals are released at their scheduled virtual
-    instants, so the offered rate stays open-loop even when every pool
-    thread is busy (queueing shows up as latency, as it should).
-    ``on_origin`` (if given) runs right as the dispatch origin is pinned
-    — the hook the service backend uses to arm its DN-kill timer.
+    """Set-up, then the schedule through :func:`dispatch_wallclock`.
 
     An op that dies on the transport (``OSError``: a socket timeout, a
     reset the connection's one retry did not cure) is recorded as
     failed like any storage error; any other exception fails the run
     once the pool has drained.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    _run_script_blocking(_setup_script(make_clients(), config))
+    _drive(_setup(make_clients(), config))
 
     outcomes: List[Optional[bool]] = [None] * len(schedule)
-    local = threading.local()
+    kind_nbytes, labels = schedule.kind_nbytes, schedule.labels
     lock = threading.Lock()
     last_end = {"t": 0.0}
+
+    def run_op(starters, row, virtual_now) -> None:
+        i, at, k, key = row
+        try:
+            _drive(starters[k](i, key))
+            ok = True
+        except (StorageError, OSError):
+            ok = False
+        outcomes[i] = ok
+        end = virtual_now()
+        with lock:
+            agg.record(at, max(at, end), ok=ok, nbytes=kind_nbytes[k],
+                       operation=labels[k])
+            last_end["t"] = max(last_end["t"], end)
+
+    dispatch_wallclock(
+        ((row[1], row) for row in schedule.rows()), run_op,
+        lambda: _op_starters(make_clients(), schedule.kinds, kind_nbytes),
+        time_scale=config.time_scale, max_clients=config.max_clients,
+        on_origin=on_origin)
+    return outcomes, last_end["t"]
+
+
+def dispatch_wallclock(arrivals: Iterable[Tuple[float, object]],
+                       run_op: Callable, make_local: Callable[[], object],
+                       *, time_scale: float, max_clients: int,
+                       on_origin: Optional[Callable[[], None]] = None
+                       ) -> None:
+    """Release ``(at, op)`` arrivals open-loop on the wall clock.
+
+    Virtual time is wall time since the dispatch origin divided by
+    ``time_scale``; arrivals are released at their scheduled virtual
+    instants into a pool of ``max_clients`` threads, so the offered rate
+    stays open-loop even when every pool thread is busy (queueing shows
+    up as latency, as it should).  ``on_origin`` (if given) runs right
+    as the origin is pinned — the hook that arms kill timers.
+
+    Each pool thread calls ``run_op(local, op, virtual_now)`` with its
+    own ``make_local()`` (connections are not shared between threads).
+    ``run_op`` decides what counts as a refused op; the first exception
+    it lets through is re-raised once the pool has drained.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    local = threading.local()
     origin = time.monotonic()
     if on_origin is not None:
         on_origin()
 
     def virtual_now() -> float:
-        return (time.monotonic() - origin) / config.time_scale
+        return (time.monotonic() - origin) / time_scale
 
-    def run_op(s: ScheduledOp) -> None:
-        clients = getattr(local, "clients", None)
-        if clients is None:
-            clients = local.clients = make_clients()
-        try:
-            _run_script_blocking(_op_script(clients, s))
-            ok = True
-        except (StorageError, OSError):
-            ok = False
-        outcomes[s.index] = ok
-        end = virtual_now()
-        with lock:
-            agg.record(s.at, max(s.at, end), ok=ok, nbytes=s.nbytes,
-                       operation=f"{s.service}.{s.op}")
-            last_end["t"] = max(last_end["t"], end)
+    def run(op) -> None:
+        mine = getattr(local, "made", None)
+        if mine is None:
+            mine = local.made = make_local()
+        run_op(mine, op, virtual_now)
 
     futures = []
-    with ThreadPoolExecutor(max_workers=config.max_clients) as pool:
-        for s in schedule.iter_ops():
-            wait = s.at * config.time_scale - (time.monotonic() - origin)
+    with ThreadPoolExecutor(max_workers=max_clients) as pool:
+        for at, op in arrivals:
+            wait = at * time_scale - (time.monotonic() - origin)
             if wait > 0:
                 time.sleep(wait)
-            futures.append(pool.submit(run_op, s))
+            futures.append(pool.submit(run, op))
     for future in futures:
         future.result()
-    return outcomes, last_end["t"]

@@ -31,8 +31,7 @@ import numpy as np
 
 from ..storage.errors import StorageError
 from .engine import (LOAD_PARTITION, LOAD_QUEUE, MIXES, LoadConfig,
-                     ScheduledOp, _op_starters, _run_script_des,
-                     _setup_script)
+                     ScheduledOp, _clients, _op_starters, _setup)
 
 __all__ = ["FlockSchedule", "build_flock_schedule", "run_flock_des"]
 
@@ -147,12 +146,9 @@ def run_flock_des(backend, config: LoadConfig, flock: FlockSchedule,
     env = Environment()
     account = backend._make_account(
         env, RunConfig(seed=config.seed, label="load"))
-    clients = {"queue": account.queue_client(),
-               "blob": account.blob_client(),
-               "table": account.table_client()}
+    clients = _clients(account)
 
-    setup = env.process(_run_script_des(_setup_script(clients, config)),
-                        name="load-setup")
+    setup = env.process(_setup(clients, config), name="load-setup")
     env.run(until=setup)
     origin = env.now
 

@@ -41,13 +41,12 @@ class TestSweepEquivalence:
         serial = FigureRunner(SCALE)
         parallel = FigureRunner(SCALE, jobs=2)
         parallel.prefetch()
-        for label, attr in FigureRunner._SWEEP_CACHES.items():
-            assert_sweeps_equal(
-                getattr(serial, {"_blob": "blob_sweep",
-                                 "_queue_sep": "queue_separate_sweep",
-                                 "_queue_shared": "queue_shared_sweep",
-                                 "_table": "table_sweep"}[attr])(),
-                getattr(parallel, attr))
+        assert list(parallel._sweeps) == list(SWEEP_BUILDERS)
+        for label, sweep in (("fig4/5", serial.blob_sweep),
+                             ("fig6", serial.queue_separate_sweep),
+                             ("fig7", serial.queue_shared_sweep),
+                             ("fig8", serial.table_sweep)):
+            assert_sweeps_equal(sweep(), parallel._sweeps[label])
 
     def test_all_figures_csv_byte_identical(self):
         serial_csv = figures_csv(FigureRunner(SCALE))
@@ -75,12 +74,12 @@ class TestCheckpointIntegration:
                             checkpoint=RunCheckpoint(path, "k"))
         warm.queue_separate_sweep()
 
-        import repro.bench.figures as figures
+        import repro.bench.executor as executor
 
         def boom(*args, **kwargs):
             raise AssertionError("checkpoint hit re-entered run_bench")
 
-        monkeypatch.setattr(figures, "run_bench", boom)
+        monkeypatch.setattr(executor, "run_bench", boom)
         resumed = FigureRunner(SCALE,
                                checkpoint=RunCheckpoint(path, "k"))
         assert_sweeps_equal(warm.queue_separate_sweep(),
@@ -120,28 +119,52 @@ class TestCheckpointIntegration:
         assert list(runner.queue_separate_sweep()) == list(SCALE.worker_counts)
 
 
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fails the test the moment a sweep opens a process pool."""
+    import repro.bench.executor as executor
+
+    def opened(*args, **kwargs):
+        raise AssertionError("sweep opened a pool")
+
+    monkeypatch.setattr(executor, "ProcessPoolExecutor", opened)
+
+
 class TestParallelEligibility:
-    def test_traced_runner_stays_serial(self):
-        assert not FigureRunner(SCALE, trace=True, jobs=4)._parallel_eligible()
+    """Which runners fan out, told by behaviour: what comes back, and
+    whether a pool was opened to get it."""
 
-    def test_instrumented_runner_stays_serial(self):
-        runner = FigureRunner(SCALE, instrument=lambda account: None, jobs=4)
-        assert not runner._parallel_eligible()
+    def test_traced_runner_stays_serial(self, no_pool):
+        runner = FigureRunner(SCALE, trace=True, jobs=4)
+        runner.table_sweep()
+        assert len(runner.traces()) == len(SCALE.worker_counts)
 
-    def test_backend_instance_stays_serial(self):
+    def test_instrumented_runner_stays_serial(self, no_pool):
+        """The hook is handed live accounts of this process, one a cell."""
+        accounts = []
+        runner = FigureRunner(SCALE, instrument=accounts.append, jobs=4)
+        assert_sweeps_equal(FigureRunner(SCALE).table_sweep(),
+                            runner.table_sweep())
+        assert len(accounts) == len(SCALE.worker_counts)
+        assert all(hasattr(a, "pipeline") for a in accounts)
+
+    def test_backend_instance_stays_serial(self, no_pool):
         from repro.backend import SimBackend
-        assert not FigureRunner(SCALE, backend=SimBackend(),
-                                jobs=4)._parallel_eligible()
+        runner = FigureRunner(SCALE, backend=SimBackend(), jobs=4)
+        assert_sweeps_equal(FigureRunner(SCALE).table_sweep(),
+                            runner.table_sweep())
 
-    def test_jobs_one_or_none_stays_serial(self):
-        assert not FigureRunner(SCALE, jobs=1)._parallel_eligible()
-        assert not FigureRunner(SCALE)._parallel_eligible()
+    def test_jobs_one_or_none_stays_serial(self, no_pool):
+        for jobs in (None, 1):
+            assert list(FigureRunner(SCALE, jobs=jobs).table_sweep()) == \
+                list(SCALE.worker_counts)
 
-    def test_plain_parallel_runner_is_eligible(self):
-        assert FigureRunner(SCALE, jobs=2)._parallel_eligible()
+    def test_plain_parallel_runner_is_eligible(self, no_pool):
+        with pytest.raises(AssertionError, match="opened a pool"):
+            FigureRunner(SCALE, jobs=2).table_sweep()
 
     def test_traced_digest_unchanged_by_jobs(self):
-        """--jobs on a traced run falls back to serial: same span stream."""
+        """--jobs on a traced run stays in-process: same span stream."""
         serial = FigureRunner(SCALE, trace=True)
         jobbed = FigureRunner(SCALE, trace=True, jobs=4)
         serial.queue_separate_sweep()
@@ -149,6 +172,28 @@ class TestParallelEligibility:
         serial_digests = [t.digest() for _, _, t in serial.traces()]
         jobbed_digests = [t.digest() for _, _, t in jobbed.traces()]
         assert serial_digests and serial_digests == jobbed_digests
+
+    def test_arrivals_fan_out_and_match_serial(self, monkeypatch):
+        """An arrival spec is plain data: it travels with its cell, and
+        the staggered figures come back byte-identical."""
+        from repro.traffic import parse_arrival_spec
+        spec = parse_arrival_spec("poisson:25", seed=SCALE.seed)
+        serial_csv = figures_csv(FigureRunner(SCALE, arrivals=spec))
+        assert serial_csv == figures_csv(
+            FigureRunner(SCALE, arrivals=spec, jobs=2))
+        assert serial_csv != figures_csv(FigureRunner(SCALE))
+
+        import repro.bench.executor as executor
+        pools = []
+        real = executor.ProcessPoolExecutor
+
+        def counting(*args, **kwargs):
+            pools.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", counting)
+        FigureRunner(SCALE, arrivals=spec, jobs=2).table_sweep()
+        assert pools == [{"max_workers": 2}]
 
 
 class TestChaosMatrix:

@@ -74,3 +74,32 @@ class TestCampaign:
         assert doc["passed"] is True
         assert doc["schedules"][1]["op_digest"] == workload_digest(
             build_dn_workload(3, rate=5.0, duration=20.0))
+
+    def test_a_client_bug_inside_an_op_fails_the_campaign(self, monkeypatch):
+        """Not a StorageError, not the transport: an exception raised
+        inside one dispatched op is a harness error carrying the partial
+        verdict — not an op that was quietly "not attempted" under a
+        clean zero-loss verdict."""
+        from repro.chaos.verdict import ChaosRunError
+        from repro.service.client import WireTableClient
+
+        real_insert = WireTableClient.insert
+        raised = []
+
+        def insert(self, table, partition, row, props):
+            # Set-up inserts warm-* rows; only a scheduled op writes row-*.
+            if row.startswith("row-") and not raised:
+                raised.append(row)
+                raise TypeError("client bug")
+            return real_insert(self, table, partition, row, props)
+
+        monkeypatch.setattr(WireTableClient, "insert", insert)
+        with pytest.raises(ChaosRunError) as crashed:
+            run_dn_failover("none", 3, dn=2, replicas=1, rate=20.0,
+                            duration=2.0, time_scale=0.05)
+        assert len(raised) == 1
+        assert isinstance(crashed.value.__cause__, TypeError)
+        verdict = crashed.value.verdict
+        assert not verdict.passed
+        assert [v.checker for v in verdict.violations] == ["harness"]
+        assert "TypeError: client bug" in verdict.violations[0].message

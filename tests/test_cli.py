@@ -228,6 +228,40 @@ class TestSeedsParsing:
         assert "2/2 passed" in capsys.readouterr().err
 
 
+class TestJobsFlag:
+    """``--jobs N`` counts worker processes: N < 1 is bad usage (exit 2,
+    one usage line) before any work starts, on every command taking it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fig", "6", "--jobs", "0"],
+        ["all", "--jobs", "-2"],
+        ["chaos", "fig6", "--seeds", "7,8", "--jobs", "0"],
+        ["perf", "--quick", "--jobs", "0"],
+        ["fig", "6", "--jobs", "two"],
+    ])
+    def test_jobs_below_one_is_a_usage_error(self, capsys, monkeypatch,
+                                             argv):
+        import repro.cli as cli
+
+        def ran(*args, **kwargs):
+            raise AssertionError("work started under a bad --jobs")
+
+        monkeypatch.setattr(cli, "FigureRunner", ran)
+        monkeypatch.setattr(cli, "_run_chaos", ran)
+        monkeypatch.setattr(cli, "_run_perf", ran)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --jobs: must be an integer >= 1" in err
+
+    def test_jobs_one_and_up_parse(self):
+        parser = build_parser()
+        assert parser.parse_args(["fig", "6", "--jobs", "3"]).jobs == 3
+        assert parser.parse_args(["perf", "--jobs", "1"]).jobs == 1
+        assert parser.parse_args(["perf"]).jobs is None
+
+
 class TestLoadCommand:
     def test_load_poisson_with_slo(self, capsys, tmp_path):
         out_dir = tmp_path / "load"

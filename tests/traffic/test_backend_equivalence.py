@@ -85,7 +85,7 @@ def test_sim_rerun_is_bit_identical():
 
 def _run_wallclock_with_one_bad_peek(exc):
     """Drive the wall-clock loop with emulator clients whose first
-    ``peek_message`` (an op the setup script never issues) raises."""
+    ``peek_message`` (an op set-up never issues) raises."""
     import threading
 
     from repro.traffic import StatsAggregator
@@ -93,7 +93,7 @@ def _run_wallclock_with_one_bad_peek(exc):
                                       _run_wallclock)
 
     cfg = config(backend="emulator", mix="queue", duration=4.0)
-    make = _emulator_client_factory(cfg)
+    make = _emulator_client_factory()
     first = threading.Lock()
 
     class FlakyQueue:

@@ -268,13 +268,20 @@ class TestEdgeGoldens:
 # -- one definition of what an op does ---------------------------------------
 
 class _Calls:
-    """A stand-in client: every method is a generator recording its call."""
+    """A stand-in client recording its calls.  Sim-style: the call is
+    made when its generator is resumed, as on the DES; shim-style: it is
+    made under the first ``next``, then the generator never yields, as
+    on the wall-clock backends.  A sim-style call yields once, so a body
+    that forgot a ``yield from`` would record nothing."""
 
-    def __init__(self, log):
+    def __init__(self, log, shim):
         self._log = log
+        self._shim = shim
 
     def __getattr__(self, name):
         def method(*args, **kwargs):
+            if not self._shim:
+                yield "round trip"
             self._log.append((name, args, kwargs))
             if name == "get_message" and args[0] == "full":
                 return SimpleNamespace(message_id="m1", pop_receipt="r1")
@@ -286,11 +293,12 @@ class _Calls:
 
 @pytest.mark.parametrize("key", ["full", "empty"])
 def test_starters_make_the_calls_of_the_op_script(key):
-    """``_op_starters`` (DES) and ``_op_script`` (wall-clock backends)
-    issue the same client calls for every kind of every mix, including
+    """The one op body (``_op_starters``) issues the same client calls
+    however it is driven — resumed event by event over sim-style clients
+    (the DES) or exhausted by ``_drive`` over never-yielding shims (the
+    wall-clock backends) — for every kind of every mix, including
     get-then-delete with and without a message."""
-    from repro.traffic.engine import (ScheduledOp, _op_script, _op_starters,
-                                      _run_script_blocking)
+    from repro.traffic.engine import _drive, _op_starters
 
     def shape(log):
         return [(name, [(a.size, a.seed) if hasattr(a, "seed") else a
@@ -300,17 +308,23 @@ def test_starters_make_the_calls_of_the_op_script(key):
     kinds = sorted({(service, op) for mix in MIXES.values()
                     for _, service, op in mix})
     assert len(kinds) == 9
+    calls = 10 if key == "full" else 9
     for nbytes in (0, 512):
-        scripted, started = [], []
-        clients = {s: _Calls(scripted) for s in ("queue", "blob", "table")}
-        for kind in kinds:
-            _run_script_blocking(_op_script(
-                clients, ScheduledOp(7, 0.5, *kind, key, nbytes)))
-        clients = {s: _Calls(started) for s in ("queue", "blob", "table")}
+        simmed, shimmed = [], []
+        clients = {s: _Calls(simmed, shim=False)
+                   for s in ("queue", "blob", "table")}
+        round_trips = 0
         for start in _op_starters(clients, kinds, [nbytes] * len(kinds)):
-            assert list(start(7, key)) == []
-        assert shape(started) == shape(scripted)
-        assert len(started) == (10 if key == "full" else 9)
+            round_trips += len(list(start(7, key)))
+        assert round_trips == calls
+        clients = {s: _Calls(shimmed, shim=True)
+                   for s in ("queue", "blob", "table")}
+        for start in _op_starters(clients, kinds, [nbytes] * len(kinds)):
+            assert _drive(start(7, key)) is None
+        assert shape(simmed) == shape(shimmed)
+        assert len(simmed) == calls
+        names = [name for name, _, _ in simmed]
+        assert names.count("delete_message") == (key == "full")
 
 
 # -- failures ----------------------------------------------------------------
