@@ -9,8 +9,9 @@ Role bodies are written once, in simkit style (``yield from client.op(...)``,
 * :class:`EmulatorBackend` — bodies run in real threads over an
   :class:`~repro.emulator.clients.EmulatorAccount`.  Client calls are bound
   to never-yielding generator shims (so ``yield from`` returns the blocking
-  result immediately) and a per-thread trampoline turns ``env.timeout``
-  yields into scaled wall-clock sleeps.  Timing is wall-clock and therefore
+  result immediately) and :func:`repro.wallclock.exhaust` turns
+  ``env.timeout`` yields into scaled wall-clock sleeps, one thread per
+  worker.  Timing is wall-clock and therefore
   not reproducible — this backend exists to exercise the benchmark bodies
   against the concurrent emulator, not to regenerate the paper's numbers.
 
@@ -29,11 +30,10 @@ from .compute import Deployment
 from .compute.roles import RoleContext
 from .core.metrics import BenchResult, PhaseRecorder, set_phase_hook
 from .emulator import EmulatorAccount
-from .emulator.clients import _EmulatorClientBase
 from .observability import Tracer, sim_worker_resolver, thread_worker_resolver
-from .pipeline import derive_client_class, locked_local_method, shim_method
 from .sim import SimStorageAccount
 from .simkit import Environment
+from .wallclock import ShimAccount, ThreadedEnv, exhaust
 
 __all__ = ["Backend", "SimBackend", "EmulatorBackend", "GeoBackend",
            "ServiceBackend", "BACKENDS", "get_backend"]
@@ -146,113 +146,6 @@ class GeoBackend(SimBackend):
 
 # -- emulator backend --------------------------------------------------------
 
-class _EmulatorTimeout:
-    """Sleep marker yielded by :meth:`ThreadedEnv.timeout`."""
-
-    __slots__ = ("seconds",)
-
-    def __init__(self, seconds: float) -> None:
-        self.seconds = seconds
-
-
-class ThreadedEnv:
-    """The slice of the simkit ``Environment`` surface role bodies use.
-
-    ``now`` is the backend's wall clock (the ``now`` callable, in
-    seconds) in *virtual* seconds, i.e. divided by ``time_scale``;
-    ``timeout`` returns a marker the worker trampoline turns into a
-    scaled ``time.sleep``.  One virtual second therefore costs
-    ``time_scale`` wall seconds everywhere.
-    """
-
-    def __init__(self, now: Callable[[], float], time_scale: float) -> None:
-        self._now = now
-        self.time_scale = time_scale
-
-    @property
-    def now(self) -> float:
-        return self._now() / self.time_scale
-
-    def timeout(self, delay: float = 0.0) -> _EmulatorTimeout:
-        return _EmulatorTimeout(delay)
-
-
-_SHIM_DOC = "Emulator client whose methods are never-yielding generators."
-
-_ShimBlobClient = derive_client_class(
-    "_ShimBlobClient", "blob", _EmulatorClientBase,
-    method_factory=shim_method, local_factory=locked_local_method,
-    doc=_SHIM_DOC)
-_ShimQueueClient = derive_client_class(
-    "_ShimQueueClient", "queue", _EmulatorClientBase,
-    method_factory=shim_method, local_factory=locked_local_method,
-    doc=_SHIM_DOC)
-_ShimTableClient = derive_client_class(
-    "_ShimTableClient", "table", _EmulatorClientBase,
-    method_factory=shim_method, local_factory=locked_local_method,
-    doc=_SHIM_DOC)
-_ShimCacheClient = derive_client_class(
-    "_ShimCacheClient", "cache", _EmulatorClientBase,
-    method_factory=shim_method, local_factory=locked_local_method,
-    doc=_SHIM_DOC)
-
-
-class ShimAccount:
-    """An emulator account dressed up as a :class:`SimStorageAccount`.
-
-    Its clients are generator shims, so sim-style bodies (``yield from
-    client.op(...)``) drive the thread-safe emulator unchanged.
-    """
-
-    _CLIENTS = {
-        "blob_client": _ShimBlobClient,
-        "queue_client": _ShimQueueClient,
-        "table_client": _ShimTableClient,
-        "cache_client": _ShimCacheClient,
-    }
-
-    def __init__(self, account: EmulatorAccount, env: ThreadedEnv) -> None:
-        self.emulator = account
-        self.env = env
-        self.state = account.state
-        self.cache_state = account.cache_state
-        self.pipeline = account.pipeline
-
-    def _make(self, kind: str):
-        client = self._CLIENTS[kind](self.emulator)
-        client.env = self.env  # QueueBarrier's fallback clock source
-        return client
-
-    def blob_client(self):
-        return self._make("blob_client")
-
-    def queue_client(self):
-        return self._make("queue_client")
-
-    def table_client(self):
-        return self._make("table_client")
-
-    def cache_client(self):
-        return self._make("cache_client")
-
-
-def _trampoline(gen, env: ThreadedEnv):
-    """Drive one role body to completion on the current thread."""
-    try:
-        value = next(gen)
-        while True:
-            if not isinstance(value, _EmulatorTimeout):
-                raise TypeError(
-                    f"emulator backend cannot wait on {value!r}; role "
-                    f"bodies may only yield env.timeout(...) sleeps and "
-                    f"client calls")
-            if value.seconds > 0:
-                time.sleep(value.seconds * env.time_scale)
-            value = gen.send(None)
-    except StopIteration as stop:
-        return stop.value
-
-
 def _run_threaded(body_factory, config, env: ThreadedEnv, account,
                   tracing) -> BenchResult:
     """Run ``config.workers`` role bodies, one thread each, to completion.
@@ -272,7 +165,7 @@ def _run_threaded(body_factory, config, env: ThreadedEnv, account,
             account=account, vm_size=config.vm_size, role_name="azurebench",
         )
         try:
-            results[role_id] = _trampoline(body(ctx), env)
+            results[role_id] = exhaust(body(ctx), env.time_scale)
         except BaseException as exc:  # surfaced after join
             failures.append(exc)
 
@@ -337,28 +230,23 @@ class _ServiceShimAccount:
         self.env = env
         self._next = 0
 
-    def _connection(self):
-        from .service.client import ServiceConnection
+    def _make(self, service: str):
+        from .service.client import ServiceConnection, wire_clients
         endpoints = self._endpoints_for(self._next)
         self._next += 1
-        return ServiceConnection(endpoints, self._account, self._key)
-
-    def _make(self, cls):
-        client = cls(self._connection())
+        client = wire_clients(ServiceConnection(
+            endpoints, self._account, self._key))[service]
         client.env = self.env  # QueueBarrier's fallback clock source
         return client
 
     def blob_client(self):
-        from .service.client import WireBlobClient
-        return self._make(WireBlobClient)
+        return self._make("blob")
 
     def queue_client(self):
-        from .service.client import WireQueueClient
-        return self._make(WireQueueClient)
+        return self._make("queue")
 
     def table_client(self):
-        from .service.client import WireTableClient
-        return self._make(WireTableClient)
+        return self._make("table")
 
     def cache_client(self):
         raise NotImplementedError(

@@ -35,7 +35,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..faults.spec import DN_KINDS, FaultKind
 from ..storage.errors import StorageError
-from ..traffic.engine import _drive as drive, dispatch_wallclock
+from ..traffic.engine import dispatch_wallclock
+from ..wallclock import exhaust
 from .invariants import Violation
 from .schedule import build_schedule
 from .verdict import ChaosRunError, ChaosVerdict
@@ -141,23 +142,23 @@ def _run_op(clients, op: DNOp, seed: int, ledger: _Ledger) -> bool:
     try:
         if op.kind == "blob.upload":
             data = _payload(seed, op.index)
-            drive(bc.upload_blob(DN_CONTAINER, op.key, data))
+            exhaust(bc.upload_blob(DN_CONTAINER, op.key, data))
             with ledger.lock:
                 ledger.blobs[op.key] = _md5(data)
         elif op.kind == "blob.download":
-            drive(bc.download_block_blob(DN_CONTAINER, op.key))
+            exhaust(bc.download_block_blob(DN_CONTAINER, op.key))
         elif op.kind == "queue.put":
             data = _payload(seed, op.index, 96)
-            drive(qc.put_message(DN_QUEUE, data))
+            exhaust(qc.put_message(DN_QUEUE, data))
             with ledger.lock:
                 ledger.queue.append(_md5(data))
         elif op.kind == "table.insert":
             value = f"v{seed}:{op.index}"
-            drive(tc.insert(DN_TABLE, DN_PARTITION, op.key, {"v": value}))
+            exhaust(tc.insert(DN_TABLE, DN_PARTITION, op.key, {"v": value}))
             with ledger.lock:
                 ledger.rows[op.key] = value
         elif op.kind == "table.get":
-            drive(tc.get(DN_TABLE, DN_PARTITION, op.key))
+            exhaust(tc.get(DN_TABLE, DN_PARTITION, op.key))
         else:  # pragma: no cover - builder emits only known kinds
             raise ValueError(f"unknown op kind {op.kind!r}")
         return True
@@ -174,7 +175,7 @@ def _verify_ledger(clients, ledger: _Ledger, seed: int) -> List[Violation]:
     bc, qc, tc = clients["blob"], clients["queue"], clients["table"]
     for name, digest in sorted(ledger.blobs.items()):
         try:
-            body = _to_bytes(drive(bc.download_block_blob(
+            body = _to_bytes(exhaust(bc.download_block_blob(
                 DN_CONTAINER, name)))
         except StorageError as exc:
             violations.append(Violation(
@@ -187,7 +188,7 @@ def _verify_ledger(clients, ledger: _Ledger, seed: int) -> List[Violation]:
                 f"committed blob {name!r} corrupted after failover"))
     for key, value in sorted(ledger.rows.items()):
         try:
-            entity = drive(tc.get(DN_TABLE, DN_PARTITION, key))
+            entity = exhaust(tc.get(DN_TABLE, DN_PARTITION, key))
         except StorageError as exc:
             violations.append(Violation(
                 "dn-table-loss",
@@ -200,7 +201,7 @@ def _verify_ledger(clients, ledger: _Ledger, seed: int) -> List[Violation]:
                 f"committed row {key!r} holds {got!r}, expected {value!r}"))
     drained: List[str] = []
     while True:
-        msg = drive(qc.get_message(DN_QUEUE, visibility_timeout=3600.0))
+        msg = exhaust(qc.get_message(DN_QUEUE, visibility_timeout=3600.0))
         if msg is None:
             break
         drained.append(_md5(_to_bytes(msg.content)))
@@ -241,8 +242,7 @@ def run_dn_failover(profile: str = "dn-failover", seed: int = 0, *,
     stderr and the optional ``windows_csv`` artifact, never the verdict.
     """
     from ..service import DEV_KEY, TenantConfig, TenantDirectory
-    from ..service.client import (ServiceConnection, WireBlobClient,
-                                  WireQueueClient, WireTableClient)
+    from ..service.client import ServiceConnection, wire_clients
     from ..service.cluster import ClusterRunner, ServiceCluster
     from ..service.membership import FailureDomainConfig
 
@@ -278,10 +278,7 @@ def run_dn_failover(profile: str = "dn-failover", seed: int = 0, *,
         "dn_slows": len(slow_specs),
     }
 
-    config = FailureDomainConfig(
-        replicas=replicas, health_checks=True, heartbeat_interval=0.1,
-        suspect_after=1, dead_after=3, heartbeat_timeout=0.5,
-        hedge_delay=0.05, retry_after=0.25, seed=seed)
+    config = FailureDomainConfig.kill_test(replicas, seed)
     tenants = TenantDirectory(
         [TenantConfig.development(enforce_targets=False)])
     cluster = ServiceCluster(nodes=1, dn=dn, tenants=tenants,
@@ -293,23 +290,20 @@ def run_dn_failover(profile: str = "dn-failover", seed: int = 0, *,
     kill_walls: Dict[int, float] = {}
 
     def make_clients() -> Dict[str, object]:
-        conn = ServiceConnection(cluster.endpoints(0), account, DEV_KEY,
-                                 busy_retries=6)
-        return {"blob": WireBlobClient(conn),
-                "queue": WireQueueClient(conn),
-                "table": WireTableClient(conn)}
+        return wire_clients(ServiceConnection(
+            cluster.endpoints(0), account, DEV_KEY, busy_retries=6))
 
     runner.start()
     try:
         try:
             clients = make_clients()
-            drive(clients["blob"].create_container(DN_CONTAINER))
-            drive(clients["queue"].create_queue(DN_QUEUE))
-            drive(clients["table"].create_table(DN_TABLE))
+            exhaust(clients["blob"].create_container(DN_CONTAINER))
+            exhaust(clients["queue"].create_queue(DN_QUEUE))
+            exhaust(clients["table"].create_table(DN_TABLE))
             for j in range(PRELOAD):
-                drive(clients["blob"].upload_blob(
+                exhaust(clients["blob"].upload_blob(
                     DN_CONTAINER, f"warm-{j}", _payload(seed, -1 - j)))
-                drive(clients["table"].insert(
+                exhaust(clients["table"].insert(
                     DN_TABLE, DN_PARTITION, f"warm-{j}", {"v": f"warm{j}"}))
             if other_specs:
                 from ..faults.plan import FaultPlan

@@ -15,7 +15,6 @@ Usage (also available as ``python -m repro``)::
     python -m repro chaos taskpool --profile lossy-queue --crashes 2
     python -m repro chaos --profile region-outage --seeds 7,11
     python -m repro geo --profile geo-failover --failover forced
-    python -m repro perf --quick         # kernel + sweep perf, BENCH_core.json
     python -m repro load --process poisson --rate 25 --slo "p95=250ms"
     python -m repro load --find-knee --slo "p95=150ms" --out load/
 
@@ -131,26 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit = sub.add_parser(
         "audit", help="run only the paper-vs-measured audit table")
     audit.add_argument("--full", action="store_true")
-
-    perf = sub.add_parser(
-        "perf", help="performance harness: kernel events/sec + sweep "
-                     "wall-clock serial vs --jobs, written to "
-                     "BENCH_core.json (docs/performance.md)")
-    perf.add_argument("--quick", action="store_true",
-                      help="CI-smoke budget: time only the fig6 sweep")
-    perf.add_argument("--jobs", type=_jobs, default=None, metavar="N",
-                      help="process count for the parallel sweep leg "
-                           "(default: all available cores)")
-    perf.add_argument("--out", metavar="FILE", default="BENCH_core.json",
-                      help="where to write the measurements "
-                           "(default: BENCH_core.json)")
-    perf.add_argument("--baseline", metavar="FILE",
-                      help="compare kernel events/sec against this "
-                           "committed BENCH_core.json; exit 1 on a drop "
-                           "beyond --tolerance")
-    perf.add_argument("--tolerance", type=float, default=0.30,
-                      help="allowed fractional drop vs baseline "
-                           "(default 0.30)")
 
     faults = sub.add_parser(
         "faults", help="fault-injection profiles (chaos runs)")
@@ -742,28 +721,6 @@ def _run_geo(args) -> int:
         return 1
 
 
-def _run_perf(args) -> int:
-    from .bench.perf import check_regression, load_bench, run_perf, \
-        write_bench
-
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = load_bench(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load baseline: {exc}", file=sys.stderr)
-            return 2
-    doc = run_perf(quick=args.quick, jobs=args.jobs, baseline=baseline)
-    write_bench(doc, args.out)
-    print(f"wrote {args.out}")
-    if baseline is not None and not check_regression(
-            doc, baseline, tolerance=args.tolerance):
-        print("error: kernel throughput regressed beyond tolerance",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _run_serve(args) -> int:
     import signal
     import threading
@@ -1011,9 +968,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "geo":
         return _run_geo(args)
-
-    if args.command == "perf":
-        return _run_perf(args)
 
     if args.command == "serve":
         return _run_serve(args)

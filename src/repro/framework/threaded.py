@@ -1,11 +1,14 @@
 """The Section III task-pool protocol on real threads (emulator backend).
 
-The simulated framework (:mod:`repro.framework.taskpool`) proves the
-protocol's behaviour at scale; this module runs the *same protocol* —
-task-assignment queue, termination-indicator queue, stop queue, visibility
-timeouts — with ``threading`` workers against the thread-safe emulator, so
-applications can be developed and debugged locally exactly as they would
-run simulated.
+An adapter, not a second implementation: the protocol — task-assignment
+queues, termination-indicator queue, stop queue, visibility timeouts,
+poison cutoff, retry policy and deadline — is written once, as
+:class:`~repro.framework.taskpool.TaskPoolApp`'s role bodies.  Here those
+bodies run over :class:`~repro.wallclock.ShimAccount` clients, the web
+role on the calling thread and each worker role on a thread of its own,
+every one exhausted by :func:`repro.wallclock.exhaust`, so applications
+can be developed and debugged locally exactly as they would run
+simulated.  Every interval in the config is a wall-clock second here.
 
 Handlers here are plain callables (no generators): ``handler(payload) ->
 bytes | None``.
@@ -14,13 +17,13 @@ bytes | None``.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Callable, List, Optional, Sequence
 
+from ..compute import SMALL
+from ..compute.roles import RoleContext
 from ..emulator import EmulatorAccount
-from ..resilience import FixedBackoff
-from ..storage.errors import RETRYABLE_ERRORS, MessageNotFoundError
-from .taskpool import TaskPoolConfig, TaskResult
+from ..wallclock import ShimAccount, ThreadedEnv, exhaust
+from .taskpool import TaskPoolApp, TaskPoolConfig, TaskResult
 
 __all__ = ["ThreadedTaskPool"]
 
@@ -38,127 +41,65 @@ class ThreadedTaskPool:
         self.account = account
         self.config = config
         self.handler = handler
-        self.results: List[TaskResult] = []
-        self._results_lock = threading.Lock()
+
+        def handle(ctx, payload):
+            return handler(payload)
+            yield  # pragma: no cover -- marks this as a generator function
+
+        self._app = TaskPoolApp(config, handle)
+        self.results: List[TaskResult] = self._app.results
         self.processed_per_worker: List[int] = []
 
-    # -- plumbing ---------------------------------------------------------
-    def _setup(self) -> None:
-        qc = self.account.queue_client()
-        for i in range(self.config.task_queues):
-            qc.create_queue(self.config.task_queue_name(i))
-        qc.create_queue(self.config.termination_queue_name)
-        qc.create_queue(self.config.stop_queue_name)
-        if self.config.collect_results:
-            qc.create_queue(self.config.results_queue_name)
-        if self.config.max_dequeue_count is not None:
-            qc.create_queue(self.config.poison_queue_name)
-
-    def _with_retry(self, fn):
-        """Paper discipline on real threads: back off (wall clock) and
-        retry, under the configured policy when one is set."""
-        policy = self.config.retry_policy or FixedBackoff()
-        attempt = 0
-        while True:
-            try:
-                return fn()
-            except RETRYABLE_ERRORS as exc:
-                attempt += 1
-                delay = policy.backoff(attempt, exc, now=time.monotonic())
-                if delay is None:  # policy gave up (e.g. budget exhausted)
-                    raise
-                time.sleep(delay)
-
-    # -- worker thread ---------------------------------------------------
-    def _worker(self, wid: int) -> None:
-        qc = self.account.queue_client()
-        config = self.config
-        processed = 0
-        queue_index = wid % config.task_queues
-        while True:
-            got_task = False
-            for attempt in range(config.task_queues):
-                queue = config.task_queue_name(
-                    (queue_index + attempt) % config.task_queues)
-                msg = self._with_retry(lambda q=queue: qc.get_message(
-                    q, visibility_timeout=config.visibility_timeout))
-                if msg is None:
-                    continue
-                got_task = True
-                cutoff = config.max_dequeue_count
-                if cutoff is not None and msg.dequeue_count > cutoff:
-                    self._with_retry(lambda m=msg: qc.put_message(
-                        config.poison_queue_name, m.content))
-                    self._with_retry(lambda: qc.put_message(
-                        config.termination_queue_name, b"poisoned"))
-                    self._with_retry(lambda q=queue, m=msg: qc.delete_message(
-                        q, m.message_id, m.pop_receipt))
-                    continue
-                result = self.handler(msg.content.to_bytes())
-                if config.collect_results and result is not None:
-                    self._with_retry(lambda r=result: qc.put_message(
-                        config.results_queue_name, r))
-                self._with_retry(lambda: qc.put_message(
-                    config.termination_queue_name, b"done"))
-                try:
-                    self._with_retry(lambda q=queue, m=msg: qc.delete_message(
-                        q, m.message_id, m.pop_receipt))
-                except MessageNotFoundError:
-                    pass  # re-delivered elsewhere; at-least-once
-                processed += 1
-                break
-            if not got_task:
-                stop = self._with_retry(lambda: qc.peek_message(
-                    config.stop_queue_name))
-                if stop is not None:
-                    break
-                time.sleep(config.idle_poll_interval)
-        with self._results_lock:
-            self.processed_per_worker.append(processed)
-
-    # -- driver ------------------------------------------------------------
     def run(self, tasks: Sequence[bytes], *, workers: int = 4,
             poll_interval: float = 0.05) -> List[TaskResult]:
-        """Submit tasks, run worker threads to completion, collect results."""
+        """Submit tasks, run worker threads to completion, collect results.
+
+        The first exception out of any role is re-raised here, once every
+        worker thread has stopped.  A failed worker fails the web role at
+        its next sleep, and a failed web role retires the workers (they
+        leave between tasks), so no thread is left polling a stop queue
+        nobody will write.
+        """
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self._setup()
-        qc = self.account.queue_client()
-        config = self.config
+        env = ThreadedEnv(self.account.state.clock.now, 1.0)
+        account = ShimAccount(self.account, env)
 
-        threads = [threading.Thread(target=self._worker, args=(w,),
-                                    name=f"taskpool-worker-{w}")
-                   for w in range(workers)]
+        def context(role_name: str, role_id: int) -> RoleContext:
+            return RoleContext(env, role_id, workers, account, SMALL,
+                               role_name)
+
+        contexts = [context("workers", w) for w in range(workers)]
+        worker_body = self._app.worker_role_body()
+        failures: List[BaseException] = []
+
+        def work(ctx: RoleContext) -> None:
+            try:
+                self.processed_per_worker.append(exhaust(worker_body(ctx)))
+            except BaseException as exc:  # re-raised by run() after join
+                failures.append(exc)
+
+        def until_failure(body):
+            for sleep in body:
+                if failures:
+                    raise failures[0]
+                yield sleep
+
+        threads = [threading.Thread(target=work, args=(ctx,),
+                                    name=f"taskpool-worker-{ctx.role_id}")
+                   for ctx in contexts]
         for t in threads:
             t.start()
-
-        tasks = [bytes(t) for t in tasks]
-        for i, payload in enumerate(tasks):
-            queue = config.task_queue_name(i % config.task_queues)
-            self._with_retry(lambda q=queue, p=payload: qc.put_message(q, p))
-
-        # Web-role loop: poll the termination indicator.
-        while True:
-            done = self._with_retry(lambda: qc.get_message_count(
-                config.termination_queue_name))
-            if done >= len(tasks):
-                break
-            time.sleep(poll_interval)
-
-        if config.collect_results:
-            for _ in range(len(tasks)):
-                msg = self._with_retry(lambda: qc.get_message(
-                    config.results_queue_name,
-                    visibility_timeout=config.visibility_timeout))
-                if msg is None:
-                    break
-                with self._results_lock:
-                    self.results.append(TaskResult(msg.content.to_bytes()))
-                self._with_retry(lambda m=msg: qc.delete_message(
-                    config.results_queue_name, m.message_id, m.pop_receipt))
-
-        self._with_retry(lambda: qc.put_message(config.stop_queue_name,
-                                                b"stop"))
-        for t in threads:
-            t.join()
+        try:
+            exhaust(until_failure(self._app.web_role_body(
+                tasks, poll_interval=poll_interval)(context("web", 0))))
+        except BaseException:
+            for ctx in contexts:
+                ctx.retire_requested = True
+            raise
+        finally:
+            for t in threads:
+                t.join()
+        if failures:
+            raise failures[0]
         return list(self.results)

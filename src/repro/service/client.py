@@ -37,6 +37,7 @@ __all__ = [
     "WireBlobClient",
     "WireQueueClient",
     "WireTableClient",
+    "wire_clients",
 ]
 
 
@@ -268,3 +269,10 @@ WireTableClient = derive_client_class(
     method_factory=_wire_shim_method, local_factory=_wire_local_method,
     doc=_WIRE_DOC)
 WireTableClient.kind = "table"
+
+
+def wire_clients(connection: ServiceConnection) -> Dict[str, Any]:
+    """The blob, queue and table clients of one connection, by service."""
+    return {"blob": WireBlobClient(connection),
+            "queue": WireQueueClient(connection),
+            "table": WireTableClient(connection)}

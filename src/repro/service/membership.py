@@ -98,6 +98,15 @@ class FailureDomainConfig:
         if self.retry_after <= 0:
             raise ValueError("retry_after must be > 0")
 
+    @classmethod
+    def kill_test(cls, replicas: int, seed: int) -> "FailureDomainConfig":
+        """Health checks that declare a killed DN dead in well under a
+        wall second: what ``repro load --kill-dn`` and the dn-failover
+        campaign run their clusters on."""
+        return cls(replicas=replicas, health_checks=True,
+                   heartbeat_interval=0.1, suspect_after=1, dead_after=3,
+                   heartbeat_timeout=0.5, retry_after=0.25, seed=seed)
+
 
 #: Transport-level failures a replica call can die of (vs. a StorageError,
 #: which is a *successful* round trip reporting a storage-level outcome).

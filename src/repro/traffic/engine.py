@@ -17,8 +17,9 @@ What an operation *does* is written once, as a sim-style generator
 (``yield from client.op(...)``; :func:`_setup`, :func:`_op_starters`).
 The DES starts it as a :class:`~repro.simkit.Detached` (set-up: a
 process) over sim clients; the wall-clock backends hand it never-yielding
-shim clients (:class:`repro.backend.ShimAccount`, the wire clients of
-:mod:`repro.service.client`) and exhaust it with :func:`_drive`.
+shim clients (:class:`repro.wallclock.ShimAccount`, the wire clients of
+:mod:`repro.service.client`) and exhaust it with
+:func:`repro.wallclock.exhaust`.
 
 The **schedule** — arrival instants from the
 :class:`~repro.traffic.arrivals.ArrivalSpec` plus seeded operation-mix
@@ -296,16 +297,6 @@ def _setup(clients: Dict[str, object], config: LoadConfig):
                                  _entity_props(config.payload_bytes))
 
 
-def _drive(gen):
-    """Exhaust a generator over shim clients — one client call, or a
-    body built from them; neither ever yields — to its return value."""
-    try:
-        while True:
-            next(gen)
-    except StopIteration as stop:
-        return stop.value
-
-
 # -- results -----------------------------------------------------------------
 
 @dataclass
@@ -442,8 +433,8 @@ def _clients(account) -> Dict[str, object]:
 
 
 def _emulator_client_factory() -> Callable[[], Dict]:
-    from ..backend import ShimAccount
     from ..emulator import EmulatorAccount
+    from ..wallclock import ShimAccount
 
     # No env: only role bodies' barriers read a shim client's clock.
     return partial(_clients, ShimAccount(EmulatorAccount(), None))
@@ -460,17 +451,14 @@ def _run_service(config: LoadConfig, schedule: FlockSchedule,
     kill) and the detection/heal timings.
     """
     from ..service import DEV_KEY, TenantConfig, TenantDirectory
-    from ..service.client import (ServiceConnection, WireBlobClient,
-                                  WireQueueClient, WireTableClient)
+    from ..service.client import ServiceConnection, wire_clients
     from ..service.cluster import ClusterRunner, ServiceCluster
     from ..service.membership import FailureDomainConfig
 
     failure_domain = None
     if config.replicas > 1 or config.kill_dn is not None:
-        failure_domain = FailureDomainConfig(
-            replicas=config.replicas, health_checks=True,
-            heartbeat_interval=0.1, suspect_after=1, dead_after=3,
-            heartbeat_timeout=0.5, retry_after=0.25, seed=config.seed)
+        failure_domain = FailureDomainConfig.kill_test(
+            config.replicas, config.seed)
     tenants = TenantDirectory([TenantConfig.development()])
     cluster = ServiceCluster(nodes=1, dn=config.dn, tenants=tenants,
                              failure_domain=failure_domain)
@@ -482,10 +470,8 @@ def _run_service(config: LoadConfig, schedule: FlockSchedule,
         account = tenants.accounts()[0]
 
         def make() -> Dict[str, object]:
-            conn = ServiceConnection(cluster.endpoints(0), account, DEV_KEY)
-            return {"queue": WireQueueClient(conn),
-                    "blob": WireBlobClient(conn),
-                    "table": WireTableClient(conn)}
+            return wire_clients(
+                ServiceConnection(cluster.endpoints(0), account, DEV_KEY))
 
         def on_origin() -> None:
             nonlocal timer
@@ -542,7 +528,9 @@ def _run_wallclock(config: LoadConfig, schedule: FlockSchedule,
     failed like any storage error; any other exception fails the run
     once the pool has drained.
     """
-    _drive(_setup(make_clients(), config))
+    from ..wallclock import exhaust
+
+    exhaust(_setup(make_clients(), config))
 
     outcomes: List[Optional[bool]] = [None] * len(schedule)
     kind_nbytes, labels = schedule.kind_nbytes, schedule.labels
@@ -552,7 +540,7 @@ def _run_wallclock(config: LoadConfig, schedule: FlockSchedule,
     def run_op(starters, row, virtual_now) -> None:
         i, at, k, key = row
         try:
-            _drive(starters[k](i, key))
+            exhaust(starters[k](i, key))
             ok = True
         except (StorageError, OSError):
             ok = False

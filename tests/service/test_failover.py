@@ -23,7 +23,8 @@ from repro.service.client import (ServiceConnection, WireBlobClient,
 from repro.service.cluster import ClusterRunner, ServiceCluster
 from repro.service.membership import FailureDomainConfig, NodeState
 from repro.storage.errors import StorageError
-from repro.traffic.engine import LoadConfig, _drive as drive
+from repro.traffic.engine import LoadConfig
+from repro.wallclock import exhaust as drive
 
 CONTAINER, QUEUE, TABLE, PARTITION = "cont", "failq", "failt", "fd"
 

@@ -236,7 +236,6 @@ class TestJobsFlag:
         ["fig", "6", "--jobs", "0"],
         ["all", "--jobs", "-2"],
         ["chaos", "fig6", "--seeds", "7,8", "--jobs", "0"],
-        ["perf", "--quick", "--jobs", "0"],
         ["fig", "6", "--jobs", "two"],
     ])
     def test_jobs_below_one_is_a_usage_error(self, capsys, monkeypatch,
@@ -248,7 +247,6 @@ class TestJobsFlag:
 
         monkeypatch.setattr(cli, "FigureRunner", ran)
         monkeypatch.setattr(cli, "_run_chaos", ran)
-        monkeypatch.setattr(cli, "_run_perf", ran)
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
@@ -258,8 +256,16 @@ class TestJobsFlag:
     def test_jobs_one_and_up_parse(self):
         parser = build_parser()
         assert parser.parse_args(["fig", "6", "--jobs", "3"]).jobs == 3
-        assert parser.parse_args(["perf", "--jobs", "1"]).jobs == 1
-        assert parser.parse_args(["perf"]).jobs is None
+        assert parser.parse_args(["all", "--jobs", "1"]).jobs == 1
+
+
+def test_perf_is_not_a_command(capsys):
+    """``benchmarks/suite/run.py`` is the perf harness; ``repro perf``
+    is gone, as bad usage rather than a silent no-op."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["perf", "--quick"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'perf'" in capsys.readouterr().err
 
 
 class TestLoadCommand:

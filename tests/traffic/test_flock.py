@@ -295,10 +295,11 @@ class _Calls:
 def test_starters_make_the_calls_of_the_op_script(key):
     """The one op body (``_op_starters``) issues the same client calls
     however it is driven — resumed event by event over sim-style clients
-    (the DES) or exhausted by ``_drive`` over never-yielding shims (the
+    (the DES) or exhausted by ``exhaust`` over never-yielding shims (the
     wall-clock backends) — for every kind of every mix, including
     get-then-delete with and without a message."""
-    from repro.traffic.engine import _drive, _op_starters
+    from repro.traffic.engine import _op_starters
+    from repro.wallclock import exhaust
 
     def shape(log):
         return [(name, [(a.size, a.seed) if hasattr(a, "seed") else a
@@ -320,7 +321,7 @@ def test_starters_make_the_calls_of_the_op_script(key):
         clients = {s: _Calls(shimmed, shim=True)
                    for s in ("queue", "blob", "table")}
         for start in _op_starters(clients, kinds, [nbytes] * len(kinds)):
-            assert _drive(start(7, key)) is None
+            assert exhaust(start(7, key)) is None
         assert shape(simmed) == shape(shimmed)
         assert len(simmed) == calls
         names = [name for name, _, _ in simmed]
