@@ -72,6 +72,7 @@ def test_ycsb_workloads(benchmark):
     reads = fig.get("read").values
     assert max(reads) < 1.5 * min(r for r in reads if r > 0)
 
-    # Updates dominate A's cost (they are the dearest table op, Fig 8).
+    # Updates dominate A's cost (the YCSB face of claim
+    # fig8_query_cheapest_update_dearest: update is the dearest table op).
     updates = fig.get("update").values
     assert updates[0] > reads[0]

@@ -6,11 +6,13 @@ Run with::
     pytest benchmarks/ --benchmark-only --jobs 4   # parallel sweeps
     AZUREBENCH_FULL=1 pytest benchmarks/ --benchmark-only   # paper scale
 
-Each bench regenerates one table/figure of the paper, prints the series
-(use ``-s`` to see them mid-run; they also land in the captured output),
-and asserts the paper's qualitative claims about that figure.  ``--jobs``
-fans the sweeps behind the figures over a process pool; the numbers are
-byte-identical to a serial run (docs/performance.md), only faster.
+``bench_paper_claims.py`` regenerates every table/figure of the paper,
+prints the series (use ``-s`` to see them mid-run; they also land in the
+captured output), and holds each to its rows of the claims table
+(``repro.bench.paper.CLAIMS``); the other benches are ablations beyond the
+paper's figures.  ``--jobs`` fans the sweeps behind the figures over a
+process pool; the numbers are byte-identical to a serial run
+(docs/performance.md), only faster.
 """
 
 from __future__ import annotations
@@ -31,11 +33,6 @@ def runner(request) -> FigureRunner:
     """One FigureRunner per session so figures share cached sweeps."""
     return FigureRunner(active_scale(),
                         jobs=request.config.getoption("--jobs"))
-
-
-@pytest.fixture(scope="session")
-def scale():
-    return active_scale()
 
 
 def emit(fig) -> None:

@@ -12,7 +12,7 @@ from .figures import (
     build_body_factory,
     figure_table1,
 )
-from .paper import PAPER_ANCHORS, PaperAnchor, qualitative_claims
+from .paper import CLAIMS, Claim, PAPER_ANCHORS, PaperAnchor, qualitative_claims
 from .reportgen import generate_report
 from .report import FigureData, Series, format_table
 
@@ -31,6 +31,8 @@ __all__ = [
     "FigureData",
     "Series",
     "format_table",
+    "CLAIMS",
+    "Claim",
     "PAPER_ANCHORS",
     "PaperAnchor",
     "qualitative_claims",

@@ -1,9 +1,9 @@
-"""Paper-vs-measured comparison: anchors and qualitative claims.
+"""Paper-vs-measured comparison: the claims table, evaluated.
 
-Turns a :class:`~repro.bench.figures.FigureRunner`'s sweeps into a verdict
-table — for each number the paper reports, the measured value, the ratio,
-and whether the qualitative claim behind the figure holds.  Used by the
-``EXPERIMENTS.md`` generator and by the reproduction-audit test.
+Turns a :class:`~repro.bench.figures.FigureRunner`'s campaign into one
+:class:`ComparisonRow` per row of :data:`repro.bench.paper.CLAIMS`: the
+measured value, its margin against the claim's band, and whether the claim
+holds or why this scale cannot evaluate it.  No finding is stated here.
 """
 
 from __future__ import annotations
@@ -11,28 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..core import (
-    OP_GET,
-    OP_INSERT,
-    OP_PEEK,
-    OP_PUT,
-    OP_QUERY,
-    OP_UPDATE,
-    PHASE_BLOCK_FULL_DOWNLOAD,
-    PHASE_BLOCK_SEQ_DOWNLOAD,
-    PHASE_BLOCK_UPLOAD,
-    PHASE_PAGE_RANDOM_DOWNLOAD,
-    PHASE_PAGE_UPLOAD,
-    phase_name,
-    shared_phase_name,
-    table_phase_name,
-)
-from ..storage import KB
 from .figures import FigureRunner
-from .paper import PAPER_ANCHORS
+from .paper import CLAIMS, Claim, Figures, INF
 from .report import format_table
 
-__all__ = ["ComparisonRow", "compare_to_paper", "comparison_table"]
+__all__ = ["ComparisonRow", "compare_to_paper", "comparison_table", "evaluate"]
 
 
 @dataclass
@@ -44,150 +27,70 @@ class ComparisonRow:
     paper_value: Optional[float]
     measured: float
     unit: str
-    holds: bool
-    note: str = ""
+    holds: bool  # False only for a claim that was evaluated and failed
+    note: str = ""  # why not, for a claim the scale cannot evaluate
+    #: How far inside its band the measurement is (``>= 1`` holds); ``None``
+    #: for a claim that was not evaluated.
+    margin: Optional[float] = None
 
     @property
     def ratio(self) -> Optional[float]:
-        if self.paper_value in (None, 0):
+        if self.paper_value in (None, 0) or self.margin is None:
             return None
         return self.measured / self.paper_value
 
 
+def _margin(quantity: float, band) -> float:
+    lo, hi = band
+    return min(quantity / lo if lo else INF, hi / quantity if quantity else INF)
+
+
+def evaluate(claim: Claim, runner: FigureRunner) -> ComparisonRow:
+    """One claim against ``runner``'s campaign (runs only the sweeps behind
+    the figures the claim reads)."""
+    top = runner.scale.worker_counts[-1]
+    saturated = claim.strict is not None and top >= claim.strict_from
+    why = claim.unmet(runner.scale)
+    if not why and claim.holds is None and not saturated:
+        why = f"needs a sweep reaching {claim.strict_from} workers, top is {top}"
+    if why:
+        return ComparisonRow(claim.id, claim.text, claim.paper_value,
+                             float("nan"), claim.unit, True, why)
+    got = claim.measure(Figures(runner))
+    printed, *quantities = got if isinstance(got, tuple) else (got, got)
+    margins = [_margin(quantities[0], claim.holds)] if claim.holds else []
+    if saturated:
+        margins.append(_margin(quantities[-1], claim.strict))
+    margin = min(margins)
+    return ComparisonRow(claim.id, claim.text, claim.paper_value, printed,
+                         claim.unit, margin >= 1, margin=margin)
+
+
 def compare_to_paper(runner: FigureRunner) -> List[ComparisonRow]:
-    """Evaluate every anchor and shape claim against the runner's sweeps.
-
-    Anchor throughputs are compared at the sweep's top worker count; the
-    paper measured at 96, so with a quick-scale runner expect ratios below
-    one — the *holds* flag for anchors therefore checks the ratio only when
-    the sweep reaches 96 workers, and always checks the shape claims.
-    """
-    rows: List[ComparisonRow] = []
-    scale = runner.scale
-    top = scale.worker_counts[-1]
-    at_paper_scale = top >= 96
-    blob = runner.blob_sweep()[top]
-    qsep = runner.queue_separate_sweep()
-    qshared = runner.queue_shared_sweep()
-    table = runner.table_sweep()
-
-    def anchor_row(key, phase, note=""):
-        anchor = PAPER_ANCHORS[key]
-        measured = blob.phase(phase).throughput_mb_per_s
-        holds = True
-        if at_paper_scale:
-            ratio = measured / anchor.value
-            holds = 0.5 <= ratio <= 1.5
-        rows.append(ComparisonRow(
-            key=key, description=anchor.quote[:60] + "…",
-            paper_value=anchor.value, measured=measured, unit="MB/s",
-            holds=holds, note=note or f"at {top} workers"))
-
-    anchor_row("blob_max_download_mbps", PHASE_BLOCK_FULL_DOWNLOAD)
-    anchor_row("blob_max_upload_mbps", PHASE_PAGE_UPLOAD)
-    anchor_row("blob_block_upload_mbps", PHASE_BLOCK_UPLOAD)
-    anchor_row("blob_page_chunk_download_mbps", PHASE_PAGE_RANDOM_DOWNLOAD)
-    anchor_row("blob_block_chunk_download_mbps", PHASE_BLOCK_SEQ_DOWNLOAD)
-
-    # -- shape claims ----------------------------------------------------
-    def claim(key, description, measured, holds, unit="", note=""):
-        rows.append(ComparisonRow(key=key, description=description,
-                                  paper_value=None, measured=measured,
-                                  unit=unit, holds=holds, note=note))
-
-    page_up = blob.phase(PHASE_PAGE_UPLOAD).throughput_mb_per_s
-    block_up = blob.phase(PHASE_BLOCK_UPLOAD).throughput_mb_per_s
-    # The ~3x gap is a saturation effect; below 96 workers only the
-    # ordering is required.
-    gap_holds = (1.8 <= page_up / block_up <= 4.5 if at_paper_scale
-                 else page_up > block_up)
-    claim("fig4_upload_page_gt_block",
-          "page upload ~3x block upload (at saturation)",
-          page_up / block_up, gap_holds, unit="ratio")
-
-    rand = blob.phase(PHASE_PAGE_RANDOM_DOWNLOAD).throughput_mb_per_s
-    seq = blob.phase(PHASE_BLOCK_SEQ_DOWNLOAD).throughput_mb_per_s
-    claim("fig5_block_gt_page", "sequential block > random page reads",
-          seq / rand, seq > rand, unit="ratio")
-
-    def pick(ladder, preferred=32 * KB):
-        return preferred if preferred in ladder else ladder[len(ladder) // 2]
-
-    size = pick(scale.queue_message_sizes)
-    tsize = pick(scale.table_entity_sizes)
-    q_top = qsep[top]
-    peek = q_top.phase(phase_name(OP_PEEK, size)).mean_worker_time
-    put = q_top.phase(phase_name(OP_PUT, size)).mean_worker_time
-    get = q_top.phase(phase_name(OP_GET, size)).mean_worker_time
-    claim("fig6_peek_lt_put_lt_get", "Peek < Put < Get", get / peek,
-          peek < put < get, unit="get/peek")
-
-    if {8 * KB, 16 * KB, 32 * KB} <= set(scale.queue_message_sizes):
-        g16 = q_top.phase(phase_name(OP_GET, 16 * KB)).mean_worker_time
-        g8 = q_top.phase(phase_name(OP_GET, 8 * KB)).mean_worker_time
-        g32 = q_top.phase(phase_name(OP_GET, 32 * KB)).mean_worker_time
-        claim("fig6_get_16k_anomaly", "16 KB Get slower than 8 and 32 KB",
-              g16 / max(g8, g32), g16 > g8 and g16 > g32, unit="ratio")
-
-    lo_think = scale.shared_think_times[0]
-    hi_think = scale.shared_think_times[-1]
-    get_lo = qshared[top].phase(
-        shared_phase_name(OP_GET, lo_think)).mean_worker_time
-    get_hi = qshared[top].phase(
-        shared_phase_name(OP_GET, hi_think)).mean_worker_time
-    # Think-time relief is a contention effect: it needs enough workers on
-    # the shared queue to matter.  Below saturation only require "no harm".
-    think_ratio = get_lo / get_hi if get_hi else 1.0
-    think_holds = (think_ratio > 1.15 if at_paper_scale
-                   else get_hi <= get_lo * 1.10)
-    claim("fig7_think_time_helps",
-          "longer think time lowers shared-queue op time (under contention)",
-          think_ratio, think_holds,
-          unit="ratio", note=f"think {lo_think:g}s vs {hi_think:g}s")
-
-    t_top = table[top]
-    tq = t_top.phase(table_phase_name(OP_QUERY, tsize)).mean_worker_time
-    tu = t_top.phase(table_phase_name(OP_UPDATE, tsize)).mean_worker_time
-    ti = t_top.phase(table_phase_name(OP_INSERT, tsize)).mean_worker_time
-    claim("fig8_query_cheapest_update_dearest",
-          "query cheapest, update dearest", tu / tq,
-          tq < ti < tu, unit="update/query")
-
-    lo_w = scale.worker_counts[0]
-    big_size = max(scale.table_entity_sizes)
-    small_size = min(scale.table_entity_sizes)
-    big_growth = (
-        table[top].phase(table_phase_name(OP_UPDATE, big_size)).mean_worker_time
-        / table[lo_w].phase(table_phase_name(OP_UPDATE, big_size)).mean_worker_time)
-    small_growth = (
-        table[top].phase(table_phase_name(OP_UPDATE, small_size)).mean_worker_time
-        / table[lo_w].phase(table_phase_name(OP_UPDATE, small_size)).mean_worker_time)
-    claim("fig8_big_entities_blow_up",
-          "largest entity size grows with workers more than smallest",
-          big_growth / small_growth, big_growth > small_growth,
-          unit="growth ratio")
-
-    q_growth = (qsep[top].phase(phase_name(OP_GET, size)).mean_op_time
-                / qsep[lo_w].phase(phase_name(OP_GET, size)).mean_op_time)
-    t_growth = (table[top].phase(table_phase_name(OP_UPDATE, tsize)).mean_op_time
-                / table[lo_w].phase(table_phase_name(OP_UPDATE, tsize)).mean_op_time)
-    claim("fig9_queue_scales_better",
-          "queue per-op time grows less than table per-op time",
-          t_growth / q_growth, t_growth >= q_growth, unit="ratio")
-
-    return rows
+    """Evaluate every row of the claims table against the runner's sweeps
+    (the scale rule — which form applies from how many workers — is the
+    table's: ``Claim.strict_from``)."""
+    return [evaluate(claim, runner) for claim in CLAIMS]
 
 
 def comparison_table(rows: List[ComparisonRow]) -> str:
-    """Render comparison rows as an aligned text table."""
-    out = [["claim / anchor", "paper", "measured", "ratio", "holds"]]
+    """Render comparison rows as an aligned text table, the reasons of the
+    n/a rows and the "H hold, K n/a of T" verdict line."""
+    out = [["claim / anchor", "paper", "measured", "ratio", "margin", "holds"]]
+    skipped = [row for row in rows if row.margin is None]
     for row in rows:
+        evaluated = row.margin is not None
         out.append([
             row.key,
             f"{row.paper_value:g} {row.unit}" if row.paper_value is not None
             else "(shape)",
-            f"{row.measured:.3g} {row.unit}",
+            f"{row.measured:.3g} {row.unit}" if evaluated else "-",
             f"{row.ratio:.2f}" if row.ratio is not None else "-",
-            "yes" if row.holds else "NO",
+            f"{row.margin:.2f}" if evaluated else "-",
+            "n/a" if not evaluated else "yes" if row.holds else "NO",
         ])
-    return format_table(out)
+    held = sum(row.holds for row in rows) - len(skipped)
+    return "\n".join(
+        [format_table(out), ""]
+        + [f"  n/a {row.key}: {row.note}" for row in skipped]
+        + [f"{held} checks hold, {len(skipped)} n/a of {len(rows)}."])

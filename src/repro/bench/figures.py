@@ -200,6 +200,23 @@ def build_body_factory(scale: BenchScale, label: str) -> Callable[[], Callable]:
     return builder(scale)
 
 
+def pick_size(ladder: Tuple[int, ...], preferred: int = 32 * KB) -> int:
+    """The size Fig 9 and the single-size claims read: 32 KB (the paper's
+    shared-queue message size) when the ladder has it, else its middle."""
+    return preferred if preferred in ladder else ladder[len(ladder) // 2]
+
+
+def size_label(size: int) -> str:
+    """Series name of one message/entity size in Figs 6 and 8."""
+    return f"{size // KB} KB"
+
+
+def think_label(think: float) -> str:
+    """Series name of one think time in Fig 7 (``:g``, as the phase key:
+    distinct times, distinct names)."""
+    return f"think {think:g}s"
+
+
 def figure_table1() -> FigureData:
     """Table I: VM configurations of Windows Azure roles."""
     fig = FigureData(
@@ -381,7 +398,7 @@ class FigureRunner:
                 panel, f"Queue benchmarks, separate queue per worker - "
                        f"{op.capitalize()} Message", "workers", workers)
             for size in self.scale.queue_message_sizes:
-                fig.add(f"{size // KB} KB",
+                fig.add(size_label(size),
                         [sweep[w].phase(phase_name(op, size)).mean_worker_time
                          for w in workers],
                         unit="s")
@@ -399,7 +416,7 @@ class FigureRunner:
                 panel, f"Queue benchmarks, single shared queue - "
                        f"{op.capitalize()} Message (32 KB)", "workers", workers)
             for think in self.scale.shared_think_times:
-                fig.add(f"think {think:.0f}s",
+                fig.add(think_label(think),
                         [sweep[w].phase(
                             shared_phase_name(op, think)).mean_worker_time
                          for w in workers],
@@ -418,7 +435,7 @@ class FigureRunner:
                 panel, f"Table storage - {op.capitalize()}",
                 "workers", workers)
             for size in self.scale.table_entity_sizes:
-                fig.add(f"{size // KB} KB",
+                fig.add(size_label(size),
                         [sweep[w].phase(
                             table_phase_name(op, size)).mean_worker_time
                          for w in workers],
@@ -434,19 +451,16 @@ class FigureRunner:
         the division of total time taken by all the worker roles to finish
         that operation, and the number of workers."
         """
-        def pick(ladder, preferred=32 * KB):
-            return preferred if preferred in ladder else ladder[len(ladder) // 2]
-
         if queue_size is None:
-            queue_size = pick(self.scale.queue_message_sizes)
+            queue_size = pick_size(self.scale.queue_message_sizes)
         if table_size is None:
-            table_size = pick(self.scale.table_entity_sizes)
+            table_size = pick_size(self.scale.table_entity_sizes)
         qsweep = self.queue_separate_sweep()
         tsweep = self.table_sweep()
         workers = list(qsweep)
         fig = FigureData(
             "Fig 9", "Per-operation time, Queue (put/peek/get) vs Table "
-                     f"(insert/query/update/delete) at {queue_size // KB} KB",
+                     f"(insert/query/update/delete) at {size_label(queue_size)}",
             "workers", workers)
         for op in (OP_PUT, OP_PEEK, OP_GET):
             fig.add(f"queue {op}",
@@ -462,14 +476,15 @@ class FigureRunner:
                     unit="ms/op")
         return fig
 
+    def panels(self, number: str) -> List[FigureData]:
+        """The panels of Fig ``number`` ("4" .. "9") as a list, in order."""
+        made = getattr(self, f"figure{number}")()
+        if isinstance(made, FigureData):
+            return [made]
+        return list(made.values() if isinstance(made, dict) else made)
+
     def all_figures(self) -> List[FigureData]:
         """Every figure, in paper order (runs all sweeps)."""
         self.prefetch()
-        f4a, f4b = self.figure4()
-        f5a, f5b = self.figure5()
-        out = [figure_table1(), f4a, f4b, f5a, f5b]
-        out.extend(self.figure6().values())
-        out.extend(self.figure7().values())
-        out.extend(self.figure8().values())
-        out.append(self.figure9())
-        return out
+        return [figure_table1()] + [fig for number in "456789"
+                                    for fig in self.panels(number)]

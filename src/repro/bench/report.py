@@ -39,6 +39,8 @@ class FigureData:
                 f"series {name!r} has {len(values)} values for "
                 f"{len(self.x_values)} x points"
             )
+        if any(s.name == name for s in self.series):
+            raise ValueError(f"{self.figure_id} already has a series {name!r}")
         s = Series(name, values, unit)
         self.series.append(s)
         return s

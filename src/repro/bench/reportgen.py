@@ -20,8 +20,7 @@ from ..core import (
 )
 from ..storage import KB
 from .compare import compare_to_paper, comparison_table
-from .figures import BenchScale, FigureRunner, figure_table1
-from .paper import qualitative_claims
+from .figures import BenchScale, FigureRunner
 
 __all__ = ["generate_report"]
 
@@ -42,16 +41,7 @@ def generate_report(runner: Optional[FigureRunner] = None, *,
     w("=" * 72 + "\n\n")
 
     # -- figures -------------------------------------------------------------
-    figures = [figure_table1()]
-    f4a, f4b = runner.figure4()
-    f5a, f5b = runner.figure5()
-    figures += [f4a, f4b, f5a, f5b]
-    figures += list(runner.figure6().values())
-    figures += list(runner.figure7().values())
-    figures += list(runner.figure8().values())
-    figures.append(runner.figure9())
-
-    for fig in figures:
+    for fig in runner.all_figures():
         w(fig.to_text() + "\n")
         if charts and len(fig.x_values) >= 2 and fig.series and \
                 not isinstance(fig.x_values[0], str):
@@ -62,11 +52,7 @@ def generate_report(runner: Optional[FigureRunner] = None, *,
     w("-" * 72 + "\n")
     w("Paper-vs-measured audit\n")
     w("-" * 72 + "\n")
-    rows = compare_to_paper(runner)
-    w(comparison_table(rows) + "\n")
-    holds = sum(1 for r in rows if r.holds)
-    w(f"\n{holds}/{len(rows)} checks hold "
-      f"({len(qualitative_claims())} claims catalogued).\n\n")
+    w(comparison_table(compare_to_paper(runner)) + "\n\n")
 
     # -- analysis --------------------------------------------------------
     w("-" * 72 + "\n")

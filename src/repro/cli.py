@@ -33,11 +33,11 @@ from typing import List, Optional
 
 from .backend import BACKENDS
 from .bench import (
+    CLAIMS,
     FigureRunner,
     PAPER_SCALE,
     QUICK_SCALE,
     figure_table1,
-    qualitative_claims,
 )
 
 __all__ = ["main", "build_parser"]
@@ -395,20 +395,6 @@ def _emit(fig, csv_dir: Optional[str]) -> None:
             f.write(fig.to_csv())
 
 
-def _figures_for(runner: FigureRunner, number: str) -> List:
-    if number == "4":
-        return list(runner.figure4())
-    if number == "5":
-        return list(runner.figure5())
-    if number == "6":
-        return list(runner.figure6().values())
-    if number == "7":
-        return list(runner.figure7().values())
-    if number == "8":
-        return list(runner.figure8().values())
-    return [runner.figure9()]
-
-
 def _write_manifest(path: str, scale, backend, figure: str, *,
                     trace: bool = False) -> None:
     """Record run provenance next to CSV/trace artifacts."""
@@ -436,7 +422,7 @@ def _run_trace(args) -> int:
 
     scale = PAPER_SCALE if args.full else QUICK_SCALE
     runner = FigureRunner(scale, backend=args.backend, trace=True)
-    for fig in _figures_for(runner, number):
+    for fig in runner.panels(number):
         print(fig.to_text())
         print()
 
@@ -954,9 +940,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "claims":
-        for key, claim in qualitative_claims().items():
-            print(f"  {key}:")
-            print(f"      {claim}")
+        for claim in CLAIMS:
+            print(f"  {claim.id}  ({claim.where}):")
+            print(f"      {claim.text}")
         return 0
 
     if args.command == "table1":
@@ -1000,7 +986,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_trace(args)
 
     if args.command == "fig":
-        for fig in _figures_for(runner, args.number):
+        for fig in runner.panels(args.number):
             _emit(fig, csv_dir)
         if csv_dir:
             _write_manifest(os.path.join(csv_dir, "manifest.json"),
@@ -1031,9 +1017,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .bench.compare import compare_to_paper, comparison_table
         rows = compare_to_paper(runner)
         print(comparison_table(rows))
-        failing = [r for r in rows if not r.holds]
-        print(f"\n{len(rows) - len(failing)}/{len(rows)} checks hold.")
-        return 1 if failing else 0
+        return 0 if all(row.holds for row in rows) else 1
 
     return 2  # pragma: no cover - argparse enforces the choices
 

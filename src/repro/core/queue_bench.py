@@ -147,8 +147,10 @@ class SharedQueueBenchConfig:
 
 
 def shared_phase_name(op: str, think_time: float) -> str:
-    """Phase key for one (operation, think time) cell, e.g. ``get_think2``."""
-    return f"{op}_think{int(think_time)}"
+    """Phase key for one (operation, think time) cell, e.g. ``get_think2``
+    (``get_think1.4`` for a fractional think time: distinct times, distinct
+    phases)."""
+    return f"{op}_think{think_time:g}"
 
 
 def shared_queue_bench_body(config: SharedQueueBenchConfig):

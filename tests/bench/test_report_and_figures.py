@@ -134,7 +134,7 @@ class TestFigureRunner:
         figs = runner.figure7()
         assert set(figs) == {"Fig 7a", "Fig 7b", "Fig 7c"}
         for fig in figs.values():
-            assert {s.name for s in fig.series} == {"think 0s", "think 1s"}
+            assert {s.name for s in fig.series} == {"think 0.5s", "think 1s"}
 
     def test_figure8_panels(self, runner):
         figs = runner.figure8()
