@@ -23,7 +23,7 @@ import re
 import socket
 import time
 from typing import Any, Dict, Mapping, Tuple
-from urllib.parse import quote
+from urllib.parse import quote, unquote
 
 from ..pipeline import OpSpec, derive_client_class
 from ..storage.errors import StorageError
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-#: What a request-target may not carry (names are not URL-quoted here).
+#: What a request-target may not carry (the wire table escapes names).
 _NOT_IN_TARGET = re.compile(r"[\x00-\x20\x7f]")
 
 
@@ -112,8 +112,9 @@ class ServiceConnection:
         headers["x-ms-version"] = WIRE_VERSION
         signable = dict(headers)
         signable["Content-Length"] = str(len(call.body))
+        # Signed as the server reads it: the path percent-decoded.
         headers["Authorization"] = sharedkey.sign_request(
-            self.account, self.key, call.method, path, query,
+            self.account, self.key, call.method, unquote(path), query,
             signable, table_flavor=(call.service == "table"))
         target = path
         if query:

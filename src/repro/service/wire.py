@@ -1,19 +1,22 @@
-"""The Azurite-compatible wire subset: request/response codecs.
+"""The Azurite-compatible wire subset: one route table, both directions.
 
-One module owns both directions of the wire so they cannot drift:
+Every registry operation the wire carries is one :class:`Route` of
+:data:`ROUTES`: method and path template, the fixed discriminators that
+tell it from its neighbours (``comp=block``, ``peekonly=true``), where
+each parameter of the registry op travels (path, query, header or body)
+in which codec, the reply as a pair (the server's encoder, the client's
+parser), the admission-time :class:`~repro.cluster.ops.OpDescriptor`
+rule and the routing.  Both directions are derived from that table:
 
-* **server side** — :func:`decode_request` turns a parsed
-  :class:`~repro.service.httpd.HttpRequest` into a :class:`DecodedOp`:
-  the registry operation to run, its routing (single shard, broadcast,
-  or fan-out+merge), the admission-time
-  :class:`~repro.cluster.ops.OpDescriptor` the service node's tenant
-  pipeline charges, and the closure that encodes the Python result back
-  into an HTTP response;
-* **client side** — :data:`ENCODERS` maps each ``(client, op)`` of the
-  registry surface to a builder producing the HTTP exchange for that
-  call, plus the parser that reconstructs the op's normal Python return
-  value from the response.  :class:`repro.backend.ServiceBackend`
-  derives its client classes from these encoders.
+* **client side** — :data:`ENCODERS` maps each ``(client, op)`` to its
+  route's :meth:`~Route.encode`, which builds the :class:`WireCall` (the
+  HTTP exchange plus the parser of its reply); the service backend's
+  client classes are derived from these encoders;
+* **server side** — :func:`decode_request` tells a request path's shape
+  with one regex per service and tries the routes of that method and
+  shape in table order; the first that takes the request gives the
+  :class:`DecodedOp` (registry call, routing, descriptor, and the
+  closure encoding the result).
 
 The subset follows the 2012-era REST API as Azurite models it (XML
 error and message bodies, OData-style entity JSON, ``x-ms-*`` headers);
@@ -29,15 +32,21 @@ from __future__ import annotations
 import base64
 import email.utils
 import functools
+import inspect
 import json
 import math
+import operator
 import re
+import string
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, NamedTuple,
+                    Optional, Tuple)
+from urllib.parse import quote
 from xml.sax.saxutils import escape
 
 from ..cluster.ops import OpDescriptor, OpKind, Service
+from ..pipeline import OPERATIONS
 from ..storage import errors as storage_errors
 from ..storage.content import BytesContent, Content, as_content
 from ..storage.errors import (
@@ -56,6 +65,7 @@ __all__ = [
     "DecodedOp",
     "WireCall",
     "ENCODERS",
+    "ROUTES",
     "UnsupportedVersionError",
     "UnknownResourceError",
     "decode_request",
@@ -250,15 +260,24 @@ def _xml_body(root: ET.Element) -> bytes:
     return (_XML_DECL + ET.tostring(root, encoding="unicode")).encode("utf-8")
 
 
+def _json_bytes(doc: Any) -> bytes:
+    return json.dumps(doc).encode("utf-8")
+
+
 def _content_bytes(data: Any) -> bytes:
     return as_content(data).to_bytes()
 
 
-def _parse_range(req: HttpRequest) -> Optional[Tuple[int, int]]:
+def _content_size(result: Any) -> int:
+    return result.size if result is not None else 0
+
+
+def _sizes(items: Any) -> int:
+    return sum(item.size for item in items)
+
+
+def _parse_range(raw: str) -> Tuple[int, int]:
     """``bytes=a-b`` (inclusive) -> ``(offset, length)``."""
-    raw = req.header("x-ms-range") or req.header("range")
-    if not raw:
-        return None
     match = re.fullmatch(r"bytes=(\d+)-(\d+)", raw.strip())
     if not match:
         raise InvalidOperationError(f"unsupported Range {raw!r}")
@@ -281,6 +300,10 @@ def _parse_names_xml(kind: str, body: bytes) -> List[str]:
     root = ET.fromstring(body.decode("utf-8"))
     return [el.findtext("Name") or ""
             for el in root.iter(kind)]
+
+
+def _merge_names(results: List[List[str]]) -> List[str]:
+    return sorted({name for names in results for name in names})
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +376,18 @@ def _parse_messages_xml(body: bytes) -> List[QueueMessage]:
     return out
 
 
+def _message_body(data) -> bytes:
+    """A put or update request's ``<QueueMessage>``."""
+    text = base64.b64encode(_content_bytes(data)).decode("ascii")
+    return (f"{_XML_DECL}<QueueMessage>{_el('MessageText', text)}"
+            f"</QueueMessage>").encode("utf-8")
+
+
+def _queue_text(body: bytes) -> Content:
+    root = ET.fromstring(body.decode("utf-8"))
+    return BytesContent(base64.b64decode(root.findtext("MessageText") or ""))
+
+
 # ---------------------------------------------------------------------------
 # Entity JSON codec (OData minimal-metadata style)
 # ---------------------------------------------------------------------------
@@ -407,15 +442,6 @@ def decode_entity(doc: Mapping[str, Any]) -> Entity:
     )
 
 
-def _json_response(status: int, payload: Any,
-                   headers: Optional[List[Tuple[str, str]]] = None
-                   ) -> HttpResponse:
-    hdrs = list(headers or [])
-    hdrs.append(("Content-Type", "application/json;odata=minimalmetadata"))
-    return HttpResponse(status, hdrs,
-                        json.dumps(payload).encode("utf-8"))
-
-
 def _odata_quote(value: str) -> str:
     return value.replace("'", "''")
 
@@ -424,17 +450,27 @@ def _odata_unquote(value: str) -> str:
     return value.replace("''", "'")
 
 
-#: ``/table(PartitionKey='pk',RowKey='rk')`` — quotes may contain ``''``.
-_ENTITY_PATH = re.compile(
-    r"^([^(]+)\(PartitionKey='((?:[^']|'')*)',RowKey='((?:[^']|'')*)'\)$")
-
 #: ``PartitionKey eq 'pk'`` optionally ``and (<inner filter>)``.
 _PARTITION_FILTER = re.compile(
     r"^PartitionKey eq '((?:[^']|'')*)'(?: and \((.*)\))?$")
 
 
+def _merge_query(results: List[QueryResult], *, top: Optional[int],
+                 continuation: Optional[Tuple[str, str]]) -> QueryResult:
+    """Re-page the shards' unpaged scans exactly like one table would."""
+    entities = sorted(
+        (e for r in results for e in r.entities), key=lambda e: e.key)
+    if continuation is not None:
+        continuation = tuple(continuation)  # type: ignore[assignment]
+        entities = [e for e in entities if e.key > continuation]
+    if top is not None and len(entities) > top:
+        return QueryResult(entities[:top],
+                           continuation=entities[top - 1].key)
+    return QueryResult(entities, continuation=None)
+
+
 # ---------------------------------------------------------------------------
-# The decoded server-side operation
+# The two ends' views of one operation
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -460,507 +496,6 @@ class DecodedOp:
     result_nbytes: Optional[Callable[[Any], int]] = None
 
 
-def _desc(service: Service, kind: OpKind, partition: str, *,
-          nbytes: int = 0, units: int = 1,
-          block_count: int = 0) -> OpDescriptor:
-    return OpDescriptor(service, kind, partition, nbytes=nbytes,
-                        units=units, block_count=block_count)
-
-
-def _status(code: int, headers: Optional[List[Tuple[str, str]]] = None
-            ) -> Callable[[Any], HttpResponse]:
-    def encode(_result: Any) -> HttpResponse:
-        return HttpResponse(code, list(headers or []))
-    return encode
-
-
-def _content_size(result: Any) -> int:
-    return result.size if result is not None else 0
-
-
-# -- blob service -----------------------------------------------------------
-
-def _decode_blob(account: str, req: HttpRequest) -> DecodedOp:
-    parts = req.path.strip("/").split("/", 2)
-    if not parts or parts[0] != account:
-        raise ResourceNotFoundError(f"unknown account path {req.path!r}")
-    if len(parts) < 2 or not parts[1]:
-        raise InvalidOperationError("blob requests address a container")
-    container = parts[1]
-    blob = parts[2] if len(parts) > 2 else None
-    comp = req.query.get("comp")
-    restype = req.query.get("restype")
-    key = f"{container}/{blob}" if blob else container
-
-    if blob is None:
-        if restype != "container":
-            raise InvalidOperationError(
-                "container operations need restype=container")
-        if req.method == "PUT":
-            return DecodedOp(
-                "blob", "create_container", (container,), {},
-                _desc(Service.BLOB, OpKind.CREATE_CONTAINER, container),
-                "broadcast", None, _status(201))
-        if req.method == "DELETE":
-            return DecodedOp(
-                "blob", "delete_container", (container,), {},
-                _desc(Service.BLOB, OpKind.DELETE_CONTAINER, container),
-                "broadcast", None, _status(202))
-        if req.method == "GET" and comp == "list":
-            prefix = req.query.get("prefix", "")
-            return DecodedOp(
-                "blob", "list_blobs", (container, prefix), {}, None,
-                "fanout", None,
-                lambda names: HttpResponse(
-                    200, [("Content-Type", "application/xml")],
-                    _names_xml("Blob", names)),
-                merge=lambda results: sorted(
-                    {n for names in results for n in names}))
-        raise InvalidOperationError(
-            f"unsupported container request {req.method} {req.target}")
-
-    if req.method == "PUT":
-        if comp == "block":
-            block_id = req.query.get("blockid", "")
-            if not block_id:
-                raise InvalidOperationError("comp=block needs a blockid")
-            content = BytesContent(req.body)
-            return DecodedOp(
-                "blob", "put_block",
-                (container, blob, block_id, content), {},
-                _desc(Service.BLOB, OpKind.PUT_BLOCK, key,
-                      nbytes=content.size),
-                "one", key, _status(201))
-        if comp == "blocklist":
-            root = ET.fromstring(req.body.decode("utf-8"))
-            ids = [el.text or "" for el in root
-                   if el.tag in ("Latest", "Committed", "Uncommitted")]
-            merge_commit = (
-                req.header(f"{_EXT}merge-commit").lower() == "true")
-            return DecodedOp(
-                "blob", "put_block_list",
-                (container, blob, ids), {"merge": merge_commit},
-                _desc(Service.BLOB, OpKind.PUT_BLOCK_LIST, key,
-                      block_count=len(ids)),
-                "one", key, _status(201))
-        if comp == "page":
-            rng = _parse_range(req)
-            if rng is None:
-                raise InvalidOperationError("comp=page needs a Range")
-            content = BytesContent(req.body)
-            return DecodedOp(
-                "blob", "put_page", (container, blob, rng[0], content), {},
-                _desc(Service.BLOB, OpKind.PUT_PAGE, key,
-                      nbytes=content.size),
-                "one", key, _status(201))
-        blob_type = req.header("x-ms-blob-type", "BlockBlob")
-        if blob_type == "PageBlob":
-            max_size = int(req.header("x-ms-blob-content-length", "0"))
-            return DecodedOp(
-                "blob", "create_page_blob", (container, blob, max_size), {},
-                _desc(Service.BLOB, OpKind.CREATE_CONTAINER, key),
-                "one", key, _status(201))
-        content = BytesContent(req.body)
-        return DecodedOp(
-            "blob", "upload_blob", (container, blob, content), {},
-            _desc(Service.BLOB, OpKind.UPLOAD_BLOB, key,
-                  nbytes=content.size),
-            "one", key, _status(201))
-
-    if req.method == "GET":
-        if comp == "blocklist":
-            return DecodedOp(
-                "blob", "block_count", (container, blob), {}, None,
-                "one", key,
-                lambda count: HttpResponse(
-                    200,
-                    [("x-ms-block-count", str(count)),
-                     ("Content-Type", "application/xml")],
-                    _xml_body(ET.Element("BlockList"))))
-        if comp == "block":
-            index = int(req.query.get("blockindex", "0"))
-            return DecodedOp(
-                "blob", "get_block", (container, blob, index), {},
-                _desc(Service.BLOB, OpKind.GET_BLOCK, key),
-                "one", key,
-                lambda content: HttpResponse(
-                    200, [], content.to_bytes()),
-                result_nbytes=_content_size)
-        rng = _parse_range(req)
-        if rng is not None:
-            offset, length = rng
-            # ``_get_page`` resolves at the data node, which pairs the
-            # slice with the blob's total size for the Content-Range.
-            return DecodedOp(
-                "blob", "_get_page", (container, blob, offset, length), {},
-                _desc(Service.BLOB, OpKind.GET_PAGE, key, nbytes=length),
-                "one", key,
-                lambda pair: HttpResponse(
-                    206,
-                    [("Content-Range",
-                      f"bytes {offset}-{offset + length - 1}/{pair[1]}")],
-                    pair[0].to_bytes()),
-                result_nbytes=lambda pair: _content_size(pair[0]))
-        return DecodedOp(
-            "blob", "_download", (container, blob), {},
-            _desc(Service.BLOB, OpKind.DOWNLOAD_BLOB, key),
-            "one", key,
-            lambda content: HttpResponse(200, [], content.to_bytes()),
-            result_nbytes=_content_size)
-
-    if req.method == "DELETE":
-        return DecodedOp(
-            "blob", "delete_blob", (container, blob), {},
-            _desc(Service.BLOB, OpKind.DELETE_BLOB, key),
-            "one", key, _status(202))
-
-    raise InvalidOperationError(
-        f"unsupported blob request {req.method} {req.target}")
-
-
-# -- queue service ----------------------------------------------------------
-
-def _queue_text(body: bytes) -> Content:
-    root = ET.fromstring(body.decode("utf-8"))
-    return BytesContent(base64.b64decode(root.findtext("MessageText") or ""))
-
-
-def _decode_queue(account: str, req: HttpRequest) -> DecodedOp:
-    parts = req.path.strip("/").split("/")
-    if not parts or parts[0] != account:
-        raise ResourceNotFoundError(f"unknown account path {req.path!r}")
-    rest = [p for p in parts[1:] if p]
-    comp = req.query.get("comp")
-
-    if not rest:
-        if req.method == "GET" and comp == "list":
-            prefix = req.query.get("prefix", "")
-            return DecodedOp(
-                "queue", "list_queues", (prefix,), {}, None,
-                "fanout", None,
-                lambda names: HttpResponse(
-                    200, [("Content-Type", "application/xml")],
-                    _names_xml("Queue", names)),
-                merge=lambda results: sorted(
-                    {n for names in results for n in names}))
-        raise InvalidOperationError(
-            f"unsupported account request {req.method} {req.target}")
-
-    queue = rest[0]
-    if len(rest) == 1:
-        if req.method == "PUT":
-            return DecodedOp(
-                "queue", "create_queue", (queue,), {},
-                _desc(Service.QUEUE, OpKind.CREATE_QUEUE, queue),
-                "broadcast", None, _status(201))
-        if req.method == "DELETE":
-            return DecodedOp(
-                "queue", "delete_queue", (queue,), {},
-                _desc(Service.QUEUE, OpKind.DELETE_QUEUE, queue),
-                "broadcast", None, _status(204))
-        if req.method == "GET" and comp == "metadata":
-            return DecodedOp(
-                "queue", "get_message_count", (queue,), {},
-                _desc(Service.QUEUE, OpKind.GET_MESSAGE_COUNT, queue),
-                "one", queue,
-                lambda count: HttpResponse(
-                    200, [("x-ms-approximate-messages-count", str(count))]))
-        raise InvalidOperationError(
-            f"unsupported queue request {req.method} {req.target}")
-
-    if rest[1] != "messages":
-        raise ResourceNotFoundError(f"unknown queue path {req.path!r}")
-
-    if len(rest) == 2:
-        if req.method == "POST":
-            content = _queue_text(req.body)
-            kwargs: Dict[str, Any] = {}
-            if "messagettl" in req.query:
-                kwargs["ttl"] = float(req.query["messagettl"])
-            if "visibilitytimeout" in req.query:
-                kwargs["visibility_delay"] = float(
-                    req.query["visibilitytimeout"])
-            return DecodedOp(
-                "queue", "put_message", (queue, content), kwargs,
-                _desc(Service.QUEUE, OpKind.PUT_MESSAGE, queue,
-                      nbytes=content.size),
-                "one", queue,
-                lambda msg: HttpResponse(
-                    201, [("Content-Type", "application/xml")],
-                    _messages_xml([msg] if msg is not None else [])))
-        if req.method == "GET":
-            if req.query.get("peekonly", "").lower() == "true":
-                return DecodedOp(
-                    "queue", "peek_message", (queue,), {},
-                    _desc(Service.QUEUE, OpKind.PEEK_MESSAGE, queue),
-                    "one", queue,
-                    lambda msg: HttpResponse(
-                        200, [("Content-Type", "application/xml")],
-                        _messages_xml([msg] if msg else [], peeked=True)),
-                    result_nbytes=_content_size)
-            visibility = None
-            if "visibilitytimeout" in req.query:
-                visibility = float(req.query["visibilitytimeout"])
-            if "numofmessages" in req.query:
-                n = int(req.query["numofmessages"])
-                return DecodedOp(
-                    "queue", "get_messages", (queue, n),
-                    {"visibility_timeout": visibility},
-                    _desc(Service.QUEUE, OpKind.GET_MESSAGE, queue,
-                          units=max(1, n)),
-                    "one", queue,
-                    lambda msgs: HttpResponse(
-                        200, [("Content-Type", "application/xml")],
-                        _messages_xml(msgs)),
-                    result_nbytes=lambda msgs: sum(m.size for m in msgs))
-            return DecodedOp(
-                "queue", "get_message", (queue,),
-                {"visibility_timeout": visibility},
-                _desc(Service.QUEUE, OpKind.GET_MESSAGE, queue),
-                "one", queue,
-                lambda msg: HttpResponse(
-                    200, [("Content-Type", "application/xml")],
-                    _messages_xml([msg] if msg else [])),
-                result_nbytes=_content_size)
-        raise InvalidOperationError(
-            f"unsupported messages request {req.method} {req.target}")
-
-    message_id = rest[2]
-    pop_receipt = req.query.get("popreceipt", "")
-    if req.method == "DELETE":
-        return DecodedOp(
-            "queue", "delete_message", (queue, message_id, pop_receipt), {},
-            _desc(Service.QUEUE, OpKind.DELETE_MESSAGE, queue),
-            "one", queue, _status(204))
-    if req.method == "PUT":
-        data = _queue_text(req.body) if req.body else None
-        visibility = float(req.query.get("visibilitytimeout", "0"))
-        return DecodedOp(
-            "queue", "update_message",
-            (queue, message_id, pop_receipt, data),
-            {"visibility_timeout": visibility},
-            _desc(Service.QUEUE, OpKind.UPDATE_MESSAGE, queue,
-                  nbytes=data.size if data is not None else 0),
-            "one", queue,
-            lambda msg: HttpResponse(204, [
-                ("x-ms-popreceipt", msg.pop_receipt or ""),
-                ("x-ms-time-next-visible", _http_date(msg.next_visible_time)),
-                (f"{_EXT}time-next-visible-epoch",
-                 repr(msg.next_visible_time)),
-                (f"{_EXT}insertion-time-epoch", repr(msg.insertion_time)),
-                (f"{_EXT}expiration-time-epoch", repr(msg.expiration_time)),
-                (f"{_EXT}dequeue-count", str(msg.dequeue_count)),
-            ]))
-    raise InvalidOperationError(
-        f"unsupported message request {req.method} {req.target}")
-
-
-# -- table service ----------------------------------------------------------
-
-def _merge_query(results: List[QueryResult], *, top: Optional[int],
-                 continuation: Optional[Tuple[str, str]]) -> QueryResult:
-    """Re-page the shards' unpaged scans exactly like one table would."""
-    entities = sorted(
-        (e for r in results for e in r.entities), key=lambda e: e.key)
-    if continuation is not None:
-        continuation = tuple(continuation)  # type: ignore[assignment]
-        entities = [e for e in entities if e.key > continuation]
-    if top is not None and len(entities) > top:
-        return QueryResult(entities[:top],
-                           continuation=entities[top - 1].key)
-    return QueryResult(entities, continuation=None)
-
-
-def _entities_response(entities: List[Entity]) -> HttpResponse:
-    return _json_response(
-        200, {"value": [encode_entity(e) for e in entities]})
-
-
-def _query_response(result: QueryResult) -> HttpResponse:
-    headers: List[Tuple[str, str]] = []
-    if result.continuation is not None:
-        headers.append(
-            ("x-ms-continuation-NextPartitionKey", result.continuation[0]))
-        headers.append(
-            ("x-ms-continuation-NextRowKey", result.continuation[1]))
-    return _json_response(
-        200, {"value": [encode_entity(e) for e in result.entities]},
-        headers)
-
-
-def _entity_write_response(status: int) -> Callable[[Any], HttpResponse]:
-    def encode(entity: Entity) -> HttpResponse:
-        headers = [("ETag", entity.etag),
-                   (f"{_EXT}timestamp-epoch", repr(entity.timestamp))]
-        if status == 201:
-            return _json_response(201, encode_entity(entity), headers)
-        return HttpResponse(status, headers)
-    return encode
-
-
-def _decode_table(account: str, req: HttpRequest) -> DecodedOp:
-    parts = req.path.strip("/").split("/", 2)
-    if not parts or parts[0] != account:
-        raise ResourceNotFoundError(f"unknown account path {req.path!r}")
-    rest = parts[1] if len(parts) > 1 else ""
-    if len(parts) > 2:
-        rest = f"{parts[1]}/{parts[2]}"
-
-    if rest == "Tables":
-        if req.method != "POST":
-            raise InvalidOperationError("POST creates tables")
-        name = json.loads(req.body.decode("utf-8"))["TableName"]
-        return DecodedOp(
-            "table", "create_table", (name,), {},
-            _desc(Service.TABLE, OpKind.CREATE_TABLE, name),
-            "broadcast", None,
-            lambda _r: _json_response(201, {"TableName": name}))
-    table_ref = re.fullmatch(r"Tables\('((?:[^']|'')*)'\)", rest)
-    if table_ref:
-        if req.method != "DELETE":
-            raise InvalidOperationError("only DELETE addresses Tables('..')")
-        name = _odata_unquote(table_ref.group(1))
-        return DecodedOp(
-            "table", "delete_table", (name,), {},
-            _desc(Service.TABLE, OpKind.DELETE_TABLE, name),
-            "broadcast", None, _status(204))
-
-    if rest == "$batch":
-        if req.method != "POST":
-            raise InvalidOperationError("POST executes batches")
-        doc = json.loads(req.body.decode("utf-8"))
-        table = doc["table"]
-        ops = [BatchOperation(
-            kind=o["kind"], partition_key=o["partitionKey"],
-            row_key=o["rowKey"],
-            properties=(decode_properties(o["properties"])
-                        if o.get("properties") is not None else None),
-            etag=o.get("etag"),
-        ) for o in doc["operations"]]
-        nbytes = sum(
-            e.size for e in (
-                Entity(o.partition_key, o.row_key, o.properties or {})
-                for o in ops))
-        partition = ops[0].partition_key if ops else table
-        return DecodedOp(
-            "table", "execute_batch", (table, ops), {},
-            _desc(Service.TABLE, OpKind.BATCH, partition,
-                  nbytes=nbytes, units=max(1, len(ops))),
-            "one", partition,
-            lambda results: _json_response(202, {"results": [
-                encode_entity(e) if e is not None else None
-                for e in results]}))
-
-    entity_ref = _ENTITY_PATH.fullmatch(rest)
-    if entity_ref:
-        table = entity_ref.group(1)
-        pk = _odata_unquote(entity_ref.group(2))
-        rk = _odata_unquote(entity_ref.group(3))
-        etag = req.header("if-match") or None
-        if req.method == "GET":
-            return DecodedOp(
-                "table", "get", (table, pk, rk), {},
-                _desc(Service.TABLE, OpKind.QUERY_ENTITY, pk),
-                "one", pk,
-                lambda e: _json_response(200, encode_entity(e)),
-                result_nbytes=lambda e: e.size)
-        if req.method == "DELETE":
-            if etag is None:
-                raise InvalidOperationError("DELETE entity needs If-Match")
-            return DecodedOp(
-                "table", "delete", (table, pk, rk), {"etag": etag},
-                _desc(Service.TABLE, OpKind.DELETE_ENTITY, pk),
-                "one", pk, _status(204))
-        if req.method in ("PUT", "MERGE"):
-            props = decode_properties(json.loads(req.body.decode("utf-8")))
-            nbytes = Entity(pk, rk, props).size
-            if req.method == "PUT":
-                op = "update" if etag is not None else "insert_or_replace"
-                kind = OpKind.UPDATE_ENTITY
-            else:
-                op = "merge" if etag is not None else "insert_or_merge"
-                kind = OpKind.MERGE_ENTITY
-            kwargs = {"etag": etag} if etag is not None else {}
-            return DecodedOp(
-                "table", op, (table, pk, rk, props), kwargs,
-                _desc(Service.TABLE, kind, pk, nbytes=nbytes),
-                "one", pk, _entity_write_response(204))
-        raise InvalidOperationError(
-            f"unsupported entity request {req.method} {req.target}")
-
-    table = rest[:-2] if rest.endswith("()") else rest
-    if not table:
-        raise ResourceNotFoundError(f"unknown table path {req.path!r}")
-
-    if req.method == "POST":
-        doc = json.loads(req.body.decode("utf-8"))
-        pk, rk = doc["PartitionKey"], doc["RowKey"]
-        props = decode_properties(doc)
-        return DecodedOp(
-            "table", "insert", (table, pk, rk, props), {},
-            _desc(Service.TABLE, OpKind.INSERT_ENTITY, pk,
-                  nbytes=Entity(pk, rk, props).size),
-            "one", pk, _entity_write_response(201))
-
-    if req.method == "GET":
-        filter_str = req.query.get("$filter")
-        select = None
-        if "$select" in req.query:
-            select = [s for s in req.query["$select"].split(",") if s]
-        match = _PARTITION_FILTER.fullmatch(filter_str or "")
-        if match and "NextPartitionKey" not in req.query:
-            pk = _odata_unquote(match.group(1))
-            inner = match.group(2)
-            return DecodedOp(
-                "table", "query_partition", (table, pk, inner),
-                {"select": select},
-                _desc(Service.TABLE, OpKind.QUERY_ENTITY, pk),
-                "one", pk, _entities_response,
-                result_nbytes=lambda es: sum(e.size for e in es))
-        top = int(req.query["$top"]) if "$top" in req.query else None
-        continuation = None
-        if "NextPartitionKey" in req.query:
-            continuation = (req.query["NextPartitionKey"],
-                            req.query.get("NextRowKey", ""))
-        return DecodedOp(
-            "table", "query", (table,),
-            {"filter": filter_str, "select": select},
-            _desc(Service.TABLE, OpKind.QUERY_ENTITY, table),
-            "fanout", None, _query_response,
-            merge=lambda results: _merge_query(
-                results, top=top, continuation=continuation),
-            result_nbytes=lambda r: sum(e.size for e in r.entities))
-
-    raise InvalidOperationError(
-        f"unsupported table request {req.method} {req.target}")
-
-
-_DECODERS = {
-    "blob": _decode_blob,
-    "queue": _decode_queue,
-    "table": _decode_table,
-}
-
-
-def decode_request(service: str, account: str,
-                   req: HttpRequest) -> DecodedOp:
-    """Resolve one wire request against the ``service`` listener."""
-    try:
-        return _DECODERS[service](account, req)
-    except StorageError:
-        raise
-    except Exception as exc:
-        # A URI shape the decoder never anticipated must still come back
-        # as a decodable storage error, not a bare 400 (or a 500).
-        raise UnknownResourceError(
-            f"cannot resolve {req.method} {req.target!r} against the "
-            f"{service} endpoint") from exc
-
-
-# ---------------------------------------------------------------------------
-# Client-side encoders: (client, op) -> WireCall builder
-# ---------------------------------------------------------------------------
-
 @dataclass
 class WireCall:
     """One client-side HTTP exchange for a registry operation."""
@@ -975,425 +510,836 @@ class WireCall:
         lambda status, headers, body: None
 
 
-ENCODERS: Dict[Tuple[str, str], Callable[..., WireCall]] = {}
+# ---------------------------------------------------------------------------
+# Where a parameter travels: value codecs and query/header slots
+# ---------------------------------------------------------------------------
 
+def _number(value: float) -> str:
+    """``:g`` where that round-trips (every value sent so far), else repr."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
 
-def _encoder(client: str, op: str):
-    def register(fn):
-        ENCODERS[(client, op)] = fn
-        return fn
-    return register
 
-
-def _parse_none(status, headers, body):
-    return None
-
-
-def _parse_content(status, headers, body):
-    return BytesContent(body)
-
-
-# -- blob client ------------------------------------------------------------
-
-@_encoder("blob", "create_container")
-def _enc_create_container(name):
-    return WireCall("blob", "PUT", f"/{name}",
-                    query={"restype": "container"}, parse=_parse_none)
-
-
-@_encoder("blob", "delete_container")
-def _enc_delete_container(name):
-    return WireCall("blob", "DELETE", f"/{name}",
-                    query={"restype": "container"}, parse=_parse_none)
-
-
-@_encoder("blob", "list_blobs")
-def _enc_list_blobs(container, prefix=""):
-    query = {"restype": "container", "comp": "list"}
-    if prefix:
-        query["prefix"] = prefix
-    return WireCall(
-        "blob", "GET", f"/{container}", query=query,
-        parse=lambda s, h, b: _parse_names_xml("Blob", b))
-
-
-@_encoder("blob", "put_block")
-def _enc_put_block(container, blob, block_id, data):
-    return WireCall(
-        "blob", "PUT", f"/{container}/{blob}",
-        query={"comp": "block", "blockid": block_id},
-        body=_content_bytes(data), parse=_parse_none)
-
-
-@_encoder("blob", "put_block_list")
-def _enc_put_block_list(container, blob, block_ids, *, merge=False):
-    root = ET.Element("BlockList")
-    for block_id in block_ids:
-        ET.SubElement(root, "Latest").text = str(block_id)
-    headers = {}
-    if merge:
-        headers[f"{_EXT}merge-commit"] = "true"
-    return WireCall(
-        "blob", "PUT", f"/{container}/{blob}",
-        query={"comp": "blocklist"}, headers=headers,
-        body=_xml_body(root), parse=_parse_none)
-
-
-@_encoder("blob", "upload_blob")
-def _enc_upload_blob(container, blob, data):
-    return WireCall(
-        "blob", "PUT", f"/{container}/{blob}",
-        headers={"x-ms-blob-type": "BlockBlob"},
-        body=_content_bytes(data), parse=_parse_none)
-
-
-@_encoder("blob", "create_page_blob")
-def _enc_create_page_blob(container, blob, max_size):
-    return WireCall(
-        "blob", "PUT", f"/{container}/{blob}",
-        headers={"x-ms-blob-type": "PageBlob",
-                 "x-ms-blob-content-length": str(max_size)},
-        parse=_parse_none)
-
-
-@_encoder("blob", "put_page")
-def _enc_put_page(container, blob, offset, data):
-    payload = _content_bytes(data)
-    return WireCall(
-        "blob", "PUT", f"/{container}/{blob}", query={"comp": "page"},
-        headers={"x-ms-range":
-                 f"bytes={offset}-{offset + len(payload) - 1}",
-                 "x-ms-page-write": "update"},
-        body=payload, parse=_parse_none)
-
-
-@_encoder("blob", "get_page")
-def _enc_get_page(container, blob, offset, length):
-    return WireCall(
-        "blob", "GET", f"/{container}/{blob}",
-        headers={"x-ms-range": f"bytes={offset}-{offset + length - 1}"},
-        parse=_parse_content)
-
-
-@_encoder("blob", "get_block")
-def _enc_get_block(container, blob, index):
-    return WireCall(
-        "blob", "GET", f"/{container}/{blob}",
-        query={"comp": "block", "blockindex": str(index)},
-        parse=_parse_content)
-
-
-@_encoder("blob", "download_block_blob")
-def _enc_download_block_blob(container, blob):
-    return WireCall("blob", "GET", f"/{container}/{blob}",
-                    parse=_parse_content)
-
-
-@_encoder("blob", "download_page_blob")
-def _enc_download_page_blob(container, blob, *, written_only=True):
-    # The wire serves the blob's readable image either way; written_only
-    # is a cost-model refinement that has no REST analogue.
-    return WireCall("blob", "GET", f"/{container}/{blob}",
-                    parse=_parse_content)
-
-
-@_encoder("blob", "block_count")
-def _enc_block_count(container, blob):
-    return WireCall(
-        "blob", "GET", f"/{container}/{blob}", query={"comp": "blocklist"},
-        parse=lambda s, h, b: int(h.get("x-ms-block-count", "0")))
-
-
-@_encoder("blob", "delete_blob")
-def _enc_delete_blob(container, blob, *, lease_id=None,
-                     delete_snapshots=False):
-    if lease_id is not None or delete_snapshots:
-        raise NotImplementedError(
-            "leases/snapshots are not part of the wire subset")
-    return WireCall("blob", "DELETE", f"/{container}/{blob}",
-                    parse=_parse_none)
-
-
-# -- queue client -----------------------------------------------------------
-
-def _parse_one_message(status, headers, body):
-    messages = _parse_messages_xml(body)
-    return messages[0] if messages else None
-
-
-@_encoder("queue", "create_queue")
-def _enc_create_queue(name):
-    return WireCall("queue", "PUT", f"/{name}", parse=_parse_none)
-
-
-@_encoder("queue", "delete_queue")
-def _enc_delete_queue(name):
-    return WireCall("queue", "DELETE", f"/{name}", parse=_parse_none)
-
-
-@_encoder("queue", "list_queues")
-def _enc_list_queues(prefix=""):
-    query = {"comp": "list"}
-    if prefix:
-        query["prefix"] = prefix
-    return WireCall(
-        "queue", "GET", "/", query=query,
-        parse=lambda s, h, b: _parse_names_xml("Queue", b))
-
-
-def _message_body(data) -> bytes:
-    text = base64.b64encode(_content_bytes(data)).decode("ascii")
-    return (f"{_XML_DECL}<QueueMessage>{_el('MessageText', text)}"
-            f"</QueueMessage>").encode("utf-8")
-
-
-@_encoder("queue", "put_message")
-def _enc_put_message(queue, data, *, ttl=None, visibility_delay=0.0):
-    query = {}
-    if ttl is not None:
-        query["messagettl"] = f"{ttl:g}"
-    if visibility_delay:
-        query["visibilitytimeout"] = f"{visibility_delay:g}"
-    return WireCall(
-        "queue", "POST", f"/{queue}/messages", query=query,
-        body=_message_body(data), parse=_parse_one_message)
-
-
-@_encoder("queue", "get_message")
-def _enc_get_message(queue, *, visibility_timeout=None):
-    query = {}
-    if visibility_timeout is not None:
-        query["visibilitytimeout"] = f"{visibility_timeout:g}"
-    return WireCall("queue", "GET", f"/{queue}/messages", query=query,
-                    parse=_parse_one_message)
-
-
-@_encoder("queue", "get_messages")
-def _enc_get_messages(queue, n=1, *, visibility_timeout=None):
-    query = {"numofmessages": str(n)}
-    if visibility_timeout is not None:
-        query["visibilitytimeout"] = f"{visibility_timeout:g}"
-    return WireCall(
-        "queue", "GET", f"/{queue}/messages", query=query,
-        parse=lambda s, h, b: _parse_messages_xml(b))
-
-
-@_encoder("queue", "peek_message")
-def _enc_peek_message(queue):
-    return WireCall(
-        "queue", "GET", f"/{queue}/messages",
-        query={"peekonly": "true"}, parse=_parse_one_message)
-
-
-@_encoder("queue", "delete_message")
-def _enc_delete_message(queue, message_id, pop_receipt):
-    return WireCall(
-        "queue", "DELETE", f"/{queue}/messages/{message_id}",
-        query={"popreceipt": pop_receipt or ""}, parse=_parse_none)
-
-
-@_encoder("queue", "update_message")
-def _enc_update_message(queue, message_id, pop_receipt, data=None, *,
-                        visibility_timeout=0.0):
-    def parse(status, headers, body):
-        content = (BytesContent(_content_bytes(data))
-                   if data is not None else BytesContent(b""))
-        return QueueMessage(
-            message_id=message_id,
-            content=content,
-            insertion_time=float(
-                headers.get(f"{_EXT}insertion-time-epoch", "0")),
-            expiration_time=float(
-                headers.get(f"{_EXT}expiration-time-epoch", "0")),
-            next_visible_time=float(
-                headers.get(f"{_EXT}time-next-visible-epoch", "0")),
-            dequeue_count=int(headers.get(f"{_EXT}dequeue-count", "0")),
-            pop_receipt=headers.get("x-ms-popreceipt") or None,
-        )
-    return WireCall(
-        "queue", "PUT", f"/{queue}/messages/{message_id}",
-        query={"popreceipt": pop_receipt or "",
-               "visibilitytimeout": f"{visibility_timeout:g}"},
-        body=_message_body(data) if data is not None else b"",
-        parse=parse)
-
-
-@_encoder("queue", "get_message_count")
-def _enc_get_message_count(queue):
-    return WireCall(
-        "queue", "GET", f"/{queue}", query={"comp": "metadata"},
-        parse=lambda s, h, b: int(
-            h.get("x-ms-approximate-messages-count", "0")))
-
-
-# -- table client -----------------------------------------------------------
-
-_TABLE_JSON = {"Content-Type": "application/json",
-               "Accept": "application/json;odata=minimalmetadata"}
-
-
-def _parse_written_entity(pk, rk, props):
-    def parse(status, headers, body):
-        if body:
-            return decode_entity(json.loads(body.decode("utf-8")))
-        return Entity(pk, rk, props,
-                      etag=headers.get("etag", ""),
-                      timestamp=float(
-                          headers.get(f"{_EXT}timestamp-epoch", "0")))
-    return parse
-
-
-@_encoder("table", "create_table")
-def _enc_create_table(name):
-    return WireCall(
-        "table", "POST", "/Tables", headers=dict(_TABLE_JSON),
-        body=json.dumps({"TableName": name}).encode("utf-8"),
-        parse=_parse_none)
-
-
-@_encoder("table", "delete_table")
-def _enc_delete_table(name):
-    return WireCall(
-        "table", "DELETE", f"/Tables('{_odata_quote(name)}')",
-        headers=dict(_TABLE_JSON), parse=_parse_none)
-
-
-@_encoder("table", "insert")
-def _enc_insert(table, partition_key, row_key, properties):
-    doc = {"PartitionKey": partition_key, "RowKey": row_key}
-    doc.update(encode_properties(properties))
-    return WireCall(
-        "table", "POST", f"/{table}", headers=dict(_TABLE_JSON),
-        body=json.dumps(doc).encode("utf-8"),
-        parse=_parse_written_entity(partition_key, row_key,
-                                    dict(properties)))
-
-
-def _entity_path(table, pk, rk) -> str:
-    return (f"/{table}(PartitionKey='{_odata_quote(pk)}',"
-            f"RowKey='{_odata_quote(rk)}')")
-
-
-@_encoder("table", "get")
-def _enc_get(table, partition_key, row_key):
-    return WireCall(
-        "table", "GET", _entity_path(table, partition_key, row_key),
-        headers=dict(_TABLE_JSON),
-        parse=lambda s, h, b: decode_entity(json.loads(b.decode("utf-8"))))
-
-
-def _entity_write(method, table, pk, rk, properties, etag):
-    headers = dict(_TABLE_JSON)
-    if etag is not None:
-        headers["If-Match"] = etag
-    return WireCall(
-        "table", method, _entity_path(table, pk, rk), headers=headers,
-        body=json.dumps(encode_properties(properties)).encode("utf-8"),
-        parse=_parse_written_entity(pk, rk, dict(properties)))
-
-
-@_encoder("table", "update")
-def _enc_update(table, partition_key, row_key, properties, *, etag="*"):
-    return _entity_write("PUT", table, partition_key, row_key,
-                         properties, etag if etag is not None else "*")
-
-
-@_encoder("table", "merge")
-def _enc_merge(table, partition_key, row_key, properties, *, etag="*"):
-    return _entity_write("MERGE", table, partition_key, row_key,
-                         properties, etag if etag is not None else "*")
-
-
-@_encoder("table", "insert_or_replace")
-def _enc_insert_or_replace(table, partition_key, row_key, properties):
-    return _entity_write("PUT", table, partition_key, row_key,
-                         properties, None)
-
-
-@_encoder("table", "insert_or_merge")
-def _enc_insert_or_merge(table, partition_key, row_key, properties):
-    return _entity_write("MERGE", table, partition_key, row_key,
-                         properties, None)
-
-
-@_encoder("table", "delete")
-def _enc_delete(table, partition_key, row_key, *, etag="*"):
-    return WireCall(
-        "table", "DELETE", _entity_path(table, partition_key, row_key),
-        headers={**_TABLE_JSON,
-                 "If-Match": etag if etag is not None else "*"},
-        parse=_parse_none)
-
-
-def _require_string_filter(filter):
-    if filter is not None and not isinstance(filter, str):
+def _filter_text(filter: Any) -> str:
+    if not isinstance(filter, str):
         raise NotImplementedError(
             "the service backend sends filters over the wire: pass an "
             "OData filter string, not a Python callable")
     return filter
 
 
-@_encoder("table", "query_partition")
-def _enc_query_partition(table, partition_key, filter=None, *, select=None):
-    _require_string_filter(filter)
-    filter_str = f"PartitionKey eq '{_odata_quote(partition_key)}'"
-    if filter:
-        filter_str += f" and ({filter})"
-    query = {"$filter": filter_str}
-    if select is not None:
-        query["$select"] = ",".join(select)
-    return WireCall(
-        "table", "GET", f"/{table}()", query=query,
-        headers=dict(_TABLE_JSON),
-        parse=lambda s, h, b: [
-            decode_entity(doc)
-            for doc in json.loads(b.decode("utf-8"))["value"]])
+#: ``(write, read)`` pairs: a parameter's value to its text and back.
+_TEXT = (str, str)
+_INT = (str, int)
+_NUMBER = (_number, float)
+_FLAG = (lambda on: "true", lambda text: text.lower() == "true")
+_NAMES = (",".join, lambda text: [name for name in text.split(",") if name])
+_FILTER = (_filter_text, str)
+_RECEIPT = (lambda receipt: receipt or "", str)
+_ETAG = (lambda etag: "*" if etag is None else etag, str)
+
+_REQUIRED = object()
 
 
-@_encoder("table", "query")
-def _enc_query(table, filter=None, *, top=None, continuation=None,
-               select=None):
-    _require_string_filter(filter)
-    query = {}
-    if filter:
-        query["$filter"] = filter
-    if top is not None:
-        query["$top"] = str(top)
-    if select is not None:
-        query["$select"] = ",".join(select)
-    if continuation is not None:
-        query["NextPartitionKey"] = continuation[0]
-        query["NextRowKey"] = continuation[1]
+class Slot(NamedTuple):
+    """Where parameters travel in a query value or a header.
 
-    def parse(status, headers, body):
-        entities = [decode_entity(doc)
-                    for doc in json.loads(body.decode("utf-8"))["value"]]
-        cont = None
-        if "x-ms-continuation-nextpartitionkey" in headers:
-            cont = (headers["x-ms-continuation-nextpartitionkey"],
-                    headers.get("x-ms-continuation-nextrowkey", ""))
-        return QueryResult(entities, continuation=cont)
+    ``put(values, out)`` writes the call's ``values`` into the query or
+    header map ``out``; ``take(found, values)`` reads them back from a
+    request's, and is false when the request is not this route's.
+    ``keyword`` hands a positional-or-keyword parameter to the data node
+    by name.
+    """
 
-    return WireCall("table", "GET", f"/{table}()", query=query,
-                    headers=dict(_TABLE_JSON), parse=parse)
+    names: Tuple[str, ...]
+    put: Callable[[Mapping[str, Any], Dict[str, str]], None]
+    take: Callable[[Mapping[str, str], Dict[str, Any]], bool]
+    keyword: bool = False
 
 
-@_encoder("table", "execute_batch")
-def _enc_execute_batch(table, operations):
-    doc = {"table": table, "operations": [{
+def _param(name: str, key: str, codec=_TEXT, *, default: Any = _REQUIRED,
+           omit: Any = _REQUIRED, keyword: bool = False,
+           header: bool = False) -> Slot:
+    """One parameter as one query value, or one header.
+
+    ``default=X`` keeps X off the wire and the server passes X back;
+    ``omit=X`` keeps X off the wire and out of the call, so the registry's
+    own default applies.  With neither the parameter is required: a
+    request without it is not this route's.
+    """
+    write, read = codec
+    lookup = key.lower() if header else key  # requests lower-case headers
+    restore = omit is _REQUIRED
+    if not restore:
+        default = omit
+
+    def put(values, out):
+        value = values[name]
+        if value != default:
+            out[key] = write(value)
+
+    def take(found, values):
+        text = found.get(lookup)
+        if text is not None:
+            values[name] = read(text)
+        elif default is _REQUIRED:
+            return False
+        elif restore:
+            values[name] = default
+        return True
+
+    return Slot((name,), put, take, keyword)
+
+
+def _range(*, page: bool) -> Slot:
+    """``x-ms-range: bytes=a-b``: a read's ``offset`` and ``length``, or a
+    page write's ``offset`` (its body gives the length)."""
+    def put(values, out):
+        offset = values["offset"]
+        length = (as_content(values["data"]).size if page
+                  else values["length"])
+        out["x-ms-range"] = f"bytes={offset}-{offset + length - 1}"
+        if page:
+            out["x-ms-page-write"] = "update"
+
+    def take(found, values):
+        raw = found.get("x-ms-range") or found.get("range")
+        if not raw:
+            return False
+        values["offset"], length = _parse_range(raw)
+        if not page:
+            values["length"] = length
+        return True
+
+    return Slot(("offset",) if page else ("offset", "length"), put, take)
+
+
+def _continuation() -> Slot:
+    """A query page's ``continuation``: two keys, both or neither."""
+    def put(values, out):
+        if values["continuation"] is not None:
+            out["NextPartitionKey"], out["NextRowKey"] = values["continuation"]
+
+    def take(found, values):
+        values["continuation"] = (
+            (found["NextPartitionKey"], found.get("NextRowKey", ""))
+            if "NextPartitionKey" in found else None)
+        return True
+
+    return Slot(("continuation",), put, take)
+
+
+def _partition_filter() -> Slot:
+    """``$filter=PartitionKey eq 'pk'[ and (filter)]``: one partition.
+
+    A paged request (``$top`` or a continuation) belongs to the fan-out
+    ``query`` route instead, whose merge keeps the page.
+    """
+    def put(values, out):
+        text = f"PartitionKey eq '{_odata_quote(values['partition_key'])}'"
+        if values["filter"] is not None:
+            text += f" and ({_filter_text(values['filter'])})"
+        out["$filter"] = text
+
+    def take(found, values):
+        match = _PARTITION_FILTER.fullmatch(found.get("$filter", ""))
+        if match is None or "$top" in found or "NextPartitionKey" in found:
+            return False
+        values["partition_key"] = _odata_unquote(match.group(1))
+        values["filter"] = match.group(2)
+        return True
+
+    return Slot(("partition_key", "filter"), put, take)
+
+
+# ---------------------------------------------------------------------------
+# Request bodies and replies
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Body:
+    """The parameters a request body carries, and its codec."""
+
+    names: Tuple[str, ...]
+    write: Callable[[Mapping[str, Any]], bytes]
+    read: Callable[[bytes], Dict[str, Any]]
+
+
+def _block_list_xml(values: Mapping[str, Any]) -> bytes:
+    root = ET.Element("BlockList")
+    for block_id in values["block_ids"]:
+        ET.SubElement(root, "Latest").text = str(block_id)
+    return _xml_body(root)
+
+
+def _read_block_list(raw: bytes) -> Dict[str, Any]:
+    root = ET.fromstring(raw.decode("utf-8"))
+    return {"block_ids": [el.text or "" for el in root
+                          if el.tag in ("Latest", "Committed", "Uncommitted")]}
+
+
+def _new_entity_json(values: Mapping[str, Any]) -> bytes:
+    doc = {"PartitionKey": values["partition_key"],
+           "RowKey": values["row_key"]}
+    doc.update(encode_properties(values["properties"]))
+    return _json_bytes(doc)
+
+
+def _read_new_entity(raw: bytes) -> Dict[str, Any]:
+    doc = json.loads(raw)
+    return {"partition_key": doc["PartitionKey"], "row_key": doc["RowKey"],
+            "properties": decode_properties(doc)}
+
+
+def _batch_json(values: Mapping[str, Any]) -> bytes:
+    return _json_bytes({"table": values["table"], "operations": [{
         "kind": op.kind,
         "partitionKey": op.partition_key,
         "rowKey": op.row_key,
         "properties": (encode_properties(op.properties)
                        if op.properties is not None else None),
         "etag": op.etag,
-    } for op in operations]}
+    } for op in values["operations"]]})
 
-    def parse(status, headers, body):
-        results = json.loads(body.decode("utf-8"))["results"]
-        return [decode_entity(r) if r is not None else None
-                for r in results]
 
-    return WireCall(
-        "table", "POST", "/$batch", headers=dict(_TABLE_JSON),
-        body=json.dumps(doc).encode("utf-8"), parse=parse)
+def _read_batch(raw: bytes) -> Dict[str, Any]:
+    doc = json.loads(raw)
+    return {"table": doc["table"], "operations": [BatchOperation(
+        kind=o["kind"], partition_key=o["partitionKey"],
+        row_key=o["rowKey"],
+        properties=(decode_properties(o["properties"])
+                    if o.get("properties") is not None else None),
+        etag=o.get("etag"),
+    ) for o in doc["operations"]]}
+
+
+_CONTENT_BODY = Body(("data",), lambda v: _content_bytes(v["data"]),
+                     lambda raw: {"data": BytesContent(raw)})
+_MESSAGE_BODY = Body(("data",), lambda v: _message_body(v["data"]),
+                     lambda raw: {"data": _queue_text(raw)})
+#: An update without a body keeps the message's content: ``data=None``.
+_UPDATE_BODY = Body(
+    ("data",),
+    lambda v: b"" if v["data"] is None else _message_body(v["data"]),
+    lambda raw: {"data": _queue_text(raw) if raw else None})
+_BLOCK_LIST_BODY = Body(("block_ids",), _block_list_xml, _read_block_list)
+_TABLE_NAME_BODY = Body(("name",),
+                        lambda v: _json_bytes({"TableName": v["name"]}),
+                        lambda raw: {"name": json.loads(raw)["TableName"]})
+_PROPERTIES_BODY = Body(
+    ("properties",),
+    lambda v: _json_bytes(encode_properties(v["properties"])),
+    lambda raw: {"properties": decode_properties(json.loads(raw))})
+_ENTITY_BODY = Body(("partition_key", "row_key", "properties"),
+                    _new_entity_json, _read_new_entity)
+_BATCH_BODY = Body(("table", "operations"), _batch_json, _read_batch)
+
+_Headers = List[Tuple[str, str]]
+
+
+@dataclass(frozen=True)
+class Reply:
+    """A result's wire form: the server's encoder and the client's parser.
+
+    ``encode(values, result)`` gives the ``(headers, body)`` of a
+    ``status`` response; ``parse(values, headers, body)`` rebuilds the
+    result.  ``values`` are the call's arguments by name, on either end.
+    """
+
+    status: int
+    encode: Callable[[Mapping[str, Any], Any], Tuple[_Headers, bytes]] = \
+        lambda values, result: ([], b"")
+    parse: Callable[[Mapping[str, Any], Mapping[str, str], bytes], Any] = \
+        lambda values, headers, body: None
+
+
+def _xml(body: bytes, *headers: Tuple[str, str]) -> Tuple[_Headers, bytes]:
+    return [*headers, ("Content-Type", "application/xml")], body
+
+
+def _json(doc: Any, *headers: Tuple[str, str]) -> Tuple[_Headers, bytes]:
+    return ([*headers,
+             ("Content-Type", "application/json;odata=minimalmetadata")],
+            _json_bytes(doc))
+
+
+def _names_reply(kind: str) -> Reply:
+    return Reply(200, lambda v, names: _xml(_names_xml(kind, names)),
+                 lambda v, headers, body: _parse_names_xml(kind, body))
+
+
+def _message_reply(status: int, *, peeked: bool = False) -> Reply:
+    """At most one message; ``None`` is an empty list."""
+    return Reply(
+        status,
+        lambda v, msg: _xml(_messages_xml([] if msg is None else [msg],
+                                          peeked=peeked)),
+        lambda v, headers, body: next(iter(_parse_messages_xml(body)), None))
+
+
+def _updated_message(values: Mapping[str, Any],
+                     msg: QueueMessage) -> Tuple[_Headers, bytes]:
+    return [
+        ("x-ms-popreceipt", msg.pop_receipt or ""),
+        ("x-ms-time-next-visible", _http_date(msg.next_visible_time)),
+        (f"{_EXT}time-next-visible-epoch", repr(msg.next_visible_time)),
+        (f"{_EXT}insertion-time-epoch", repr(msg.insertion_time)),
+        (f"{_EXT}expiration-time-epoch", repr(msg.expiration_time)),
+        (f"{_EXT}dequeue-count", str(msg.dequeue_count)),
+    ], b""
+
+
+def _parse_updated_message(values: Mapping[str, Any],
+                           headers: Mapping[str, str],
+                           body: bytes) -> QueueMessage:
+    # The 2012 API's 204 carries no content: an update that kept it
+    # (data=None) comes back empty.
+    data = values["data"]
+    return QueueMessage(
+        message_id=values["message_id"],
+        content=BytesContent(b"" if data is None else _content_bytes(data)),
+        insertion_time=float(headers.get(f"{_EXT}insertion-time-epoch", "0")),
+        expiration_time=float(
+            headers.get(f"{_EXT}expiration-time-epoch", "0")),
+        next_visible_time=float(
+            headers.get(f"{_EXT}time-next-visible-epoch", "0")),
+        dequeue_count=int(headers.get(f"{_EXT}dequeue-count", "0")),
+        pop_receipt=headers.get("x-ms-popreceipt") or None,
+    )
+
+
+def _entity_written(status: int) -> Reply:
+    """An entity write: the new ETag, and the entity itself on a 201."""
+    def encode(values, entity):
+        headers = [("ETag", entity.etag),
+                   (f"{_EXT}timestamp-epoch", repr(entity.timestamp))]
+        if status == 201:
+            return _json(encode_entity(entity), *headers)
+        return headers, b""
+
+    def parse(values, headers, body):
+        if body:
+            return decode_entity(json.loads(body))
+        return Entity(values["partition_key"], values["row_key"],
+                      values["properties"], etag=headers.get("etag", ""),
+                      timestamp=float(
+                          headers.get(f"{_EXT}timestamp-epoch", "0")))
+    return Reply(status, encode, parse)
+
+
+def _entities(body: bytes) -> List[Entity]:
+    return [decode_entity(doc) for doc in json.loads(body)["value"]]
+
+
+def _query_page(values: Mapping[str, Any],
+                result: QueryResult) -> Tuple[_Headers, bytes]:
+    token = result.continuation
+    headers = [] if token is None else [
+        ("x-ms-continuation-NextPartitionKey", token[0]),
+        ("x-ms-continuation-NextRowKey", token[1])]
+    return _json({"value": [encode_entity(e) for e in result.entities]},
+                 *headers)
+
+
+def _parse_query_page(values: Mapping[str, Any], headers: Mapping[str, str],
+                      body: bytes) -> QueryResult:
+    continuation = None
+    if "x-ms-continuation-nextpartitionkey" in headers:
+        continuation = (headers["x-ms-continuation-nextpartitionkey"],
+                        headers.get("x-ms-continuation-nextrowkey", ""))
+    return QueryResult(_entities(body), continuation=continuation)
+
+
+_CREATED = Reply(201)
+_ACCEPTED = Reply(202)
+_NO_CONTENT = Reply(204)
+_CONTENT = Reply(200, lambda v, content: ([], content.to_bytes()),
+                 lambda v, headers, body: BytesContent(body))
+#: The data node pairs a range's bytes with the blob's total size.
+_PAGE = Reply(
+    206,
+    lambda v, pair: ([("Content-Range", f"bytes {v['offset']}-"
+                       f"{v['offset'] + v['length'] - 1}/{pair[1]}")],
+                     pair[0].to_bytes()),
+    _CONTENT.parse)
+_BLOCK_COUNT = Reply(
+    200,
+    lambda v, count: _xml(_xml_body(ET.Element("BlockList")),
+                          ("x-ms-block-count", str(count))),
+    lambda v, headers, body: int(headers.get("x-ms-block-count", "0")))
+_MESSAGES = Reply(200, lambda v, msgs: _xml(_messages_xml(msgs)),
+                  lambda v, headers, body: _parse_messages_xml(body))
+_MESSAGE_COUNT = Reply(
+    200,
+    lambda v, count: ([("x-ms-approximate-messages-count", str(count))],
+                      b""),
+    lambda v, headers, body: int(
+        headers.get("x-ms-approximate-messages-count", "0")))
+_TABLE_CREATED = Reply(201, lambda v, _: _json({"TableName": v["name"]}))
+_ENTITY = Reply(200, lambda v, entity: _json(encode_entity(entity)),
+                lambda v, headers, body: decode_entity(json.loads(body)))
+_ENTITIES = Reply(
+    200, lambda v, entities: _json({"value": [encode_entity(e)
+                                              for e in entities]}),
+    lambda v, headers, body: _entities(body))
+_BATCH_RESULTS = Reply(
+    202,
+    lambda v, results: _json({"results": [
+        encode_entity(e) if e is not None else None for e in results]}),
+    lambda v, headers, body: [
+        decode_entity(r) if r is not None else None
+        for r in json.loads(body)["results"]])
+
+
+# ---------------------------------------------------------------------------
+# Routes
+# ---------------------------------------------------------------------------
+
+#: What a path segment may carry unescaped: RFC 3986's ``pchar`` without
+#: ``%``.  Every name the clients send stays byte-identical, the ``'(),=``
+#: of entity paths included; a space, ``%``, ``?`` or ``#`` is escaped.
+_PATH_SAFE = "/!$&'()*+,;=:@"
+#: Control characters name nothing: a path holding one is refused.
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")
+#: What ``quote`` leaves as it is: a path of these alone (most paths)
+#: is sent unchecked.
+_UNESCAPED = string.ascii_letters + string.digits + "_.-~" + _PATH_SAFE
+
+#: Path parameters that may span segments: blob names are paths.
+_SPANNING = {"blob"}
+
+_SERVICES = {"blob": Service.BLOB, "queue": Service.QUEUE,
+             "table": Service.TABLE}
+
+#: What a service partitions by (paper IV.A-C): a route's ``key`` unless
+#: it names its own.
+_PARTITIONED_BY = {"blob": "container/blob", "queue": "queue",
+                   "table": "partition_key"}
+
+#: Headers every request of a service carries ahead of its route's own.
+_SERVICE_HEADERS = {"table": (
+    ("Content-Type", "application/json"),
+    ("Accept", "application/json;odata=minimalmetadata"))}
+
+
+class _Path:
+    """A path template below ``/{account}``: literal text and ``{param}``s.
+
+    A parameter between quotes is OData-quoted (``'`` doubled); every
+    parameter is percent-encoded, here and nowhere else.
+    """
+
+    def __init__(self, template: str) -> None:
+        self.template = template
+        pieces = re.split(r"\{(\w+)\}", template)
+        self.literals = pieces[::2]
+        self.names = tuple(pieces[1::2])
+        self.quoted = tuple(text.endswith("'")
+                            for text in self.literals[:-1])
+        self.odata = [name for name, quoted in zip(self.names, self.quoted)
+                      if quoted]
+        #: The template with its parameters unnamed: routes that share
+        #: a shape share its regex alternative.
+        self.shape = "{}".join(self.literals)
+        self.pattern = re.escape(self.literals[0]) + "".join(
+            ("((?:[^']|'')*)" if quoted else
+             "(.+)" if name in _SPANNING else "([^/]+)") + re.escape(text)
+            for name, quoted, text in zip(self.names, self.quoted,
+                                          self.literals[1:]))
+
+    def build(self, values: Mapping[str, Any]) -> str:
+        if self.odata:
+            values = dict(values)
+            for name in self.odata:
+                values[name] = _odata_quote(f"{values[name]}")
+        path = self.template.format_map(values)
+        if path.rstrip(_UNESCAPED):  # a name to escape, or to refuse
+            if _CONTROL.search(path):
+                raise ValueError(f"path {path!r} holds control characters")
+            path = self.template.format_map(
+                {name: quote(f"{values[name]}", safe=_PATH_SAFE)
+                 for name in self.names})
+        return path
+
+
+class Route:
+    """One ``(client, op)`` of the wire: its HTTP shape, reply and rules.
+
+    ``query`` and ``headers`` hold, in wire order, fixed ``(key, value)``
+    discriminators and the :class:`Slot` of each of the op's parameters;
+    ``body`` carries the rest.  ``kind`` (``None``: a registry-local
+    read, no descriptor), ``key`` (the arguments the partition is made
+    of, ``/``-joined, or a function of them; the service's rule if not
+    given) and ``cost`` (its size fields) make the descriptor.
+    ``route`` is ``one`` (the partition's owners), ``broadcast`` (every
+    shard) or ``fanout`` (every shard, the results through ``merge``,
+    which takes the ``withheld`` arguments the shards do not get).
+    ``alias`` is the data node's pseudo-op.
+    """
+
+    def __init__(self, client: str, op: str, method: str, path: str, *,
+                 query: tuple = (), headers: tuple = (),
+                 body: Optional[Body] = None, reply: Reply = _CREATED,
+                 kind: Optional[OpKind] = None, key: Any = "",
+                 cost: Optional[Callable[[Mapping[str, Any]],
+                                         Dict[str, int]]] = None,
+                 route: str = "one", merge: Optional[Callable] = None,
+                 withheld: Tuple[str, ...] = (),
+                 result_nbytes: Optional[Callable[[Any], int]] = None,
+                 alias: Optional[str] = None) -> None:
+        self.client, self.op, self.method = client, op, method
+        self.path = _Path(path)
+        # Fixed discriminators go on the wire first, and the server
+        # compares them in any case.
+        self.query = tuple(item for item in query if isinstance(item, Slot))
+        self.headers = tuple(item for item in headers
+                             if isinstance(item, Slot))
+        fixed_query = [item for item in query if not isinstance(item, Slot)]
+        fixed_headers = [item for item in headers
+                         if not isinstance(item, Slot)]
+        self.sent_query = dict(fixed_query)
+        self.sent_headers = dict(_SERVICE_HEADERS.get(client, ()))
+        self.sent_headers.update(fixed_headers)
+        self.query_checks = [(key, value.lower())
+                             for key, value in fixed_query]
+        self.header_checks = [(key.lower(), value.lower())
+                              for key, value in fixed_headers]
+        self.body, self.reply = body, reply
+        self.kind, self.cost, self.route = kind, cost, route
+        self.merge, self.withheld = merge, withheld
+        self.result_nbytes, self.alias = result_nbytes, alias
+        key = key or _PARTITIONED_BY[client]
+        if isinstance(key, str):
+            parts = operator.itemgetter(*key.split("/"))
+            key = parts if "/" not in key else (
+                lambda values: "/".join(parts(values)))
+        self.partition = key
+
+        params = list(inspect.signature(
+            OPERATIONS[client][op].body).parameters.values())[1:]
+        self.signature = inspect.Signature(params)
+        self.order = tuple(p.name for p in params)
+        self.names = frozenset(self.order)
+        self.positional_count = sum(
+            p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+        self.defaults = {p.name: p.default for p in params
+                         if p.default is not p.empty}
+        slots = self.query + self.headers
+        carried = {*self.path.names, *(body.names if body else ()),
+                   *(name for slot in slots for name in slot.names)}
+        by_name = {name for slot in slots if slot.keyword
+                   for name in slot.names}
+        sent = [p for p in params
+                if p.name in carried and p.name not in withheld]
+        self.positional = tuple(
+            p.name for p in sent if p.kind is p.POSITIONAL_OR_KEYWORD
+            and p.name not in by_name)
+        self.keywords = tuple(p.name for p in sent
+                              if p.name not in self.positional)
+        #: The wire cannot carry these: a call must leave them alone.
+        self.uncarried = {p.name: p.default for p in params
+                          if p.name not in carried}
+
+    def encode(self, *args, **kwargs) -> WireCall:
+        """The HTTP exchange of one call, and the parser of its reply."""
+        # Bound by hand: ``Signature.bind`` is 40% of an encode, which
+        # the live workload's client pays per request.  A call that does
+        # not fit the signature gets its TypeError from ``bind``.
+        values = dict(zip(self.order, args), **kwargs)
+        if len(values) < len(self.order):
+            values = {**self.defaults, **values}
+        if (len(args) > self.positional_count or values.keys() != self.names
+                or kwargs and not kwargs.keys().isdisjoint(
+                    self.order[:len(args)])):
+            self.signature.bind(*args, **kwargs)
+        for name, default in self.uncarried.items():
+            if values[name] != default:
+                raise NotImplementedError(
+                    f"{self.client}.{self.op}({name}=...) is not part of "
+                    f"the wire subset")
+        query = dict(self.sent_query)
+        for slot in self.query:
+            slot.put(values, query)
+        headers = dict(self.sent_headers)
+        for slot in self.headers:
+            slot.put(values, headers)
+        reply = self.reply
+        return WireCall(
+            self.client, self.method, self.path.build(values), query,
+            headers, self.body.write(values) if self.body else b"",
+            lambda status, headers, body: reply.parse(values, headers, body))
+
+    def decode(self, req: HttpRequest,
+               path_values: List[str]) -> Optional[DecodedOp]:
+        """The registry call ``req`` makes, or ``None``: not this route's."""
+        for key, expected in self.query_checks:
+            if req.query.get(key, "").lower() != expected:
+                return None
+        for key, expected in self.header_checks:
+            if req.headers.get(key, "").lower() != expected:
+                return None
+        values = dict(zip(self.path.names, path_values))
+        for slot in self.query:
+            if not slot.take(req.query, values):
+                return None
+        for slot in self.headers:
+            if not slot.take(req.headers, values):
+                return None
+        if self.body is not None:
+            values.update(self.body.read(req.body))
+        # No comprehensions on this path: each is a frame of its own.
+        withheld = {}
+        for name in self.withheld:
+            withheld[name] = values.pop(name)
+        kwargs = {}
+        for name in self.keywords:
+            if name in values:
+                kwargs[name] = values[name]
+        partition = (self.partition(values) if self.kind is not None
+                     or self.route == "one" else None)
+        descriptor = None
+        if self.kind is not None:
+            descriptor = OpDescriptor(
+                _SERVICES[self.client], self.kind, partition,
+                **(self.cost(values) if self.cost else {}))
+        reply = self.reply
+        return DecodedOp(
+            self.client, self.alias or self.op,
+            tuple(map(values.__getitem__, self.positional)), kwargs,
+            descriptor, self.route,
+            partition if self.route == "one" else None,
+            lambda result: HttpResponse(reply.status,
+                                        *reply.encode(values, result)),
+            merge=(functools.partial(self.merge, **withheld) if withheld
+                   else self.merge),
+            result_nbytes=self.result_nbytes)
+
+
+# ---------------------------------------------------------------------------
+# The table
+# ---------------------------------------------------------------------------
+
+def _data_bytes(values: Mapping[str, Any]) -> Dict[str, int]:
+    return {"nbytes": values["data"].size}
+
+
+def _entity_bytes(values: Mapping[str, Any]) -> Dict[str, int]:
+    return {"nbytes": Entity(values["partition_key"], values["row_key"],
+                             values["properties"]).size}
+
+
+def _batch_partition(values: Mapping[str, Any]) -> str:
+    ops = values["operations"]
+    return ops[0].partition_key if ops else values["table"]
+
+
+def _batch_cost(values: Mapping[str, Any]) -> Dict[str, int]:
+    ops = values["operations"]
+    return {"nbytes": sum(Entity(o.partition_key, o.row_key,
+                                 o.properties or {}).size for o in ops),
+            "units": max(1, len(ops))}
+
+
+_CONTAINER = ("restype", "container")
+_BLOB_PATH = "/{container}/{blob}"
+_MESSAGES_PATH = "/{queue}/messages"
+_MESSAGE_PATH = "/{queue}/messages/{message_id}"
+_ENTITY_PATH = "/{table}(PartitionKey='{partition_key}',RowKey='{row_key}')"
+_VISIBILITY = _param("visibility_timeout", "visibilitytimeout", _NUMBER,
+                     default=None)
+_POP_RECEIPT = _param("pop_receipt", "popreceipt", _RECEIPT)
+_IF_MATCH = _param("etag", "If-Match", _ETAG, header=True)
+_SELECT = _param("select", "$select", _NAMES, default=None)
+_PREFIX = _param("prefix", "prefix", default="")
+
+#: Routes that share a method and path shape are tried in this order.
+ROUTES: Tuple[Route, ...] = (
+    # -- blob ---------------------------------------------------------------
+    Route("blob", "create_container", "PUT", "/{name}", query=(_CONTAINER,),
+          kind=OpKind.CREATE_CONTAINER, key="name", route="broadcast"),
+    Route("blob", "delete_container", "DELETE", "/{name}",
+          query=(_CONTAINER,), reply=_ACCEPTED,
+          kind=OpKind.DELETE_CONTAINER, key="name", route="broadcast"),
+    Route("blob", "list_blobs", "GET", "/{container}",
+          query=(_CONTAINER, ("comp", "list"), _PREFIX),
+          reply=_names_reply("Blob"), route="fanout", merge=_merge_names),
+    Route("blob", "put_block", "PUT", _BLOB_PATH,
+          query=(("comp", "block"), _param("block_id", "blockid")),
+          body=_CONTENT_BODY, kind=OpKind.PUT_BLOCK, cost=_data_bytes),
+    Route("blob", "put_block_list", "PUT", _BLOB_PATH,
+          query=(("comp", "blocklist"),),
+          headers=(_param("merge", f"{_EXT}merge-commit", _FLAG,
+                          default=False, header=True),),
+          body=_BLOCK_LIST_BODY, kind=OpKind.PUT_BLOCK_LIST,
+          cost=lambda v: {"block_count": len(v["block_ids"])}),
+    Route("blob", "put_page", "PUT", _BLOB_PATH, query=(("comp", "page"),),
+          headers=(_range(page=True),), body=_CONTENT_BODY,
+          kind=OpKind.PUT_PAGE, cost=_data_bytes),
+    Route("blob", "create_page_blob", "PUT", _BLOB_PATH,
+          headers=(("x-ms-blob-type", "PageBlob"),
+                   _param("max_size", "x-ms-blob-content-length", _INT,
+                          header=True)),
+          kind=OpKind.CREATE_CONTAINER),  # a metadata-cost op
+    Route("blob", "upload_blob", "PUT", _BLOB_PATH,
+          headers=(("x-ms-blob-type", "BlockBlob"),), body=_CONTENT_BODY,
+          kind=OpKind.UPLOAD_BLOB, cost=_data_bytes),
+    Route("blob", "block_count", "GET", _BLOB_PATH,
+          query=(("comp", "blocklist"),), reply=_BLOCK_COUNT),
+    Route("blob", "get_block", "GET", _BLOB_PATH,
+          query=(("comp", "block"), _param("index", "blockindex", _INT)),
+          reply=_CONTENT, kind=OpKind.GET_BLOCK, result_nbytes=_content_size),
+    Route("blob", "get_page", "GET", _BLOB_PATH,
+          headers=(_range(page=False),), reply=_PAGE, kind=OpKind.GET_PAGE,
+          cost=lambda v: {"nbytes": v["length"]},
+          result_nbytes=lambda pair: _content_size(pair[0]),
+          alias="_get_page"),
+    # Only the data node knows a blob's flavour; it downloads either.
+    Route("blob", "download_block_blob", "GET", _BLOB_PATH, reply=_CONTENT,
+          kind=OpKind.DOWNLOAD_BLOB, result_nbytes=_content_size,
+          alias="_download"),
+    Route("blob", "download_page_blob", "GET", _BLOB_PATH, reply=_CONTENT,
+          kind=OpKind.DOWNLOAD_BLOB, result_nbytes=_content_size,
+          alias="_download"),
+    Route("blob", "delete_blob", "DELETE", _BLOB_PATH, reply=_ACCEPTED,
+          kind=OpKind.DELETE_BLOB),
+    # -- queue --------------------------------------------------------------
+    Route("queue", "create_queue", "PUT", "/{name}",
+          kind=OpKind.CREATE_QUEUE, key="name", route="broadcast"),
+    Route("queue", "delete_queue", "DELETE", "/{name}", reply=_NO_CONTENT,
+          kind=OpKind.DELETE_QUEUE, key="name", route="broadcast"),
+    Route("queue", "list_queues", "GET", "/",
+          query=(("comp", "list"), _PREFIX),
+          reply=_names_reply("Queue"), route="fanout", merge=_merge_names),
+    Route("queue", "get_message_count", "GET", "/{queue}",
+          query=(("comp", "metadata"),), reply=_MESSAGE_COUNT,
+          kind=OpKind.GET_MESSAGE_COUNT),
+    Route("queue", "put_message", "POST", _MESSAGES_PATH,
+          query=(_param("ttl", "messagettl", _NUMBER, omit=None),
+                 _param("visibility_delay", "visibilitytimeout", _NUMBER,
+                        omit=0.0)),
+          body=_MESSAGE_BODY, reply=_message_reply(201),
+          kind=OpKind.PUT_MESSAGE, cost=_data_bytes),
+    Route("queue", "peek_message", "GET", _MESSAGES_PATH,
+          query=(("peekonly", "true"),),
+          reply=_message_reply(200, peeked=True),
+          kind=OpKind.PEEK_MESSAGE, result_nbytes=_content_size),
+    Route("queue", "get_messages", "GET", _MESSAGES_PATH,
+          query=(_param("n", "numofmessages", _INT), _VISIBILITY),
+          reply=_MESSAGES, kind=OpKind.GET_MESSAGE,
+          cost=lambda v: {"units": max(1, v["n"])}, result_nbytes=_sizes),
+    Route("queue", "get_message", "GET", _MESSAGES_PATH,
+          query=(_VISIBILITY,), reply=_message_reply(200),
+          kind=OpKind.GET_MESSAGE, result_nbytes=_content_size),
+    Route("queue", "delete_message", "DELETE", _MESSAGE_PATH,
+          query=(_POP_RECEIPT,), reply=_NO_CONTENT,
+          kind=OpKind.DELETE_MESSAGE),
+    Route("queue", "update_message", "PUT", _MESSAGE_PATH,
+          query=(_POP_RECEIPT,
+                 _param("visibility_timeout", "visibilitytimeout", _NUMBER)),
+          body=_UPDATE_BODY,
+          reply=Reply(204, _updated_message, _parse_updated_message),
+          kind=OpKind.UPDATE_MESSAGE,
+          cost=lambda v: {"nbytes": _content_size(v["data"])}),
+    # -- table --------------------------------------------------------------
+    Route("table", "create_table", "POST", "/Tables", body=_TABLE_NAME_BODY,
+          reply=_TABLE_CREATED, kind=OpKind.CREATE_TABLE, key="name",
+          route="broadcast"),
+    Route("table", "delete_table", "DELETE", "/Tables('{name}')",
+          reply=_NO_CONTENT, kind=OpKind.DELETE_TABLE, key="name",
+          route="broadcast"),
+    Route("table", "insert", "POST", "/{table}", body=_ENTITY_BODY,
+          reply=_entity_written(201), kind=OpKind.INSERT_ENTITY,
+          cost=_entity_bytes),
+    Route("table", "get", "GET", _ENTITY_PATH, reply=_ENTITY,
+          kind=OpKind.QUERY_ENTITY, result_nbytes=lambda entity: entity.size),
+    Route("table", "update", "PUT", _ENTITY_PATH, headers=(_IF_MATCH,),
+          body=_PROPERTIES_BODY, reply=_entity_written(204),
+          kind=OpKind.UPDATE_ENTITY, cost=_entity_bytes),
+    Route("table", "insert_or_replace", "PUT", _ENTITY_PATH,
+          body=_PROPERTIES_BODY, reply=_entity_written(204),
+          kind=OpKind.UPDATE_ENTITY, cost=_entity_bytes),
+    Route("table", "merge", "MERGE", _ENTITY_PATH, headers=(_IF_MATCH,),
+          body=_PROPERTIES_BODY, reply=_entity_written(204),
+          kind=OpKind.MERGE_ENTITY, cost=_entity_bytes),
+    Route("table", "insert_or_merge", "MERGE", _ENTITY_PATH,
+          body=_PROPERTIES_BODY, reply=_entity_written(204),
+          kind=OpKind.MERGE_ENTITY, cost=_entity_bytes),
+    Route("table", "delete", "DELETE", _ENTITY_PATH, headers=(_IF_MATCH,),
+          reply=_NO_CONTENT, kind=OpKind.DELETE_ENTITY),
+    Route("table", "query_partition", "GET", "/{table}()",
+          query=(_partition_filter(), _SELECT), reply=_ENTITIES,
+          kind=OpKind.QUERY_ENTITY, result_nbytes=_sizes),
+    # The shards scan unpaged; the merge pages (and sees the whole table).
+    Route("table", "query", "GET", "/{table}()",
+          query=(_param("filter", "$filter", _FILTER, default=None,
+                        keyword=True),
+                 _param("top", "$top", _INT, default=None), _SELECT,
+                 _continuation()),
+          reply=Reply(200, _query_page, _parse_query_page),
+          kind=OpKind.QUERY_ENTITY, key="table", route="fanout",
+          merge=_merge_query, withheld=("top", "continuation"),
+          result_nbytes=lambda result: _sizes(result.entities)),
+    Route("table", "execute_batch", "POST", "/$batch", body=_BATCH_BODY,
+          reply=_BATCH_RESULTS, kind=OpKind.BATCH, key=_batch_partition,
+          cost=_batch_cost),
+)
+
+ENCODERS: Dict[Tuple[str, str], Callable[..., WireCall]] = {
+    (route.client, route.op): route.encode for route in ROUTES}
+
+
+def _shapes(service: str):
+    """One regex telling a path's shape, and per alternative's group the
+    shape and where its values sit in ``match.groups()``."""
+    paths: Dict[str, _Path] = {}
+    for route in ROUTES:
+        if route.client == service:
+            paths.setdefault(route.path.shape, route.path)
+    # The most literal shape first: ``Tables('t')`` is no table of that name.
+    ordered = sorted(paths.values(),
+                     key=lambda path: -len("".join(path.literals)))
+    alternatives, groups, index = [], {}, 1
+    for path in ordered:
+        alternatives.append(f"({path.pattern})")
+        groups[index] = (path.shape, index, index + len(path.names),
+                         path.quoted)
+        index += 1 + len(path.names)
+    return re.compile("|".join(alternatives)), groups
+
+
+_SHAPES = {service: _shapes(service) for service in _SERVICES}
+_CANDIDATES: Dict[Tuple[str, str, str], List[Route]] = {}
+for _route in ROUTES:
+    _CANDIDATES.setdefault(
+        (_route.client, _route.method, _route.path.shape), []).append(_route)
+
+
+def decode_request(service: str, account: str,
+                   req: HttpRequest) -> DecodedOp:
+    """Resolve one wire request against the ``service`` listener."""
+    cause = None
+    try:
+        head, _, rest = req.path.lstrip("/").partition("/")
+        if head != account:
+            raise ResourceNotFoundError(f"unknown account path {req.path!r}")
+        regex, groups = _SHAPES[service]
+        match = regex.fullmatch("/" + rest)
+        if match is not None:
+            shape, first, last, quoted = groups[match.lastindex]
+            path_values = match.groups()[first:last]
+            if any(quoted):  # values between quotes double their quotes
+                path_values = [_odata_unquote(v) if q else v
+                               for v, q in zip(path_values, quoted)]
+            for route in _CANDIDATES.get((service, req.method, shape), ()):
+                decoded = route.decode(req, path_values)
+                if decoded is not None:
+                    return decoded
+    except StorageError:
+        raise
+    except Exception as exc:
+        cause = exc
+    # A request the table never anticipated must still come back as a
+    # decodable storage error, not a bare 400 (or a 500).
+    raise UnknownResourceError(
+        f"cannot resolve {req.method} {req.target!r} against the "
+        f"{service} endpoint") from cause
