@@ -735,7 +735,7 @@ def _run_serve(args) -> int:
 
     # Graceful shutdown: SIGINT/SIGTERM (and --duration expiry) wake the
     # main thread, which tears the cluster down in order — stop accepting,
-    # drain in-flight requests, close DN links — and exits 0.  Handlers
+    # drain in-flight requests, take the DNs down — and exits 0.  Handlers
     # go in *before* "serving" is announced, so a supervisor that signals
     # the moment the banner appears never hits the default-action window.
     stop = threading.Event()

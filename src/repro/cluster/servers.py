@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..simkit import Environment, Resource, Tally, UtilizationMonitor
+from ..simkit import Environment, Resource, Tally
 
 __all__ = ["PartitionServer", "ServerPool"]
 
@@ -25,7 +25,6 @@ class PartitionServer:
         self.env = env
         self.name = name
         self.slots = Resource(env, capacity=slots)
-        self.utilization = UtilizationMonitor(env)
         self.service_times = Tally(f"{name}.service")
         self.wait_times = Tally(f"{name}.wait")
         self.ops_served = 0
@@ -52,22 +51,14 @@ class PartitionServer:
                 yield request
             except BaseException:
                 slots.release(request)
-                if slots.count == 0:
-                    # It gave back a slot granted at this instant, after
-                    # the last holder saw it counted and stayed "busy".
-                    self.utilization.mark_idle()
                 raise
             self.wait_times.record(env._now - arrived)
-        if slots.count == 1:
-            self.utilization.mark_busy()
         try:
             yield env.timeout(occupancy)
             self.service_times.record(occupancy)
             self.ops_served += 1
             self.bytes_served += nbytes
         finally:
-            if slots.count == 1:
-                self.utilization.mark_idle()
             slots.release()
 
     @property

@@ -86,13 +86,11 @@ class ServiceCluster:
 
     async def stop(self) -> None:
         # Graceful order: stop accepting + drain in-flight requests,
-        # stop the health checker, then tear the DN links and DNs down.
+        # stop the health checker, then take the DNs down.
         for sn in self.service_nodes:
             await sn.stop()
         if self.membership is not None:
             await self.membership.stop()
-        for client in self._dn_clients:
-            await client.close()
         for dn in self.data_nodes:
             await dn.stop()
         self.service_nodes.clear()
@@ -104,7 +102,7 @@ class ServiceCluster:
     def crash_data_node(self, index: int) -> None:
         """Kill DN ``index`` the hard way (the DN_CRASH chaos fault).
 
-        The process "dies" (listener closed, connections aborted) and the
+        The process "dies" (calls refused, calls in flight reset) and the
         membership learns of it the honest way: missed heartbeats.
         """
         self.data_nodes[index].crash()

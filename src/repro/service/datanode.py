@@ -1,18 +1,36 @@
 """Data nodes: the shards that own partitions and execute operations.
 
-A data node is one asyncio TCP server holding the *storage state
-machines* for every account, sharded by partition key: the service
-nodes route each operation to the DN that owns its partition (or
-broadcast namespace operations to all DNs).  Operations execute through
-the registry pipeline via :class:`~repro.pipeline.executors.AsyncExecutor`
-— the same ``prepare -> interceptors -> apply`` drive the emulator's
-threads use, so the two tiers cannot diverge semantically.
+A data node holds the *storage state machines* for every account,
+sharded by partition key: the service nodes route each operation to the
+DN that owns its partition (or broadcast namespace operations to all
+DNs).  Operations execute through the registry pipeline via
+:class:`~repro.pipeline.executors.AsyncExecutor` — the same
+``prepare -> interceptors -> apply`` drive the emulator's threads use,
+so the two tiers cannot diverge semantically.
 
-The internal SN->DN protocol is deliberately dumb: length-prefixed
-pickle frames carrying ``(account, client, op, args, kwargs)`` one way
-and ``("ok", result)`` / ``("storage-err", payload)`` the other.  It is
-a trusted, same-deployment link (like HSDS's internal DN traffic), so
-fidelity lives at the *wire* tier, not here.
+The SN->DN link is an exchange of pickled frames inside the event loop
+the nodes share: ``(account, client, op, args, kwargs)`` one way and
+``("ok", result)`` / ``("storage-err", payload)`` the other.  Pickling
+is the copy boundary — the SN and the DN never share a live object, as
+if a wire lay between them — and the frame bytes are what a link
+between processes would carry.  It is a trusted, same-deployment link
+(like HSDS's internal DN traffic), so fidelity lives at the *wire*
+tier, not here.
+
+An exchange runs eagerly, in the caller's task: an op that does not
+wait costs no task and no turn of the loop.  Only when the node itself
+waits (a DN_SLOW stall, an injected TIMEOUT burn) does the rest of the
+exchange continue as a task of its own, while the caller waits for the
+reply on a future parked on the node.  A caller whose deadline expires
+thus abandons the call, not the op: the node finishes it and the reply
+is dropped.
+
+``start()`` enters a node in a process-local directory under an address
+unique to it, which :class:`DataNodeClient` resolves on every call.
+``crash()`` kills a node the hard way, which is what the DN_CRASH chaos
+fault and the failover tests use to model a crash-stop process death:
+every caller parked on it fails at once with ``ConnectionResetError``,
+and later calls are refused with ``ConnectionRefusedError``.
 
 The same link carries the *fabric* traffic of the failure domain:
 ``_ping`` heartbeats, ``_manifest`` (what data does this node hold),
@@ -22,16 +40,16 @@ restore replication after a node dies (see
 directly — replica copies are fabric-internal, not client requests, so
 they bypass the op pipeline (no throttling, no fault injection) the
 way a real fabric's inter-node replication bypasses the front door.
-
-``crash()`` kills a node the hard way — listener closed, every open
-connection aborted mid-frame — which is what the DN_CRASH chaos fault
-and the failover tests use to model a crash-stop process death.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
+import itertools
 import pickle
+import types
+import weakref
 from typing import Dict, Iterable, Mapping, Optional, Set, Tuple, Union
 
 from ..pipeline import (
@@ -51,23 +69,50 @@ from .wire import error_to_payload, payload_to_error
 
 __all__ = ["DataNode", "DataNodeClient"]
 
-_LEN_BYTES = 4
-_MAX_FRAME = 64 * 1024 * 1024
+#: Started data nodes by address: what listening sockets were to a
+#: loopback link.  Weak, so a node nobody stopped does not outlive its run.
+_DIRECTORY: "weakref.WeakValueDictionary[Tuple[str, int], DataNode]" = \
+    weakref.WeakValueDictionary()
+_ADDRESSES = itertools.count(1)
 
 
-async def _read_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
-    try:
-        header = await reader.readexactly(_LEN_BYTES)
-    except asyncio.IncompleteReadError:
-        return None
-    length = int.from_bytes(header, "big")
-    if length > _MAX_FRAME:
-        raise ConnectionError(f"frame of {length} B exceeds {_MAX_FRAME} B")
-    return await reader.readexactly(length)
+@types.coroutine
+def _resume(coro, waiting_on):
+    """Drive a started coroutine on from the await it is suspended in.
+
+    A task cannot adopt a coroutine that has already run (3.12's eager
+    task start can): this generator passes on to its task what the
+    coroutine waits on, and each wake-up — a value, or an exception such
+    as a cancellation — back to the coroutine.
+    """
+    while True:
+        try:
+            message, step = (yield waiting_on), coro.send
+        except BaseException as exc:
+            message, step = exc, coro.throw
+        try:
+            waiting_on = step(message)
+        except StopIteration as done:
+            return done.value
 
 
-def _write_frame(writer: asyncio.StreamWriter, payload: bytes) -> None:
-    writer.write(len(payload).to_bytes(_LEN_BYTES, "big") + payload)
+async def _finish(coro, waiting_on):
+    # What the task runs: 3.12 tasks refuse a generator-based coroutine.
+    return await _resume(coro, waiting_on)
+
+
+def _deliver(reply: asyncio.Future, task: asyncio.Task) -> None:
+    """Hand a finished exchange's outcome to its caller, if still there."""
+    if task.cancelled():
+        error = ConnectionResetError("data node exchange was cancelled")
+    else:
+        error = task.exception()
+    if reply.done():
+        return  # the caller gave up, or the node crashed under it
+    if error is None:
+        reply.set_result(task.result())
+    else:
+        reply.set_exception(error)
 
 
 class _Shard:
@@ -106,42 +151,36 @@ class DataNode:
                             fifo_jitter_seed=fifo_jitter_seed)
             for account, acct_limits in items
         }
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
+        self._address: Optional[Tuple[str, int]] = None
+        #: Exchanges that waited and now run as tasks, and the reply
+        #: futures their callers wait on.
+        self._exchanges: Set[asyncio.Task] = set()
+        self._parked: Set[asyncio.Future] = set()
         self.requests_served = 0
-        self.crashed = False
         #: Injected per-request service delay in seconds (DN_SLOW fault).
         self.slow_delay = 0.0
 
     # -- lifecycle ----------------------------------------------------------
-    async def start(self, host: str = "127.0.0.1", port: int = 0
-                    ) -> Tuple[str, int]:
-        self._server = await asyncio.start_server(
-            self._serve_connection, host, port)
-        sock = self._server.sockets[0].getsockname()
-        return sock[0], sock[1]
+    async def start(self, host: str = "127.0.0.1") -> Tuple[str, int]:
+        """Enter the directory; the address is what clients dial."""
+        self._address = (host, next(_ADDRESSES))
+        _DIRECTORY[self._address] = self
+        return self._address
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        _DIRECTORY.pop(self._address, None)
 
     def crash(self) -> None:
-        """Crash-stop this node: stop listening, abort every connection.
+        """Crash-stop this node: refuse new calls, fail the parked ones.
 
         In-flight requests die with a transport error on the SN side,
         exactly like a process kill — no goodbye frames, no flushing.
         """
-        self.crashed = True
-        if self._server is not None:
-            self._server.close()
-            self._server = None
-        for writer in list(self._writers):
-            try:
-                writer.transport.abort()
-            except Exception:  # pragma: no cover - already torn down
-                pass
+        _DIRECTORY.pop(self._address, None)
+        for reply in self._parked:
+            if not reply.done():
+                reply.set_exception(ConnectionResetError(
+                    f"data node {self.index} crashed mid-call"))
 
     # -- faults / introspection --------------------------------------------
     def shard(self, account: str) -> _Shard:
@@ -150,37 +189,34 @@ class DataNode:
     def set_fault_plan(self, account: str, plan) -> None:
         self._shards[account].fault_plan = plan
 
-    # -- the request loop ---------------------------------------------------
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        self._writers.add(writer)
+    # -- the exchange -------------------------------------------------------
+    async def _exchange(self, frame: bytes) -> bytes:
+        """One request frame in, one reply frame out."""
+        account, client, op, args, kwargs = pickle.loads(frame)
+        reply = await self._dispatch(account, client, op, args, kwargs)
         try:
-            while True:
-                frame = await _read_frame(reader)
-                if frame is None or self.crashed:
-                    break
-                account, client, op, args, kwargs = pickle.loads(frame)
-                reply = await self._dispatch(account, client, op,
-                                             args, kwargs)
-                try:
-                    payload = pickle.dumps(reply)
-                except Exception as exc:  # unpicklable result: report it
-                    payload = pickle.dumps(
-                        ("err", f"unpicklable result for {op}: {exc}"))
-                _write_frame(writer, payload)
-                await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            pass  # loop teardown: finish cleanly, not "cancelled"
+            return pickle.dumps(reply)
+        except Exception as exc:  # unpicklable result: report it
+            return pickle.dumps(
+                ("err", f"unpicklable result for {op}: {exc}"))
+
+    async def _park(self, exchange, waiting_on) -> bytes:
+        """Finish an exchange that waits as a task; its caller waits here.
+
+        The caller awaits a reply future, not the task, so a caller that
+        gives up (its deadline, a cancellation) abandons the call while
+        the op runs to its end, and ``crash()`` fails it at once.
+        """
+        reply = asyncio.get_running_loop().create_future()
+        task = asyncio.ensure_future(_finish(exchange, waiting_on))
+        self._exchanges.add(task)  # the loop holds tasks weakly
+        task.add_done_callback(self._exchanges.discard)
+        task.add_done_callback(functools.partial(_deliver, reply))
+        self._parked.add(reply)
+        try:
+            return await reply
         finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError,
-                    asyncio.CancelledError):  # pragma: no cover
-                pass
+            self._parked.discard(reply)
 
     async def _dispatch(self, account: str, client: str, op: str,
                         args: tuple, kwargs: dict) -> tuple:
@@ -353,61 +389,36 @@ _FABRIC_OPS = {
 class DataNodeClient:
     """The service node's async handle to one data node.
 
-    One pooled connection per (SN, DN) pair; an ``asyncio.Lock``
-    serializes frames on it (requests are short, and each SN talks to
-    every DN concurrently, so per-link pipelining is not the
-    bottleneck).  Reconnects lazily after a drop.
+    One link per (SN, DN) pair; an ``asyncio.Lock`` serializes the
+    exchanges on it (requests are short, and each SN talks to every DN
+    concurrently, so per-link pipelining is not the bottleneck).  The
+    address is resolved on every call, so a node that crashed or stopped
+    refuses it.
     """
 
     def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
         self._lock = asyncio.Lock()
 
-    async def _ensure_connected(self) -> None:
-        if self._writer is None or self._writer.is_closing():
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port)
-
     async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-            self._reader = self._writer = None
-
-    def _abort(self) -> None:
-        """Drop the pooled connection without awaiting the close."""
-        if self._writer is not None:
-            try:
-                self._writer.transport.abort()
-            except Exception:  # pragma: no cover - already torn down
-                pass
-            self._reader = self._writer = None
+        """Nothing to release: a link holds no connection."""
 
     async def call(self, account: str, client: str, op: str,
                    args: tuple, kwargs: dict):
         request = pickle.dumps((account, client, op, args, kwargs))
         async with self._lock:
+            node = _DIRECTORY.get((self.host, self.port))
+            if node is None:
+                raise ConnectionRefusedError(
+                    f"no data node at {self.host}:{self.port}")
+            exchange = node._exchange(request)
             try:
-                await self._ensure_connected()
-                _write_frame(self._writer, request)
-                await self._writer.drain()
-                frame = await _read_frame(self._reader)
-            except BaseException:
-                # A failed or *cancelled* exchange (the SN's per-DN
-                # timeout cancels us mid-frame) leaves an un-consumed
-                # reply on the link; drop the connection so the next
-                # caller starts clean instead of reading a stale frame.
-                self._abort()
-                raise
-        if frame is None:
-            raise ConnectionError(
-                f"data node {self.host}:{self.port} closed mid-call")
+                waiting_on = exchange.send(None)
+            except StopIteration as done:
+                frame = done.value
+            else:
+                frame = await node._park(exchange, waiting_on)
         tag, payload = pickle.loads(frame)
         if tag == "ok":
             return payload

@@ -10,8 +10,8 @@ send well-formed ``Content-Length`` requests.
 * :func:`serve` — bind a handler coroutine to a listening socket.
 * :func:`read_request` / :func:`write_response` — the framing.
 
-The SN->DN hop does not go through this module: the internal protocol is
-length-prefixed pickle frames (see :mod:`repro.service.datanode`).
+The SN->DN hop does not go through this module: it is an exchange of
+pickled frames inside the event loop (see :mod:`repro.service.datanode`).
 """
 
 from __future__ import annotations

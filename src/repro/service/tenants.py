@@ -29,6 +29,10 @@ from .sharedkey import DEV_ACCOUNT, DEV_KEY, SignatureError
 
 __all__ = ["TenantConfig", "Tenant", "TenantDirectory"]
 
+#: Analytics records kept per tenant, newest last: a server's memory must
+#: not grow with the requests it has served.
+REQUEST_LOG_TAIL = 1024
+
 
 @dataclass(frozen=True)
 class TenantConfig:
@@ -60,7 +64,7 @@ class Tenant:
         self.account = config.account
         self.key = config.key
         self.limits = config.limits
-        self.log = RequestLog()
+        self.log = RequestLog(capacity=REQUEST_LOG_TAIL)
         self.metrics = MetricsAggregator()
         #: ServerBusy rejections served to this tenant (throttles).
         self.server_busy_count = 0

@@ -35,7 +35,7 @@ from .events import (
     URGENT,
 )
 from .exceptions import EmptySchedule, Interrupt, SimkitError, StopProcess
-from .monitor import Tally, UtilizationMonitor
+from .monitor import Tally
 from .process import Detached, Process, ProcessGenerator
 from .resources import Request, Resource, Store
 
@@ -61,5 +61,4 @@ __all__ = [
     "Request",
     "Store",
     "Tally",
-    "UtilizationMonitor",
 ]

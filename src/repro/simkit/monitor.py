@@ -7,9 +7,9 @@ aggregate them into the statistics the benchmark harness reports.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
-__all__ = ["Tally", "UtilizationMonitor"]
+__all__ = ["Tally"]
 
 
 class Tally:
@@ -94,38 +94,3 @@ class Tally:
         if self._n == 0:
             return f"<Tally {self.name!r} empty>"
         return f"<Tally {self.name!r} n={self._n} mean={self._mean:.6g}>"
-
-
-class UtilizationMonitor:
-    """Tracks busy time of a server-like entity between mark calls."""
-
-    __slots__ = ("env", "_busy_since", "_busy_total", "_created")
-
-    def __init__(self, env) -> None:
-        self.env = env
-        self._busy_since: Optional[float] = None
-        self._busy_total = 0.0
-        self._created = env.now
-
-    def mark_busy(self) -> None:
-        if self._busy_since is None:
-            self._busy_since = self.env.now
-
-    def mark_idle(self) -> None:
-        if self._busy_since is not None:
-            self._busy_total += self.env.now - self._busy_since
-            self._busy_since = None
-
-    @property
-    def busy_time(self) -> float:
-        extra = 0.0
-        if self._busy_since is not None:
-            extra = self.env.now - self._busy_since
-        return self._busy_total + extra
-
-    @property
-    def utilization(self) -> float:
-        elapsed = self.env.now - self._created
-        if elapsed <= 0:
-            return 0.0
-        return self.busy_time / elapsed

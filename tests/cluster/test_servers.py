@@ -45,21 +45,6 @@ class TestPartitionServer:
         env.run()
         assert lengths == [3]
 
-    def test_utilization_tracked(self, env):
-        server = PartitionServer(env, "s1", slots=1)
-
-        def client(env):
-            yield from server.serve(4.0)
-
-        def idle_then_done(env):
-            yield env.timeout(10.0)
-
-        env.process(client(env))
-        env.process(idle_then_done(env))
-        env.run()
-        assert server.utilization.busy_time == pytest.approx(4.0)
-        assert server.utilization.utilization == pytest.approx(0.4)
-
     def test_parallel_slots(self, env):
         server = PartitionServer(env, "s2", slots=4)
         done = []
@@ -111,7 +96,6 @@ class TestPartitionServer:
         # holder at once, next at the interrupt instant; waiter never.
         assert server.wait_times.count == 2
         assert server.wait_times.max == 3.0
-        assert server.utilization.busy_time == 5.0   # [0, 3) + [3, 5)
         assert server.slots.count == 0 and server.queue_length == 0
 
 

@@ -8,6 +8,7 @@ server exactly as an external client would.
 import base64
 import dataclasses
 import http.client
+import os
 import time
 
 import pytest
@@ -28,6 +29,35 @@ THROTTLED = "throttled"
 THROTTLED_KEY = base64.b64encode(b"throttled-secret-key-material-01").decode()
 THROTTLED_LIMITS = dataclasses.replace(
     LIMITS_2012, account_transactions_per_second=3)
+
+
+def listening_ports(pid="self"):
+    """The TCP ports process ``pid`` listens on, read from Linux ``/proc``.
+
+    A socket is the process's if its inode is behind one of the
+    process's file descriptors; it listens if its state in
+    ``net/tcp`` or ``net/tcp6`` is ``0A``.
+    """
+    inodes = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:
+            continue  # closed since the listing
+        if target.startswith("socket:["):
+            inodes.add(target[len("socket:["):-1])
+    ports = []
+    for table in ("tcp", "tcp6"):
+        try:
+            with open(f"/proc/{pid}/net/{table}") as fh:
+                rows = fh.read().splitlines()[1:]
+        except FileNotFoundError:
+            continue  # no IPv6 here
+        for row in rows:
+            fields = row.split()
+            if fields[3] == "0A" and fields[9] in inodes:
+                ports.append(int(fields[1].rsplit(":", 1)[1], 16))
+    return sorted(ports)
 
 
 @pytest.fixture(scope="module")

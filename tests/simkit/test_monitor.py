@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.simkit import Environment, Tally, UtilizationMonitor
+from repro.simkit import Tally
 
 
 class TestTally:
@@ -47,46 +47,3 @@ class TestTally:
         t.record(1.0)
         assert set(t.summary()) == {"count", "total", "mean", "stdev", "min", "max"}
 
-
-class TestUtilizationMonitor:
-    def test_busy_accounting(self):
-        env = Environment()
-        mon = UtilizationMonitor(env)
-
-        def proc(env):
-            mon.mark_busy()
-            yield env.timeout(4)
-            mon.mark_idle()
-            yield env.timeout(6)
-
-        env.process(proc(env))
-        env.run()
-        assert mon.busy_time == pytest.approx(4.0)
-        assert mon.utilization == pytest.approx(0.4)
-
-    def test_still_busy_counts_to_now(self):
-        env = Environment()
-        mon = UtilizationMonitor(env)
-
-        def proc(env):
-            mon.mark_busy()
-            yield env.timeout(5)
-
-        env.process(proc(env))
-        env.run()
-        assert mon.busy_time == pytest.approx(5.0)
-        assert mon.utilization == pytest.approx(1.0)
-
-    def test_double_mark_busy_is_idempotent(self):
-        env = Environment()
-        mon = UtilizationMonitor(env)
-        mon.mark_busy()
-        mon.mark_busy()
-        mon.mark_idle()
-        mon.mark_idle()
-        assert mon.busy_time == 0.0
-
-    def test_zero_elapsed_utilization(self):
-        env = Environment()
-        mon = UtilizationMonitor(env)
-        assert mon.utilization == 0.0
