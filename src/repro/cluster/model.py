@@ -17,7 +17,7 @@ from inside a simkit process to charge the timing of each data-plane call.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from ..faults.spec import FaultKind, FaultSpec
 # side of the cycle takes the module and reads its names at construction.
 from ..pipeline import interceptors as stages
 from ..pipeline.context import OpContext
-from ..simkit import Environment, Tally
+from ..simkit import Environment
 from ..storage.limits import LIMITS_2012, ServiceLimits
 from .calibration import DEFAULT_CALIBRATION, FabricCalibration
 from .ops import OpDescriptor, OpKind, Service
@@ -66,8 +66,6 @@ class StorageCluster:
         )
         self.cache_servers = ServerPool(env, "cache", cal.cache_server_slots)
 
-        #: Per-kind observed service-time tallies (diagnostics / tests).
-        self.op_times: Dict[OpKind, Tally] = {}
         self.server_busy_count = 0
         #: The active fault schedule (:mod:`repro.faults`), or None for a
         #: healthy fabric.  Consulted on every :meth:`execute`.
@@ -268,7 +266,6 @@ class StorageCluster:
             rtt = self.base_rtt(op) * self._jitter() * ctx.latency_factor
             occupancy = ctx.server_latency * self._jitter() * ctx.latency_factor
             server = self.server_for(op)
-            start = env._now
             # Request leg of the round trip.
             yield env.timeout(rtt / 2)
             yield from server.serve(occupancy, op.nbytes)
@@ -278,18 +275,8 @@ class StorageCluster:
             ctx.finished_at = env._now
             pipeline.run_failed(ctx, exc)
             raise
-        kind = op.kind
-        tally = self.op_times.get(kind)
-        if tally is None:
-            tally = self.op_times[kind] = Tally(kind.value)
-        tally.record(env._now - start)
         ctx.finished_at = env._now
         pipeline.run_after(ctx)
-
-    # -- diagnostics ---------------------------------------------------------
-    def mean_op_time(self, kind: OpKind) -> Optional[float]:
-        tally = self.op_times.get(kind)
-        return tally.mean if tally is not None and tally.count else None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<StorageCluster blobs={len(self.blob_servers)} "

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..simkit import Environment, Resource, Tally
+from ..simkit import Environment, Resource
 
 __all__ = ["PartitionServer", "ServerPool"]
 
@@ -25,8 +25,6 @@ class PartitionServer:
         self.env = env
         self.name = name
         self.slots = Resource(env, capacity=slots)
-        self.service_times = Tally(f"{name}.service")
-        self.wait_times = Tally(f"{name}.wait")
         self.ops_served = 0
         self.bytes_served = 0
 
@@ -40,22 +38,16 @@ class PartitionServer:
         gives its slot back — or, if it was still waiting, leaves the
         queue — and is not counted as served.
         """
-        env = self.env
         slots = self.slots
-        if slots.try_acquire():
-            self.wait_times.record(0.0)
-        else:
-            arrived = env._now
+        if not slots.try_acquire():
             request = slots.request()
             try:
                 yield request
             except BaseException:
                 slots.release(request)
                 raise
-            self.wait_times.record(env._now - arrived)
         try:
-            yield env.timeout(occupancy)
-            self.service_times.record(occupancy)
+            yield self.env.timeout(occupancy)
             self.ops_served += 1
             self.bytes_served += nbytes
         finally:

@@ -207,28 +207,27 @@ def _read_response(sock: socket.socket) -> Tuple[int, Dict[str, str], bytes]:
     return status, headers, b"".join(chunks)
 
 
-def _wire_shim_method(spec: OpSpec):
-    """Never-yielding generator sending ``spec`` over the wire."""
-    name = spec.name
+def _wire_method(spec: OpSpec):
+    """``spec`` sent over the wire by its route's compiled encoder.
+
+    A never-yielding generator, or for a registry-local read (the state
+    is remote here) a plain call, as on every other backend.
+    """
+    encode = ENCODERS.get((spec.client, spec.name))
+
+    def call(self, *args, **kwargs):
+        if encode is None:
+            raise NotImplementedError(
+                f"{spec.client}.{spec.name} has no wire encoding; run this "
+                f"workload on the sim or emulator backend")
+        return self.connection.exchange(encode(*args, **kwargs))
 
     def method(self, *args, **kwargs):
-        return self._invoke(name, args, kwargs)
+        return call(self, *args, **kwargs)
         yield  # pragma: no cover -- marks this as a generator function
 
-    method.__name__ = name
-    method.__doc__ = spec.body.__doc__
-    return method
-
-
-def _wire_local_method(spec: OpSpec):
-    """Registry-local reads still cross the wire here (the state is
-    remote), but stay plain calls like on every other backend."""
-    name = spec.name
-
-    def method(self, *args, **kwargs):
-        return self._invoke(name, args, kwargs)
-
-    method.__name__ = name
+    method = call if spec.local else method
+    method.__name__ = spec.name
     method.__doc__ = spec.body.__doc__
     return method
 
@@ -236,40 +235,20 @@ def _wire_local_method(spec: OpSpec):
 class _WireClientBase:
     """Plumbing every derived wire client shares."""
 
-    kind = ""
-
     def __init__(self, connection: ServiceConnection) -> None:
         self.connection = connection
         self.env = None  # the backend sets this (QueueBarrier clock source)
 
-    def _invoke(self, op: str, args: tuple, kwargs: dict):
-        builder = ENCODERS.get((self.kind, op))
-        if builder is None:
-            raise NotImplementedError(
-                f"{self.kind}.{op} has no wire encoding; run this "
-                f"workload on the sim or emulator backend")
-        return self.connection.exchange(builder(*args, **kwargs))
-
 
 _WIRE_DOC = "Registry client over the service tier's HTTP wire."
 
-WireBlobClient = derive_client_class(
-    "WireBlobClient", "blob", _WireClientBase,
-    method_factory=_wire_shim_method, local_factory=_wire_local_method,
-    doc=_WIRE_DOC)
-WireBlobClient.kind = "blob"
-
-WireQueueClient = derive_client_class(
-    "WireQueueClient", "queue", _WireClientBase,
-    method_factory=_wire_shim_method, local_factory=_wire_local_method,
-    doc=_WIRE_DOC)
-WireQueueClient.kind = "queue"
-
-WireTableClient = derive_client_class(
-    "WireTableClient", "table", _WireClientBase,
-    method_factory=_wire_shim_method, local_factory=_wire_local_method,
-    doc=_WIRE_DOC)
-WireTableClient.kind = "table"
+WireBlobClient, WireQueueClient, WireTableClient = (
+    derive_client_class(name, kind, _WireClientBase,
+                        method_factory=_wire_method,
+                        local_factory=_wire_method, doc=_WIRE_DOC)
+    for name, kind in (("WireBlobClient", "blob"),
+                       ("WireQueueClient", "queue"),
+                       ("WireTableClient", "table")))
 
 
 def wire_clients(connection: ServiceConnection) -> Dict[str, Any]:

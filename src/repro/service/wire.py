@@ -6,17 +6,18 @@ tell it from its neighbours (``comp=block``, ``peekonly=true``), where
 each parameter of the registry op travels (path, query, header or body)
 in which codec, the reply as a pair (the server's encoder, the client's
 parser), the admission-time :class:`~repro.cluster.ops.OpDescriptor`
-rule and the routing.  Both directions are derived from that table:
+rule and the routing.  At import each row is compiled into two
+straight-line functions, so neither end interprets the table per call:
 
 * **client side** — :data:`ENCODERS` maps each ``(client, op)`` to its
-  route's :meth:`~Route.encode`, which builds the :class:`WireCall` (the
-  HTTP exchange plus the parser of its reply); the service backend's
-  client classes are derived from these encoders;
+  route's ``encode``, which binds the call by the registry op's own
+  signature and builds the :class:`WireCall` (the HTTP exchange plus the
+  parser of its reply); the service backend's clients call these;
 * **server side** — :func:`decode_request` tells a request path's shape
-  with one regex per service and tries the routes of that method and
-  shape in table order; the first that takes the request gives the
-  :class:`DecodedOp` (registry call, routing, descriptor, and the
-  closure encoding the result).
+  with one regex per service and tries the ``decode`` of the routes of
+  that method and shape in table order; the first that takes the request
+  gives the :class:`DecodedOp` (registry call, routing, descriptor, and
+  the closure encoding the result).
 
 The subset follows the 2012-era REST API as Azurite models it (XML
 error and message bodies, OData-style entity JSON, ``x-ms-*`` headers);
@@ -35,14 +36,14 @@ import functools
 import inspect
 import json
 import math
-import operator
 import re
 import string
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, Mapping, NamedTuple,
                     Optional, Tuple)
 from urllib.parse import quote
+from xml.parsers import expat
 from xml.sax.saxutils import escape
 
 from ..cluster.ops import OpDescriptor, OpKind, Service
@@ -307,7 +308,8 @@ def _merge_names(results: List[List[str]]) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Queue message codec
+# Queue message codec: templates out, one expat pass in.  A put's reply
+# lists the message without its text; the client has what it sent.
 # ---------------------------------------------------------------------------
 
 def _el(tag: str, text: str) -> str:
@@ -315,7 +317,13 @@ def _el(tag: str, text: str) -> str:
     return f"<{tag}>{escape(text)}</{tag}>" if text else f"<{tag} />"
 
 
-def _message_xml(msg: QueueMessage, peeked: bool) -> str:
+def _message_text(raw: bytes) -> str:
+    """``<MessageText>``: base64 holds no XML metacharacter to escape."""
+    text = base64.b64encode(raw).decode("ascii")
+    return f"<MessageText>{text}</MessageText>" if text else "<MessageText />"
+
+
+def _message_xml(msg: QueueMessage, peeked: bool, text: bool) -> str:
     # Dates, counts, reprs of floats and base64 never need escaping.
     checkout = ""  # what a peek does not show
     if not peeked:
@@ -323,13 +331,13 @@ def _message_xml(msg: QueueMessage, peeked: bool) -> str:
             checkout = _el("PopReceipt", msg.pop_receipt)
         checkout += (f"<TimeNextVisible>{_http_date(msg.next_visible_time)}"
                      f"</TimeNextVisible>")
-    text = base64.b64encode(msg.content.to_bytes()).decode("ascii")
+    # A put's reply shows no text: the client has it.
+    text = _message_text(msg.content.to_bytes()) if text else ""
     return (
         f"<QueueMessage>{_el('MessageId', msg.message_id)}"
         f"<InsertionTime>{_http_date(msg.insertion_time)}</InsertionTime>"
         f"<ExpirationTime>{_http_date(msg.expiration_time)}</ExpirationTime>"
-        f"<DequeueCount>{msg.dequeue_count}</DequeueCount>{checkout}"
-        f"{_el('MessageText', text)}"
+        f"<DequeueCount>{msg.dequeue_count}</DequeueCount>{checkout}{text}"
         # Float-precision epochs the RFC-1123 dates above cannot carry.
         f"<InsertionTimeEpoch>{msg.insertion_time!r}</InsertionTimeEpoch>"
         f"<ExpirationTimeEpoch>{msg.expiration_time!r}</ExpirationTimeEpoch>"
@@ -337,55 +345,85 @@ def _message_xml(msg: QueueMessage, peeked: bool) -> str:
         f"</TimeNextVisibleEpoch></QueueMessage>")
 
 
-def _messages_xml(messages: List[QueueMessage], *,
-                  peeked: bool = False) -> bytes:
+def _messages_xml(messages: List[QueueMessage], *, peeked: bool = False,
+                  text: bool = True) -> bytes:
     """The message list, from a template: no element tree per message."""
-    inner = "".join(_message_xml(msg, peeked) for msg in messages)
+    inner = "".join(_message_xml(msg, peeked, text) for msg in messages)
     root = (f"<QueueMessagesList>{inner}</QueueMessagesList>" if inner
             else "<QueueMessagesList />")
     return (_XML_DECL + root).encode("utf-8")
 
 
-def _epoch_from(el: ET.Element, ext: str, rfc: str) -> float:
-    raw = el.findtext(ext)
-    if raw is not None:
-        return float(raw)
-    date = el.findtext(rfc)
-    if not date:
-        return 0.0
-    return email.utils.parsedate_to_datetime(date).timestamp()
+def _read_messages(body: bytes) -> List[Dict[str, str]]:
+    """Each ``<QueueMessage>``'s children's text by tag, in one expat pass:
+    as with ``findtext``, a child's text is what precedes its first
+    subelement and the first child of a tag wins.  Malformed XML raises."""
+    messages: List[Dict[str, str]] = []
+    outer: List[Any] = []  # the (fields, depth) of enclosing messages
+    fields: Any = None
+    top, depth, field = -1, 0, None  # the message's depth, ours, a child
+
+    def start(tag, attrs):
+        nonlocal fields, top, depth, field
+        depth += 1
+        field = None
+        if tag == "QueueMessage":
+            outer.append((fields, top))
+            fields, top = {}, depth
+            messages.append(fields)
+        elif depth == top + 1 and tag not in fields:
+            field, fields[tag] = tag, ""
+
+    def end(tag):
+        nonlocal fields, top, depth, field
+        if depth == top:
+            fields, top = outer.pop()
+        depth, field = depth - 1, None
+
+    def text(data):
+        if field is not None:
+            fields[field] += data
+
+    parser = expat.ParserCreate()
+    parser.buffer_text = True
+    parser.StartElementHandler, parser.EndElementHandler = start, end
+    parser.CharacterDataHandler = text
+    parser.Parse(body, True)
+    return messages
+
+
+def _message(fields: Mapping[str, str],
+             content: Optional[Content] = None) -> QueueMessage:
+    def epoch(tag: str) -> float:  # our extension's float, or the date's
+        raw, date = fields.get(tag + "Epoch"), fields.get(tag)
+        if raw is not None:
+            return float(raw)
+        return (email.utils.parsedate_to_datetime(date).timestamp()
+                if date else 0.0)
+
+    if content is None:
+        content = BytesContent(base64.b64decode(fields.get("MessageText",
+                                                           "")))
+    return QueueMessage(
+        fields.get("MessageId", ""), content, epoch("InsertionTime"),
+        epoch("ExpirationTime"), epoch("TimeNextVisible"),
+        int(fields.get("DequeueCount") or "0"), fields.get("PopReceipt"))
 
 
 def _parse_messages_xml(body: bytes) -> List[QueueMessage]:
-    root = ET.fromstring(body.decode("utf-8"))
-    out: List[QueueMessage] = []
-    for el in root.iter("QueueMessage"):
-        text = el.findtext("MessageText") or ""
-        out.append(QueueMessage(
-            message_id=el.findtext("MessageId") or "",
-            content=BytesContent(base64.b64decode(text)),
-            insertion_time=_epoch_from(
-                el, "InsertionTimeEpoch", "InsertionTime"),
-            expiration_time=_epoch_from(
-                el, "ExpirationTimeEpoch", "ExpirationTime"),
-            next_visible_time=_epoch_from(
-                el, "TimeNextVisibleEpoch", "TimeNextVisible"),
-            dequeue_count=int(el.findtext("DequeueCount") or "0"),
-            pop_receipt=el.findtext("PopReceipt"),
-        ))
-    return out
+    return [_message(fields) for fields in _read_messages(body)]
 
 
 def _message_body(data) -> bytes:
     """A put or update request's ``<QueueMessage>``."""
-    text = base64.b64encode(_content_bytes(data)).decode("ascii")
-    return (f"{_XML_DECL}<QueueMessage>{_el('MessageText', text)}"
-            f"</QueueMessage>").encode("utf-8")
+    return (f"{_XML_DECL}<QueueMessage>"
+            f"{_message_text(_content_bytes(data))}</QueueMessage>"
+            ).encode("utf-8")
 
 
 def _queue_text(body: bytes) -> Content:
-    root = ET.fromstring(body.decode("utf-8"))
-    return BytesContent(base64.b64decode(root.findtext("MessageText") or ""))
+    fields = next(iter(_read_messages(body)), {})
+    return BytesContent(base64.b64decode(fields.get("MessageText", "")))
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +480,8 @@ def decode_entity(doc: Mapping[str, Any]) -> Entity:
     )
 
 
-def _odata_quote(value: str) -> str:
-    return value.replace("'", "''")
+def _odata_quote(value: Any) -> str:
+    return f"{value}".replace("'", "''")
 
 
 def _odata_unquote(value: str) -> str:
@@ -503,11 +541,10 @@ class WireCall:
     service: str
     method: str
     path: str                        # below the /{account} prefix
-    query: Dict[str, str] = field(default_factory=dict)
-    headers: Dict[str, str] = field(default_factory=dict)
-    body: bytes = b""
-    parse: Callable[[int, Mapping[str, str], bytes], Any] = \
-        lambda status, headers, body: None
+    query: Dict[str, str]
+    headers: Dict[str, str]
+    body: bytes
+    parse: Callable[[int, Mapping[str, str], bytes], Any]
 
 
 # ---------------------------------------------------------------------------
@@ -541,14 +578,32 @@ _ETAG = (lambda etag: "*" if etag is None else etag, str)
 _REQUIRED = object()
 
 
+class Param(NamedTuple):
+    """One parameter as one query value (under ``key``), or one header.
+
+    ``default`` stays off the wire and is restored by the server, or, if
+    not ``restore``, left out of the call; without one (``_REQUIRED``) a
+    request lacking the parameter is not this route's.  ``keyword`` hands
+    the data node a positional-or-keyword parameter by name.
+    """
+
+    name: str
+    key: str
+    lookup: str  # the key as a request carries it: headers lower-cased
+    write: Callable[[Any], str]
+    read: Callable[[str], Any]
+    default: Any
+    restore: bool
+    keyword: bool = False
+    names = property(lambda self: (self.name,))
+
+
 class Slot(NamedTuple):
-    """Where parameters travel in a query value or a header.
+    """Where parameters travel that one query value or header cannot say.
 
     ``put(values, out)`` writes the call's ``values`` into the query or
     header map ``out``; ``take(found, values)`` reads them back from a
     request's, and is false when the request is not this route's.
-    ``keyword`` hands a positional-or-keyword parameter to the data node
-    by name.
     """
 
     names: Tuple[str, ...]
@@ -559,36 +614,10 @@ class Slot(NamedTuple):
 
 def _param(name: str, key: str, codec=_TEXT, *, default: Any = _REQUIRED,
            omit: Any = _REQUIRED, keyword: bool = False,
-           header: bool = False) -> Slot:
-    """One parameter as one query value, or one header.
-
-    ``default=X`` keeps X off the wire and the server passes X back;
-    ``omit=X`` keeps X off the wire and out of the call, so the registry's
-    own default applies.  With neither the parameter is required: a
-    request without it is not this route's.
-    """
-    write, read = codec
-    lookup = key.lower() if header else key  # requests lower-case headers
-    restore = omit is _REQUIRED
-    if not restore:
-        default = omit
-
-    def put(values, out):
-        value = values[name]
-        if value != default:
-            out[key] = write(value)
-
-    def take(found, values):
-        text = found.get(lookup)
-        if text is not None:
-            values[name] = read(text)
-        elif default is _REQUIRED:
-            return False
-        elif restore:
-            values[name] = default
-        return True
-
-    return Slot((name,), put, take, keyword)
+           header: bool = False) -> Param:
+    return Param(name, key, key.lower() if header else key, *codec,
+                 default if omit is _REQUIRED else omit, omit is _REQUIRED,
+                 keyword)
 
 
 def _range(*, page: bool) -> Slot:
@@ -768,13 +797,17 @@ def _names_reply(kind: str) -> Reply:
                  lambda v, headers, body: _parse_names_xml(kind, body))
 
 
-def _message_reply(status: int, *, peeked: bool = False) -> Reply:
-    """At most one message; ``None`` is an empty list."""
-    return Reply(
-        status,
-        lambda v, msg: _xml(_messages_xml([] if msg is None else [msg],
-                                          peeked=peeked)),
-        lambda v, headers, body: next(iter(_parse_messages_xml(body)), None))
+def _message_reply(status: int, *, peeked: bool = False,
+                   text: bool = True) -> Reply:
+    """At most one message; ``None`` is an empty list.  ``text=False``: a
+    put's reply (the API's since 2016-05-31), the client has the content."""
+    def parse(values, headers, body):
+        content = None if text else BytesContent(
+            _content_bytes(values["data"]))
+        return next((_message(fields, content)
+                     for fields in _read_messages(body)), None)
+    return Reply(status, lambda v, msg: _xml(_messages_xml(
+        [] if msg is None else [msg], peeked=peeked, text=text)), parse)
 
 
 def _updated_message(values: Mapping[str, Any],
@@ -930,14 +963,11 @@ class _Path:
     """
 
     def __init__(self, template: str) -> None:
-        self.template = template
         pieces = re.split(r"\{(\w+)\}", template)
         self.literals = pieces[::2]
         self.names = tuple(pieces[1::2])
         self.quoted = tuple(text.endswith("'")
                             for text in self.literals[:-1])
-        self.odata = [name for name, quoted in zip(self.names, self.quoted)
-                      if quoted]
         #: The template with its parameters unnamed: routes that share
         #: a shape share its regex alternative.
         self.shape = "{}".join(self.literals)
@@ -947,19 +977,14 @@ class _Path:
             for name, quoted, text in zip(self.names, self.quoted,
                                           self.literals[1:]))
 
-    def build(self, values: Mapping[str, Any]) -> str:
-        if self.odata:
-            values = dict(values)
-            for name in self.odata:
-                values[name] = _odata_quote(f"{values[name]}")
-        path = self.template.format_map(values)
-        if path.rstrip(_UNESCAPED):  # a name to escape, or to refuse
-            if _CONTROL.search(path):
-                raise ValueError(f"path {path!r} holds control characters")
-            path = self.template.format_map(
-                {name: quote(f"{values[name]}", safe=_PATH_SAFE)
-                 for name in self.names})
-        return path
+    def escaped(self, *fields: Any) -> str:
+        """The path of ``fields`` (OData-quoted already) percent-encoded;
+        a ``ValueError`` if one holds a control character."""
+        path = self.shape.format(*fields)
+        if _CONTROL.search(path):
+            raise ValueError(f"path {path!r} holds control characters")
+        return self.shape.format(*(quote(f"{field}", safe=_PATH_SAFE)
+                                   for field in fields))
 
 
 class Route:
@@ -991,12 +1016,13 @@ class Route:
         self.path = _Path(path)
         # Fixed discriminators go on the wire first, and the server
         # compares them in any case.
-        self.query = tuple(item for item in query if isinstance(item, Slot))
+        self.query = tuple(item for item in query
+                           if isinstance(item, (Param, Slot)))
         self.headers = tuple(item for item in headers
-                             if isinstance(item, Slot))
-        fixed_query = [item for item in query if not isinstance(item, Slot)]
+                             if isinstance(item, (Param, Slot)))
+        fixed_query = [item for item in query if item not in self.query]
         fixed_headers = [item for item in headers
-                         if not isinstance(item, Slot)]
+                         if item not in self.headers]
         self.sent_query = dict(fixed_query)
         self.sent_headers = dict(_SERVICE_HEADERS.get(client, ()))
         self.sent_headers.update(fixed_headers)
@@ -1008,28 +1034,17 @@ class Route:
         self.kind, self.cost, self.route = kind, cost, route
         self.merge, self.withheld = merge, withheld
         self.result_nbytes, self.alias = result_nbytes, alias
-        key = key or _PARTITIONED_BY[client]
-        if isinstance(key, str):
-            parts = operator.itemgetter(*key.split("/"))
-            key = parts if "/" not in key else (
-                lambda values: "/".join(parts(values)))
-        self.partition = key
+        self.key = key or _PARTITIONED_BY[client]
 
-        params = list(inspect.signature(
+        #: The registry op's parameters, its ``call`` argument left out.
+        self.params = list(inspect.signature(
             OPERATIONS[client][op].body).parameters.values())[1:]
-        self.signature = inspect.Signature(params)
-        self.order = tuple(p.name for p in params)
-        self.names = frozenset(self.order)
-        self.positional_count = sum(
-            p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
-        self.defaults = {p.name: p.default for p in params
-                         if p.default is not p.empty}
         slots = self.query + self.headers
         carried = {*self.path.names, *(body.names if body else ()),
                    *(name for slot in slots for name in slot.names)}
         by_name = {name for slot in slots if slot.keyword
                    for name in slot.names}
-        sent = [p for p in params
+        sent = [p for p in self.params
                 if p.name in carried and p.name not in withheld]
         self.positional = tuple(
             p.name for p in sent if p.kind is p.POSITIONAL_OR_KEYWORD
@@ -1037,82 +1052,109 @@ class Route:
         self.keywords = tuple(p.name for p in sent
                               if p.name not in self.positional)
         #: The wire cannot carry these: a call must leave them alone.
-        self.uncarried = {p.name: p.default for p in params
+        self.uncarried = {p.name: p.default for p in self.params
                           if p.name not in carried}
+        #: ``encode(*args, **kwargs)`` -> :class:`WireCall`, ``decode(req,
+        #: path_values)`` -> :class:`DecodedOp` or ``None`` (not this route's)
+        self.encode, self.decode = _compile(self)
 
-    def encode(self, *args, **kwargs) -> WireCall:
-        """The HTTP exchange of one call, and the parser of its reply."""
-        # Bound by hand: ``Signature.bind`` is 40% of an encode, which
-        # the live workload's client pays per request.  A call that does
-        # not fit the signature gets its TypeError from ``bind``.
-        values = dict(zip(self.order, args), **kwargs)
-        if len(values) < len(self.order):
-            values = {**self.defaults, **values}
-        if (len(args) > self.positional_count or values.keys() != self.names
-                or kwargs and not kwargs.keys().isdisjoint(
-                    self.order[:len(args)])):
-            self.signature.bind(*args, **kwargs)
-        for name, default in self.uncarried.items():
-            if values[name] != default:
-                raise NotImplementedError(
-                    f"{self.client}.{self.op}({name}=...) is not part of "
-                    f"the wire subset")
-        query = dict(self.sent_query)
-        for slot in self.query:
-            slot.put(values, query)
-        headers = dict(self.sent_headers)
-        for slot in self.headers:
-            slot.put(values, headers)
-        reply = self.reply
-        return WireCall(
-            self.client, self.method, self.path.build(values), query,
-            headers, self.body.write(values) if self.body else b"",
-            lambda status, headers, body: reply.parse(values, headers, body))
 
-    def decode(self, req: HttpRequest,
-               path_values: List[str]) -> Optional[DecodedOp]:
-        """The registry call ``req`` makes, or ``None``: not this route's."""
-        for key, expected in self.query_checks:
-            if req.query.get(key, "").lower() != expected:
-                return None
-        for key, expected in self.header_checks:
-            if req.headers.get(key, "").lower() != expected:
-                return None
-        values = dict(zip(self.path.names, path_values))
-        for slot in self.query:
-            if not slot.take(req.query, values):
-                return None
-        for slot in self.headers:
-            if not slot.take(req.headers, values):
-                return None
-        if self.body is not None:
-            values.update(self.body.read(req.body))
-        # No comprehensions on this path: each is a frame of its own.
-        withheld = {}
-        for name in self.withheld:
-            withheld[name] = values.pop(name)
-        kwargs = {}
-        for name in self.keywords:
-            if name in values:
-                kwargs[name] = values[name]
-        partition = (self.partition(values) if self.kind is not None
-                     or self.route == "one" else None)
-        descriptor = None
-        if self.kind is not None:
-            descriptor = OpDescriptor(
-                _SERVICES[self.client], self.kind, partition,
-                **(self.cost(values) if self.cost else {}))
-        reply = self.reply
-        return DecodedOp(
-            self.client, self.alias or self.op,
-            tuple(map(values.__getitem__, self.positional)), kwargs,
-            descriptor, self.route,
-            partition if self.route == "one" else None,
-            lambda result: HttpResponse(reply.status,
-                                        *reply.encode(values, result)),
-            merge=(functools.partial(self.merge, **withheld) if withheld
-                   else self.merge),
-            result_nbytes=self.result_nbytes)
+def _compile(route: Route) -> Tuple[Callable[..., WireCall], Callable]:
+    """The route's encoder and decoder, each one function made from the row:
+    the registry op's own signature binds a call, and each discriminator,
+    slot, codec, default and the path format is a literal or a name."""
+    scope: Dict[str, Any] = {
+        "WireCall": WireCall, "DecodedOp": DecodedOp, "partial":
+        functools.partial, "HttpResponse": HttpResponse,
+        "OpDescriptor": OpDescriptor, "UNESCAPED": _UNESCAPED}
+
+    def name(value: Any) -> str:
+        scope[f"_{len(scope)}"] = value
+        return f"_{len(scope) - 1}"
+
+    signature: List[str] = []
+    for p in route.params:
+        if p.kind is p.KEYWORD_ONLY and "*" not in signature:
+            signature.append("*")
+        signature.append(p.name if p.default is p.empty
+                         else f"{p.name}={name(p.default)}")
+    values = ", ".join(f"{p.name!r}: {p.name}" for p in route.params)
+    enc = [f"def {route.op}({', '.join(signature)}):",
+           f"    _values = {{{values}}}"]
+    enc += [f"    if {param} != {name(default)}: raise NotImplementedError("
+            f"'{route.client}.{route.op}({param}=...) is not part of the "
+            f"wire subset')" for param, default in route.uncarried.items()]
+    dec = [f"def decode_{route.op}(req, path_values):",
+           "    found, headers = req.query, req.headers"]
+    dec += [f"    if {out}.get({key!r}, '').lower() != {expected!r}: return"
+            for out, checks in (("found", route.query_checks),
+                                ("headers", route.header_checks))
+            for key, expected in checks]
+    dec.append("    values = {%s}" % ", ".join(
+        f"{param!r}: path_values[{i}]"
+        for i, param in enumerate(route.path.names)))
+    for out, sent, slots in (("found", route.sent_query, route.query),
+                             ("headers", route.sent_headers, route.headers)):
+        enc.append(f"    _{out} = {sent!r}")
+        for slot in slots:
+            if isinstance(slot, Slot):
+                enc.append(f"    {name(slot.put)}(_values, _{out})")
+                dec.append(f"    if not {name(slot.take)}({out}, values): "
+                           f"return")
+                continue
+            put = f"_{out}[{slot.key!r}] = {name(slot.write)}({slot.name})"
+            enc.append(f"    {put}" if slot.default is _REQUIRED else
+                       f"    if {slot.name} != {name(slot.default)}: {put}")
+            read = f"{name(slot.read)}(text)"
+            take = f"values[{slot.name!r}] = " + (
+                f"{name(slot.default)} if text is None else {read}"
+                if slot.restore and slot.default is not _REQUIRED else read)
+            dec += [f"    text = {out}.get({slot.lookup!r})",
+                    f"    if text is None: return\n    {take}"
+                    if slot.default is _REQUIRED else f"    {take}"
+                    if slot.restore else f"    if text is not None: {take}"]
+    fields = ", ".join(f"{name(_odata_quote)}({param})" if quoted else param
+                       for param, quoted in zip(route.path.names,
+                                                route.path.quoted))
+    body = f"{name(route.body.write)}(_values)" if route.body else "b''"
+    enc += [f"    path = {route.path.shape!r}.format({fields})",
+            f"    if path.rstrip(UNESCAPED): path = "
+            f"{name(route.path.escaped)}({fields})",
+            f"    return WireCall({route.client!r}, {route.method!r}, path, "
+            f"_found, _headers, {body}, lambda status, headers, body: "
+            f"{name(route.reply.parse)}(_values, headers, body))"]
+
+    if route.body is not None:
+        dec.append(f"    values.update({name(route.body.read)}(req.body))")
+    withheld = "".join(f", {param}=values.pop({param!r})"
+                       for param in route.withheld)
+    dec += [f"    merge = partial({name(route.merge)}{withheld})"
+            if withheld else f"    merge = {name(route.merge)}",
+            "    kwargs = {}"]
+    dec += [f"    if {param!r} in values: "
+            f"kwargs[{param!r}] = values[{param!r}]" for param in route.keywords]
+    partition = descriptor = "None"
+    if route.kind is not None or route.route == "one":
+        dec.append("    partition = " + (
+            f"{name(route.key)}(values)" if callable(route.key) else
+            " + '/' + ".join(f"values[{part!r}]"
+                             for part in route.key.split("/"))))
+        partition = "partition"
+    if route.kind is not None:
+        cost = f", **{name(route.cost)}(values)" if route.cost else ""
+        descriptor = (f"OpDescriptor({name(_SERVICES[route.client])}, "
+                      f"{name(route.kind)}, partition{cost})")
+    args = "".join(f"values[{param!r}], " for param in route.positional)
+    dec.append(
+        f"    return DecodedOp({route.client!r}, {route.alias or route.op!r},"
+        f" ({args}), kwargs, {descriptor}, {route.route!r}, "
+        f"{partition if route.route == 'one' else None}, lambda result: "
+        f"HttpResponse({route.reply.status}, "
+        f"*{name(route.reply.encode)}(values, result)), merge=merge, "
+        f"result_nbytes={name(route.result_nbytes)})")
+    exec(compile("\n".join(enc + dec), f"<route {route.client}.{route.op}>",
+                 "exec"), scope)
+    return scope[route.op], scope[f"decode_{route.op}"]
 
 
 # ---------------------------------------------------------------------------
@@ -1217,7 +1259,7 @@ ROUTES: Tuple[Route, ...] = (
           query=(_param("ttl", "messagettl", _NUMBER, omit=None),
                  _param("visibility_delay", "visibilitytimeout", _NUMBER,
                         omit=0.0)),
-          body=_MESSAGE_BODY, reply=_message_reply(201),
+          body=_MESSAGE_BODY, reply=_message_reply(201, text=False),
           kind=OpKind.PUT_MESSAGE, cost=_data_bytes),
     Route("queue", "peek_message", "GET", _MESSAGES_PATH,
           query=(("peekonly", "true"),),
@@ -1308,10 +1350,10 @@ def _shapes(service: str):
 
 
 _SHAPES = {service: _shapes(service) for service in _SERVICES}
-_CANDIDATES: Dict[Tuple[str, str, str], List[Route]] = {}
+_CANDIDATES: Dict[Tuple[str, str, str], List[Callable]] = {}
 for _route in ROUTES:
-    _CANDIDATES.setdefault(
-        (_route.client, _route.method, _route.path.shape), []).append(_route)
+    _CANDIDATES.setdefault((_route.client, _route.method, _route.path.shape),
+                           []).append(_route.decode)
 
 
 def decode_request(service: str, account: str,
@@ -1330,8 +1372,8 @@ def decode_request(service: str, account: str,
             if any(quoted):  # values between quotes double their quotes
                 path_values = [_odata_unquote(v) if q else v
                                for v, q in zip(path_values, quoted)]
-            for route in _CANDIDATES.get((service, req.method, shape), ()):
-                decoded = route.decode(req, path_values)
+            for decode in _CANDIDATES.get((service, req.method, shape), ()):
+                decoded = decode(req, path_values)
                 if decoded is not None:
                     return decoded
     except StorageError:

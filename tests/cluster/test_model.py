@@ -160,8 +160,6 @@ class TestExecution:
         op = OpDescriptor(Service.QUEUE, OpKind.PUT_MESSAGE, "q", nbytes=1024)
         t = run_op(env, cluster, op)
         assert t > 0
-        # op time recorded
-        assert cluster.mean_op_time(OpKind.PUT_MESSAGE) == pytest.approx(t)
 
     def test_contention_serializes(self, env, cluster):
         """More concurrent ops on one partition than slots -> queueing."""

@@ -7,8 +7,8 @@ every grant — also an uncontended one — and every release is an event the
 scheduler delivers.  Over random arrival instants (drawn from a coarse
 grid, so exact ties are the rule), capacities, occupancies (zero and equal
 ones included) and interrupts of waiters and holders, both must grant in
-the same order at the same instants, complete at the same instants, and
-feed ``wait_times`` / ``service_times`` the same sequences.
+the same order at the same instants and complete at the same instants, as
+a recorder around ``serve`` sees them.
 
 One difference is by design and is pinned by
 ``TestInterruptAtTheGrantInstant`` instead: a requester interrupted at the
@@ -31,7 +31,7 @@ from repro.simkit import (
     Event,
     Interrupt,
     Resource,
-    Tally,
+    Timeout,
 )
 
 # -- the oracle: the parent commit's Resource, verbatim in behaviour ---------
@@ -103,18 +103,13 @@ class OracleServer:
     def __init__(self, env, name, slots):
         self.env = env
         self.slots = OracleResource(env, capacity=slots)
-        self.service_times = Tally(f"{name}.service")
-        self.wait_times = Tally(f"{name}.wait")
         self.ops_served = 0
         self.bytes_served = 0
 
     def serve(self, occupancy, nbytes=0):
-        arrived = self.env.now
         with self.slots.request() as req:
             yield req
-            self.wait_times.record(self.env.now - arrived)
             yield self.env.timeout(occupancy)
-            self.service_times.record(occupancy)
             self.ops_served += 1
             self.bytes_served += nbytes
 
@@ -122,17 +117,28 @@ class OracleServer:
 # -- one scenario, either server ---------------------------------------------
 
 
-class SeqTally(Tally):
-    """A tally that also keeps (instant, recording process, value)."""
-
-    def __init__(self, env, name):
-        super().__init__(name)
-        self.env = env
-        self.seq = []
-
-    def record(self, value):
-        self.seq.append((self.env.now, self.env.active_process.name, value))
-        super().record(value)
+def recorded(env, serve, name, log):
+    """``yield from serve``, logging (instant, name, wait) when the hold
+    starts — ``serve`` yields its occupancy timeout — and (instant, name,
+    occupancy) when it completes."""
+    arrived = env.now
+    started = None
+    event = next(serve)
+    while True:
+        if isinstance(event, Timeout) and started is None:
+            started = env.now
+            log["grants"].append((started, name, started - arrived))
+        try:
+            value = yield event
+        except BaseException as exc:
+            throw = exc
+        else:
+            throw = None
+        try:
+            event = serve.throw(throw) if throw else serve.send(value)
+        except StopIteration:
+            log["completions"].append((env.now, name, env.now - started))
+            return
 
 
 GRID = 0.5
@@ -148,15 +154,15 @@ _SCENARIO = st.lists(_REQUEST, min_size=1, max_size=10)
 def run_scenario(server_cls, capacity, requests):
     env = Environment()
     server = server_cls(env, "s", capacity)
-    server.wait_times = SeqTally(env, "wait")
-    server.service_times = SeqTally(env, "service")
+    log = {"grants": [], "completions": []}
     outcomes = {}
     procs = {}
 
     def requester(i, arrival, occupancy):
         try:
             yield env.timeout(arrival * GRID)
-            yield from server.serve(occupancy * GRID, nbytes=i + 1)
+            yield from recorded(env, server.serve(occupancy * GRID,
+                                                  nbytes=i + 1), f"r{i}", log)
         except Interrupt:
             outcomes[i] = ("interrupted", env.now)
         else:
@@ -175,8 +181,7 @@ def run_scenario(server_cls, capacity, requests):
     env.run()
     assert server.slots.count == 0 and len(server.slots.queue) == 0
     return {
-        "grants": server.wait_times.seq,
-        "completions": server.service_times.seq,
+        **log,
         "outcomes": outcomes,
         "ops_served": server.ops_served,
         "bytes_served": server.bytes_served,
@@ -258,10 +263,11 @@ class TestInterruptAtTheGrantInstant:
         env = Environment()
         server = PartitionServer(env, "s", slots=1)
         log = []
+        holds = {"grants": [], "completions": []}
 
         def requester(name, occupancy):
             try:
-                yield from server.serve(occupancy)
+                yield from recorded(env, server.serve(occupancy), name, holds)
                 log.append((name, "served", env.now))
             except Interrupt:
                 log.append((name, "interrupted", env.now))
@@ -276,6 +282,6 @@ class TestInterruptAtTheGrantInstant:
         env.process(late_interrupter(first))
         env.run()
         assert log == [("first", "interrupted", 0.0), ("second", "served", 2.0)]
-        assert server.wait_times.count == 2       # both took the slot
-        assert server.wait_times.total == 0.0     # the hand-over was at t=0
+        # Both took the slot, the hand-over at t=0.
+        assert holds["grants"] == [(0.0, "first", 0.0), (0.0, "second", 0.0)]
         assert server.ops_served == 1

@@ -147,6 +147,9 @@ class TestQueues:
         assert status == 201
         put_el = ET.fromstring(body.decode()).find("QueueMessage")
         assert put_el.findtext("MessageId")
+        # The put reply lists the message's metadata, not its text.
+        assert put_el.findtext("TimeNextVisible")
+        assert put_el.find("MessageText") is None
 
         # Get with a short visibility timeout: the message disappears...
         status, _, body = raw.request(

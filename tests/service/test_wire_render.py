@@ -1,27 +1,33 @@
-"""Templated wire output equals the serialisers it replaced, byte for byte.
+"""Templated wire output equals the serialisers it replaced, byte for byte,
+and the expat message reader reads what an element tree reads.
 
 The queue-message XML and the RFC 1123 dates are emitted without an
-``ElementTree`` per message or a ``formatdate`` per call; the
-implementations they replaced stay here as the reference.
+``ElementTree`` per message or a ``formatdate`` per call, and read back
+without an element tree; the implementations they replaced stay here
+(and in ``tests.service.wire_oracle``) as the reference.
 """
 
 import base64
 import email.utils
 import xml.etree.ElementTree as ET
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service import wire
 from repro.storage.content import BytesContent
 from repro.storage.queue.state import QueueMessage
+from tests.service import wire_oracle
+from tests.service.test_wire_routes import view
 
 
 def reference_date(epoch):
     return email.utils.formatdate(epoch, usegmt=True)
 
 
-def reference_messages_xml(messages, *, peeked=False):
+def reference_messages_xml(messages, *, peeked=False, text=True):
+    """``text=False``: a put's reply, the message without its text."""
     root = ET.Element("QueueMessagesList")
     for msg in messages:
         el = ET.SubElement(root, "QueueMessage")
@@ -36,8 +42,9 @@ def reference_messages_xml(messages, *, peeked=False):
                 ET.SubElement(el, "PopReceipt").text = msg.pop_receipt
             ET.SubElement(el, "TimeNextVisible").text = \
                 reference_date(msg.next_visible_time)
-        ET.SubElement(el, "MessageText").text = \
-            base64.b64encode(msg.content.to_bytes()).decode("ascii")
+        if text:
+            ET.SubElement(el, "MessageText").text = \
+                base64.b64encode(msg.content.to_bytes()).decode("ascii")
         ET.SubElement(el, "InsertionTimeEpoch").text = \
             repr(msg.insertion_time)
         ET.SubElement(el, "ExpirationTimeEpoch").text = \
@@ -75,11 +82,70 @@ messages = st.builds(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(messages, max_size=3), st.booleans())
-def test_messages_xml_is_what_elementtree_wrote(msgs, peeked):
-    assert wire._messages_xml(msgs, peeked=peeked) \
-        == reference_messages_xml(msgs, peeked=peeked)
-    assert wire._parse_messages_xml(wire._messages_xml(msgs)) is not None
+@given(st.lists(messages, max_size=3), st.booleans(), st.booleans())
+def test_messages_xml_is_what_elementtree_wrote(msgs, peeked, text):
+    assert wire._messages_xml(msgs, peeked=peeked, text=text) \
+        == reference_messages_xml(msgs, peeked=peeked, text=text)
+
+
+def test_a_put_reply_is_the_message_without_its_text():
+    msg = QueueMessage("id-1", BytesContent(b"x" * 4096), 1790000000.5,
+                       1790604800.5, 1790000000.5, 0, "rcpt")
+    body = wire._messages_xml([msg], text=False)
+    text = base64.b64encode(msg.content.to_bytes())
+    assert wire._messages_xml([msg]) == body.replace(
+        b"<InsertionTimeEpoch>",
+        b"<MessageText>" + text + b"</MessageText><InsertionTimeEpoch>")
+    assert ET.fromstring(body).find("QueueMessage").findtext("MessageId") \
+        == "id-1"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(messages, max_size=3), st.booleans(), st.booleans())
+def test_the_expat_reader_reads_what_elementtree_reads(msgs, peeked, text):
+    body = wire._messages_xml(msgs, peeked=peeked, text=text)
+    assert view(wire._parse_messages_xml(body)) \
+        == view(wire_oracle.parse_messages_xml(body))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=200))
+def test_the_expat_reader_reads_a_message_body_as_elementtree_does(data):
+    body = wire._message_body(data)
+    assert wire._queue_text(body).to_bytes() \
+        == wire_oracle.queue_text(body).to_bytes() == data
+
+
+def raises(read, body):
+    try:
+        read(body)
+    except Exception:
+        return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(messages, min_size=1, max_size=2), st.data())
+def test_a_truncated_document_raises_on_both_readers(msgs, data):
+    body = wire._messages_xml(msgs)
+    cut = body[:data.draw(st.integers(0, len(body) - 1))]
+    for read in (wire._parse_messages_xml, wire_oracle.parse_messages_xml,
+                 wire._queue_text, wire_oracle.queue_text):
+        assert raises(read, cut)
+
+
+@pytest.mark.parametrize("body", [
+    b"", b"not xml", b"<QueueMessage>", b"<QueueMessage></Queue>",
+    b"<QueueMessage><MessageText>aGk=</MessageId></QueueMessage>",
+    b"<a/><b/>", b"<QueueMessage>\xff</QueueMessage>",
+    b"<QueueMessagesList><QueueMessage><MessageId>a&b</MessageId>"
+    b"</QueueMessage></QueueMessagesList>",
+    b"<QueueMessage><MessageText>a</MessageText></QueueMessage>",
+])
+def test_a_malformed_document_raises_on_both_readers(body):
+    for read in (wire._parse_messages_xml, wire_oracle.parse_messages_xml,
+                 wire._queue_text, wire_oracle.queue_text):
+        assert raises(read, body)
 
 
 @settings(max_examples=100, deadline=None)

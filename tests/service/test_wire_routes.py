@@ -1,13 +1,17 @@
 """The route table, held to both of its directions.
 
 Every ``(client, op)`` of the wire is one row of ``wire.ROUTES``; the
-client encoder and the server decoder are both derived from it.  Here:
+client encoder and the server decoder are both compiled from it.  Here:
 
 * a generated round trip over every route: random arguments go encode
   -> ``ServiceConnection`` framing -> ``read_request`` ->
   ``decode_request`` and come out as the registry call the client made,
   and a random result goes ``DecodedOp.encode`` -> ``WireCall.parse``
   and comes back whole — except where :data:`LOSSY` says why not;
+* the compiled encoder and decoder of every route against the row
+  interpreted (``tests.service.wire_oracle``) over the same generated
+  calls: the same ``WireCall``, request bytes, ``DecodedOp``, response
+  bytes and parsed result;
 * the drifts the two hand-written copies had reached: ``$top`` dropped
   on a one-partition filter, float arguments cut to six digits, and
   names that need percent-encoding answering 403 (or never leaving the
@@ -17,6 +21,7 @@ client encoder and the server decoder are both derived from it.  Here:
 
 import inspect
 import socket
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +30,7 @@ from hypothesis import strategies as st
 from repro.emulator import EmulatorAccount
 from repro.pipeline import OPERATIONS
 from repro.service import sharedkey
+from repro.service import client as client_mod
 from repro.service.client import ServiceConnection, wire_clients
 from repro.service.sharedkey import DEV_ACCOUNT, DEV_KEY
 from repro.service.wire import ENCODERS, ROUTES, decode_request
@@ -34,13 +40,14 @@ from repro.storage.queue.state import QueueMessage
 from repro.storage.table.entity import Entity
 from repro.storage.table.state import BatchOperation, QueryResult
 from repro.wallclock import exhaust
-from tests.service.test_client_link import drain, parse
+from tests.service import wire_oracle
+from tests.service.test_client_link import FROZEN_NOW, drain, parse
 
 BUSY = b"HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n"
 
 
-def sent(call):
-    """The request ``ServiceConnection`` writes for ``call``, as parsed."""
+def request_bytes(call):
+    """What ``ServiceConnection`` writes on the socket for ``call``."""
     conn = ServiceConnection({call.service: ("127.0.0.1", 10001)})
     ours, theirs = socket.socketpair()
     with ours, theirs:
@@ -48,7 +55,12 @@ def sent(call):
         theirs.sendall(BUSY)
         with pytest.raises(StorageError):
             conn.exchange(call)
-        request = parse(drain(theirs))
+        return drain(theirs)
+
+
+def sent(call):
+    """The request ``ServiceConnection`` writes for ``call``, as parsed."""
+    request = parse(request_bytes(call))
     sharedkey.verify_request(
         DEV_KEY, request.method, request.path, request.query,
         request.headers, request.header("authorization"),
@@ -163,13 +175,18 @@ properties = st.dictionaries(prop_name, prop_value, max_size=3).filter(
 entities = st.builds(
     Entity, key, key, properties, etag=xml_text,
     timestamp=st.floats(0, 4e9))
-messages = st.builds(
-    QueueMessage, message_id=xml_text,
-    content=st.binary(max_size=16).map(BytesContent),
-    insertion_time=st.floats(0, 4e9), expiration_time=st.floats(0, 4e9),
-    next_visible_time=st.floats(0, 4e9),
-    dequeue_count=st.integers(0, 99),
-    pop_receipt=st.one_of(st.none(), xml_text.filter(bool)))
+
+
+def messages_of(content):
+    return st.builds(
+        QueueMessage, message_id=xml_text, content=content,
+        insertion_time=st.floats(0, 4e9), expiration_time=st.floats(0, 4e9),
+        next_visible_time=st.floats(0, 4e9),
+        dequeue_count=st.integers(0, 99),
+        pop_receipt=st.one_of(st.none(), xml_text.filter(bool)))
+
+
+messages = messages_of(st.binary(max_size=16).map(BytesContent))
 
 ARGUMENTS = {
     "name": namespace, "container": namespace, "queue": namespace,
@@ -262,7 +279,10 @@ def results(op, values):
         "_download": st.binary(max_size=64).map(BytesContent),
         "_get_page": st.tuples(st.binary(max_size=64).map(BytesContent),
                                st.integers(0, 2 ** 40)),
-        "put_message": st.one_of(st.none(), messages),
+        # What ``QueueState.put_message`` stores is the data sent; None
+        # is the injected drop.
+        "put_message": st.one_of(st.none(), messages_of(
+            st.just(BytesContent(values.get("data", b""))))),
         "get_message": st.one_of(st.none(), messages),
         "peek_message": st.one_of(st.none(), messages),
         "get_messages": st.lists(messages, max_size=3),
@@ -321,6 +341,83 @@ def test_round_trip(client, op, data):
         _, survives = LOSSY[(client, op)]
         back, expected = survives(values, back), survives(values, expected)
     assert back == expected
+
+
+# -- compiled == interpreted -------------------------------------------------
+
+def call_fields(call):
+    return (call.service, call.method, call.path, call.query, call.headers,
+            call.body)
+
+
+def decoded_fields(decoded):
+    merge = decoded.merge
+    if hasattr(merge, "func"):  # a partial holding the withheld arguments
+        merge = (merge.func, view(merge.keywords))
+    return (decoded.client, decoded.op, view(decoded.args),
+            view(decoded.kwargs), decoded.descriptor, decoded.route,
+            decoded.route_key, merge, decoded.result_nbytes)
+
+
+def response_fields(response):
+    return response.status, response.headers, response.body
+
+
+@pytest.mark.parametrize("route", ROUTES,
+                         ids=[f"{r.client}.{r.op}" for r in ROUTES])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_compiled_is_interpreted(route, data):
+    values = data.draw(arguments(route.client, route.op), label="arguments")
+    # Leading arguments positionally, the rest by name, as callers mix them.
+    names = [p.name for p in route.params]
+    positional = data.draw(st.integers(0, sum(
+        p.kind is p.POSITIONAL_OR_KEYWORD for p in route.params)))
+    args = tuple(values[name] for name in names[:positional])
+    kwargs = {name: values[name] for name in names[positional:]}
+    call = route.encode(*args, **kwargs)
+    reference = wire_oracle.encode(route, *args, **kwargs)
+    assert call_fields(call) == call_fields(reference)
+    with mock.patch.object(client_mod.time, "time", lambda: FROZEN_NOW):
+        raw = request_bytes(call)
+        assert raw == request_bytes(reference)
+
+    request = parse(raw)
+    decoded = decode_request(call.service, DEV_ACCOUNT, request)
+    expected = wire_oracle.decode_request(call.service, DEV_ACCOUNT, request)
+    assert decoded_fields(decoded) == decoded_fields(expected)
+
+    result = data.draw(results(decoded.op, values), label="result")
+    response = decoded.encode(result)
+    assert response_fields(response) \
+        == response_fields(expected.encode(result))
+    headers = {name.lower(): text for name, text in response.headers}
+    assert view(call.parse(response.status, headers, response.body)) \
+        == view(reference.parse(response.status, headers, response.body))
+
+
+ROUTE = {(route.client, route.op): route for route in ROUTES}
+
+
+@pytest.mark.parametrize("client,op,args,kwargs,error", [
+    ("queue", "put_message", ("q1",), {}, TypeError),
+    ("queue", "peek_message", ("q1", "q2"), {}, TypeError),
+    ("queue", "get_message", ("q1",), {"timeout": 1.0}, TypeError),
+    ("queue", "get_messages", ("q1",), {"queue": "q2"}, TypeError),
+    ("queue", "get_message", ("q1", 30.0), {}, TypeError),
+    ("blob", "delete_blob", ("c1", "b"), {"lease_id": "L"},
+     NotImplementedError),
+    ("blob", "download_page_blob", ("c1", "b"), {"written_only": False},
+     NotImplementedError),
+    ("blob", "upload_blob", ("c1", "a\x01b", b"x"), {}, ValueError),
+    ("table", "query", ("t1", lambda entity: True), {}, NotImplementedError),
+])
+def test_compiled_refuses_what_the_interpreter_refuses(client, op, args,
+                                                       kwargs, error):
+    with pytest.raises(error):
+        ROUTE[(client, op)].encode(*args, **kwargs)
+    with pytest.raises(error):
+        wire_oracle.encode(ROUTE[(client, op)], *args, **kwargs)
 
 
 # -- the drifts the two hand-written copies had reached ----------------------
@@ -425,3 +522,16 @@ def test_names_address_the_same_objects_as_on_the_emulator(service, name):
             outcome(table.delete, "routetbl", name, name),
         ]
     assert script(service) == script(emulator())
+
+
+def test_a_put_returns_the_bytes_it_sent(service):
+    """The put reply carries no text: the client keeps what it sent."""
+    queue = service["queue"]
+    drive(queue.create_queue("routeputq"))
+    payload = bytes(range(256)) * 17
+    put = drive(queue.put_message("routeputq", payload, ttl=60.0))
+    assert put.content.to_bytes() == payload and put.message_id
+    assert put.expiration_time - put.insertion_time == pytest.approx(60.0)
+    got = drive(queue.get_message("routeputq"))
+    assert (got.message_id, got.content.to_bytes()) \
+        == (put.message_id, payload)
