@@ -3,8 +3,6 @@
 from .charts import ascii_chart, sparkline
 from .scaling import (
     USLFit,
-    crossover,
-    efficiency,
     fit_usl,
     knee_point,
     saturation_point,
@@ -13,10 +11,8 @@ from .scaling import (
 
 __all__ = [
     "speedup",
-    "efficiency",
     "saturation_point",
     "knee_point",
-    "crossover",
     "USLFit",
     "fit_usl",
     "ascii_chart",

@@ -1,25 +1,22 @@
 """Scalability analysis of benchmark sweeps.
 
-Quantifies the shapes the paper describes in prose: speedup and parallel
-efficiency curves, saturation ("the throughput … increases with increasing
-number of worker role instances" — until where?), knees, crossovers between
-competing series, and a Universal-Scalability-Law fit separating contention
-from coherency costs.
+Quantifies the shapes the paper describes in prose: speedup curves,
+saturation ("the throughput … increases with increasing number of worker
+role instances" — until where?), knees, and a Universal-Scalability-Law fit
+separating contention from coherency costs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "speedup",
-    "efficiency",
     "saturation_point",
     "knee_point",
-    "crossover",
     "USLFit",
     "fit_usl",
 ]
@@ -47,13 +44,6 @@ def speedup(workers: Sequence[float], times: Sequence[float]) -> List[float]:
         raise ValueError("times must be positive")
     base = times[0] * workers[0]
     return [base / t / 1.0 for t in times]
-
-
-def efficiency(workers: Sequence[float], times: Sequence[float]) -> List[float]:
-    """Parallel efficiency: speedup / (n / n_min)."""
-    s = speedup(workers, times)
-    n0 = workers[0]
-    return [si / (w / n0) for si, w in zip(s, workers)]
 
 
 def saturation_point(workers: Sequence[float], throughput: Sequence[float],
@@ -88,29 +78,6 @@ def knee_point(workers: Sequence[float], times: Sequence[float],
     for w, t in zip(workers, times):
         if t > base * (1 + threshold):
             return float(w)
-    return None
-
-
-def crossover(workers: Sequence[float], series_a: Sequence[float],
-              series_b: Sequence[float]) -> Optional[float]:
-    """Interpolated x where series A overtakes series B (or None).
-
-    Returns the first crossing point going left to right; series equal at a
-    sample count as crossing there.
-    """
-    _validate(workers, series_a)
-    _validate(workers, series_b)
-    diff = [a - b for a, b in zip(series_a, series_b)]
-    for i in range(len(diff) - 1):
-        d0, d1 = diff[i], diff[i + 1]
-        if d0 == 0:
-            return float(workers[i])
-        if d0 * d1 < 0:
-            # Linear interpolation of the zero crossing.
-            frac = abs(d0) / (abs(d0) + abs(d1))
-            return float(workers[i] + frac * (workers[i + 1] - workers[i]))
-    if diff[-1] == 0:
-        return float(workers[-1])
     return None
 
 

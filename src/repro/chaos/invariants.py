@@ -47,9 +47,6 @@ class Violation:
     def to_dict(self) -> Dict[str, str]:
         return {"checker": self.checker, "message": self.message}
 
-    def __str__(self) -> str:
-        return f"[{self.checker}] {self.message}"
-
 
 def _violations(checker: str, messages) -> List[Violation]:
     return [Violation(checker, m) for m in messages]

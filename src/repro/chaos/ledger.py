@@ -1,4 +1,4 @@
-"""The queue-conservation ledger: a mergeable accounting monoid.
+"""The queue-conservation ledger: message accounting for a run.
 
 A :class:`QueueLedger` counts what happened to every queue message over a
 run, built by folding *ledger events* — plain tuples, so tests can
@@ -18,11 +18,8 @@ generate synthetic histories without the harness:
 * ``("purge", queue)`` — the queue itself was deleted, taking any
   leftover messages with it (``DeleteQueue`` clears the queue).
 
-The ledger is a **commutative monoid** under :meth:`QueueLedger.merge`:
-``empty`` is the identity, merge is associative and commutative (it sums
-counters pointwise), so per-worker or per-phase sub-ledgers can be folded
-in any order — the property the hypothesis tests in
-``tests/chaos/test_ledger.py`` pin down.
+The hypothesis tests in ``tests/chaos/test_ledger.py`` check the laws
+below over generated histories.
 
 :meth:`QueueLedger.violations` evaluates the conservation laws:
 
@@ -42,13 +39,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Set, Tuple
 
 __all__ = ["QueueLedger", "ledger_from_events"]
-
-
-def _merge_counts(a: Dict, b: Dict) -> Dict:
-    out = dict(a)
-    for key, value in b.items():
-        out[key] = out.get(key, 0) + value
-    return out
 
 
 @dataclass(frozen=True)
@@ -75,32 +65,6 @@ class QueueLedger:
     remaining: Dict[Tuple[str, str], int] = field(default_factory=dict)
     #: Queues that were deleted (leftover messages were purged with them).
     purged: Tuple[str, ...] = ()
-
-    # -- monoid ------------------------------------------------------------
-    @classmethod
-    def empty(cls) -> "QueueLedger":
-        return cls()
-
-    def merge(self, other: "QueueLedger") -> "QueueLedger":
-        """Pointwise sum: associative, commutative, ``empty`` is identity."""
-        return QueueLedger(
-            puts=_merge_counts(self.puts, other.puts),
-            lost_injected=_merge_counts(self.lost_injected,
-                                        other.lost_injected),
-            lost_silent=_merge_counts(self.lost_silent, other.lost_silent),
-            deliveries=_merge_counts(self.deliveries, other.deliveries),
-            explained=_merge_counts(self.explained, other.explained),
-            deletes=_merge_counts(self.deletes, other.deletes),
-            deletes_missing=_merge_counts(self.deletes_missing,
-                                          other.deletes_missing),
-            remaining=_merge_counts(self.remaining, other.remaining),
-            purged=tuple(sorted(set(self.purged) | set(other.purged))),
-        )
-
-    # -- folding -----------------------------------------------------------
-    def observe(self, event: Tuple) -> "QueueLedger":
-        """Fold one ledger event (returns a new ledger; small histories)."""
-        return self.merge(ledger_from_events([event]))
 
     # -- derived -----------------------------------------------------------
     def queues(self) -> List[str]:

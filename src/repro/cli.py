@@ -275,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     sndn.add_argument("--sn", default="1,2,4",
                       help="service-node counts, comma-separated "
                            "(default 1,2,4)")
-    sndn.add_argument("--dn", default="1,2,4,8",
-                      help="data-node counts, comma-separated "
-                           "(default 1,2,4,8)")
+    sndn.add_argument("--dn",
+                      help="data-node counts, comma-separated (default: "
+                           "those of 1,2,4,8 that are >= --replication)")
     sndn.add_argument("--clients", type=int, default=32)
     sndn.add_argument("--duration", type=float, default=30.0,
                       help="simulated seconds per point (default 30)")
@@ -877,9 +877,20 @@ def _run_sndn(args) -> int:
 
     try:
         sn_counts = [int(v) for v in args.sn.split(",") if v]
-        dn_counts = [int(v) for v in args.dn.split(",") if v]
+        if args.dn is None:
+            dn_counts = [dn for dn in (1, 2, 4, 8) if dn >= args.replication]
+        else:
+            dn_counts = [int(v) for v in args.dn.split(",") if v]
     except ValueError:
         print("--sn/--dn take comma-separated integers", file=sys.stderr)
+        return 2
+    if args.dn is None and not dn_counts:
+        print(f"--replication {args.replication} leaves no count of the "
+              f"default --dn 1,2,4,8; pass --dn", file=sys.stderr)
+        return 2
+    if any(dn < args.replication for dn in dn_counts):
+        print(f"--dn {args.dn} has a data-node count below --replication "
+              f"{args.replication}", file=sys.stderr)
         return 2
     crashing = args.crash_at is not None
     overrides = {}

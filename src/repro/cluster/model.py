@@ -277,8 +277,3 @@ class StorageCluster:
             raise
         ctx.finished_at = env._now
         pipeline.run_after(ctx)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<StorageCluster blobs={len(self.blob_servers)} "
-                f"queues={len(self.queue_servers)} "
-                f"tables={len(self.table_servers)}>")

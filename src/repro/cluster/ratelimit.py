@@ -48,11 +48,6 @@ class SlidingWindowThrottle:
             _, units = events.popleft()
             self._in_window -= units
 
-    def would_admit(self, now: float, units: float = 1.0) -> bool:
-        """True if ``charge`` would currently succeed."""
-        self._expire(now)
-        return self._in_window + units <= self.limit
-
     def charge(self, now: float, units: float = 1.0) -> None:
         """Admit ``units`` at time ``now`` or raise :class:`ServerBusyError`."""
         events = self._events
@@ -68,12 +63,3 @@ class SlidingWindowThrottle:
         events.append((now, units))
         self._in_window += units
         self.admitted += units
-
-    @property
-    def current_load(self) -> float:
-        """Units currently counted inside the window (not expired lazily)."""
-        return self._in_window
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<SlidingWindowThrottle {self.name!r} "
-                f"{self._in_window:g}/{self.limit:g} per {self.window:g}s>")

@@ -57,9 +57,6 @@ class PartitionServer:
     def queue_length(self) -> int:
         return len(self.slots.queue)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<PartitionServer {self.name} busy={self.slots.count}/{self.slots.capacity}>"
-
 
 class ServerPool:
     """Lazily-created servers addressed by partition key.

@@ -14,7 +14,6 @@ from .vmsizes import (
     SMALL,
     TABLE_I,
     VMSize,
-    vm_size_by_name,
 )
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "MEDIUM",
     "LARGE",
     "EXTRA_LARGE",
-    "vm_size_by_name",
     "EndpointRegistry",
     "Endpoint",
     "EndpointError",

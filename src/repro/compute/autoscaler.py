@@ -126,7 +126,3 @@ class Autoscaler:
                 self._last_action = self.env.now
                 self.events.append((self.env.now, "scale_in", backlog,
                                     len(active) - 1))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<Autoscaler {self.deployment.name!r} "
-                f"out={self.scale_outs} in={self.scale_ins}>")

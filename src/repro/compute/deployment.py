@@ -7,7 +7,7 @@ from/to Azure storage concurrently." (paper Section I)
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List
 
 from ..simkit import AllOf, Environment
 from .roles import RoleBody, RoleContext, RoleInstance, RoleStatus
@@ -117,13 +117,6 @@ class Deployment:
     def restart_instance(self, role_id: int) -> None:
         self.instances[role_id].restart()
 
-    def __len__(self) -> int:
-        return len(self.instances)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<Deployment {self.name!r} x{len(self.instances)} "
-                f"({self.vm_size.name})>")
-
 
 class Fabric:
     """The Windows Azure Fabric: names and tracks deployments.
@@ -162,6 +155,3 @@ class Fabric:
         events = [d.all_done_event() for d in self.deployments.values()]
         self.env.run(until=AllOf(self.env, events))
         return {name: d.results() for name, d in self.deployments.items()}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Fabric deployments={list(self.deployments)}>"

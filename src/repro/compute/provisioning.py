@@ -14,11 +14,11 @@ like every fabric constant they are calibrated, seeded, and documented.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..simkit import AllOf, Environment
+from ..simkit import AllOf
 from .deployment import Deployment
 from .vmsizes import EXTRA_LARGE, EXTRA_SMALL, LARGE, MEDIUM, SMALL, VMSize
 
@@ -43,11 +43,6 @@ class ProvisionedStart:
     first_ready_at: float
     all_ready_at: float
     per_instance: List[float]
-
-    @property
-    def spread(self) -> float:
-        """Seconds between the first and the last instance becoming ready."""
-        return self.all_ready_at - self.first_ready_at
 
 
 class ProvisioningModel:

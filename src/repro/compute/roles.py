@@ -59,10 +59,6 @@ class RoleContext:
         """Sleep helper (``Sleep(1 second)`` in Algorithm 2)."""
         return self.env.timeout(seconds)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<RoleContext {self.role_name}#{self.role_id}"
-                f"/{self.instance_count}>")
-
 
 class RoleInstance:
     """One running instance of a web or worker role."""
@@ -125,6 +121,3 @@ class RoleInstance:
         self.failure = None
         self.status = RoleStatus.CREATED
         return self.start()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<RoleInstance {self.name} {self.status.value}>"

@@ -7,7 +7,7 @@ as shown in Table I."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 __all__ = [
     "VMSize",
@@ -17,7 +17,6 @@ __all__ = [
     "LARGE",
     "EXTRA_LARGE",
     "TABLE_I",
-    "vm_size_by_name",
 ]
 
 
@@ -65,17 +64,3 @@ EXTRA_LARGE = VMSize("Extra Large", 8, 14336, 2040, 800)
 
 #: The paper's Table I, in row order.
 TABLE_I: List[VMSize] = [EXTRA_SMALL, SMALL, MEDIUM, LARGE, EXTRA_LARGE]
-
-_BY_NAME: Dict[str, VMSize] = {v.name.lower(): v for v in TABLE_I}
-_BY_NAME.update({v.name.lower().replace(" ", ""): v for v in TABLE_I})
-
-
-def vm_size_by_name(name: str) -> VMSize:
-    """Look up a Table I row by (case/space-insensitive) name."""
-    key = name.lower().strip()
-    try:
-        return _BY_NAME[key if key in _BY_NAME else key.replace(" ", "")]
-    except KeyError:
-        raise KeyError(
-            f"unknown VM size {name!r}; known: {[v.name for v in TABLE_I]}"
-        ) from None

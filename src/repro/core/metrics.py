@@ -13,7 +13,7 @@ numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..storage.limits import MB
@@ -244,7 +244,3 @@ class BenchResult:
 
     def all_stats(self) -> Dict[str, PhaseStats]:
         return {name: self.phase(name) for name in self._by_phase}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<BenchResult {self.label!r} workers={self.workers} "
-                f"phases={sorted(self._by_phase)}>")

@@ -92,10 +92,6 @@ class FaultPlan:
         if listener not in self._listeners:
             self._listeners.append(listener)
 
-    def unsubscribe(self, listener) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
     def trace(self) -> List[tuple]:
         """The event trace as plain tuples (stable, diffable)."""
         return [e.as_tuple() for e in self.events]
@@ -256,7 +252,3 @@ class FaultPlan:
     def duplicate_delivery(self, queue: str, now: float) -> bool:
         """Should this gotten message stay visible (duplicate delivery)?"""
         return self._queue_event(FaultKind.DUPLICATE_DELIVERY, queue, now)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<FaultPlan specs={len(self.specs)} seed={self.seed} "
-                f"events={len(self.events)}>")

@@ -296,14 +296,7 @@ class GeoAccount:
     def table_client(self) -> GeoClient:
         return GeoClient(self, "table")
 
-    def cache_client(self):
-        """The caching service is region-local, never geo-replicated."""
-        return self.primary.cache_client()
-
     # -- explicit secondary readers (RA-GRS probes) ------------------------
-    def secondary_blob_client(self):
-        return self.secondary.blob_client()
-
     def secondary_queue_client(self):
         return self.secondary.queue_client()
 
@@ -339,11 +332,6 @@ class GeoAccount:
                          delay_s: float = 2.0):
         """Process generator promoting the secondary (see GeoController)."""
         return self.controller.failover(mode, delay_s=delay_s)
-
-    def lost_records(self) -> tuple:
-        """Acked-but-unshipped records, live (post-promotion: the loss)."""
-        shipped = self.replicator.shipped_seqs()
-        return tuple(r for r in self.log.records if r.seq not in shipped)
 
     def describe(self) -> dict:
         """JSON-friendly geo summary for verdicts and the CLI."""

@@ -1,4 +1,4 @@
-"""The geo-replication ledger: a mergeable accounting monoid.
+"""The geo-replication ledger: the replication contract as laws.
 
 The :class:`GeoLedger` is the geo counterpart of the queue-conservation
 :class:`~repro.chaos.ledger.QueueLedger`: it folds plain *ledger events*
@@ -17,11 +17,7 @@ evaluates the replication contract as algebraic laws:
 * ``("promote", t, lst)`` — the secondary was promoted at ``t`` with
   final Last Sync Time ``lst``.
 
-Every field is a :class:`frozenset`, so :meth:`GeoLedger.merge` is set
-union — associative, commutative, with :meth:`GeoLedger.empty` as the
-identity — and per-worker or per-phase sub-ledgers fold in any order
-(the hypothesis suite in ``tests/geo/test_geo_ledger.py`` pins the
-laws).
+The hypothesis suite in ``tests/geo/test_geo_ledger.py`` pins the laws.
 
 :meth:`GeoLedger.violations` checks:
 
@@ -61,25 +57,6 @@ class GeoLedger:
     probes: FrozenSet[Tuple[float, int, int, int]] = frozenset()
     #: (time, last_sync_time) — promotions (at most one is lawful).
     promotions: FrozenSet[Tuple[float, float]] = frozenset()
-
-    # -- monoid ------------------------------------------------------------
-    @classmethod
-    def empty(cls) -> "GeoLedger":
-        return cls()
-
-    def merge(self, other: "GeoLedger") -> "GeoLedger":
-        """Set union per field: associative, commutative, ``empty`` id."""
-        return GeoLedger(
-            acks=self.acks | other.acks,
-            ships=self.ships | other.ships,
-            probes=self.probes | other.probes,
-            promotions=self.promotions | other.promotions,
-        )
-
-    # -- folding -----------------------------------------------------------
-    def observe(self, event: Tuple) -> "GeoLedger":
-        """Fold one ledger event (returns a new ledger)."""
-        return self.merge(geo_ledger_from_events([event]))
 
     # -- derived -----------------------------------------------------------
     def shipped_seqs(self) -> FrozenSet[int]:

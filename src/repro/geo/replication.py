@@ -183,10 +183,6 @@ class GeoReplicator:
         """Acknowledged-but-unapplied records."""
         return len(self.log) - self._next
 
-    @property
-    def next_index(self) -> int:
-        return self._next
-
     def shipped_seqs(self) -> Set[int]:
         return {seq for (seq, _, _) in self.ship_events}
 

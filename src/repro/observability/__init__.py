@@ -21,7 +21,6 @@ from .manifest import RunManifest
 from .span import STATUS_ERROR, STATUS_OK, Span
 from .tracer import (
     Tracer,
-    phase_totals,
     sim_worker_resolver,
     thread_worker_resolver,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "DEFAULT_GROWTH",
     "RunManifest",
     "Tracer",
-    "phase_totals",
     "sim_worker_resolver",
     "thread_worker_resolver",
 ]

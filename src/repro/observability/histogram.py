@@ -156,9 +156,6 @@ class Histogram:
             "p99": self.p99 if self.count else 0.0,
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Histogram n={self.count} min={self.min} max={self.max}>"
-
 
 class HistogramSet:
     """Latency histograms keyed by ``service.operation``."""
@@ -198,6 +195,3 @@ class HistogramSet:
 
     def to_dict(self) -> Dict[str, Dict[str, float]]:
         return {key: self._hists[key].to_dict() for key in self.keys()}
-
-    def __len__(self) -> int:
-        return len(self._hists)

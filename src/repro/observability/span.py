@@ -76,11 +76,6 @@ class Span:
     def ok(self) -> bool:
         return self.status == STATUS_OK
 
-    @property
-    def faults(self) -> Tuple[str, ...]:
-        """The injected fault kinds as a tuple ("" splits to empty)."""
-        return tuple(self.fault.split(",")) if self.fault else ()
-
     def to_tuple(self) -> Tuple:
         """The ordered, digest-stable projection of this span.
 

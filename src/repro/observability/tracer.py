@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import replace
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..pipeline.interceptors import Interceptor
 from .buffer import TraceBuffer
@@ -36,7 +36,6 @@ __all__ = [
     "Tracer",
     "sim_worker_resolver",
     "thread_worker_resolver",
-    "phase_totals",
 ]
 
 
@@ -110,9 +109,6 @@ class Tracer(Interceptor):
             self.attach_fault_plan(plan)
         return self
 
-    def uninstall(self, target) -> None:
-        target.pipeline.remove(self)
-
     def attach_fault_plan(self, plan) -> "Tracer":
         """Record injected-fault verdicts on the spans they hit.
 
@@ -155,9 +151,6 @@ class Tracer(Interceptor):
             self._phases[worker] = name
         elif event == "stop":
             self._phases.pop(worker, None)
-
-    def current_phase(self, worker: str) -> Optional[str]:
-        return self._phases.get(worker)
 
     # -- interceptor hooks -------------------------------------------------
     def after(self, ctx) -> None:
@@ -223,30 +216,3 @@ class Tracer(Interceptor):
     @property
     def spans(self):
         return self.buffer.spans
-
-
-def phase_totals(spans: Iterable[Span], *,
-                 ops_exclude: frozenset = frozenset()
-                 ) -> Dict[str, Tuple[int, int, int]]:
-    """Per-phase ``(ops, nbytes, retries)`` rollup of a span stream.
-
-    Reconciles traces against :class:`~repro.core.metrics.PhaseRecorder`
-    totals: ``ops``/``nbytes`` count successful spans whose operation is
-    not in ``ops_exclude`` (e.g. the queue benchmark times Get+Delete as
-    one logical op, so ``delete_message`` spans are excluded), and
-    ``retries`` counts failed spans — one per back-off the worker took.
-    Spans outside any phase (barrier traffic, setup) are skipped.
-    """
-    totals: Dict[str, Tuple[int, int, int]] = {}
-    for span in spans:
-        if span.phase is None:
-            continue
-        ops, nbytes, retries = totals.get(span.phase, (0, 0, 0))
-        if span.ok:
-            if span.operation not in ops_exclude:
-                ops += 1
-                nbytes += span.nbytes
-        else:
-            retries += 1
-        totals[span.phase] = (ops, nbytes, retries)
-    return totals

@@ -74,7 +74,3 @@ class OpContext:
     def elapsed(self) -> float:
         """Round-trip duration as observed by the backend clock."""
         return self.finished_at - self.started_at
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<OpContext {self.op!r} backend={self.backend!r} "
-                f"started_at={self.started_at!r}>")

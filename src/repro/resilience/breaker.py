@@ -97,7 +97,3 @@ class CircuitBreaker:
                 self.trips += 1
             self.state = BreakerState.OPEN
             self.opened_at = now
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<CircuitBreaker {self.state.value} "
-                f"failures={self.consecutive_failures} trips={self.trips}>")

@@ -40,6 +40,3 @@ class Deadline:
     def allows_sleep(self, now: float, delay: float) -> bool:
         """Would sleeping ``delay`` seconds still leave time to retry?"""
         return now + delay < self.expires_at
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Deadline(expires_at={self.expires_at:g})"

@@ -81,9 +81,6 @@ class RetryPolicy:
                 now: float = 0.0) -> Optional[float]:
         raise NotImplementedError
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} {self.stats!r}>"
-
 
 class FixedBackoff(RetryPolicy):
     """The paper's policy: sleep a fixed interval, retry forever.

@@ -60,7 +60,7 @@ from ..pipeline import (
     Pipeline,
 )
 from ..storage import StorageAccountState, WallClock
-from ..storage.blob.state import BlockBlobState, PageBlobState
+from ..storage.blob.state import PageBlobState
 from ..storage.errors import StorageError
 from ..storage.cache import CacheServiceState
 from ..storage.limits import LIMITS_2012
@@ -182,10 +182,7 @@ class DataNode:
                 reply.set_exception(ConnectionResetError(
                     f"data node {self.index} crashed mid-call"))
 
-    # -- faults / introspection --------------------------------------------
-    def shard(self, account: str) -> _Shard:
-        return self._shards[account]
-
+    # -- faults -------------------------------------------------------------
     def set_fault_plan(self, account: str, plan) -> None:
         self._shards[account].fault_plan = plan
 

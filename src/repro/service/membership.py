@@ -160,9 +160,6 @@ class Membership:
     def state(self, node: int) -> NodeState:
         return self._health[node].state
 
-    def states(self) -> Dict[int, NodeState]:
-        return {i: h.state for i, h in self._health.items()}
-
     def routable(self, node: int) -> bool:
         return self._health[node].state is not NodeState.DEAD
 
@@ -359,13 +356,3 @@ class Membership:
         if self.last_death_at is None or self.last_heal_at is None:
             return None
         return max(0.0, self.last_heal_at - self.last_death_at)
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "replicas": self.config.replicas,
-            "health_checks": self.config.health_checks,
-            "states": {i: h.state.value
-                       for i, h in sorted(self._health.items())},
-            "ring_nodes": list(self.ring.nodes),
-            "counters": dict(self.counters),
-        }

@@ -71,9 +71,6 @@ class HashRing:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def __contains__(self, node: int) -> bool:
-        return node in self._nodes
-
     def add(self, node: int) -> None:
         """Project ``node``'s virtual points onto the ring (idempotent)."""
         if node in self._nodes:
@@ -121,14 +118,3 @@ class HashRing:
                 if len(found) == want:
                     break
         return tuple(found)
-
-    def primary(self, label: str) -> int:
-        """The label's first owner (raises on an empty ring)."""
-        owners = self.owners(label, replicas=1)
-        if not owners:
-            raise LookupError("hash ring is empty")
-        return owners[0]
-
-    def describe(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<HashRing nodes={self.nodes} vnodes={self.vnodes} "
-                f"replicas={self.replicas}>")

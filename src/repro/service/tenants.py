@@ -140,6 +140,3 @@ class TenantDirectory:
 
     def __iter__(self):
         return iter(self._tenants.values())
-
-    def __len__(self) -> int:
-        return len(self._tenants)

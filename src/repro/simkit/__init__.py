@@ -35,7 +35,6 @@ from .events import (
     URGENT,
 )
 from .exceptions import EmptySchedule, Interrupt, SimkitError, StopProcess
-from .monitor import Tally
 from .process import Detached, Process, ProcessGenerator
 from .resources import Request, Resource, Store
 
@@ -60,5 +59,4 @@ __all__ = [
     "Resource",
     "Request",
     "Store",
-    "Tally",
 ]

@@ -16,8 +16,7 @@ dashboards something faithful to read.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
@@ -144,12 +143,6 @@ class HourlyMetrics:
             return 0.0
         return self._latency_sum / self.total_requests
 
-    @property
-    def average_server_latency(self) -> float:
-        if self.total_requests == 0:
-            return 0.0
-        return self._server_latency_sum / self.total_requests
-
 
 class MetricsAggregator:
     """Hourly metrics rollups keyed by (hour, service, operation)."""
@@ -254,18 +247,6 @@ class ResilienceSummary:
     faults_injected: Dict[str, int]
     #: Circuit-breaker trips (0 without a breaker).
     breaker_trips: int = 0
-
-    def to_text(self) -> str:
-        avail = ", ".join(f"{s}={v:.3f}" for s, v in
-                          sorted(self.availability.items())) or "n/a"
-        faults = ", ".join(f"{k}={v}" for k, v in
-                           sorted(self.faults_injected.items())) or "none"
-        return (f"policy={self.policy} attempts={self.attempts} "
-                f"retries={self.retries} giveups={self.giveups} "
-                f"backoff={self.total_backoff:.1f}s "
-                f"amplification={self.retry_amplification:.3f} "
-                f"availability[{avail}] faults[{faults}] "
-                f"trips={self.breaker_trips}")
 
 
 def resilience_summary(metrics: MetricsAggregator, *, policy=None,

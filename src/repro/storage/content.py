@@ -142,10 +142,6 @@ class SyntheticContent(Content):
     def to_bytes(self) -> bytes:
         return _positional_bytes(self._seed, self._origin, self._size)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"SyntheticContent(size={self._size}, seed={self._seed}, "
-                f"origin={self._origin})")
-
 
 class ZeroContent(Content):
     """All-zero bytes (uninitialized page-blob ranges read as zeros)."""
@@ -167,9 +163,6 @@ class ZeroContent(Content):
 
     def to_bytes(self) -> bytes:
         return bytes(self._size)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ZeroContent(size={self._size})"
 
 
 class CompositeContent(Content):
@@ -220,9 +213,6 @@ class CompositeContent(Content):
 
     def to_bytes(self) -> bytes:
         return b"".join(p.to_bytes() for p in self._parts)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CompositeContent(parts={len(self._parts)}, size={self._size})"
 
 
 def as_content(data: Union[Content, bytes, bytearray, memoryview, str]) -> Content:

@@ -3,7 +3,7 @@
 The paper's workloads are closed-loop (N workers, think time), which
 self-throttle at saturation; this package adds the DiPerF-style
 open-loop side: seeded arrival processes scheduled independently of
-completions (:mod:`~repro.traffic.arrivals`), a mergeable streaming
+completions (:mod:`~repro.traffic.arrivals`), a streaming
 windowed aggregator (:mod:`~repro.traffic.stats`), per-window SLO
 verdicts (:mod:`~repro.traffic.slo`), the engine driving any backend
 (:mod:`~repro.traffic.engine`), and bisection saturation search for the

@@ -98,9 +98,6 @@ class ArrivalProcess:
                 f"(asked for {n}); extend the trace or raise the rate")
         return out
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} seed={self.seed}>"
-
 
 class PoissonProcess(ArrivalProcess):
     """Homogeneous Poisson arrivals: i.i.d. exponential gaps."""

@@ -34,10 +34,6 @@ class WindowViolation:
         return {"window": self.window, "metric": self.metric,
                 "value": round(self.value, 6), "bound": self.bound}
 
-    def describe(self) -> str:
-        return (f"window {self.window}: {self.metric}={self.value:.3f} "
-                f"breaches bound {self.bound:g}")
-
 
 @dataclass
 class SLOReport:

@@ -1,17 +1,15 @@
 """Streaming windowed statistics for open-loop runs.
 
 :class:`StatsAggregator` folds completed operations into fixed-width
-time windows as they finish.  The stored state is a **commutative
-monoid**: integer counters, byte totals, mergeable log-bucketed latency
+time windows as they finish.  The stored state is integer counters,
+byte totals, log-bucketed latency
 :class:`~repro.observability.histogram.Histogram`\\ s, and an exact
 in-flight time integral (each operation contributes its overlap with
-every window it spans, so partition merges neither double-count nor
-drop boundary-crossing work).  Aggregators built on different workers or
-partitions therefore merge into exactly the aggregate a single offline
-pass over all operations would produce — the property the
-``tests/traffic/test_stats_merge.py`` battery pins.
+every window it spans, so boundary-crossing work is neither
+double-counted nor dropped).  ``record`` and ``record_chunk`` fold the
+same operations into equal aggregators.
 
-Attribution rules (fixed, so merges agree):
+Attribution rules (fixed):
 
 * an operation's *arrival* counts in the window containing its start;
 * its *completion*, latency sample, error flag, and bytes count in the
@@ -21,7 +19,7 @@ Attribution rules (fixed, so merges agree):
   ``[start, end)`` with that window.
 
 Derived metrics (throughput, percentiles, mean in-flight, utilization)
-are computed at read time from the mergeable state, never stored.
+are computed at read time from the stored state, never stored.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ __all__ = ["StatsAggregator", "WindowRow", "WINDOW_CSV_HEADER"]
 
 
 class _Window:
-    """Mergeable per-window state (internal)."""
+    """Per-window state (internal)."""
 
     __slots__ = ("arrivals", "completions", "errors", "nbytes",
                  "latency", "inflight_area", "ops")
@@ -52,21 +50,8 @@ class _Window:
         #: operation name -> completions (successful + failed).
         self.ops: Dict[str, int] = {}
 
-    def merge(self, other: "_Window", growth: float) -> "_Window":
-        out = _Window(growth)
-        out.arrivals = self.arrivals + other.arrivals
-        out.completions = self.completions + other.completions
-        out.errors = self.errors + other.errors
-        out.nbytes = self.nbytes + other.nbytes
-        out.latency = self.latency.merge(other.latency)
-        out.inflight_area = self.inflight_area + other.inflight_area
-        out.ops = dict(self.ops)
-        for op, n in other.ops.items():
-            out.ops[op] = out.ops.get(op, 0) + n
-        return out
-
     def eq_exact(self, other: "_Window") -> bool:
-        # inflight_area is float-summed in merge order, so like
+        # inflight_area is float-summed in fold order, so like
         # Histogram.total it is compared with a tolerance, not exactly.
         return (self.arrivals == other.arrivals
                 and self.completions == other.completions
@@ -121,7 +106,7 @@ WINDOW_CSV_HEADER = ("window,start,end,arrivals,completions,errors,"
 
 
 class StatsAggregator:
-    """Fold operation completions into fixed-width windows; merge exactly."""
+    """Fold operation completions into fixed-width windows."""
 
     def __init__(self, window_s: float, *,
                  growth: float = DEFAULT_GROWTH) -> None:
@@ -259,35 +244,6 @@ class StatsAggregator:
         self.total_bytes += total_nbytes
         self.total_errors += nerr
 
-    # -- merging -----------------------------------------------------------
-    def merge(self, other: "StatsAggregator") -> "StatsAggregator":
-        """A new aggregator holding both operation sets (monoid op)."""
-        if other.window_s != self.window_s:
-            raise ValueError(
-                f"cannot merge aggregators with different window widths "
-                f"({self.window_s} vs {other.window_s})")
-        if other.growth != self.growth:
-            raise ValueError("cannot merge aggregators with different "
-                             "histogram growth factors")
-        merged = StatsAggregator(self.window_s, growth=self.growth)
-        for idx, win in self._windows.items():
-            theirs = other._windows.get(idx)
-            merged._windows[idx] = (win.merge(theirs, self.growth)
-                                    if theirs else
-                                    win.merge(_Window(self.growth),
-                                              self.growth))
-        for idx, win in other._windows.items():
-            if idx not in self._windows:
-                merged._windows[idx] = _Window(self.growth).merge(
-                    win, self.growth)
-        merged.overall = self.overall.merge(other.overall)
-        merged.total_arrivals = self.total_arrivals + other.total_arrivals
-        merged.total_completions = (self.total_completions
-                                    + other.total_completions)
-        merged.total_errors = self.total_errors + other.total_errors
-        merged.total_bytes = self.total_bytes + other.total_bytes
-        return merged
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StatsAggregator):
             return NotImplemented
@@ -318,7 +274,7 @@ class StatsAggregator:
         """Derived per-window rows, 0..N-1 (gaps become empty windows).
 
         ``servers`` scales the utilization column: mean in-flight
-        operations per server (a pure read-time hint — the mergeable
+        operations per server (a pure read-time hint — the stored
         state never depends on it).
         """
         if servers < 1:
@@ -356,7 +312,3 @@ class StatsAggregator:
             "bytes": self.total_bytes,
             "latency": self.overall.to_dict(),
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<StatsAggregator windows={len(self._windows)} "
-                f"n={self.total_completions}>")

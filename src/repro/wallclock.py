@@ -95,12 +95,13 @@ def _shim_class(kind: str):
 class ShimAccount:
     """An emulator account dressed up as a :class:`SimStorageAccount`.
 
-    Its clients are generator shims, so sim-style bodies (``yield from
-    client.op(...)``) drive the thread-safe emulator unchanged.
+    Its blob, queue and table clients are generator shims, so sim-style
+    bodies (``yield from client.op(...)``) drive the thread-safe emulator
+    unchanged.  No body run off the DES uses the cache service, so there
+    is no cache client.
     """
 
-    _CLIENTS = {kind: _shim_class(kind)
-                for kind in ("blob", "queue", "table", "cache")}
+    _CLIENTS = {kind: _shim_class(kind) for kind in ("blob", "queue", "table")}
 
     def __init__(self, account: EmulatorAccount, env: ThreadedEnv) -> None:
         self.emulator = account
@@ -122,6 +123,3 @@ class ShimAccount:
 
     def table_client(self):
         return self._make("table")
-
-    def cache_client(self):
-        return self._make("cache")

@@ -48,14 +48,6 @@ class TestSlidingWindowThrottle:
         with pytest.raises(ServerBusyError):
             t.charge(0.0, 11)
 
-    def test_would_admit(self):
-        t = SlidingWindowThrottle(2, window=1.0)
-        assert t.would_admit(0.0)
-        t.charge(0.0)
-        t.charge(0.0)
-        assert not t.would_admit(0.5)
-        assert t.would_admit(1.5)
-
     def test_rejection_does_not_consume(self):
         t = SlidingWindowThrottle(5, window=1.0)
         for _ in range(5):
@@ -72,8 +64,3 @@ class TestSlidingWindowThrottle:
         with pytest.raises(ServerBusyError) as exc_info:
             t.charge(0.0)
         assert exc_info.value.retry_after == 2.5
-
-    def test_current_load(self):
-        t = SlidingWindowThrottle(10, window=1.0)
-        t.charge(0.0, 4)
-        assert t.current_load == 4

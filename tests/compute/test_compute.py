@@ -12,7 +12,6 @@ from repro.compute import (
     RoleStatus,
     SMALL,
     TABLE_I,
-    vm_size_by_name,
 )
 from repro.sim import SimStorageAccount
 from repro.simkit import Environment
@@ -41,13 +40,6 @@ class TestVMSizes:
         assert LARGE.cpu_cores == 4 and LARGE.memory_display == "7 GB"
         assert EXTRA_LARGE.memory_display == "14 GB"
         assert EXTRA_LARGE.storage_gb == 2040
-
-    def test_lookup_by_name(self):
-        assert vm_size_by_name("small") is SMALL
-        assert vm_size_by_name("Extra Large") is EXTRA_LARGE
-        assert vm_size_by_name("extralarge") is EXTRA_LARGE
-        with pytest.raises(KeyError):
-            vm_size_by_name("gigantic")
 
     def test_nic_bandwidth(self):
         assert SMALL.nic_bytes_per_second == 100 * 1_000_000 / 8

@@ -145,6 +145,29 @@ class TestRaGrsRouting:
         assert issubclass(RegionDownError, ServerBusyError)
 
 
+class TestDropInClient:
+    def test_plain_attributes_answer_as_the_active_stamp(self, env):
+        """Bodies written for a single-region client read ``env``,
+        ``state`` and ``account`` off it, and anything else that is not a
+        method comes from the stamp serving the endpoint."""
+        from repro.framework import QueueBarrier
+
+        geo = GeoAccount(env, lag_s=1.0)
+        qc = geo.queue_client()
+        assert qc.env is env and qc.account is geo
+        assert qc.state is geo.primary.state
+        assert qc.cluster is geo.primary.cluster
+        assert QueueBarrier(qc, "geo-sync", 2).workers == 2  # clock from qc.env
+
+        seed_queue(env, geo)
+        env.run(until=env.now + 10.0)
+        env.process(geo.failover_process("forced", delay_s=0.5))
+        env.run(until=env.now + 5.0)
+        assert geo.controller.promoted
+        assert qc.state is geo.secondary.state
+        assert qc.cluster is geo.secondary.cluster
+
+
 class TestFailover:
     def test_planned_failover_drains_then_promotes_with_zero_loss(self, env):
         geo = GeoAccount(env, lag_s=2.0)

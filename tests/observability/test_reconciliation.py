@@ -20,7 +20,7 @@ from repro.core.queue_bench import (
     separate_queue_bench_body,
 )
 from repro.faults import FaultKind, FaultPlan, FaultSpec
-from repro.observability import Tracer, phase_totals, sim_worker_resolver
+from repro.observability import Tracer, sim_worker_resolver
 from repro.sim import SimStorageAccount
 from repro.simkit import Environment
 from repro.storage import KB
@@ -49,6 +49,25 @@ def run_traced_queue_bench(*, workers=2, plan=None,
     finally:
         set_phase_hook(None)
     return tracer, recorders
+
+
+def phase_totals(spans, *, ops_exclude=frozenset()):
+    """Per-phase ``(ops, nbytes, retries)`` from the span stream:
+    successful spans not in ``ops_exclude`` count ops and bytes, failed
+    spans count one back-off each; spans outside a phase are skipped."""
+    totals = {}
+    for span in spans:
+        if span.phase is None:
+            continue
+        ops, nbytes, retries = totals.get(span.phase, (0, 0, 0))
+        if span.ok:
+            if span.operation not in ops_exclude:
+                ops += 1
+                nbytes += span.nbytes
+        else:
+            retries += 1
+        totals[span.phase] = (ops, nbytes, retries)
+    return totals
 
 
 def recorder_totals(recorders):

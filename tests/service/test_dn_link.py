@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.service import DataNode, DataNodeClient, ServiceCluster
 from repro.service.sharedkey import DEV_ACCOUNT
 from tests.service.conftest import listening_ports
@@ -74,3 +75,20 @@ def test_a_node_that_is_gone_refuses_calls(end):
                               ("q1q",), {})
 
     asyncio.run(main())
+
+
+def test_a_fault_plan_reaches_every_shard_of_the_account():
+    """``ServiceCluster.set_fault_plan`` is how the dn-failover campaign
+    installs a profile's op-level faults: every data node's shard of the
+    account draws from the plan, and other services are untouched."""
+    plan = FaultPlan([FaultSpec(FaultKind.TRANSIENT_ERROR, service="queue")],
+                     seed=1)
+
+    async def body(cluster, node):
+        await _prepare(node)
+        cluster.set_fault_plan(DEV_ACCOUNT, plan)
+        queue, _ = await handle(node, "queue", "put_message", "costq", b"x")
+        table, _ = await handle(node, "table", "insert", "costt", "p", "r", {})
+        return queue.status, table.status
+
+    assert run_on_cluster(body, dn=2) == (500, 201)

@@ -5,8 +5,6 @@ import pytest
 
 from repro.analysis import (
     ascii_chart,
-    crossover,
-    efficiency,
     fit_usl,
     knee_point,
     saturation_point,
@@ -21,15 +19,12 @@ class TestSpeedupEfficiency:
         workers = [1, 2, 4, 8]
         times = [80.0, 40.0, 20.0, 10.0]
         assert speedup(workers, times) == pytest.approx([1, 2, 4, 8])
-        assert efficiency(workers, times) == pytest.approx([1, 1, 1, 1])
 
     def test_sublinear(self):
         workers = [1, 2, 4]
         times = [80.0, 50.0, 40.0]
         s = speedup(workers, times)
         assert s[1] < 2 and s[2] < 4
-        e = efficiency(workers, times)
-        assert e[2] < e[1] < e[0] == 1.0
 
     def test_base_not_one_worker(self):
         # Starting the sweep at 2 workers still normalizes correctly.
@@ -65,21 +60,6 @@ class TestSaturationKnee:
 
     def test_flat_series_has_no_knee(self):
         assert knee_point([1, 2, 4], [10, 10.1, 10.2]) is None
-
-
-class TestCrossover:
-    def test_interpolated_crossing(self):
-        workers = [1, 2, 3]
-        a = [1.0, 3.0, 5.0]
-        b = [4.0, 4.0, 4.0]
-        x = crossover(workers, a, b)
-        assert 2.0 < x < 3.0
-
-    def test_no_crossing(self):
-        assert crossover([1, 2], [1, 2], [3, 4]) is None
-
-    def test_exact_sample_crossing(self):
-        assert crossover([1, 2, 3], [1, 4, 9], [1, 5, 10]) == 1.0
 
 
 class TestUSL:

@@ -379,3 +379,21 @@ class TestArrivalsFlags:
                      "--tasks", "8", "--arrival", "poisson:2"]) == 0
         err = capsys.readouterr().err
         assert "PASS" in err
+
+
+class TestSndnReplication:
+    def test_replication_narrows_the_default_grid(self, capsys):
+        """``--replication 2`` with no ``--dn`` sweeps the counts of
+        1,2,4,8 that can hold two replicas, and prints availability."""
+        assert main(["sndn", "--sn", "1", "--duration", "2",
+                     "--replication", "2", "--crash-at", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "avail %" in out
+        rows = [line.split() for line in out.splitlines()[2:]]
+        assert [int(row[1]) for row in rows] == [2, 4, 8]
+
+    def test_explicit_grid_below_replication_is_bad_usage(self, capsys):
+        assert main(["sndn", "--sn", "1", "--dn", "1,2", "--duration", "2",
+                     "--replication", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "--dn" in err and "--replication 2" in err
