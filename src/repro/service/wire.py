@@ -488,9 +488,11 @@ def _odata_unquote(value: str) -> str:
     return value.replace("''", "'")
 
 
-#: ``PartitionKey eq 'pk'`` optionally ``and (<inner filter>)``.
+#: ``PartitionKey eq 'pk'`` optionally ``and (<inner filter>)``.  The
+#: inner filter may hold any character, line breaks too: only the prefix
+#: picks the route.
 _PARTITION_FILTER = re.compile(
-    r"^PartitionKey eq '((?:[^']|'')*)'(?: and \((.*)\))?$")
+    r"^PartitionKey eq '((?:[^']|'')*)'(?: and \((.*)\))?$", re.DOTALL)
 
 
 def _merge_query(results: List[QueryResult], *, top: Optional[int],

@@ -343,6 +343,22 @@ def test_round_trip(client, op, data):
     assert back == expected
 
 
+@pytest.mark.parametrize("inner", ["\n", "a\r\nb", "(\n)"])
+def test_a_filter_with_line_breaks_keeps_its_partition_route(inner):
+    # A $filter carries whatever its OData literal can; only the
+    # ``PartitionKey eq '...'`` prefix picks the route.
+    values = {"table": "a00", "partition_key": "0", "filter": inner,
+              "select": None}
+    call = ENCODERS[("table", "query_partition")](**values)
+    request = sent(call)
+    decoded = decode_request(call.service, DEV_ACCOUNT, request)
+    assert (decoded.op, decoded.route) == ("query_partition", "one")
+    assert as_called("table", decoded.op, decoded.args, decoded.kwargs) \
+        == as_called("table", "query_partition", (), values)
+    expected = wire_oracle.decode_request(call.service, DEV_ACCOUNT, request)
+    assert decoded_fields(decoded) == decoded_fields(expected)
+
+
 # -- compiled == interpreted -------------------------------------------------
 
 def call_fields(call):
