@@ -116,6 +116,7 @@ ENTRY_POINTS = [
     ("chaos-region", "{repro} chaos --profile region-outage --seeds 7,11 --out geo.json"),
     ("chaos-dn-failover", "{repro} chaos --profile dn-failover --seed 7 --dn 3 --replicas 2 "
                           "--out dn.json --windows-csv dn.csv"),
+    # op-level faults on dnfailover: refused, exit 2, before a cluster boots
     ("chaos-dnfailover-ops", "{repro} chaos dnfailover --profile queue-storm --seed 7 "
                              "--out dnq.json"),
     ("geo", "{repro} geo"),
@@ -167,11 +168,11 @@ ENTRY_POINTS = [
 
 # -- keep reasons ----------------------------------------------------------
 # An unreached entry that stays says why: an error or fault path, an op
-# an outside client may send, an abstract method, a documented name, a
-# test oracle, or the ROADMAP item that deletes it next.  A key is an
-# entry id (``module:Qual.name``), ``module:Class.*`` for a class's
-# methods, or ``module:`` for a whole module.  Names docs/api-guide.md
-# imports, and their methods, are added by ``keep_reasons``.
+# an outside client may send, an abstract method, a documented name or a
+# test oracle.  A key is an entry id (``module:Qual.name``),
+# ``module:Class.*`` for a class's methods, or ``module:`` for a whole
+# module.  Names docs/api-guide.md imports, and their methods, are added
+# by ``keep_reasons``.
 
 _ERROR = "error or fault path: runs when a request, a node or a run fails"
 _ROUTE = ("registry op (or the state op behind one): every client -- sim, emulator, "
@@ -182,8 +183,6 @@ _SIMKIT = ("simkit's SimPy-model API: docs/api-guide.md's Environment, Resource 
            "and Store hand these out")
 _ORACLE = "test oracle: tier-1 tests read the state through it"
 _DOCS = "documented API: docs/observability.md shows it"
-_NEXT = ("left for the next deletion (ROADMAP item 10): deleting it now takes its "
-         "tier-1 tests past what one PR may remove")
 
 KEEP = {
     # error and fault paths
@@ -199,10 +198,6 @@ KEEP = {
     "repro.resilience.deadline:Deadline.*": _ERROR,
     "repro.service.client:ServiceConnection._drop": _ERROR,
     "repro.service.cluster:ServiceCluster.drain_data_node": _ERROR,
-    "repro.service.cluster:ServiceCluster.set_fault_plan":
-        _ERROR + " (dn-failover installs a profile's op-level faults)",
-    "repro.service.datanode:DataNode.set_fault_plan":
-        _ERROR + " (dn-failover installs a profile's op-level faults)",
     "repro.service.cluster:ClusterRunner.set_data_node_slow": _ERROR,
     "repro.service.cluster:ClusterRunner.drain_data_node": _ERROR,
     "repro.service.datanode:_resume": _ERROR + " (the DN stall trampoline)",
@@ -328,12 +323,6 @@ KEEP = {
     "repro.traffic.stats:_Window.eq_exact": _ORACLE + " (record == record_chunk)",
     "repro.traffic.stats:StatsAggregator.__eq__": _ORACLE + " (record == record_chunk)",
     "repro.workloads.ycsb:ZipfianGenerator.sample": _ORACLE,
-    # the next deletion
-    "repro.storage.auth:": _NEXT + " (17 tests, all of tests/storage/test_auth.py)",
-    "repro.workloads.generators:": _NEXT + " (10 tests in tests/test_workloads.py)",
-    "repro.bench.executor:default_jobs": _NEXT,
-    "repro.framework.threaded:": _NEXT + (" (tests/framework/test_threaded.py and the "
-                                          "threads half of test_threaded_adapter.py)"),
 }
 
 # Unreached code that left src/ for tests/, where it is a test rig.
@@ -593,6 +582,8 @@ _NAMED = ("named in src/: code no entry point ran calls it (or a namesake); "
 
 _HISTOGRAM = "the .{} loads in src/ are Histogram's and HistogramSet's"
 _DESCRIBE = "the .describe() loads in src/ are the clusters', schedules' and campaigns'"
+_FAULT_PLAN = ("the .set_fault_plan loads in src/ are the sim cluster's, the emulator's "
+               "and GeoAccount's")
 SHARED_NAMES = {
     "repro.chaos.ledger:QueueLedger.merge": _HISTOGRAM.format("merge"),
     "repro.chaos.ledger:QueueLedger.observe": _HISTOGRAM.format("observe"),
@@ -612,6 +603,8 @@ SHARED_NAMES = {
     "repro.geo.ledger:GeoLedger.empty": "the .empty loads in src/ are numpy's and inspect's",
     "repro.observability.span:Span.faults":
         "the .faults loads in src/ are chaos.history.OpRecord's field",
+    "repro.service.cluster:ServiceCluster.set_fault_plan": _FAULT_PLAN,
+    "repro.service.datanode:DataNode.set_fault_plan": _FAULT_PLAN,
 }
 
 
@@ -756,16 +749,20 @@ def report(out: str, write: bool = True) -> list:
     keep = _resolve(keep_reasons(), entries)
     sites = named_sites(SRC)
     functions = [e for e in entries if not e.is_class]
-    rows, deleted = [], []
-    for entry in missing:
+
+    def row_of(entry) -> dict:
         if entry.is_class:  # not its body: that runs on import
             keys = {(m.path, line, m.node.name) for m in entry.methods for line in m.starts}
             keys.add((entry.module, 0, entry.qualname))
         else:
             keys = {(entry.path, line, entry.node.name) for line in entry.starts}
-        row = {"id": entry.id, "kind": "class" if entry.is_class else "function",
-               "lines": entry.lines,
-               "tests": sorted(t for t, hits in tests.items() if t and keys & hits)}
+        return {"id": entry.id, "kind": "class" if entry.is_class else "function",
+                "lines": entry.lines,
+                "tests": sorted(t for t, hits in tests.items() if t and keys & hits)}
+
+    rows, deleted = [], []
+    for entry in missing:
+        row = row_of(entry)
         if entry.id not in current:
             if entry.id in MOVED:
                 row["moved"] = MOVED[entry.id]
@@ -775,9 +772,6 @@ def report(out: str, write: bool = True) -> list:
         if reason:
             row["keep"] = reason
         rows.append(row)
-    gone = sorted(e.id for e in entries if e.id not in current
-                  and e.id not in {r["id"] for r in deleted}
-                  and (e.parent is None or e.parent.id in current))
     summary = {
         "entries": len(entries),
         "functions": len(functions),
@@ -789,8 +783,17 @@ def report(out: str, write: bool = True) -> list:
         "kept": sum("keep" in r for r in rows),
         "kept_lines": sum(r["lines"] for r in rows if "keep" in r),
     }
-    if gone:
-        print(f"reached, yet gone from src/: {gone}")
+    # Gone although an entry point ran it: the change took its callers.
+    listed = {r["id"] for r in deleted}
+    deleted += [dict(row_of(e), reached=True) for e in entries
+                if e.id not in current and e.id not in listed
+                and (e.parent is None or e.parent.id in current)]
+    if os.path.exists(LIST):
+        # What an earlier report recorded as deleted stays recorded: the
+        # profiled tree no longer holds it.
+        profiled_ids = {e.id for e in entries}
+        deleted = [r for r in _read(LIST)["deleted"]
+                   if r["id"] not in profiled_ids] + deleted
     for row in deleted:
         if row["id"] in SHARED_NAMES:
             row["namesake"] = SHARED_NAMES[row["id"]]
@@ -801,9 +804,12 @@ def report(out: str, write: bool = True) -> list:
         document = {
             "about": "src/ functions and classes that no entry point executes "
                      "(benchmarks/perf/reach.py): 'unreached' is what stays, each with "
-                     "the reason it stays; 'deleted' is what went, with the tier-1 "
-                     "tests that reached it ('moved' if it went to tests/, 'namesake' "
-                     "if src/ still loads its name and what those loads reach)",
+                     "the reason it stays; 'deleted' is what went, this report's and "
+                     "every earlier one's, with the tier-1 tests that reached it "
+                     "('reached' if an entry point ran it and the change took its "
+                     "callers, 'moved' if it went to tests/, 'namesake' if src/ still "
+                     "loads its name and what those loads reach); 'summary' counts "
+                     "this report's unreached entries only",
             "host": {"python": sys.version.split()[0], "cpus": os.cpu_count()},
             "summary": summary,
             "entry_points": _read(runs_path) if os.path.exists(runs_path) else [],

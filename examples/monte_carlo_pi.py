@@ -8,7 +8,7 @@ progress display.  Mid-run we crash a worker to demonstrate the queue's
 built-in fault tolerance: its task reappears and another instance finishes
 it.
 
-    python examples/bag_of_tasks_pi.py [workers] [tasks]
+    python examples/monte_carlo_pi.py [workers] [tasks]
 """
 
 import json

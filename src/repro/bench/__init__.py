@@ -1,7 +1,7 @@
 """Reporting and figure-regeneration layer of the reproduction."""
 
 from .compare import ComparisonRow, compare_to_paper, comparison_table
-from .executor import SweepExecutor, default_jobs, run_chaos_matrix
+from .executor import SweepExecutor, run_chaos_matrix
 from .figures import (
     BenchScale,
     FigureRunner,
@@ -25,7 +25,6 @@ __all__ = [
     "SweepExecutor",
     "active_scale",
     "build_body_factory",
-    "default_jobs",
     "run_chaos_matrix",
     "figure_table1",
     "FigureData",

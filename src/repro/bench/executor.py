@@ -28,7 +28,6 @@ process, verdicts merged in seed order.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import replace
 from functools import partial
@@ -37,15 +36,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence
 from ..core.metrics import BenchResult
 from ..core.runner import RunConfig, run_bench
 
-__all__ = ["SweepExecutor", "default_jobs", "run_chaos_matrix"]
-
-
-def default_jobs() -> int:
-    """A sensible ``--jobs`` default: every core the scheduler grants us."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
+__all__ = ["SweepExecutor", "run_chaos_matrix"]
 
 
 def _run_cell(scale, label: str, config: RunConfig) -> BenchResult:
@@ -84,8 +75,8 @@ class SweepExecutor:
     as the scale orders them, whatever finished first.
     """
 
-    def __init__(self, jobs: Optional[int] = None) -> None:
-        self.jobs = jobs if jobs is not None else default_jobs()
+    def __init__(self, jobs: int) -> None:
+        self.jobs = jobs
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 

@@ -239,7 +239,7 @@ class FigureRunner:
                  backend: object = "sim", trace: bool = False,
                  checkpoint: Optional[object] = None,
                  instrument: Optional[Callable] = None,
-                 jobs: Optional[int] = None,
+                 jobs: int = 1,
                  arrivals: Optional[object] = None) -> None:
         self.scale = scale if scale is not None else active_scale()
         #: Which backend runs the sweeps: "sim" (default, seeded DES) or
@@ -257,8 +257,8 @@ class FigureRunner:
         #: Optional per-run account hook (``RunConfig.instrument``).
         self.instrument = instrument
         #: Fan independent sweep cells out over this many worker processes
-        #: (:class:`repro.bench.executor.SweepExecutor`).  ``None``/``1``
-        #: runs them in this process; parallel runs are cell-for-cell
+        #: (:class:`repro.bench.executor.SweepExecutor`).  ``1`` runs
+        #: them in this process; parallel runs are cell-for-cell
         #: bit-identical to serial ones because every cell re-seeds its own
         #: fresh environment from the scale's seed either way.  Tracing and
         #: instrumented runs hold live objects that cannot cross a process
@@ -303,8 +303,7 @@ class FigureRunner:
         missing = [label for label in labels or SWEEP_BUILDERS
                    if label not in self._sweeps]
         if missing:
-            jobs = 1 if self.jobs is None else self.jobs
-            self._sweeps.update(SweepExecutor(jobs).run_sweeps(
+            self._sweeps.update(SweepExecutor(self.jobs).run_sweeps(
                 self.scale, missing, backend=self.backend,
                 checkpoint=self.checkpoint, trace=self.trace,
                 instrument=self.instrument, arrivals=self.arrivals))

@@ -240,6 +240,8 @@ def run_dn_failover(profile: str = "dn-failover", seed: int = 0, *,
     Returns a :class:`ChaosVerdict` whose JSON is byte-identical across
     runs with the same ``(profile, seed)`` — measured timings go to
     stderr and the optional ``windows_csv`` artifact, never the verdict.
+    A profile with any kind outside ``DN_KINDS`` raises ``ValueError``
+    before a cluster boots.
     """
     from ..service import DEV_KEY, TenantConfig, TenantDirectory
     from ..service.client import ServiceConnection, wire_clients
@@ -247,10 +249,16 @@ def run_dn_failover(profile: str = "dn-failover", seed: int = 0, *,
     from ..service.membership import FailureDomainConfig
 
     schedule = build_schedule(profile, seed=seed)
+    refused = sorted({s.kind.value for s in schedule.specs
+                      if s.kind not in DN_KINDS})
+    if refused:
+        raise ValueError(
+            f"profile {profile!r} injects {', '.join(refused)}: the "
+            f"dnfailover workload fails whole data nodes and takes only "
+            f"{', '.join(sorted(k.value for k in DN_KINDS))} profiles")
     crash_specs = [s for s in schedule.specs
                    if s.kind is FaultKind.DN_CRASH]
     slow_specs = [s for s in schedule.specs if s.kind is FaultKind.DN_SLOW]
-    other_specs = [s for s in schedule.specs if s.kind not in DN_KINDS]
     for spec in crash_specs + slow_specs:
         if spec.node >= dn:
             raise ValueError(
@@ -305,10 +313,6 @@ def run_dn_failover(profile: str = "dn-failover", seed: int = 0, *,
                     DN_CONTAINER, f"warm-{j}", _payload(seed, -1 - j)))
                 exhaust(clients["table"].insert(
                     DN_TABLE, DN_PARTITION, f"warm-{j}", {"v": f"warm{j}"}))
-            if other_specs:
-                from ..faults.plan import FaultPlan
-                cluster.set_fault_plan(account,
-                                       FaultPlan(other_specs, seed=seed))
 
             timers: List[threading.Timer] = []
 

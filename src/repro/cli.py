@@ -985,7 +985,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(exc, file=sys.stderr)
             return 2
     runner = FigureRunner(scale, backend=getattr(args, "backend", "sim"),
-                          jobs=getattr(args, "jobs", None),
+                          jobs=getattr(args, "jobs", 1),
                           arrivals=arrivals)
     if getattr(args, "checkpoint", None):
         from .chaos import RunCheckpoint

@@ -2,7 +2,5 @@
 
 from .barrier import QueueBarrier
 from .taskpool import TaskPoolApp, TaskPoolConfig, TaskResult
-from .threaded import ThreadedTaskPool
 
-__all__ = ["QueueBarrier", "TaskPoolApp", "TaskPoolConfig", "TaskResult",
-           "ThreadedTaskPool"]
+__all__ = ["QueueBarrier", "TaskPoolApp", "TaskPoolConfig", "TaskResult"]

@@ -119,11 +119,6 @@ class ServiceCluster:
         """``service -> (host, port)`` for one service node."""
         return dict(self.service_nodes[node].endpoints)
 
-    def set_fault_plan(self, account: str, plan) -> None:
-        """Install a fault plan on every shard of ``account``."""
-        for dn in self.data_nodes:
-            dn.set_fault_plan(account, plan)
-
     def describe(self) -> str:
         lines = [f"{len(self.service_nodes)} service node(s), "
                  f"{len(self.data_nodes)} data node(s), "

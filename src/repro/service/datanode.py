@@ -19,9 +19,9 @@ tier, not here.
 
 An exchange runs eagerly, in the caller's task: an op that does not
 wait costs no task and no turn of the loop.  Only when the node itself
-waits (a DN_SLOW stall, an injected TIMEOUT burn) does the rest of the
-exchange continue as a task of its own, while the caller waits for the
-reply on a future parked on the node.  A caller whose deadline expires
+waits (a DN_SLOW stall) does the rest of the exchange continue as a
+task of its own, while the caller waits for the reply on a future
+parked on the node.  A caller whose deadline expires
 thus abandons the call, not the op: the node finishes it and the reply
 is dropped.
 
@@ -52,13 +52,7 @@ import types
 import weakref
 from typing import Dict, Iterable, Mapping, Optional, Set, Tuple, Union
 
-from ..pipeline import (
-    AsyncExecutor,
-    FaultInterceptor,
-    OPERATIONS,
-    OpCall,
-    Pipeline,
-)
+from ..pipeline import OPERATIONS, AsyncExecutor, OpCall, Pipeline
 from ..storage import StorageAccountState, WallClock
 from ..storage.blob.state import PageBlobState
 from ..storage.errors import StorageError
@@ -124,14 +118,12 @@ class _Shard:
         self.state = StorageAccountState(
             account, clock, limits, fifo_jitter_seed=fifo_jitter_seed)
         self.cache_state = CacheServiceState(clock)
-        self.fault_plan = None
-        self.pipeline = Pipeline([
-            FaultInterceptor(lambda: self.fault_plan, cluster=None),
-        ])
-        self.executor = AsyncExecutor(self.state, self.pipeline)
+        # A shard injects no faults: the chaos campaigns fail whole data
+        # nodes (DN_CRASH / DN_SLOW), never single ops.
+        self.executor = AsyncExecutor(self.state, Pipeline([]))
         self.op_call = OpCall(
             self.state, self.cache_state,
-            now_fn=clock.now, plan_fn=lambda: self.fault_plan)
+            now_fn=clock.now, plan_fn=lambda: None)
 
 
 class DataNode:
@@ -181,10 +173,6 @@ class DataNode:
             if not reply.done():
                 reply.set_exception(ConnectionResetError(
                     f"data node {self.index} crashed mid-call"))
-
-    # -- faults -------------------------------------------------------------
-    def set_fault_plan(self, account: str, plan) -> None:
-        self._shards[account].fault_plan = plan
 
     # -- the exchange -------------------------------------------------------
     async def _exchange(self, frame: bytes) -> bytes:

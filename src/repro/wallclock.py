@@ -13,9 +13,7 @@ Bodies are written once, in simkit style (``yield from client.op(...)``,
 
 Everything that runs a body on a thread goes through :func:`exhaust`:
 figure role bodies (:mod:`repro.backend`), the open-loop op bodies
-(:mod:`repro.traffic.engine`), the dn-failover campaign and the threaded
-task pool (:mod:`repro.framework.threaded`).  This module imports neither
-``repro.backend`` nor ``repro.core``, so ``repro.framework`` can use it.
+(:mod:`repro.traffic.engine`) and the dn-failover campaign.
 """
 
 from __future__ import annotations

@@ -1,12 +1,6 @@
 """Workload generators for benchmarks and example applications."""
 
-from .generators import (
-    GISTile,
-    bag_of_tasks,
-    gis_tiles,
-    payload_stream,
-    size_ladder,
-)
+from .generators import GISTile, gis_tiles
 from .ycsb import (
     WORKLOAD_A,
     WORKLOAD_B,
@@ -20,9 +14,6 @@ from .ycsb import (
 )
 
 __all__ = [
-    "size_ladder",
-    "payload_stream",
-    "bag_of_tasks",
     "gis_tiles",
     "GISTile",
     "YCSBWorkload",

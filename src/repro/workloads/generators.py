@@ -1,60 +1,16 @@
-"""Workload generators: payloads and task sets for benchmarks and examples."""
+"""The GIS polygon-overlay task set of the paper's Crayons example."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List
 
 import numpy as np
 
-from ..storage import KB, MB
-from ..storage.content import SyntheticContent
+from ..storage import KB
 
-__all__ = [
-    "size_ladder",
-    "payload_stream",
-    "bag_of_tasks",
-    "gis_tiles",
-    "GISTile",
-]
-
-
-def size_ladder(start: int = 4 * KB, stop: int = 64 * KB) -> List[int]:
-    """The paper's doubling size ladder: 4, 8, 16, 32, 64 KB."""
-    if start <= 0 or stop < start:
-        raise ValueError("need 0 < start <= stop")
-    sizes = []
-    size = start
-    while size <= stop:
-        sizes.append(size)
-        size *= 2
-    return sizes
-
-
-def payload_stream(size: int, seed: int) -> Iterator[SyntheticContent]:
-    """An endless stream of distinct same-size payloads (seeded)."""
-    i = 0
-    while True:
-        yield SyntheticContent(size, seed=seed * 1_000_003 + i)
-        i += 1
-
-
-def bag_of_tasks(count: int, *, work_low: float = 0.01, work_high: float = 1.0,
-                 seed: int = 0) -> List[bytes]:
-    """Independent tasks with random service demands (seconds), as JSON.
-
-    The classic workload of the paper's Section III framework: a master
-    enqueues ``count`` task descriptors; workers pull and execute them.
-    """
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    rng = np.random.default_rng(seed)
-    demands = rng.uniform(work_low, work_high, size=count)
-    return [
-        json.dumps({"task_id": i, "work_s": float(d)}).encode()
-        for i, d in enumerate(demands)
-    ]
+__all__ = ["gis_tiles", "GISTile"]
 
 
 @dataclass(frozen=True)

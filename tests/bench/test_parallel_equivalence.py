@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.bench import FigureRunner, SweepExecutor, default_jobs
+from repro.bench import FigureRunner, SweepExecutor
 from repro.bench.executor import run_chaos_matrix
 from repro.bench.figures import MINI_SCALE, SWEEP_BUILDERS
 from repro.chaos import run_chaos
@@ -155,9 +155,8 @@ class TestParallelEligibility:
                             runner.table_sweep())
 
     def test_jobs_one_or_none_stays_serial(self, no_pool):
-        for jobs in (None, 1):
-            assert list(FigureRunner(SCALE, jobs=jobs).table_sweep()) == \
-                list(SCALE.worker_counts)
+        for runner in (FigureRunner(SCALE), FigureRunner(SCALE, jobs=1)):
+            assert list(runner.table_sweep()) == list(SCALE.worker_counts)
 
     def test_plain_parallel_runner_is_eligible(self, no_pool):
         with pytest.raises(AssertionError, match="opened a pool"):
@@ -216,9 +215,6 @@ class TestChaosMatrix:
 
 
 class TestExecutor:
-    def test_default_jobs_positive(self):
-        assert default_jobs() >= 1
-
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
             SweepExecutor(0)

@@ -7,6 +7,7 @@ same seed must emit byte-identical verdict JSON.
 """
 
 import json
+import time
 
 import pytest
 
@@ -51,6 +52,27 @@ class TestCampaign:
         # dn-failover kills node 1; a 1-DN cluster cannot host it.
         with pytest.raises(ValueError):
             run_dn_failover("dn-failover", 0, dn=1, replicas=1)
+
+    def test_an_op_fault_profile_is_refused_before_a_cluster_boots(
+            self, monkeypatch, capsys):
+        """The campaign fails whole data nodes: a profile of op-level
+        faults has no node event to fail over from, so it is bad usage
+        (exit 2), named on stderr, and no cluster starts."""
+        from repro.cli import main
+        from repro.service.cluster import ClusterRunner
+
+        def boot(self, *args, **kwargs):
+            raise AssertionError("a cluster booted")
+
+        monkeypatch.setattr(ClusterRunner, "start", boot)
+        started = time.monotonic()
+        assert main(["chaos", "dnfailover", "--profile", "queue-storm",
+                     "--seed", "7"]) == 2
+        assert time.monotonic() - started < 5.0
+        err = capsys.readouterr().err
+        for kind in ("duplicate_delivery", "message_loss", "throttle",
+                     "transient_error"):
+            assert kind in err
 
     def test_zero_loss_and_deterministic_verdict(self, tmp_path):
         kwargs = dict(dn=3, replicas=2, rate=5.0, duration=20.0,

@@ -13,6 +13,7 @@ import pytest
 
 from repro.compute import Fabric, RoleStatus, Supervisor
 from repro.framework import TaskPoolApp, TaskPoolConfig
+from repro.resilience import FixedBackoff
 from repro.sim import SimStorageAccount
 from repro.simkit import Environment
 
@@ -100,3 +101,47 @@ class TestPoisonUnderRestarts:
         tasks = [POISON[0], POISON[1]] + GOOD[:2]
         env, account, app, config, workers, supervisor = run_poisoned(tasks)
         assert app.progress[-1][1] >= len(tasks)
+
+
+#: A slow delivery outlives its visibility timeout, so the task is
+#: redelivered while still being handled: delivery 1 and 2 each finish
+#: ("done", stale delete), delivery 3 exceeds the cutoff and is parked.
+SLOW = b"SLOW"
+VISIBILITY, SLOW_SECONDS = 0.3, 0.75
+
+
+def test_a_slow_task_is_redelivered_then_parked():
+    config = TaskPoolConfig(
+        name="slow", task_queues=2, visibility_timeout=VISIBILITY,
+        idle_poll_interval=0.01, max_dequeue_count=2, collect_results=True,
+        retry_policy=FixedBackoff())
+
+    def handler(ctx, payload):
+        if payload == SLOW:
+            yield ctx.sleep(SLOW_SECONDS)
+            return None
+        return payload.upper()
+
+    good = GOOD[:5]
+    env = Environment()
+    account = SimStorageAccount(env, seed=5)
+    app = TaskPoolApp(config, handler)
+    fabric = Fabric(env, account)
+    fabric.deploy(app.web_role_body([SLOW] + good, poll_interval=0.01),
+                  instances=1, name="web")
+    fabric.deploy(app.worker_role_body(), instances=2, name="workers")
+    fabric.run_all()
+    state = account.state
+
+    assert sorted(r.payload for r in app.results) == \
+        sorted(p.upper() for p in good)
+    parked = state.queues.get_queue(config.poison_queue_name)
+    assert [m.content.to_bytes() for m in parked.peek_messages(10)] == [SLOW]
+    # One message per good task, "done" twice and "poisoned" once for SLOW.
+    termination = state.queues.get_queue(config.termination_queue_name)
+    assert termination.approximate_message_count() == len(good) + 3
+    for i in range(config.task_queues):
+        left = state.queues.get_queue(config.task_queue_name(i))
+        assert left.approximate_message_count() == 0
+    assert config.retry_policy.stats.logical_ops > 0
+    assert config.retry_policy.stats.giveups == 0

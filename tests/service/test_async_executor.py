@@ -12,7 +12,7 @@ import asyncio
 import pytest
 
 from repro.faults import FaultKind, FaultPlan, FaultSpec
-from repro.pipeline import OPERATIONS
+from repro.pipeline import OPERATIONS, AsyncExecutor, FaultInterceptor, OpCall, Pipeline
 from repro.service.datanode import _Shard
 from repro.storage.clock import ManualClock
 from repro.storage.content import BytesContent
@@ -63,37 +63,46 @@ class TestHappyPath:
 
 
 class TestInjectedTimeouts:
-    def _plan(self):
+    """The TIMEOUT burn, on an executor whose pipeline injects faults."""
+
+    @pytest.fixture
+    def plan(self):
         return FaultPlan([
             FaultSpec(kind=FaultKind.TIMEOUT, service="queue",
                       start=0.0, duration=1e9, probability=1.0,
                       timeout_after=7.5),
         ], seed=1)
 
-    def test_timeout_burns_budget_on_manual_clock(self, shard):
+    @staticmethod
+    def _faulty(shard, plan, client, op, *args):
+        executor = AsyncExecutor(shard.state, Pipeline([
+            FaultInterceptor(lambda: plan, cluster=None)]))
+        call = OpCall(shard.state, shard.cache_state,
+                      now_fn=shard.state.clock.now, plan_fn=lambda: plan)
+        return asyncio.run(executor.run(
+            OPERATIONS[client][op], call, args, {}, worker="t"))
+
+    def test_timeout_burns_budget_on_manual_clock(self, shard, plan):
         _run(shard, "queue", "create_queue", "doomed")
-        shard.fault_plan = self._plan()
         before = shard.state.clock.now()
         with pytest.raises(OperationTimedOutError):
-            _run(shard, "queue", "put_message", "doomed",
-                 BytesContent(b"x"))
+            self._faulty(shard, plan, "queue", "put_message", "doomed",
+                         BytesContent(b"x"))
         # The doomed request consumed exactly its patience budget.
         assert shard.state.clock.now() - before == pytest.approx(7.5)
-        assert shard.fault_plan.counts[FaultKind.TIMEOUT] == 1
+        assert plan.counts[FaultKind.TIMEOUT] == 1
 
-    def test_timeout_does_not_apply_the_mutation(self, shard):
+    def test_timeout_does_not_apply_the_mutation(self, shard, plan):
         _run(shard, "queue", "create_queue", "doomed")
-        shard.fault_plan = self._plan()
         with pytest.raises(OperationTimedOutError):
-            _run(shard, "queue", "put_message", "doomed",
-                 BytesContent(b"x"))
-        shard.fault_plan = None
+            self._faulty(shard, plan, "queue", "put_message", "doomed",
+                         BytesContent(b"x"))
         count = _run(shard, "queue", "get_message_count", "doomed")
         assert count == 0
 
-    def test_other_services_unaffected(self, shard):
-        shard.fault_plan = self._plan()
-        _run(shard, "table", "create_table", "fine")
-        _run(shard, "table", "insert", "fine", "p", "r", {"v": 1})
-        entity = _run(shard, "table", "get", "fine", "p", "r")
+    def test_other_services_unaffected(self, shard, plan):
+        self._faulty(shard, plan, "table", "create_table", "fine")
+        self._faulty(shard, plan, "table", "insert", "fine", "p", "r",
+                     {"v": 1})
+        entity = self._faulty(shard, plan, "table", "get", "fine", "p", "r")
         assert entity["v"] == 1

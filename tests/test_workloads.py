@@ -1,68 +1,8 @@
 """Tests for workload generators."""
 
-import json
-
 import pytest
 
-from repro.storage import KB
-from repro.workloads import (
-    GISTile,
-    bag_of_tasks,
-    gis_tiles,
-    payload_stream,
-    size_ladder,
-)
-
-
-class TestSizeLadder:
-    def test_paper_ladder(self):
-        assert size_ladder() == [4 * KB, 8 * KB, 16 * KB, 32 * KB, 64 * KB]
-
-    def test_custom_bounds(self):
-        assert size_ladder(1024, 4096) == [1024, 2048, 4096]
-
-    def test_single_rung(self):
-        assert size_ladder(1024, 1024) == [1024]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            size_ladder(0, 10)
-        with pytest.raises(ValueError):
-            size_ladder(100, 10)
-
-
-class TestPayloadStream:
-    def test_distinct_same_size(self):
-        stream = payload_stream(256, seed=1)
-        a, b, c = next(stream), next(stream), next(stream)
-        assert a.size == b.size == c.size == 256
-        assert len({a.to_bytes(), b.to_bytes(), c.to_bytes()}) == 3
-
-    def test_seeded_reproducible(self):
-        s1 = payload_stream(64, seed=9)
-        s2 = payload_stream(64, seed=9)
-        assert next(s1).to_bytes() == next(s2).to_bytes()
-
-
-class TestBagOfTasks:
-    def test_count_and_schema(self):
-        tasks = bag_of_tasks(10, seed=1)
-        assert len(tasks) == 10
-        for i, t in enumerate(tasks):
-            d = json.loads(t.decode())
-            assert d["task_id"] == i
-            assert 0.01 <= d["work_s"] <= 1.0
-
-    def test_seeded(self):
-        assert bag_of_tasks(5, seed=3) == bag_of_tasks(5, seed=3)
-        assert bag_of_tasks(5, seed=3) != bag_of_tasks(5, seed=4)
-
-    def test_empty(self):
-        assert bag_of_tasks(0) == []
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bag_of_tasks(-1)
+from repro.workloads import GISTile, gis_tiles
 
 
 class TestGISTiles:
