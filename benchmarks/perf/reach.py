@@ -198,7 +198,6 @@ KEEP = {
     "repro.resilience.deadline:Deadline.*": _ERROR,
     "repro.service.client:ServiceConnection._drop": _ERROR,
     "repro.service.cluster:ServiceCluster.drain_data_node": _ERROR,
-    "repro.service.cluster:ClusterRunner.set_data_node_slow": _ERROR,
     "repro.service.cluster:ClusterRunner.drain_data_node": _ERROR,
     "repro.service.datanode:_resume": _ERROR + " (the DN stall trampoline)",
     "repro.service.datanode:_finish": _ERROR + " (the DN stall trampoline)",
@@ -605,6 +604,8 @@ SHARED_NAMES = {
         "the .faults loads in src/ are chaos.history.OpRecord's field",
     "repro.service.cluster:ServiceCluster.set_fault_plan": _FAULT_PLAN,
     "repro.service.datanode:DataNode.set_fault_plan": _FAULT_PLAN,
+    "repro.service.cluster:ClusterRunner.wait_settled":
+        "the .wait_settled loads in src/ are Membership.wait_settled",
 }
 
 

@@ -13,9 +13,10 @@ Afterwards the campaign verifies the two promises the failure domain makes:
 * **zero committed-write loss** — every client-acked write (blob bytes by
   digest, queue message payloads by multiset, table rows by key/value) is
   still readable with the right content;
-* **bounded unavailability** — the wall-clock gap between the kill and the
-  completed rebalance stays within the heartbeat + rebalance window the
-  :class:`~repro.service.membership.FailureDomainConfig` implies.
+* **bounded unavailability** — crash to completed rebalance, on the
+  cluster clock and read as ``repro load --kill-dn`` reads it, stays within
+  the window the :class:`~repro.service.membership.FailureDomainConfig`
+  implies.
 
 The verdict carries only deterministic evidence (the seeded schedule, the
 workload digest, scheduled counts), so two runs with the same seed produce
@@ -28,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import sys
 import threading
-import time
 from dataclasses import dataclass
 from random import Random
 from typing import Dict, List, Optional, Tuple
@@ -295,7 +295,6 @@ def run_dn_failover(profile: str = "dn-failover", seed: int = 0, *,
     account = tenants.accounts()[0]
     outcomes: List[Optional[bool]] = [None] * len(ops)
     ledger = _Ledger()
-    kill_walls: Dict[int, float] = {}
 
     def make_clients() -> Dict[str, object]:
         return wire_clients(ServiceConnection(
@@ -314,52 +313,29 @@ def run_dn_failover(profile: str = "dn-failover", seed: int = 0, *,
                 exhaust(clients["table"].insert(
                     DN_TABLE, DN_PARTITION, f"warm-{j}", {"v": f"warm{j}"}))
 
-            timers: List[threading.Timer] = []
-
-            def kill(node: int) -> None:
-                kill_walls[node] = time.monotonic()
-                runner.kill_data_node(node)
-
-            def later(at: float, fn, *args) -> None:
-                t = threading.Timer(at * time_scale, fn, args)
-                t.start()
-                timers.append(t)
-
-            def arm_timers() -> None:
-                for spec in crash_specs:
-                    later(spec.start, kill, spec.node)
-                for spec in slow_specs:
-                    later(spec.start, runner.set_data_node_slow,
-                          spec.node, spec.latency_factor)
-                    if spec.duration != float("inf"):
-                        later(spec.end, runner.set_data_node_slow,
-                              spec.node, 0.0)
-
             def run_one(clients, op: DNOp, _virtual_now) -> None:
                 outcomes[op.index] = _run_op(clients, op, seed, ledger)
 
             # The load engine's dispatcher: an exception _run_op does not
             # count as a refused op (a harness or client bug) comes back
             # out of it and fails the campaign below.
-            try:
-                dispatch_wallclock(
-                    ((op.at, op) for op in ops), run_one, make_clients,
-                    time_scale=time_scale, max_clients=max_clients,
-                    on_origin=arm_timers)
-            finally:
-                for t in timers:
-                    t.join()
+            dispatch_wallclock(
+                ((op.at, op) for op in ops), run_one, make_clients,
+                time_scale=time_scale, max_clients=max_clients,
+                on_origin=lambda: runner.schedule_faults(
+                    schedule.specs, time_scale))
 
             membership = cluster.membership
             settled = True
             if crash_specs:
-                if not runner.wait_deaths_detected(len(crash_specs),
-                                                   timeout=30.0):
+                recovery = runner.wait_recovery(len(crash_specs),
+                                                timeout=30.0)
+                if not recovery["detected"]:
                     verdict.violations.append(Violation(
                         "dn-detection",
                         f"heartbeats never declared {len(crash_specs)} "
                         f"data node(s) dead"))
-                settled = runner.wait_settled(timeout=30.0)
+                settled = recovery["settled"]
                 if not settled:
                     verdict.violations.append(Violation(
                         "dn-rebalance",
@@ -371,27 +347,24 @@ def run_dn_failover(profile: str = "dn-failover", seed: int = 0, *,
 
             # Bounded unavailability: kill -> heal must fit inside the
             # configured detection window plus a generous migration grace
-            # (wall-clock CI machines stall; only order-of-magnitude
+            # (real-time CI machines stall; only order-of-magnitude
             # escapes are failures).
             detect_budget = (config.dead_after * config.heartbeat_interval
                              + config.heartbeat_timeout)
             bound = detect_budget * 3.0 + 5.0
             unavail = None
             if crash_specs and settled:
-                heal_at = membership.last_heal_at
-                first_kill = min(kill_walls.values()) if kill_walls else None
-                if heal_at is None or first_kill is None:
+                unavail = recovery["unavailable_s"]
+                if unavail is None:
                     verdict.violations.append(Violation(
                         "dn-unavailability",
                         "no heal timestamp recorded after a DN crash"))
-                else:
-                    unavail = max(0.0, heal_at - first_kill)
-                    if unavail > bound:
-                        verdict.violations.append(Violation(
-                            "dn-unavailability",
-                            f"kill-to-heal window {unavail:.2f}s exceeds "
-                            f"the {bound:.2f}s budget "
-                            f"(detect {detect_budget:.2f}s)"))
+                elif unavail > bound:
+                    verdict.violations.append(Violation(
+                        "dn-unavailability",
+                        f"kill-to-heal window {unavail:.2f}s exceeds "
+                        f"the {bound:.2f}s budget "
+                        f"(detect {detect_budget:.2f}s)"))
 
             attempted = sum(1 for ok in outcomes if ok is not None)
             failed = sum(1 for ok in outcomes if ok is False)

@@ -7,15 +7,19 @@ thread so synchronous callers — the CLI's ``repro serve``, the
 ``ServiceBackend``'s worker threads, the test suite's ``http.client``
 round trips — can stand a cluster up, talk to it over real sockets, and
 tear it down.
+
+Every SN, DN shard and the membership hold the cluster's one clock, the
+loop's ``time()``, and DN faults fire on the loop's own timers.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..storage.clock import WallClock
+from ..faults.spec import DN_KINDS, FaultKind, FaultSpec
+from ..storage.clock import LoopClock
 from .datanode import DataNode, DataNodeClient
 from .membership import FailureDomainConfig, Membership
 from .servicenode import ServiceNode
@@ -50,9 +54,12 @@ class ServiceCluster:
             raise ValueError(
                 f"replicas={self.failure_domain.replicas} needs at least "
                 f"that many data nodes (have {dn})")
+        #: Shared by every node; bound when the nodes start on the loop.
+        self.clock = LoopClock()
         shard_limits = {t.account: t.limits for t in self.tenants}
         self.data_nodes: List[DataNode] = [
-            DataNode(i, shard_limits, fifo_jitter_seed=fifo_jitter_seed)
+            DataNode(i, shard_limits, clock=self.clock,
+                     fifo_jitter_seed=fifo_jitter_seed)
             for i in range(dn)
         ]
         self.service_nodes: List[ServiceNode] = []
@@ -65,20 +72,16 @@ class ServiceCluster:
         if self._started:
             raise RuntimeError("cluster already started")
         for dn in self.data_nodes:
-            dn_host, dn_port = await dn.start(self.host)
-            self._dn_clients.append(DataNodeClient(dn_host, dn_port))
+            self._dn_clients.append(DataNodeClient(*await dn.start(self.host)))
         # One membership (liveness + ring) shared by every SN, so the
         # whole cluster agrees on placement and on who is dead.
         self.membership = Membership(
             self.failure_domain, self._dn_clients,
-            list(self.tenants.accounts()))
+            list(self.tenants.accounts()), self.clock)
         self.membership.start()
-        # One clock for every SN: the tenants' sliding throttle windows
-        # are charged with SN clock readings, so the origins must agree.
-        clock = WallClock()
         for i in range(self._n_service_nodes):
             sn = ServiceNode(i, self.tenants, self._dn_clients,
-                             membership=self.membership, clock=clock,
+                             membership=self.membership, clock=self.clock,
                              access_log_path=self.access_log_path)
             await sn.start(self.host, self.ports if i == 0 else None)
             self.service_nodes.append(sn)
@@ -113,6 +116,32 @@ class ServiceCluster:
             raise RuntimeError("cluster is not started")
         await self.membership.drain(index)
         self.data_nodes[index].crash()
+
+    async def recovery(self, deaths: int,
+                       timeout: float) -> Dict[str, object]:
+        """Wait out ``deaths`` DN deaths and their heal; on the cluster
+        clock, ``recovery_s`` runs from the last death to the heal and
+        ``unavailable_s`` from the first crash (None without a heal)."""
+        membership = self.membership
+        detected = await membership.wait_deaths(deaths, timeout)
+        settled = await membership.wait_settled(timeout)
+        heal = membership.last_heal_at
+
+        def to_heal(start: Optional[float]) -> Optional[float]:
+            if start is None or heal is None:
+                return None
+            return max(0.0, heal - start)
+
+        return {
+            "detected": detected,
+            "settled": settled,
+            "deaths": membership.counters["deaths"],
+            "shards_migrated": membership.counters["shards_migrated"],
+            "recovery_s": to_heal(membership.last_death_at),
+            "unavailable_s": to_heal(min(
+                (dn.crashed_at for dn in self.data_nodes
+                 if dn.crashed_at is not None), default=None)),
+        }
 
     # -- conveniences -------------------------------------------------------
     def endpoints(self, node: int = 0) -> Dict[str, Tuple[str, int]]:
@@ -181,52 +210,57 @@ class ClusterRunner:
         self._thread = None
 
     # -- failure-domain controls (thread-safe) -------------------------------
-    def kill_data_node(self, index: int) -> None:
-        """Crash one DN from any thread (the load/chaos kill switch)."""
+    def _await(self, coro, timeout: float):
+        """Run ``coro`` on the cluster loop; block for its result."""
         if self._loop is None:
             raise RuntimeError("cluster is not running")
-        self._loop.call_soon_threadsafe(
-            self.cluster.crash_data_node, index)
+        return asyncio.run_coroutine_threadsafe(
+            coro, self._loop).result(timeout)
 
-    def set_data_node_slow(self, index: int, delay: float) -> None:
-        """Make DN ``index`` stall every request by ``delay`` seconds
-        (the DN_SLOW chaos fault); ``0.0`` heals it."""
+    def schedule_faults(self, faults: Iterable[FaultSpec],
+                        time_scale: float = 1.0) -> None:
+        """Arm DN faults on the cluster loop's timers, from any thread.
+
+        Each fires ``start * time_scale`` seconds from now: a DN_CRASH
+        crash-stops its node, a DN_SLOW stalls every request the node
+        serves by ``latency_factor`` seconds until ``end``.  The one kill
+        schedule of ``repro load --kill-dn`` and the dn-failover campaign.
+        """
         if self._loop is None:
             raise RuntimeError("cluster is not running")
-        self._loop.call_soon_threadsafe(
-            setattr, self.cluster.data_nodes[index], "slow_delay", delay)
+        faults = list(faults)
+        if any(spec.kind not in DN_KINDS for spec in faults):
+            raise ValueError("a cluster takes DN_CRASH and DN_SLOW faults")
+        self._loop.call_soon_threadsafe(self._arm, faults, time_scale)
+
+    def _arm(self, faults: List[FaultSpec], time_scale: float) -> None:
+        loop = asyncio.get_running_loop()
+
+        def at(when: float, fn, *args) -> None:
+            # A fault due now lands before the loop runs anything else.
+            if when > 0:
+                loop.call_later(when * time_scale, fn, *args)
+            else:
+                fn(*args)
+
+        for spec in faults:
+            if spec.kind is FaultKind.DN_CRASH:
+                at(spec.start, self.cluster.crash_data_node, spec.node)
+                continue
+            node = self.cluster.data_nodes[spec.node]
+            at(spec.start, setattr, node, "slow_delay", spec.latency_factor)
+            if spec.duration != float("inf"):
+                at(spec.end, setattr, node, "slow_delay", 0.0)
 
     def drain_data_node(self, index: int, timeout: float = 30.0) -> None:
         """Gracefully retire one DN; blocks until migration completes."""
-        if self._loop is None:
-            raise RuntimeError("cluster is not running")
-        asyncio.run_coroutine_threadsafe(
-            self.cluster.drain_data_node(index), self._loop
-        ).result(timeout)
+        self._await(self.cluster.drain_data_node(index), timeout)
 
-    def wait_settled(self, timeout: float = 30.0) -> bool:
-        """Block until death detection + rebalancing has quiesced."""
-        if self._loop is None:
-            raise RuntimeError("cluster is not running")
-        membership = self.cluster.membership
-        if membership is None:
-            return True
-        return asyncio.run_coroutine_threadsafe(
-            membership.wait_settled(timeout), self._loop
-        ).result(timeout + 5.0)
-
-    def wait_deaths_detected(self, count: int = 1,
-                             timeout: float = 30.0) -> bool:
-        """Block until the heartbeats have declared ``count`` DNs dead."""
-        import time as _time
-        membership = self.cluster.membership
-        deadline = _time.monotonic() + timeout
-        while _time.monotonic() < deadline:
-            if (membership is not None
-                    and membership.counters["deaths"] >= count):
-                return True
-            _time.sleep(0.02)
-        return False
+    def wait_recovery(self, deaths: int,
+                      timeout: float = 30.0) -> Dict[str, object]:
+        """Block for :meth:`ServiceCluster.recovery`."""
+        return self._await(self.cluster.recovery(deaths, timeout),
+                           2 * timeout + 5.0)
 
     def __enter__(self) -> "ClusterRunner":
         self.start()

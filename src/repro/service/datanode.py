@@ -25,12 +25,14 @@ parked on the node.  A caller whose deadline expires
 thus abandons the call, not the op: the node finishes it and the reply
 is dropped.
 
-``start()`` enters a node in a process-local directory under an address
-unique to it, which :class:`DataNodeClient` resolves on every call.
-``crash()`` kills a node the hard way, which is what the DN_CRASH chaos
-fault and the failover tests use to model a crash-stop process death:
-every caller parked on it fails at once with ``ConnectionResetError``,
-and later calls are refused with ``ConnectionRefusedError``.
+A :class:`DataNodeClient` holds its node: ``start()`` opens the node to
+calls and ``stop()`` closes it, and the link checks that flag on every
+call.  ``crash()`` kills a node the hard way, which is what the DN_CRASH
+chaos fault and the failover tests use to model a crash-stop process
+death: every caller parked on it fails at once with
+``ConnectionResetError``, later calls are refused with
+``ConnectionRefusedError``, and the crash instant is stamped on the
+node's clock — the cluster's one clock, read from its event loop.
 
 The same link carries the *fabric* traffic of the failure domain:
 ``_ping`` heartbeats, ``_manifest`` (what data does this node hold),
@@ -46,28 +48,21 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import itertools
 import pickle
 import types
-import weakref
 from typing import Dict, Iterable, Mapping, Optional, Set, Tuple, Union
 
 from ..pipeline import OPERATIONS, AsyncExecutor, OpCall, Pipeline
-from ..storage import StorageAccountState, WallClock
+from ..storage import StorageAccountState
 from ..storage.blob.state import PageBlobState
 from ..storage.errors import StorageError
 from ..storage.cache import CacheServiceState
+from ..storage.clock import Clock, LoopClock
 from ..storage.limits import LIMITS_2012
 from ..storage.table.entity import Entity
 from .wire import error_to_payload, payload_to_error
 
 __all__ = ["DataNode", "DataNodeClient"]
-
-#: Started data nodes by address: what listening sockets were to a
-#: loopback link.  Weak, so a node nobody stopped does not outlive its run.
-_DIRECTORY: "weakref.WeakValueDictionary[Tuple[str, int], DataNode]" = \
-    weakref.WeakValueDictionary()
-_ADDRESSES = itertools.count(1)
 
 
 @types.coroutine
@@ -112,9 +107,8 @@ def _deliver(reply: asyncio.Future, task: asyncio.Task) -> None:
 class _Shard:
     """One account's slice of state on one data node."""
 
-    def __init__(self, account: str, *, limits=LIMITS_2012, clock=None,
+    def __init__(self, account: str, *, clock: Clock, limits=LIMITS_2012,
                  fifo_jitter_seed: Optional[int] = None) -> None:
-        clock = clock if clock is not None else WallClock()
         self.state = StorageAccountState(
             account, clock, limits, fifo_jitter_seed=fifo_jitter_seed)
         self.cache_state = CacheServiceState(clock)
@@ -131,19 +125,24 @@ class DataNode:
 
     def __init__(self, index: int,
                  accounts: Union[Mapping[str, object], Iterable[str]], *,
-                 limits=LIMITS_2012, clock=None,
+                 limits=LIMITS_2012, clock: Optional[LoopClock] = None,
                  fifo_jitter_seed: Optional[int] = None) -> None:
         self.index = index
+        #: Without one, the node reads the loop it starts on.
+        self.clock = clock if clock is not None else LoopClock()
         if isinstance(accounts, Mapping):
             items = list(accounts.items())   # account -> its own limits
         else:
             items = [(account, limits) for account in accounts]
         self._shards: Dict[str, _Shard] = {
-            account: _Shard(account, limits=acct_limits, clock=clock,
+            account: _Shard(account, clock=self.clock, limits=acct_limits,
                             fifo_jitter_seed=fifo_jitter_seed)
             for account, acct_limits in items
         }
-        self._address: Optional[Tuple[str, int]] = None
+        #: Open to calls: ``start()`` sets it, ``stop()``/``crash()`` clear it.
+        self.up = False
+        #: When ``crash()`` ran, on the node's clock.
+        self.crashed_at: Optional[float] = None
         #: Exchanges that waited and now run as tasks, and the reply
         #: futures their callers wait on.
         self._exchanges: Set[asyncio.Task] = set()
@@ -153,14 +152,16 @@ class DataNode:
         self.slow_delay = 0.0
 
     # -- lifecycle ----------------------------------------------------------
-    async def start(self, host: str = "127.0.0.1") -> Tuple[str, int]:
-        """Enter the directory; the address is what clients dial."""
-        self._address = (host, next(_ADDRESSES))
-        _DIRECTORY[self._address] = self
-        return self._address
+    async def start(self,
+                    host: str = "127.0.0.1") -> Tuple[str, "DataNode"]:
+        """Open to calls, on the running loop's clock; returns what a
+        :class:`DataNodeClient` takes (the node where a port would be)."""
+        self.clock.bind(asyncio.get_running_loop())
+        self.up = True
+        return host, self
 
     async def stop(self) -> None:
-        _DIRECTORY.pop(self._address, None)
+        self.up = False
 
     def crash(self) -> None:
         """Crash-stop this node: refuse new calls, fail the parked ones.
@@ -168,7 +169,8 @@ class DataNode:
         In-flight requests die with a transport error on the SN side,
         exactly like a process kill — no goodbye frames, no flushing.
         """
-        _DIRECTORY.pop(self._address, None)
+        self.up = False
+        self.crashed_at = self.clock.now()
         for reply in self._parked:
             if not reply.done():
                 reply.set_exception(ConnectionResetError(
@@ -377,13 +379,13 @@ class DataNodeClient:
     One link per (SN, DN) pair; an ``asyncio.Lock`` serializes the
     exchanges on it (requests are short, and each SN talks to every DN
     concurrently, so per-link pipelining is not the bottleneck).  The
-    address is resolved on every call, so a node that crashed or stopped
-    refuses it.
+    link holds its node, and a node that crashed or stopped refuses
+    every call.
     """
 
-    def __init__(self, host: str, port: int) -> None:
+    def __init__(self, host: str, node: DataNode) -> None:
         self.host = host
-        self.port = port
+        self.node = node
         self._lock = asyncio.Lock()
 
     async def close(self) -> None:
@@ -393,10 +395,10 @@ class DataNodeClient:
                    args: tuple, kwargs: dict):
         request = pickle.dumps((account, client, op, args, kwargs))
         async with self._lock:
-            node = _DIRECTORY.get((self.host, self.port))
-            if node is None:
+            node = self.node
+            if not node.up:
                 raise ConnectionRefusedError(
-                    f"no data node at {self.host}:{self.port}")
+                    f"data node {node.index} on {self.host} is down")
             exchange = node._exchange(request)
             try:
                 waiting_on = exchange.send(None)

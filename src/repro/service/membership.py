@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import asyncio
 import enum
-import time
 from dataclasses import dataclass
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..resilience import CircuitBreaker, RetryBudget
+from ..storage.clock import Clock
 from .ring import DEFAULT_VNODES, HashRing
 
 __all__ = ["NodeState", "FailureDomainConfig", "Membership"]
@@ -61,7 +61,7 @@ class FailureDomainConfig:
     vnodes: int = DEFAULT_VNODES
     #: Heartbeat + death detection + rebalance on/off.
     health_checks: bool = False
-    #: Wall seconds between heartbeats to one DN (jittered ±20%).
+    #: Seconds between heartbeats to one DN (jittered ±20%).
     heartbeat_interval: float = 0.2
     #: Missed beats before a node is SUSPECT / DEAD.
     suspect_after: int = 1
@@ -101,7 +101,7 @@ class FailureDomainConfig:
     @classmethod
     def kill_test(cls, replicas: int, seed: int) -> "FailureDomainConfig":
         """Health checks that declare a killed DN dead in well under a
-        wall second: what ``repro load --kill-dn`` and the dn-failover
+        second: what ``repro load --kill-dn`` and the dn-failover
         campaign run their clusters on."""
         return cls(replicas=replicas, health_checks=True,
                    heartbeat_interval=0.1, suspect_after=1, dead_after=3,
@@ -119,15 +119,16 @@ class _NodeHealth:
     state: NodeState = NodeState.UP
     misses: int = 0
     breaker: Optional[CircuitBreaker] = None
-    died_at: Optional[float] = None  # monotonic
 
 
 class Membership:
     """Shared DN liveness + placement view for every SN of one cluster."""
 
     def __init__(self, config: FailureDomainConfig,
-                 clients: Sequence, accounts: Sequence[str]) -> None:
+                 clients: Sequence, accounts: Sequence[str],
+                 clock: Clock) -> None:
         self.config = config
+        self.clock = clock
         self.clients = list(clients)
         self.accounts = list(accounts)
         self.ring = HashRing(range(len(self.clients)),
@@ -148,11 +149,12 @@ class Membership:
             "no_owner_503s": 0,
         }
         self._tasks: List[asyncio.Task] = []
-        # Created lazily on the cluster's event loop (py3.9 binds asyncio
+        # Made by start() on the cluster's event loop (py3.9 binds asyncio
         # primitives to the loop current at construction time).
         self._rebalance_lock: Optional[asyncio.Lock] = None
         self._settled: Optional[asyncio.Event] = None
-        #: Monotonic instants of the last death and the heal completing.
+        self._died: Optional[asyncio.Event] = None
+        #: Cluster-clock instants of the last death and the heal completing.
         self.last_death_at: Optional[float] = None
         self.last_heal_at: Optional[float] = None
 
@@ -188,6 +190,10 @@ class Membership:
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
         """Start the heartbeat loops on the current event loop."""
+        if self._settled is None:
+            self._rebalance_lock = asyncio.Lock()
+            self._settled, self._died = asyncio.Event(), asyncio.Event()
+            self._settled.set()
         if not self.config.health_checks or self._tasks:
             return
         for i in range(len(self.clients)):
@@ -200,19 +206,18 @@ class Membership:
             await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks.clear()
 
-    def _settled_event(self) -> asyncio.Event:
-        if self._settled is None:
-            self._settled = asyncio.Event()
-            self._settled.set()
-        return self._settled
-
     async def wait_settled(self, timeout: float = 30.0) -> bool:
         """Block until no rebalance is in flight (True) or timeout."""
-        try:
-            await asyncio.wait_for(self._settled_event().wait(), timeout)
-            return True
-        except asyncio.TimeoutError:
-            return False
+        return await _in_time(self._settled.wait(), timeout)
+
+    async def wait_deaths(self, count: int, timeout: float = 30.0) -> bool:
+        """Block until ``count`` nodes have been declared dead (True) or
+        timeout; ``mark_dead`` wakes the wait."""
+        async def counted() -> None:
+            while self.counters["deaths"] < count:
+                self._died.clear()
+                await self._died.wait()
+        return await _in_time(counted(), timeout)
 
     # -- health checking -----------------------------------------------------
     async def _heartbeat(self, node: int) -> None:
@@ -251,23 +256,23 @@ class Membership:
         if health.state is NodeState.DEAD:
             return
         health.state = NodeState.DEAD
-        health.died_at = time.monotonic()
-        self.last_death_at = health.died_at
+        self.last_death_at = self.clock.now()
         self.ring.remove(node)
         if self.config.rebalance and len(self.ring) >= 1:
-            self._settled_event().clear()
+            self._settled.clear()
             task = asyncio.ensure_future(self._rebalance_after_death())
             self._tasks.append(task)
-        # Counter last: cross-thread pollers key off it, and once they
-        # see the death the settled event must already be cleared.
+        # Waiters last: once one sees the death, the settled event must
+        # already be cleared.
         self.counters["deaths"] += 1
+        self._died.set()
 
     async def _rebalance_after_death(self) -> None:
         try:
             await self.rebalance(self.ring)
         finally:
-            self.last_heal_at = time.monotonic()
-            self._settled_event().set()
+            self.last_heal_at = self.clock.now()
+            self._settled.set()
 
     # -- planned removal -----------------------------------------------------
     async def drain(self, node: int) -> None:
@@ -287,7 +292,6 @@ class Membership:
         await self.rebalance(target)
         self.ring = target
         health.state = NodeState.DEAD
-        health.died_at = time.monotonic()
 
     # -- rebalancing ---------------------------------------------------------
     async def rebalance(self, target: HashRing) -> None:
@@ -298,8 +302,6 @@ class Membership:
         streamed from its first surviving holder.  Idempotent: imports
         skip nothing destructive, and a second pass finds no gaps.
         """
-        if self._rebalance_lock is None:
-            self._rebalance_lock = asyncio.Lock()
         async with self._rebalance_lock:
             sources = [i for i in sorted(self._health) if self.routable(i)]
             migrated = 0
@@ -350,9 +352,11 @@ class Membership:
                     self.note_replica_error()
         return migrated
 
-    # -- reporting -----------------------------------------------------------
-    def recovery_seconds(self) -> Optional[float]:
-        """Wall seconds from the last death to its heal completing."""
-        if self.last_death_at is None or self.last_heal_at is None:
-            return None
-        return max(0.0, self.last_heal_at - self.last_death_at)
+
+async def _in_time(awaitable, timeout: float) -> bool:
+    """Await ``awaitable``: True, or False once ``timeout`` seconds pass."""
+    try:
+        await asyncio.wait_for(awaitable, timeout)
+        return True
+    except asyncio.TimeoutError:
+        return False

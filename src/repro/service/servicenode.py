@@ -40,7 +40,7 @@ from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from ..cluster.ops import OpDescriptor
 from ..pipeline import OpContext
 from ..resilience import CircuitOpenError
-from ..storage.clock import WallClock
+from ..storage.clock import LoopClock
 from ..storage.errors import (
     ResourceNotFoundError,
     ServerBusyError,
@@ -49,11 +49,7 @@ from ..storage.errors import (
 from . import httpd
 from .datanode import DataNodeClient
 from .httpd import HttpError, HttpRequest, HttpResponse
-from .membership import (
-    TRANSPORT_ERRORS,
-    FailureDomainConfig,
-    Membership,
-)
+from .membership import TRANSPORT_ERRORS, Membership
 from .tenants import TenantDirectory
 from .wire import (
     WIRE_VERSION,
@@ -140,20 +136,16 @@ class ServiceNode:
 
     def __init__(self, index: int, tenants: TenantDirectory,
                  data_nodes: Sequence[DataNodeClient], *,
-                 membership: Optional[Membership] = None,
-                 clock: Optional[WallClock] = None,
+                 membership: Membership, clock: LoopClock,
                  access_log_path: Optional[str] = None) -> None:
         if not data_nodes:
             raise ValueError("a service node needs at least one data node")
         self.index = index
         self.tenants = tenants
         self.data_nodes = list(data_nodes)
-        # The cluster shares one Membership across its SNs; a standalone
-        # SN gets the null failure domain (R=1, no health checks), which
-        # is the old static routing.
-        self.membership = membership if membership is not None else (
-            Membership(FailureDomainConfig(), self.data_nodes, []))
-        self.clock = clock if clock is not None else WallClock()
+        #: The cluster's: one Membership and one clock for every SN.
+        self.membership = membership
+        self.clock = clock
         #: The last ``ACCESS_LOG_TAIL`` requests; with a path, older
         #: ones are already in the file.
         self.access_log: Deque[AccessLogEntry] = collections.deque(
@@ -183,8 +175,8 @@ class ServiceNode:
             server.close()
             await server.wait_closed()
         self._servers.clear()
-        deadline = time.monotonic() + grace_s
-        while self.inflight > 0 and time.monotonic() < deadline:
+        deadline = self.clock.now() + grace_s
+        while self.inflight > 0 and self.clock.now() < deadline:
             await asyncio.sleep(0.01)
         self._flush_access_log()
 
@@ -292,9 +284,9 @@ class ServiceNode:
 
     async def _attempt(self, node: int, account: str, decoded: DecodedOp):
         """One breaker-gated, deadlined call to one replica."""
-        membership = self.membership
+        membership, now = self.membership, self.clock.now
         breaker = membership.breaker(node)
-        breaker.before_attempt(time.monotonic())  # CircuitOpenError if open
+        breaker.before_attempt(now())  # CircuitOpenError if open
         try:
             result = await _within(
                 membership.config.dn_timeout,
@@ -303,13 +295,13 @@ class ServiceNode:
                     decoded.args, decoded.kwargs))
         except StorageError:
             # The link worked; the *storage* answered.  Healthy node.
-            breaker.record_success(time.monotonic())
+            breaker.record_success(now())
             raise
         except _REPLICA_FAILURES:
-            breaker.record_failure(time.monotonic())
+            breaker.record_failure(now())
             membership.note_replica_error()
             raise
-        breaker.record_success(time.monotonic())
+        breaker.record_success(now())
         return result
 
     async def _route(self, account: str, decoded: DecodedOp):
@@ -412,7 +404,7 @@ class ServiceNode:
                     if not done:
                         # Primary is slow: race one backup against it.
                         hedged = True
-                        if membership.allow_hedge(time.monotonic()):
+                        if membership.allow_hedge(self.clock.now()):
                             launch()
                         continue
                     outcomes = []

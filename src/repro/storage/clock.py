@@ -2,8 +2,8 @@
 
 The storage state machines are time-dependent (message visibility timeouts,
 TTL expiry, entity timestamps) but must not care whether time is simulated
-(:class:`SimClock`), real (:class:`WallClock`) or script-controlled
-(:class:`ManualClock`).
+(:class:`SimClock`), real (:class:`WallClock`), script-controlled
+(:class:`ManualClock`) or an asyncio event loop's (:class:`LoopClock`).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from typing import Protocol, runtime_checkable
 
-__all__ = ["Clock", "WallClock", "ManualClock", "SimClock"]
+__all__ = ["Clock", "WallClock", "ManualClock", "SimClock", "LoopClock"]
 
 
 @runtime_checkable
@@ -62,3 +62,16 @@ class SimClock:
 
     def now(self) -> float:
         return self._env.now
+
+
+class LoopClock:
+    """The ``time()`` of the asyncio event loop :meth:`bind` names: the
+    service tier's one time base (``time.monotonic()`` on a real loop)."""
+
+    _loop = None
+
+    def now(self) -> float:
+        return self._loop.time()
+
+    def bind(self, loop) -> None:
+        self._loop = loop

@@ -445,11 +445,12 @@ def _run_service(config: LoadConfig, schedule: FlockSchedule,
     """Boot an in-process SN/DN cluster and drive it over signed HTTP.
 
     With ``kill_dn``/``kill_at`` set, one data node crash-stops mid-run
-    (the ``repro load`` failover scenario): replicated shards plus
-    health-checked membership must absorb the kill, and the returned
-    disruption report carries the measured SLO dip (errors around the
-    kill) and the detection/heal timings.
+    (the ``repro load`` failover scenario, on the cluster loop's timer):
+    replicated shards plus health-checked membership must absorb the
+    kill, and the returned disruption report carries the measured SLO
+    dip (errors around the kill) and the detection/heal timings.
     """
+    from ..faults.spec import FaultKind, FaultSpec
     from ..service import DEV_KEY, TenantConfig, TenantDirectory
     from ..service.client import ServiceConnection, wire_clients
     from ..service.cluster import ClusterRunner, ServiceCluster
@@ -464,8 +465,6 @@ def _run_service(config: LoadConfig, schedule: FlockSchedule,
                              failure_domain=failure_domain)
     runner = ClusterRunner(cluster)
     runner.start()
-    kill_wall: Dict[str, float] = {}
-    timer: Optional[threading.Timer] = None
     try:
         account = tenants.accounts()[0]
 
@@ -473,46 +472,21 @@ def _run_service(config: LoadConfig, schedule: FlockSchedule,
             return wire_clients(
                 ServiceConnection(cluster.endpoints(0), account, DEV_KEY))
 
-        def on_origin() -> None:
-            nonlocal timer
-            if config.kill_dn is None:
-                return
-
-            def fire() -> None:
-                kill_wall["t"] = time.monotonic()
-                runner.kill_data_node(config.kill_dn)
-
-            timer = threading.Timer(config.kill_at * config.time_scale,
-                                    fire)
-            timer.start()
-
-        outcomes, elapsed = _run_wallclock(config, schedule, agg, make,
-                                           on_origin=on_origin)
-        if timer is not None:
-            timer.join()
-        disruption = None
-        if config.kill_dn is not None:
-            detected = runner.wait_deaths_detected(1, timeout=30.0)
-            settled = runner.wait_settled(timeout=30.0)
-            membership = cluster.membership
-            recovery = membership.recovery_seconds()
-            heal_at = membership.last_heal_at
-            unavailable = None
-            if heal_at is not None and "t" in kill_wall:
-                unavailable = max(0.0, heal_at - kill_wall["t"])
-            disruption = {
-                "kill_dn": config.kill_dn,
-                "kill_at_s": config.kill_at,
-                "detected": detected,
-                "settled": settled,
-                "deaths": membership.counters["deaths"],
-                "shards_migrated": membership.counters["shards_migrated"],
-                "errors": sum(1 for ok in outcomes if ok is False),
-                "recovery_s": (round(recovery, 3)
-                               if recovery is not None else None),
-                "unavailable_s": (round(unavailable, 3)
-                                  if unavailable is not None else None),
-            }
+        kills = [] if config.kill_dn is None else [FaultSpec(
+            kind=FaultKind.DN_CRASH, node=config.kill_dn,
+            start=config.kill_at)]
+        outcomes, elapsed = _run_wallclock(
+            config, schedule, agg, make,
+            on_origin=lambda: runner.schedule_faults(
+                kills, config.time_scale))
+        if not kills:
+            return outcomes, elapsed, None
+        disruption = runner.wait_recovery(1, timeout=30.0)
+        for key in ("recovery_s", "unavailable_s"):
+            if disruption[key] is not None:
+                disruption[key] = round(disruption[key], 3)
+        disruption.update(kill_dn=config.kill_dn, kill_at_s=config.kill_at,
+                          errors=sum(1 for ok in outcomes if ok is False))
         return outcomes, elapsed, disruption
     finally:
         runner.stop()
@@ -571,7 +545,7 @@ def dispatch_wallclock(arrivals: Iterable[Tuple[float, object]],
     instants into a pool of ``max_clients`` threads, so the offered rate
     stays open-loop even when every pool thread is busy (queueing shows
     up as latency, as it should).  ``on_origin`` (if given) runs right
-    as the origin is pinned — the hook that arms kill timers.
+    as the origin is pinned — the hook that arms a cluster's DN faults.
 
     Each pool thread calls ``run_op(local, op, virtual_now)`` with its
     own ``make_local()`` (connections are not shared between threads).

@@ -17,13 +17,15 @@ import time
 
 import pytest
 
+from repro.faults import FaultKind, FaultSpec
 from repro.service import DEV_KEY, TenantConfig, TenantDirectory
 from repro.service.client import (ServiceConnection, WireBlobClient,
                                   WireQueueClient, WireTableClient)
 from repro.service.cluster import ClusterRunner, ServiceCluster
 from repro.service.membership import FailureDomainConfig, NodeState
 from repro.storage.errors import StorageError
-from repro.traffic.engine import LoadConfig
+from repro.traffic import ArrivalSpec
+from repro.traffic.engine import LoadConfig, run_load
 from repro.wallclock import exhaust as drive
 
 CONTAINER, QUEUE, TABLE, PARTITION = "cont", "failq", "failt", "fd"
@@ -48,6 +50,17 @@ def replicated_cluster(dn=3, replicas=2, **overrides):
         failure_domain=fast_config(replicas=replicas, **overrides))
     with ClusterRunner(cluster) as runner:
         yield cluster, runner
+
+
+def kill(runner, node):
+    """Crash-stop data node ``node`` now, on the cluster loop."""
+    runner.schedule_faults([FaultSpec(kind=FaultKind.DN_CRASH, node=node)])
+
+
+def recovered(runner, deaths):
+    """The heartbeats declared ``deaths`` DNs dead and the heal settled."""
+    recovery = runner.wait_recovery(deaths, timeout=10.0)
+    return recovery["detected"] and recovery["settled"]
 
 
 def make_clients(cluster, *, busy_retries=4):
@@ -103,9 +116,8 @@ class TestCrashFailover:
     def test_kill_one_dn_keeps_committed_writes_readable(self):
         with replicated_cluster(dn=3, replicas=2) as (cluster, runner):
             data = seed_data(cluster)
-            runner.kill_data_node(1)
-            assert runner.wait_deaths_detected(1, timeout=10.0)
-            assert runner.wait_settled(timeout=15.0)
+            kill(runner, 1)
+            assert recovered(runner, 1)
             membership = cluster.membership
             assert membership.state(1) is NodeState.DEAD
             assert 1 not in membership.ring.nodes
@@ -118,21 +130,19 @@ class TestCrashFailover:
         every shard must be readable from the lone remaining node."""
         with replicated_cluster(dn=3, replicas=2) as (cluster, runner):
             data = seed_data(cluster, messages=0)
-            runner.kill_data_node(0)
-            assert runner.wait_deaths_detected(1, timeout=10.0)
-            assert runner.wait_settled(timeout=15.0)
+            kill(runner, 0)
+            assert recovered(runner, 1)
             assert cluster.membership.counters["shards_migrated"] > 0
-            runner.kill_data_node(1)
-            assert runner.wait_deaths_detected(2, timeout=10.0)
-            assert runner.wait_settled(timeout=15.0)
+            kill(runner, 1)
+            assert recovered(runner, 2)
             assert cluster.membership.ring.nodes == (2,)
             assert_data_intact(cluster, data, messages=0)
 
     def test_suspect_precedes_death(self):
         with replicated_cluster(dn=2, replicas=2) as (cluster, runner):
             seed_data(cluster, blobs=1, rows=0, messages=0)
-            runner.kill_data_node(0)
-            assert runner.wait_deaths_detected(1, timeout=10.0)
+            kill(runner, 0)
+            assert recovered(runner, 1)
             counters = cluster.membership.counters
             assert counters["suspects"] >= 1
             assert counters["heartbeats"] >= 1
@@ -155,8 +165,8 @@ class TestNoOwner503:
         with replicated_cluster(dn=1, replicas=1) as (cluster, runner):
             bc, _, _ = make_clients(cluster, busy_retries=0)
             drive(bc.create_container(CONTAINER))
-            runner.kill_data_node(0)
-            assert runner.wait_deaths_detected(1, timeout=10.0)
+            kill(runner, 0)
+            assert recovered(runner, 1)
 
             with pytest.raises(StorageError) as info:
                 drive(bc.upload_blob(CONTAINER, "orphan", b"x"))
@@ -190,11 +200,11 @@ class TestHedgedReads:
             membership = cluster.membership
             label = f"devstoreaccount1/blob/{CONTAINER}/hot"
             primary = membership.ring.owners(label)[0]
-            runner.set_data_node_slow(primary, 0.8)
+            runner.schedule_faults([FaultSpec(
+                kind=FaultKind.DN_SLOW, node=primary, latency_factor=0.8)])
             started = time.monotonic()
             got = to_bytes(drive(bc.download_block_blob(CONTAINER, "hot")))
             elapsed = time.monotonic() - started
-            runner.set_data_node_slow(primary, 0.0)
 
             assert got == body
             assert elapsed < 0.6, "read waited out the slow primary"
@@ -291,3 +301,22 @@ class TestLoadKillValidation:
         described = LoadConfig(backend="service").describe()
         for key in ("dn", "replicas", "kill_dn", "kill_at_s"):
             assert key not in described
+
+
+class TestLoadKill:
+    def test_a_mid_run_kill_is_detected_healed_and_bounded(self):
+        """``repro load --kill-dn``: the disruption block reads one
+        clock, so the heal follows the death and the kill-to-heal
+        window stays inside dn-failover's unavailability bound."""
+        config = LoadConfig(
+            arrivals=ArrivalSpec(rate=25.0, seed=5), backend="service",
+            mix="mixed", duration=20.0, window_s=5.0, dn=3, replicas=2,
+            kill_dn=1, kill_at=8.0, seed=5)
+        disruption = run_load(config).disruption
+        assert disruption["detected"] and disruption["settled"]
+        assert disruption["deaths"] == 1
+        assert 0.0 <= disruption["recovery_s"] <= disruption["unavailable_s"]
+        domain = FailureDomainConfig.kill_test(config.replicas, config.seed)
+        detect = (domain.dead_after * domain.heartbeat_interval
+                  + domain.heartbeat_timeout)
+        assert disruption["unavailable_s"] <= detect * 3.0 + 5.0

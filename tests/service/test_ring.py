@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.service.membership import FailureDomainConfig, Membership
 from repro.service.ring import DEFAULT_VNODES, HashRing
+from repro.storage.clock import ManualClock
 
 node_ids = st.integers(min_value=0, max_value=31)
 node_sets = st.sets(node_ids, min_size=1, max_size=8)
@@ -160,7 +161,8 @@ def test_single_node_ring_matches_the_old_modulo_map(label):
        key=labels)
 def test_null_failure_domain_membership_routes_like_old_sn(account, key):
     """R=1, health checks off, one DN: Membership is the old router."""
-    membership = Membership(FailureDomainConfig(), [object()], [account])
+    membership = Membership(FailureDomainConfig(), [object()], [account],
+                            ManualClock())
     label = f"{account}/blob/{key}"
     assert membership.owners(label) == (0,)
     assert membership.live_indices() == [0]
