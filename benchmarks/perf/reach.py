@@ -116,7 +116,8 @@ ENTRY_POINTS = [
     ("chaos-region", "{repro} chaos --profile region-outage --seeds 7,11 --out geo.json"),
     ("chaos-dn-failover", "{repro} chaos --profile dn-failover --seed 7 --dn 3 --replicas 2 "
                           "--out dn.json --windows-csv dn.csv"),
-    # op-level faults on dnfailover: refused, exit 2, before a cluster boots
+    # op-level faults on dnfailover (the failover mix under a DN kill):
+    # refused, exit 2, before a cluster boots
     ("chaos-dnfailover-ops", "{repro} chaos dnfailover --profile queue-storm --seed 7 "
                              "--out dnq.json"),
     ("geo", "{repro} geo"),
@@ -141,7 +142,8 @@ ENTRY_POINTS = [
                   "--slo 'p95=120ms' --low 20 --high 400 --rel-tol 0.25 --max-probes 8 --out k"),
     *[(f"load-{b}", f"{{repro}} load --backend {b} --mix mixed --rate 20 --duration 4")
       for b in ("emulator", "geo", "service")],
-    ("load-mix", "for m in queue blob table; do {repro} load --mix $m --rate 2000 --duration 4; done"),
+    ("load-mix", "for m in queue blob table failover; do "
+                 "{repro} load --mix $m --rate 2000 --duration 4; done"),
     ("load-kill-dn", "{repro} load --backend service --mix mixed --rate 25 --duration 20 "
                      "--window 5 --dn 3 --replicas 2 --kill-dn 1 --kill-at 8 --seed 5 "
                      "--slo 'err=20%' --out dk"),

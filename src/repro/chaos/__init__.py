@@ -26,7 +26,7 @@ observability, compute), so nothing inside ``repro`` imports it.
 """
 
 from .checkpoint import RunCheckpoint
-from .dnfailover import build_dn_workload, run_dn_failover
+from .dnfailover import run_dn_failover
 from .history import History, OpRecord, audit_account
 from .invariants import (
     Violation,
@@ -50,7 +50,6 @@ from .verdict import ChaosRunError, ChaosVerdict
 
 __all__ = [
     "RunCheckpoint",
-    "build_dn_workload",
     "run_dn_failover",
     "History",
     "OpRecord",

@@ -62,6 +62,8 @@ def _jobs(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .traffic.engine import MIXES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="AzureBench reproduction: regenerate the paper's "
@@ -204,9 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dnfailover workload: shard replication "
                             "factor (default 2)")
     chaos.add_argument("--windows-csv", metavar="FILE",
-                       help="dnfailover workload: write per-window "
-                            "outcome counts (the SLO-dip artifact) to "
-                            "FILE")
+                       help="dnfailover workload: write the load "
+                            "engine's per-window stats (the columns of "
+                            "repro load's windows.csv; the SLO-dip "
+                            "artifact) to FILE")
 
     geo = sub.add_parser(
         "geo", help="geo-replicated account campaign: RA-GRS reads, "
@@ -323,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--window", type=float, default=5.0,
                       help="stats window width in seconds (default 5)")
     load.add_argument("--mix", default="queue",
-                      help="operation mix: queue, blob, table, or mixed "
+                      help=f"operation mix: {', '.join(MIXES)} "
                            "(default queue)")
     load.add_argument("--payload", type=int, default=4096,
                       help="payload bytes for writes (default 4096)")

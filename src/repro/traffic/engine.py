@@ -8,10 +8,11 @@
   still in flight, which is what makes the load open-loop (a saturated
   fabric accumulates in-flight work instead of throttling the offered
   rate).
-* **emulator / service** — :func:`dispatch_wallclock` releases
-  operations at their (time-scaled) wall-clock instants into a bounded
-  client pool; the DN-failover chaos campaign releases its own seeded
-  workload through the same function.
+* **emulator / service** — :func:`_run_wallclock` releases operations
+  at their (time-scaled) wall-clock instants into a bounded client
+  pool; on ``service`` :func:`service_run` boots the cluster around it,
+  and the DN-failover chaos campaign runs the ``failover`` mix through
+  the same helper.
 
 What an operation *does* is written once, as a sim-style generator
 (``yield from client.op(...)``; :func:`_setup`, :func:`_op_starters`).
@@ -40,19 +41,22 @@ import os
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List,
-                    NamedTuple, Optional, Sequence, Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator,
+                    List, NamedTuple, Optional, Sequence, Tuple)
 
 from ..storage import KB
 from ..storage.content import SyntheticContent
 from ..storage.errors import StorageError
 from .arrivals import ArrivalSpec
 from .slo import SLOReport, SLOSpec
-from .stats import WINDOW_CSV_HEADER, StatsAggregator, WindowRow
+from .stats import StatsAggregator, WindowRow, windows_csv
 
 if TYPE_CHECKING:
+    from ..faults.spec import FaultSpec
+    from ..service.cluster import ServiceCluster
     from .flock import FlockSchedule
 
 __all__ = [
@@ -62,7 +66,7 @@ __all__ = [
     "MIXES",
     "schedule_digest",
     "run_load",
-    "dispatch_wallclock",
+    "service_run",
 ]
 
 #: Fixed resource names every mix uses.
@@ -83,6 +87,11 @@ MIXES: Dict[str, Tuple[Tuple[float, str, str], ...]] = {
     "mixed": ((0.25, "queue", "put"), (0.15, "queue", "get"),
               (0.2, "blob", "download"), (0.1, "blob", "upload"),
               (0.15, "table", "get"), (0.15, "table", "upsert")),
+    # The DN-failover campaign's: writes dominate, and no queue get, which
+    # would delete a message the loss check could not attribute to a put.
+    "failover": ((0.30, "blob", "upload"), (0.15, "blob", "download"),
+                 (0.25, "queue", "put"), (0.20, "table", "insert"),
+                 (0.10, "table", "get")),
 }
 
 
@@ -346,12 +355,7 @@ class LoadResult:
         return json.dumps(self.verdict(), indent=2, sort_keys=True)
 
     def windows_csv(self) -> str:
-        lines = [WINDOW_CSV_HEADER]
-        for row in self.rows:
-            d = row.to_dict()
-            lines.append(",".join(str(d[col]) for col in
-                                  WINDOW_CSV_HEADER.split(",")))
-        return "\n".join(lines) + "\n"
+        return windows_csv(self.rows)
 
     def write_artifacts(self, out_dir: str) -> List[str]:
         """Write ``windows.csv`` + ``verdict.json``; return the paths."""
@@ -442,7 +446,7 @@ def _emulator_client_factory() -> Callable[[], Dict]:
 
 def _run_service(config: LoadConfig, schedule: FlockSchedule,
                  agg: StatsAggregator):
-    """Boot an in-process SN/DN cluster and drive it over signed HTTP.
+    """Drive an in-process SN/DN cluster over signed HTTP.
 
     With ``kill_dn``/``kill_at`` set, one data node crash-stops mid-run
     (the ``repro load`` failover scenario, on the cluster loop's timer):
@@ -451,43 +455,78 @@ def _run_service(config: LoadConfig, schedule: FlockSchedule,
     dip (errors around the kill) and the detection/heal timings.
     """
     from ..faults.spec import FaultKind, FaultSpec
+
+    kills = [] if config.kill_dn is None else [FaultSpec(
+        kind=FaultKind.DN_CRASH, node=config.kill_dn, start=config.kill_at)]
+    with service_run(config, schedule, agg, kills) as run:
+        disruption = run.recovery
+    if disruption is not None:
+        for key in ("recovery_s", "unavailable_s"):
+            if disruption[key] is not None:
+                disruption[key] = round(disruption[key], 3)
+        disruption.update(
+            kill_dn=config.kill_dn, kill_at_s=config.kill_at,
+            errors=sum(1 for ok in run.outcomes if ok is False))
+    return run.outcomes, run.elapsed, disruption
+
+
+class ServiceRun(NamedTuple):
+    """A schedule driven against a live cluster that is still up."""
+
+    outcomes: List[Optional[bool]]
+    elapsed: float
+    #: ``ClusterRunner.wait_recovery`` over the DN_CRASH specs (None
+    #: without one).
+    recovery: Optional[Dict[str, object]]
+    cluster: "ServiceCluster"
+    #: Fresh clients of the run's tenant, each on its own connection.
+    make_clients: Callable[[], Dict]
+
+
+@contextmanager
+def service_run(config: LoadConfig, schedule: FlockSchedule,
+                agg: StatsAggregator,
+                faults: Sequence["FaultSpec"]) -> Iterator[ServiceRun]:
+    """Boot an in-process SN/DN cluster, drive ``schedule`` against it,
+    and yield the :class:`ServiceRun` before the cluster stops.
+
+    ``faults`` (DN_CRASH / DN_SLOW specs) are armed on the cluster loop
+    as the run's origin is pinned; once the schedule has drained, the
+    run waits out as many deaths as there are DN_CRASH specs, and their
+    heal.  Health-checked membership runs whenever shards are
+    replicated or a fault is armed.
+    """
+    from ..faults.spec import FaultKind
     from ..service import DEV_KEY, TenantConfig, TenantDirectory
     from ..service.client import ServiceConnection, wire_clients
     from ..service.cluster import ClusterRunner, ServiceCluster
     from ..service.membership import FailureDomainConfig
 
     failure_domain = None
-    if config.replicas > 1 or config.kill_dn is not None:
+    if config.replicas > 1 or faults:
         failure_domain = FailureDomainConfig.kill_test(
             config.replicas, config.seed)
     tenants = TenantDirectory([TenantConfig.development()])
     cluster = ServiceCluster(nodes=1, dn=config.dn, tenants=tenants,
                              failure_domain=failure_domain)
+    account = tenants.accounts()[0]
+
+    def make() -> Dict[str, object]:
+        return wire_clients(
+            ServiceConnection(cluster.endpoints(0), account, DEV_KEY))
+
     runner = ClusterRunner(cluster)
     runner.start()
     try:
-        account = tenants.accounts()[0]
-
-        def make() -> Dict[str, object]:
-            return wire_clients(
-                ServiceConnection(cluster.endpoints(0), account, DEV_KEY))
-
-        kills = [] if config.kill_dn is None else [FaultSpec(
-            kind=FaultKind.DN_CRASH, node=config.kill_dn,
-            start=config.kill_at)]
         outcomes, elapsed = _run_wallclock(
             config, schedule, agg, make,
             on_origin=lambda: runner.schedule_faults(
-                kills, config.time_scale))
-        if not kills:
-            return outcomes, elapsed, None
-        disruption = runner.wait_recovery(1, timeout=30.0)
-        for key in ("recovery_s", "unavailable_s"):
-            if disruption[key] is not None:
-                disruption[key] = round(disruption[key], 3)
-        disruption.update(kill_dn=config.kill_dn, kill_at_s=config.kill_at,
-                          errors=sum(1 for ok in outcomes if ok is False))
-        return outcomes, elapsed, disruption
+                faults, config.time_scale))
+        crashes = sum(1 for spec in faults
+                      if spec.kind is FaultKind.DN_CRASH)
+        recovery = (runner.wait_recovery(crashes, timeout=30.0)
+                    if crashes else None)
+        yield ServiceRun(outcomes, elapsed, recovery, cluster, make)
     finally:
         runner.stop()
 
@@ -495,85 +534,70 @@ def _run_service(config: LoadConfig, schedule: FlockSchedule,
 def _run_wallclock(config: LoadConfig, schedule: FlockSchedule,
                    agg: StatsAggregator, make_clients: Callable[[], Dict],
                    on_origin: Optional[Callable[[], None]] = None):
-    """Set-up, then the schedule through :func:`dispatch_wallclock`.
+    """Set-up, then the schedule released open-loop on the wall clock.
+
+    Virtual time is wall time since the origin divided by
+    ``time_scale``.  Each arrival is submitted at its scaled instant to
+    a pool of ``max_clients`` threads whether or not earlier ops have
+    finished, so the offered rate stays open-loop (queueing shows up as
+    latency), and every pool thread runs on its own ``make_clients()``
+    (connections are not shared).  ``on_origin`` runs as the origin is
+    pinned: the hook that arms a cluster's DN faults.
 
     An op that dies on the transport (``OSError``: a socket timeout, a
     reset the connection's one retry did not cure) is recorded as
-    failed like any storage error; any other exception fails the run
-    once the pool has drained.
+    failed like any storage error.  Any other exception stops the
+    release of arrivals and is re-raised once the ops in flight have
+    drained.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     from ..wallclock import exhaust
 
     exhaust(_setup(make_clients(), config))
 
     outcomes: List[Optional[bool]] = [None] * len(schedule)
-    kind_nbytes, labels = schedule.kind_nbytes, schedule.labels
+    kinds, kind_nbytes, labels = (schedule.kinds, schedule.kind_nbytes,
+                                  schedule.labels)
+    time_scale = config.time_scale
     lock = threading.Lock()
-    last_end = {"t": 0.0}
+    local = threading.local()
+    stop = threading.Event()
+    last_end = 0.0
 
-    def run_op(starters, row, virtual_now) -> None:
-        i, at, k, key = row
+    def run_op(i: int, at: float, k: int, key: str) -> None:
+        nonlocal last_end
+        starters = getattr(local, "starters", None)
+        if starters is None:
+            starters = local.starters = _op_starters(
+                make_clients(), kinds, kind_nbytes)
         try:
             exhaust(starters[k](i, key))
             ok = True
         except (StorageError, OSError):
             ok = False
         outcomes[i] = ok
-        end = virtual_now()
+        end = (time.monotonic() - origin) / time_scale
         with lock:
             agg.record(at, max(at, end), ok=ok, nbytes=kind_nbytes[k],
                        operation=labels[k])
-            last_end["t"] = max(last_end["t"], end)
+            last_end = max(last_end, end)
 
-    dispatch_wallclock(
-        ((row[1], row) for row in schedule.rows()), run_op,
-        lambda: _op_starters(make_clients(), schedule.kinds, kind_nbytes),
-        time_scale=config.time_scale, max_clients=config.max_clients,
-        on_origin=on_origin)
-    return outcomes, last_end["t"]
+    def stop_on_error(future) -> None:
+        if future.exception() is not None:
+            stop.set()
 
-
-def dispatch_wallclock(arrivals: Iterable[Tuple[float, object]],
-                       run_op: Callable, make_local: Callable[[], object],
-                       *, time_scale: float, max_clients: int,
-                       on_origin: Optional[Callable[[], None]] = None
-                       ) -> None:
-    """Release ``(at, op)`` arrivals open-loop on the wall clock.
-
-    Virtual time is wall time since the dispatch origin divided by
-    ``time_scale``; arrivals are released at their scheduled virtual
-    instants into a pool of ``max_clients`` threads, so the offered rate
-    stays open-loop even when every pool thread is busy (queueing shows
-    up as latency, as it should).  ``on_origin`` (if given) runs right
-    as the origin is pinned — the hook that arms a cluster's DN faults.
-
-    Each pool thread calls ``run_op(local, op, virtual_now)`` with its
-    own ``make_local()`` (connections are not shared between threads).
-    ``run_op`` decides what counts as a refused op; the first exception
-    it lets through is re-raised once the pool has drained.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    local = threading.local()
+    futures = []
     origin = time.monotonic()
     if on_origin is not None:
         on_origin()
-
-    def virtual_now() -> float:
-        return (time.monotonic() - origin) / time_scale
-
-    def run(op) -> None:
-        mine = getattr(local, "made", None)
-        if mine is None:
-            mine = local.made = make_local()
-        run_op(mine, op, virtual_now)
-
-    futures = []
-    with ThreadPoolExecutor(max_workers=max_clients) as pool:
-        for at, op in arrivals:
-            wait = at * time_scale - (time.monotonic() - origin)
-            if wait > 0:
-                time.sleep(wait)
-            futures.append(pool.submit(run, op))
+    with ThreadPoolExecutor(max_workers=config.max_clients) as pool:
+        for row in schedule.rows():
+            # Sleeps until the arrival is due; wakes early once an op raised.
+            if stop.wait(row[1] * time_scale - (time.monotonic() - origin)):
+                break
+            futures.append(pool.submit(run_op, *row))
+            futures[-1].add_done_callback(stop_on_error)
     for future in futures:
         future.result()
+    return outcomes, last_end

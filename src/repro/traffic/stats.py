@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..observability.histogram import DEFAULT_GROWTH, Histogram
 
-__all__ = ["StatsAggregator", "WindowRow", "WINDOW_CSV_HEADER"]
+__all__ = ["StatsAggregator", "WindowRow", "WINDOW_CSV_HEADER",
+           "windows_csv"]
 
 
 class _Window:
@@ -103,6 +104,16 @@ class WindowRow:
 WINDOW_CSV_HEADER = ("window,start,end,arrivals,completions,errors,"
                      "throughput,error_rate,p50_ms,p95_ms,p99_ms,"
                      "mean_latency_ms,mean_in_flight,utilization,mb_per_s")
+
+
+def windows_csv(rows: Sequence[WindowRow]) -> str:
+    """``rows`` as CSV text under :data:`WINDOW_CSV_HEADER`."""
+    columns = WINDOW_CSV_HEADER.split(",")
+    lines = [WINDOW_CSV_HEADER]
+    for row in rows:
+        d = row.to_dict()
+        lines.append(",".join(str(d[col]) for col in columns))
+    return "\n".join(lines) + "\n"
 
 
 class StatsAggregator:

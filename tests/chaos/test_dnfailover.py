@@ -1,9 +1,10 @@
-"""The dn-failover chaos campaign: workload builder + end-to-end smoke.
+"""The dn-failover chaos campaign: the loss check + end-to-end smoke.
 
 The end-to-end run is deliberately small (a couple of wall seconds) but
 real: a 3-DN R=2 cluster, open-loop load, a scheduled mid-run kill, the
-ledger verification, and the determinism contract — two runs with the
-same seed must emit byte-identical verdict JSON.
+schedule-derived loss check, and the determinism contract — two runs
+with the same seed must emit byte-identical verdict JSON.  The check
+itself is held to detecting planted losses over emulator clients.
 """
 
 import json
@@ -11,34 +12,13 @@ import time
 
 import pytest
 
-from repro.chaos import build_dn_workload, run_dn_failover
-from repro.chaos.dnfailover import workload_digest
+from repro.chaos import run_dn_failover
 from repro.faults import FaultKind
 from repro.faults.profiles import get_profile
+from repro.traffic import WINDOW_CSV_HEADER
 
 
 class TestWorkloadBuilder:
-    def test_same_seed_same_schedule(self):
-        first = build_dn_workload(7, rate=6.0, duration=20.0)
-        again = build_dn_workload(7, rate=6.0, duration=20.0)
-        assert first == again
-        assert workload_digest(first) == workload_digest(again)
-
-    def test_different_seeds_diverge(self):
-        assert (workload_digest(build_dn_workload(1))
-                != workload_digest(build_dn_workload(2)))
-
-    def test_schedule_shape(self):
-        ops = build_dn_workload(3, rate=10.0, duration=15.0)
-        assert ops, "builder produced an empty schedule"
-        times = [op.at for op in ops]
-        assert times == sorted(times)
-        assert all(0.0 <= at < 15.0 for at in times)
-        kinds = {op.kind for op in ops}
-        assert kinds <= {"blob.upload", "blob.download", "queue.put",
-                         "table.insert", "table.get"}
-        assert "blob.upload" in kinds and "queue.put" in kinds
-
     def test_profile_schedules_the_kill(self):
         profile = get_profile("dn-failover")
         kinds = [spec.kind for spec in profile.specs]
@@ -87,21 +67,24 @@ class TestCampaign:
         assert first.counts["scheduled_ops"] > 0
 
         lines = csv_path.read_text().strip().splitlines()
-        assert lines[0].startswith("window_start_s,")
+        assert lines[0] == WINDOW_CSV_HEADER
         assert len(lines) > 1
 
         again = run_dn_failover("dn-failover", 3, **kwargs)
         assert first.to_json() == again.to_json()
         doc = json.loads(first.to_json())
         assert doc["passed"] is True
-        assert doc["schedules"][1]["op_digest"] == workload_digest(
-            build_dn_workload(3, rate=5.0, duration=20.0))
+        workload = doc["schedules"][1]["workload"]
+        assert workload["mix"] == "failover"
+        assert workload["arrivals"] == {"process": "poisson", "rate": 5.0,
+                                        "seed": 3}
 
     def test_a_client_bug_inside_an_op_fails_the_campaign(self, monkeypatch):
         """Not a StorageError, not the transport: an exception raised
         inside one dispatched op is a harness error carrying the partial
         verdict — not an op that was quietly "not attempted" under a
-        clean zero-loss verdict."""
+        clean zero-loss verdict — and it ends the run at once, not after
+        the rest of the schedule has been released."""
         from repro.chaos.verdict import ChaosRunError
         from repro.service.client import WireTableClient
 
@@ -109,19 +92,86 @@ class TestCampaign:
         raised = []
 
         def insert(self, table, partition, row, props):
-            # Set-up inserts warm-* rows; only a scheduled op writes row-*.
-            if row.startswith("row-") and not raised:
+            # Set-up inserts obj-* rows; only a scheduled op writes new-*.
+            if row.startswith("new-") and not raised:
                 raised.append(row)
                 raise TypeError("client bug")
             return real_insert(self, table, partition, row, props)
 
         monkeypatch.setattr(WireTableClient, "insert", insert)
+        started = time.monotonic()
         with pytest.raises(ChaosRunError) as crashed:
+            # 20 virtual seconds at time_scale 0.25: 5 s of wall clock.
             run_dn_failover("none", 3, dn=2, replicas=1, rate=20.0,
-                            duration=2.0, time_scale=0.05)
+                            duration=20.0, time_scale=0.25)
+        assert time.monotonic() - started < 1.5
         assert len(raised) == 1
         assert isinstance(crashed.value.__cause__, TypeError)
         verdict = crashed.value.verdict
         assert not verdict.passed
         assert [v.checker for v in verdict.violations] == ["harness"]
         assert "TypeError: client bug" in verdict.violations[0].message
+
+
+class TestLossCheck:
+    """The schedule-derived check over emulator clients, no sockets."""
+
+    def _run(self):
+        from repro.traffic import LoadConfig, StatsAggregator
+        from repro.traffic.arrivals import ArrivalSpec
+        from repro.traffic.engine import (_emulator_client_factory,
+                                          _run_wallclock)
+        from repro.traffic.flock import build_flock_schedule
+
+        config = LoadConfig(
+            arrivals=ArrivalSpec(rate=40.0, seed=5), duration=2.0,
+            mix="failover", payload_bytes=512, preload=8,
+            backend="emulator", time_scale=0.01, max_clients=4)
+        schedule = build_flock_schedule(config)
+        make = _emulator_client_factory()
+        outcomes, _ = _run_wallclock(
+            config, schedule, StatsAggregator(config.window_s), make)
+        assert outcomes and all(outcomes)
+        return schedule, outcomes, make()
+
+    def _first(self, schedule, service, op):
+        return next(s for s in schedule.iter_ops()
+                    if (s.service, s.op) == (service, op))
+
+    def test_an_unplanted_run_reports_no_loss(self):
+        from repro.chaos.dnfailover import _check_acked_writes
+
+        schedule, outcomes, clients = self._run()
+        assert _check_acked_writes(clients, schedule, outcomes) == []
+
+    def test_planted_losses_are_each_reported(self):
+        from repro.chaos.dnfailover import _check_acked_writes, _md5
+        from repro.storage.content import SyntheticContent
+        from repro.traffic.engine import (LOAD_CONTAINER, LOAD_PARTITION,
+                                          LOAD_QUEUE, LOAD_TABLE)
+        from repro.wallclock import exhaust
+
+        schedule, outcomes, clients = self._run()
+        blob = self._first(schedule, "blob", "upload")
+        exhaust(clients["blob"].delete_blob(LOAD_CONTAINER, blob.key))
+        row = self._first(schedule, "table", "insert")
+        exhaust(clients["table"].delete(LOAD_TABLE, LOAD_PARTITION, row.key))
+        # Consume messages up to the first acked put's (the set-up ones
+        # ahead of it are not acked puts, so taking them loses nothing).
+        put = self._first(schedule, "queue", "put")
+        acked = _md5(SyntheticContent(put.nbytes, seed=put.index))
+        qc = clients["queue"]
+        while True:
+            msg = exhaust(qc.get_message(LOAD_QUEUE))
+            exhaust(qc.delete_message(LOAD_QUEUE, msg.message_id,
+                                      msg.pop_receipt))
+            if _md5(msg.content) == acked:
+                break
+
+        violations = _check_acked_writes(clients, schedule, outcomes)
+        assert sorted(v.checker for v in violations) == [
+            "dn-blob-loss", "dn-queue-loss", "dn-table-loss"]
+        by_checker = {v.checker: v.message for v in violations}
+        assert repr(blob.key) in by_checker["dn-blob-loss"]
+        assert repr(row.key) in by_checker["dn-table-loss"]
+        assert by_checker["dn-queue-loss"].startswith("1 committed")
