@@ -8,9 +8,9 @@ judged for the two promises the failure domain
 
 * **zero committed-write loss** — every client-acked write still reads
   back with the right content.  The schedule is the ledger: op ``i``
-  writes key ``new-{i}`` with ``SyntheticContent(n, seed=i)`` (a row:
-  the run's property bag), so the acked writes follow from the schedule
-  and the op outcomes;
+  writes ``SyntheticContent(n, seed=i)`` as blob ``new-{i}`` or as a
+  message, or the run's property bag as row ``new-{i}``, so the acked
+  writes follow from the schedule and the op outcomes;
 * **bounded unavailability** — crash to completed rebalance, on the
   cluster clock and read as ``repro load --kill-dn`` reads it, stays
   within the window the
