@@ -608,6 +608,8 @@ SHARED_NAMES = {
     "repro.service.datanode:DataNode.set_fault_plan": _FAULT_PLAN,
     "repro.service.cluster:ClusterRunner.wait_settled":
         "the .wait_settled loads in src/ are Membership.wait_settled",
+    "repro.traffic.engine:LoadResult.windows_csv":
+        "the .windows_csv loads in src/ are repro chaos's --windows-csv option",
 }
 
 

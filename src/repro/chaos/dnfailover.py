@@ -86,12 +86,14 @@ def _check_acked_writes(clients: Dict[str, object], schedule: FlockSchedule,
                     f"committed row {op.key!r} unreadable after failover: "
                     f"{exc}"))
                 continue
+            # Every row carries the same bag: the row key tells rows apart.
+            written = dict(_entity_props(op.nbytes), RowKey=op.key)
             if any(entity.get(name) != value
-                   for name, value in _entity_props(op.nbytes).items()):
+                   for name, value in written.items()):
                 violations.append(Violation(
                     "dn-table-integrity",
-                    f"committed row {op.key!r} reads back other properties "
-                    "than it was written with"))
+                    f"committed row {op.key!r} reads back another key or "
+                    "other properties than it was written with"))
         elif (op.service, op.op) == ("queue", "put"):
             acked_puts[_md5(SyntheticContent(op.nbytes, seed=op.index))] += 1
     drained: Counter = Counter()
@@ -124,16 +126,14 @@ def run_dn_failover(profile: str = "dn-failover", seed: int = 0, *,
     before a cluster boots.
     """
     faults = build_schedule(profile, seed=seed)
-    refused = sorted({s.kind.value for s in faults.specs
-                      if s.kind not in DN_KINDS})
+    kinds = Counter(s.kind for s in faults.specs)
+    refused = sorted(k.value for k in kinds if k not in DN_KINDS)
     if refused:
         raise ValueError(
             f"profile {profile!r} injects {', '.join(refused)}: the "
             f"dnfailover workload fails whole data nodes and takes only "
             f"{', '.join(sorted(k.value for k in DN_KINDS))} profiles")
-    crash_specs = [s for s in faults.specs if s.kind is FaultKind.DN_CRASH]
-    slow_specs = [s for s in faults.specs if s.kind is FaultKind.DN_SLOW]
-    for spec in crash_specs + slow_specs:
+    for spec in faults.specs:
         if spec.node >= dn:
             raise ValueError(
                 f"profile {profile!r} targets data node {spec.node} but "
@@ -159,8 +159,8 @@ def run_dn_failover(profile: str = "dn-failover", seed: int = 0, *,
             if op.op in ("upload", "put", "insert")),
         "data_nodes": dn,
         "replicas": replicas,
-        "dn_crashes": len(crash_specs),
-        "dn_slows": len(slow_specs),
+        "dn_crashes": kinds[FaultKind.DN_CRASH],
+        "dn_slows": kinds[FaultKind.DN_SLOW],
     }
 
     agg = StatsAggregator(window_s)
@@ -172,8 +172,8 @@ def run_dn_failover(profile: str = "dn-failover", seed: int = 0, *,
                 if not recovery["detected"]:
                     verdict.violations.append(Violation(
                         "dn-detection",
-                        f"heartbeats never declared {len(crash_specs)} "
-                        f"data node(s) dead"))
+                        f"heartbeats never declared "
+                        f"{kinds[FaultKind.DN_CRASH]} data node(s) dead"))
                 settled = recovery["settled"]
                 if not settled:
                     verdict.violations.append(Violation(
@@ -218,8 +218,8 @@ def run_dn_failover(profile: str = "dn-failover", seed: int = 0, *,
                      if unavail is not None else ""),
                   file=sys.stderr)
             if windows_csv:
-                if os.path.dirname(windows_csv):
-                    os.makedirs(os.path.dirname(windows_csv), exist_ok=True)
+                os.makedirs(os.path.dirname(windows_csv) or ".",
+                            exist_ok=True)
                 with open(windows_csv, "w") as f:
                     f.write(render_windows(agg.rows(
                         duration=max(duration, run.elapsed))))

@@ -62,7 +62,7 @@ def _jobs(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .traffic.engine import MIXES
+    from .mixes import MIXES
 
     parser = argparse.ArgumentParser(
         prog="repro",

@@ -174,11 +174,12 @@ PROFILES: Dict[str, FaultProfile] = {p.name: p for p in (
     ),
     FaultProfile(
         "dn-failover",
-        "data node 1 of the service tier crash-stops at t=15 s under "
+        "data node 2 of the service tier crash-stops at t=15 s under "
         "open-loop load; the failure domain must detect the death via "
         "heartbeats, heal the ring, and re-replicate with zero committed-"
         "write loss and bounded unavailability (service backend only)",
-        (FaultSpec(kind=FaultKind.DN_CRASH, node=1, start=15.0),),
+        # At 3 DNs, R=2, DN 2 holds the load table partition, queue and blobs.
+        (FaultSpec(kind=FaultKind.DN_CRASH, node=2, start=15.0),),
     ),
     FaultProfile(
         "lossy-queue",

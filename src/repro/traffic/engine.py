@@ -47,6 +47,7 @@ from functools import lru_cache, partial
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator,
                     List, NamedTuple, Optional, Sequence, Tuple)
 
+from ..mixes import MIXES
 from ..storage import KB
 from ..storage.content import SyntheticContent
 from ..storage.errors import StorageError
@@ -76,23 +77,6 @@ LOAD_TABLE = "loadt"
 LOAD_PARTITION = "load"
 
 DEFAULT_FLOCK_SIZE = 8192
-
-#: mix name -> ((weight, service, op), ...).  Weights need not sum to 1.
-MIXES: Dict[str, Tuple[Tuple[float, str, str], ...]] = {
-    "queue": ((0.5, "queue", "put"), (0.25, "queue", "peek"),
-              (0.25, "queue", "get")),
-    "blob": ((0.65, "blob", "download"), (0.35, "blob", "upload")),
-    "table": ((0.3, "table", "insert"), (0.3, "table", "get"),
-              (0.2, "table", "upsert"), (0.2, "table", "query")),
-    "mixed": ((0.25, "queue", "put"), (0.15, "queue", "get"),
-              (0.2, "blob", "download"), (0.1, "blob", "upload"),
-              (0.15, "table", "get"), (0.15, "table", "upsert")),
-    # The DN-failover campaign's: writes dominate, and no queue get, which
-    # would delete a message the loss check could not attribute to a put.
-    "failover": ((0.30, "blob", "upload"), (0.15, "blob", "download"),
-                 (0.25, "queue", "put"), (0.20, "table", "insert"),
-                 (0.10, "table", "get")),
-}
 
 
 @dataclass(frozen=True)
@@ -354,14 +338,11 @@ class LoadResult:
     def to_json(self) -> str:
         return json.dumps(self.verdict(), indent=2, sort_keys=True)
 
-    def windows_csv(self) -> str:
-        return windows_csv(self.rows)
-
     def write_artifacts(self, out_dir: str) -> List[str]:
         """Write ``windows.csv`` + ``verdict.json``; return the paths."""
         os.makedirs(out_dir, exist_ok=True)
         paths = []
-        for name, text in (("windows.csv", self.windows_csv()),
+        for name, text in (("windows.csv", windows_csv(self.rows)),
                            ("verdict.json", self.to_json() + "\n")):
             path = os.path.join(out_dir, name)
             with open(path, "w") as f:

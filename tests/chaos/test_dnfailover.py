@@ -66,6 +66,29 @@ class TestCampaign:
         assert first.counts["replicas"] == 2
         assert first.counts["scheduled_ops"] > 0
 
+        # The kill must cost every service under load a replica: the
+        # crashed node holds the table partition, the queue and blobs.
+        # Placement hashes f"{account}/{service}/{route key}" only, on the
+        # ring the cluster's Membership builds.
+        from repro.service import DEV_ACCOUNT
+        from repro.service.membership import FailureDomainConfig
+        from repro.service.ring import HashRing
+        from repro.traffic.engine import (LOAD_CONTAINER, LOAD_PARTITION,
+                                          LOAD_QUEUE)
+
+        crash = next(spec for spec in get_profile("dn-failover").specs
+                     if spec.kind is FaultKind.DN_CRASH)
+        ring = HashRing(range(3), replicas=2,
+                        vnodes=FailureDomainConfig.kill_test(2, 3).vnodes)
+        held = {label for label in (
+            f"table/{LOAD_PARTITION}", f"queue/{LOAD_QUEUE}",
+            *(f"blob/{LOAD_CONTAINER}/new-{i}"
+              for i in range(first.counts["scheduled_ops"])))
+            if crash.node in ring.owners(f"{DEV_ACCOUNT}/{label}")}
+        assert f"table/{LOAD_PARTITION}" in held
+        assert f"queue/{LOAD_QUEUE}" in held
+        assert any(label.startswith("blob/") for label in held)
+
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == WINDOW_CSV_HEADER
         assert len(lines) > 1
@@ -143,6 +166,24 @@ class TestLossCheck:
 
         schedule, outcomes, clients = self._run()
         assert _check_acked_writes(clients, schedule, outcomes) == []
+
+    def test_a_row_read_back_under_another_key_is_reported(self):
+        """Every row is written with the same property bag, so only its
+        row key tells one acked row from another."""
+        from repro.chaos.dnfailover import _check_acked_writes
+
+        schedule, outcomes, clients = self._run()
+        rows = [op.key for op in schedule.iter_ops()
+                if (op.service, op.op) == ("table", "insert")]
+        assert len(rows) > 1
+        tc = clients["table"]
+        real_get = tc.get
+        # Every read is answered with the first acked row.
+        tc.get = lambda table, partition, row: real_get(
+            table, partition, rows[0])
+        violations = _check_acked_writes(clients, schedule, outcomes)
+        assert [v.checker for v in violations] == (
+            ["dn-table-integrity"] * (len(rows) - 1))
 
     def test_planted_losses_are_each_reported(self):
         from repro.chaos.dnfailover import _check_acked_writes, _md5
