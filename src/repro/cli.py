@@ -31,16 +31,13 @@ import os
 import sys
 from typing import List, Optional
 
-from .backend import BACKENDS
-from .bench import (
-    CLAIMS,
-    FigureRunner,
-    PAPER_SCALE,
-    QUICK_SCALE,
-    figure_table1,
-)
-
 __all__ = ["main", "build_parser"]
+
+#: ``sorted(repro.backend.BACKENDS)`` as plain data.  The parser imports no
+#: machinery (``repro.backend`` and ``repro.bench`` load numpy and the DES):
+#: each command imports its own in the branch that runs it, so ``repro
+#: serve`` loads serve code only (tests/service/test_cold_start.py).
+_BACKENDS = ("emulator", "geo", "service", "sim")
 
 _FIGS = {
     "table1": "Table I: VM configurations",
@@ -81,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="paper scale (default: quick scale)")
     fig.add_argument("--csv", metavar="DIR",
                      help="also write <DIR>/<figure>.csv files")
-    fig.add_argument("--backend", choices=sorted(BACKENDS), default="sim",
+    fig.add_argument("--backend", choices=_BACKENDS, default="sim",
                      help="run the sweeps on the seeded DES fabric (sim, "
                           "default) or on the threaded emulator")
     fig.add_argument("--checkpoint", metavar="FILE",
@@ -99,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     all_cmd = sub.add_parser("all", help="regenerate every table and figure")
     all_cmd.add_argument("--full", action="store_true")
     all_cmd.add_argument("--csv", metavar="DIR")
-    all_cmd.add_argument("--backend", choices=sorted(BACKENDS),
+    all_cmd.add_argument("--backend", choices=_BACKENDS,
                          default="sim")
     all_cmd.add_argument("--checkpoint", metavar="FILE",
                          help="persist each completed sweep cell to FILE "
@@ -121,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="paper scale (default: quick scale)")
     trace.add_argument("--out", metavar="DIR",
                        help="artifact directory (default: traces/fig<N>)")
-    trace.add_argument("--backend", choices=sorted(BACKENDS), default="sim")
+    trace.add_argument("--backend", choices=_BACKENDS, default="sim")
 
     report = sub.add_parser(
         "report", help="full reproduction report (figures + audit + analysis)")
@@ -332,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="payload bytes for writes (default 4096)")
     load.add_argument("--seed", type=int, default=2012,
                       help="arrival + fabric seed (default 2012)")
-    load.add_argument("--backend", choices=sorted(BACKENDS), default="sim")
+    load.add_argument("--backend", choices=_BACKENDS, default="sim")
     load.add_argument("--servers", type=int, default=1,
                       help="server count for the utilization column "
                            "(default 1)")
@@ -413,6 +410,7 @@ def _write_manifest(path: str, scale, backend, figure: str, *,
 
 
 def _run_trace(args) -> int:
+    from . import bench
     from .observability import HistogramSet, chrome_trace
 
     number = args.figure.lower()
@@ -423,8 +421,8 @@ def _run_trace(args) -> int:
               file=sys.stderr)
         return 2
 
-    scale = PAPER_SCALE if args.full else QUICK_SCALE
-    runner = FigureRunner(scale, backend=args.backend, trace=True)
+    scale = bench.PAPER_SCALE if args.full else bench.QUICK_SCALE
+    runner = bench.FigureRunner(scale, backend=args.backend, trace=True)
     for fig in runner.panels(number):
         print(fig.to_text())
         print()
@@ -954,12 +952,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "claims":
+        from .bench import CLAIMS
         for claim in CLAIMS:
             print(f"  {claim.id}  ({claim.where}):")
             print(f"      {claim.text}")
         return 0
 
     if args.command == "table1":
+        from .bench import figure_table1
         print(figure_table1().to_text())
         return 0
 
@@ -978,7 +978,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "load":
         return _run_load(args)
 
-    scale = PAPER_SCALE if getattr(args, "full", False) else QUICK_SCALE
+    if args.command == "faults":
+        return _run_faults(args)
+
+    from . import bench
+    scale = (bench.PAPER_SCALE if getattr(args, "full", False)
+             else bench.QUICK_SCALE)
     arrivals = None
     if getattr(args, "arrivals", None):
         from .traffic import parse_arrival_spec
@@ -987,9 +992,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ValueError as exc:
             print(exc, file=sys.stderr)
             return 2
-    runner = FigureRunner(scale, backend=getattr(args, "backend", "sim"),
-                          jobs=getattr(args, "jobs", 1),
-                          arrivals=arrivals)
+    runner = bench.FigureRunner(
+        scale, backend=getattr(args, "backend", "sim"),
+        jobs=getattr(args, "jobs", 1), arrivals=arrivals)
     if getattr(args, "checkpoint", None):
         from .chaos import RunCheckpoint
         runner.checkpoint = RunCheckpoint(args.checkpoint,
@@ -1023,9 +1028,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             with open(args.out, "w") as f:
                 f.write(text)
         return 0
-
-    if args.command == "faults":
-        return _run_faults(args)
 
     if args.command == "audit":
         from .bench.compare import compare_to_paper, comparison_table

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional
 
-import numpy as np
-
 from ..faults.plan import FaultPlan
 from ..faults.spec import FaultKind, FaultSpec
 # ``pipeline.interceptors`` imports ``cluster.ops`` and ``cluster.ratelimit``
@@ -47,6 +45,8 @@ class StorageCluster:
                  limits: ServiceLimits = LIMITS_2012,
                  calibration: FabricCalibration = DEFAULT_CALIBRATION,
                  seed: int = 0) -> None:
+        import numpy as np
+
         calibration.validate()
         self.env = env
         self.limits = limits
@@ -215,6 +215,8 @@ class StorageCluster:
             sigma = self.cal.jitter_sigma
             if sigma <= 0:
                 return 1.0
+            import numpy as np
+
             # Mean-one lognormal: E[exp(N(-s^2/2, s))] == 1.  One vector
             # draw yields the values the same number of scalar draws would
             # (tests/cluster/test_jitter_stream.py); kept reversed so that

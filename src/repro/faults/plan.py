@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import numpy as np
-
 from ..storage.errors import (
     OperationTimedOutError,
     RegionDownError,
@@ -38,6 +36,8 @@ class FaultPlan:
     """A seeded, reproducible schedule of fabric faults."""
 
     def __init__(self, specs: Iterable[FaultSpec] = (), *, seed: int = 0) -> None:
+        import numpy as np
+
         self.specs: List[FaultSpec] = []
         self.seed = seed
         self._rng = np.random.default_rng(seed)

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 __all__ = [
     "RetryStats",
     "RetryPolicy",
@@ -124,6 +122,8 @@ class ExponentialJitterBackoff(RetryPolicy):
         self.factor = factor
         self.cap = cap
         self.seed = seed
+        import numpy as np
+
         self._rng = np.random.default_rng(seed)
 
     def backoff(self, attempt: int, exc: BaseException, *,

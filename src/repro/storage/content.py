@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Union
 
-import numpy as np
-
 from .errors import OutOfRangeError
 
 __all__ = [
@@ -36,23 +34,28 @@ __all__ = [
 ]
 
 # splitmix64 constants — a well-mixed positional byte generator.
-_PRIME_1 = np.uint64(0x9E3779B97F4A7C15)
-_PRIME_2 = np.uint64(0xBF58476D1CE4E5B9)
-_PRIME_3 = np.uint64(0x94D049BB133111EB)
+_PRIME_1 = 0x9E3779B97F4A7C15
+_PRIME_2 = 0xBF58476D1CE4E5B9
+_PRIME_3 = 0x94D049BB133111EB
 
 
 def _positional_bytes(seed: int, origin: int, size: int) -> bytes:
     """Deterministic bytes for positions ``origin .. origin+size``."""
     if size == 0:
         return b""
+    # Bound here, not at module load: the service tier stores the bytes it
+    # is sent and never materializes synthetic content, so loads no numpy.
+    import numpy as np
+
     pos = np.arange(origin, origin + size, dtype=np.uint64)
     # uint64 arithmetic wraps modulo 2**64 by design (splitmix64); silence
     # numpy's overflow warning for the deliberate wrap-around multiply.
     with np.errstate(over="ignore"):
-        seed_term = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) * _PRIME_1
+        seed_term = (np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+                     * np.uint64(_PRIME_1))
     x = pos + seed_term
-    x = (x ^ (x >> np.uint64(30))) * _PRIME_2
-    x = (x ^ (x >> np.uint64(27))) * _PRIME_3
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(_PRIME_2)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(_PRIME_3)
     x = x ^ (x >> np.uint64(31))
     return (x & np.uint64(0xFF)).astype(np.uint8).tobytes()
 

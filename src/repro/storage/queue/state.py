@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..clock import Clock
 from ..content import Content, as_content
 from ..errors import (
@@ -312,10 +310,11 @@ class QueueServiceState:
         self._account = account
         self.queues: Dict[str, QueueState] = {}
         #: When set, visible-message selection is shuffled (non-FIFO model).
-        self._reorder_rng = (
-            np.random.default_rng(fifo_jitter_seed)
-            if fifo_jitter_seed is not None else None
-        )
+        self._reorder_rng = None
+        if fifo_jitter_seed is not None:
+            import numpy as np
+
+            self._reorder_rng = np.random.default_rng(fifo_jitter_seed)
 
     def _account_delta(self, delta: int) -> None:
         if self._account is not None:

@@ -35,7 +35,7 @@ class TestOneCatalogue:
     def test_every_catalogued_claim_is_audited(self, capsys, monkeypatch):
         """`repro claims` and `repro audit` print the same ids: nothing is
         catalogued but never evaluated (the parent printed 12 and checked 8)."""
-        monkeypatch.setattr("repro.cli.QUICK_SCALE", SMALL_SCALE)
+        monkeypatch.setattr("repro.bench.QUICK_SCALE", SMALL_SCALE)
         assert main(["claims"]) == 0
         catalogued = re.findall(r"^  (\w+)  \(", capsys.readouterr().out, re.M)
         assert main(["audit"]) == 0

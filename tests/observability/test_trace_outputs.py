@@ -128,7 +128,7 @@ TINY_SCALE = BenchScale(
 
 
 def test_cli_trace_writes_artifacts(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("repro.cli.QUICK_SCALE", TINY_SCALE)
+    monkeypatch.setattr("repro.bench.QUICK_SCALE", TINY_SCALE)
     out = tmp_path / "artifacts"
     assert main(["trace", "fig6", "--out", str(out)]) == 0
     captured = capsys.readouterr().out
@@ -161,7 +161,7 @@ def test_cli_trace_rejects_unknown_figure(tmp_path, capsys):
 
 
 def test_cli_fig_csv_writes_manifest(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("repro.cli.QUICK_SCALE", TINY_SCALE)
+    monkeypatch.setattr("repro.bench.QUICK_SCALE", TINY_SCALE)
     out = tmp_path / "csv"
     assert main(["fig", "6", "--csv", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())

@@ -106,7 +106,7 @@ class TestCliBackendFlag:
     def test_fig_on_emulator_backend_smoke(self, capsys, monkeypatch):
         from repro.bench import BenchScale
         import repro.backend as backend_mod
-        import repro.cli as cli
+        import repro.bench as bench
         tiny = BenchScale(
             name="tiny", worker_counts=(1, 2), blob_total_chunks=4,
             blob_repeats=1, queue_total_messages=8,
@@ -114,7 +114,7 @@ class TestCliBackendFlag:
             shared_total_transactions=8, shared_think_times=(0.5,),
             table_entity_count=3, table_entity_sizes=(4 * KB,),
         )
-        monkeypatch.setattr(cli, "QUICK_SCALE", tiny)
+        monkeypatch.setattr(bench, "QUICK_SCALE", tiny)
         # compress the emulator's virtual time hard so barrier polls and
         # think times cost microseconds of wall clock in CI
         monkeypatch.setattr(

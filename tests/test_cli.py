@@ -42,7 +42,7 @@ class TestCommands:
         # Shrink the work: monkeypatch the quick scale used by the CLI.
         from repro.bench import BenchScale
         from repro.storage import KB
-        import repro.cli as cli
+        import repro.bench as bench
         tiny = BenchScale(
             name="tiny", worker_counts=(1, 2), blob_total_chunks=4,
             blob_repeats=1, queue_total_messages=20,
@@ -51,7 +51,7 @@ class TestCommands:
             table_entity_count=5,
             table_entity_sizes=(4 * KB, 32 * KB),
         )
-        monkeypatch.setattr(cli, "QUICK_SCALE", tiny)
+        monkeypatch.setattr(bench, "QUICK_SCALE", tiny)
 
         csv_dir = str(tmp_path / "csv")
         assert main(["fig", "9", "--csv", csv_dir]) == 0
@@ -62,7 +62,7 @@ class TestCommands:
     def test_fig4_runs(self, capsys, monkeypatch):
         from repro.bench import BenchScale
         from repro.storage import KB
-        import repro.cli as cli
+        import repro.bench as bench
         tiny = BenchScale(
             name="tiny", worker_counts=(1, 2), blob_total_chunks=4,
             blob_repeats=1, queue_total_messages=20,
@@ -70,7 +70,7 @@ class TestCommands:
             shared_total_transactions=20, shared_think_times=(0.5,),
             table_entity_count=5, table_entity_sizes=(4 * KB,),
         )
-        monkeypatch.setattr(cli, "QUICK_SCALE", tiny)
+        monkeypatch.setattr(bench, "QUICK_SCALE", tiny)
         assert main(["fig", "4"]) == 0
         out = capsys.readouterr().out
         assert "Fig 4a" in out and "Fig 4b" in out
@@ -80,7 +80,7 @@ class TestReport:
     def test_report_command(self, capsys, monkeypatch, tmp_path):
         from repro.bench import BenchScale
         from repro.storage import KB
-        import repro.cli as cli
+        import repro.bench as bench
         tiny = BenchScale(
             name="tiny", worker_counts=(1, 2), blob_total_chunks=4,
             blob_repeats=1, queue_total_messages=20,
@@ -89,7 +89,7 @@ class TestReport:
             table_entity_count=5,
             table_entity_sizes=(4 * KB, 64 * KB),
         )
-        monkeypatch.setattr(cli, "QUICK_SCALE", tiny)
+        monkeypatch.setattr(bench, "QUICK_SCALE", tiny)
         out_file = str(tmp_path / "report.txt")
         assert main(["report", "--out", out_file]) == 0
         out = capsys.readouterr().out
@@ -104,7 +104,7 @@ class TestAudit:
     def test_audit_command(self, capsys, monkeypatch):
         from repro.bench import BenchScale
         from repro.storage import KB
-        import repro.cli as cli
+        import repro.bench as bench
         tiny = BenchScale(
             name="tiny", worker_counts=(1, 2), blob_total_chunks=4,
             blob_repeats=1, queue_total_messages=20,
@@ -112,7 +112,7 @@ class TestAudit:
             shared_total_transactions=20, shared_think_times=(0.5, 1.0),
             table_entity_count=5, table_entity_sizes=(4 * KB, 64 * KB),
         )
-        monkeypatch.setattr(cli, "QUICK_SCALE", tiny)
+        monkeypatch.setattr(bench, "QUICK_SCALE", tiny)
         assert main(["audit"]) == 0  # all checks hold -> exit 0
         out = capsys.readouterr().out
         assert "checks hold" in out
@@ -162,6 +162,7 @@ class TestAllFigureCommands:
     def tiny_cli(self, monkeypatch):
         from repro.bench import BenchScale
         from repro.storage import KB
+        import repro.bench as bench
         import repro.cli as cli
         tiny = BenchScale(
             name="tiny", worker_counts=(1, 2), blob_total_chunks=4,
@@ -170,7 +171,7 @@ class TestAllFigureCommands:
             shared_total_transactions=20, shared_think_times=(0.5, 1.0),
             table_entity_count=5, table_entity_sizes=(4 * KB,),
         )
-        monkeypatch.setattr(cli, "QUICK_SCALE", tiny)
+        monkeypatch.setattr(bench, "QUICK_SCALE", tiny)
         return cli
 
     @pytest.mark.parametrize("number,expect", [
@@ -245,7 +246,7 @@ class TestJobsFlag:
         def ran(*args, **kwargs):
             raise AssertionError("work started under a bad --jobs")
 
-        monkeypatch.setattr(cli, "FigureRunner", ran)
+        monkeypatch.setattr("repro.bench.FigureRunner", ran)
         monkeypatch.setattr(cli, "_run_chaos", ran)
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
