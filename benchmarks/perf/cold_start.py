@@ -41,6 +41,7 @@ from measure import fingerprint, proc_peak_rss_mb  # noqa: E402
 
 #: Rounds of the burst; each is 5 ops (put, get, delete, upsert, get).
 BURST_ROUNDS = 200
+SPREAD = 8
 PAYLOAD = 4096
 BOOT_TIMEOUT_S = 60.0
 _BANNER = re.compile(r"(blob|queue|table) http://([\d.]+):(\d+)/")
@@ -106,15 +107,19 @@ def burst(endpoints) -> None:
     queue, table = clients["queue"], clients["table"]
     payload = b"x" * PAYLOAD
     props = {"v": "x" * PAYLOAD}
-    drive(queue.create_queue("coldq"))
+    # Spread over queues and partitions: one queue or partition takes 500
+    # ops/s, and the server enforces the 2012 scalability targets.
+    for q in range(SPREAD):
+        drive(queue.create_queue(f"coldq{q}"))
     drive(table.create_table("coldt"))
     for i in range(BURST_ROUNDS):
-        drive(queue.put_message("coldq", payload))
-        message = drive(queue.get_message("coldq"))
-        drive(queue.delete_message("coldq", message.message_id,
+        name, pk = f"coldq{i % SPREAD}", f"p{i % SPREAD}"
+        drive(queue.put_message(name, payload))
+        message = drive(queue.get_message(name))
+        drive(queue.delete_message(name, message.message_id,
                                    message.pop_receipt))
-        drive(table.insert_or_replace("coldt", "p", f"r{i % 16}", props))
-        drive(table.get("coldt", "p", f"r{i % 16}"))
+        drive(table.insert_or_replace("coldt", pk, "r", props))
+        drive(table.get("coldt", pk, "r"))
     connection.close()
 
 
@@ -177,12 +182,13 @@ def main(argv=None) -> int:
         pairs = []
         for i in range(args.pairs):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
-            pairs.append({side: measure(sides[side]["tree"])
-                          for side in order})
+            pair = {side: measure(sides[side]["tree"]) for side in order}
+            pairs.append(dict(pair, first=order[0]))
     doc = {
         "host": host,
         "burst": f"{BURST_ROUNDS} rounds of 4 KiB queue put/get/delete "
-                 f"+ table upsert/get over one keep-alive connection",
+                 f"+ table upsert/get over {SPREAD} queues and partitions, "
+                 f"one keep-alive connection",
         "bytecode_cache": "filled by one discarded boot per side",
         "pairs": pairs,
     }

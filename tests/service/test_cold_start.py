@@ -46,7 +46,8 @@ with ClusterRunner(cluster):
 
     drive(blob.create_container("coldc"))
     drive(blob.upload_blob("coldc", "b0", payload))
-    assert drive(blob.download_block_blob("coldc", "b0")).to_bytes() == payload
+    blob_body = drive(blob.download_block_blob("coldc", "b0"))
+    assert blob_body.to_bytes() == payload
 
     drive(queue.create_queue("coldq"))
     drive(queue.put_message("coldq", payload))
