@@ -44,7 +44,7 @@ def _positional_bytes(seed: int, origin: int, size: int) -> bytes:
     if size == 0:
         return b""
     # Bound here, not at module load: the service tier stores the bytes it
-    # is sent and never materializes synthetic content, so loads no numpy.
+    # is sent and never materializes synthetic content, so it loads no numpy.
     import numpy as np
 
     pos = np.arange(origin, origin + size, dtype=np.uint64)
