@@ -14,6 +14,10 @@ module).  Every measured boot records
   queue put/get/delete and table upsert/get ops over one keep-alive
   connection (the burst's client is the head tree's wire client).
 
+Routes compile on first use, so it also records, for the head tree, what
+each route of the burst costs the first time it is called: building and
+compiling its client encoder and its server decoder (best of 5, µs).
+
 It prints one JSON document (also written to ``--out``) with the host
 fingerprint, every pair, and each side's median.  The committed run is
 ``benchmarks/perf/BENCH_cold_start.json`` (``docs/performance.md``,
@@ -44,6 +48,11 @@ BURST_ROUNDS = 200
 SPREAD = 8
 PAYLOAD = 4096
 BOOT_TIMEOUT_S = 60.0
+#: The wire routes the burst calls.
+BURST_ROUTES = (("queue", "create_queue"), ("queue", "put_message"),
+                ("queue", "get_message"), ("queue", "delete_message"),
+                ("table", "create_table"), ("table", "insert_or_replace"),
+                ("table", "get"))
 _BANNER = re.compile(r"(blob|queue|table) http://([\d.]+):(\d+)/")
 
 
@@ -156,6 +165,25 @@ def count_modules(tree: str) -> int:
                and not line.rstrip().endswith("imported package"))
 
 
+def route_compile_us() -> dict:
+    """Each burst route's first-call compile cost in the imported (head)
+    tree, per side, in µs."""
+    from repro.service import wire
+
+    routes = {(route.client, route.op): route for route in wire.ROUTES}
+    costs = {}
+    for key in BURST_ROUTES:
+        costs[".".join(key)] = side_costs = {}
+        for side in ("encode", "decode"):
+            runs = []
+            for _ in range(5):
+                t0 = time.perf_counter()
+                wire._compile(routes[key], side)
+                runs.append(time.perf_counter() - t0)
+            side_costs[side] = round(min(runs) * 1e6, 1)
+    return costs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True,
@@ -177,6 +205,7 @@ def main(argv=None) -> int:
                            "commit": unpack(getattr(args, side), tree),
                            "tree": tree}
         sys.path.insert(0, os.path.join(sides["head"]["tree"], "src"))
+        compile_us = route_compile_us()
         for side in sides.values():
             side["modules"] = count_modules(side["tree"])
         pairs = []
@@ -191,6 +220,7 @@ def main(argv=None) -> int:
                  f"one keep-alive connection",
         "bytecode_cache": "filled by one discarded boot per side",
         "pairs": pairs,
+        "route_compile_us": compile_us,
     }
     for name in ("base", "head"):
         side = sides[name]

@@ -18,18 +18,22 @@ any figure workload against one in-process.
 """
 
 from .cluster import ClusterRunner, ServiceCluster
-from .client import (
-    ServiceConnection,
-    WireBlobClient,
-    WireQueueClient,
-    WireTableClient,
-)
 from .datanode import DataNode, DataNodeClient
 from .membership import FailureDomainConfig, Membership, NodeState
 from .ring import DEFAULT_VNODES, HashRing
 from .servicenode import SERVICES, ServiceNode
 from .sharedkey import DEV_ACCOUNT, DEV_KEY, SignatureError
 from .tenants import Tenant, TenantConfig, TenantDirectory
+
+
+def __getattr__(name: str):
+    # The client loads when first asked for: a server never uses it.
+    if name in ("ServiceConnection", "WireBlobClient", "WireQueueClient",
+                "WireTableClient"):
+        from . import client
+        return getattr(client, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ServiceCluster",

@@ -213,9 +213,11 @@ def _wire_method(spec: OpSpec):
     A never-yielding generator, or for a registry-local read (the state
     is remote here) a plain call, as on every other backend.
     """
-    encode = ENCODERS.get((spec.client, spec.name))
+    key = (spec.client, spec.name)
 
     def call(self, *args, **kwargs):
+        # Looked up per call: a route's encoder is compiled on first use.
+        encode = ENCODERS.get(key)
         if encode is None:
             raise NotImplementedError(
                 f"{spec.client}.{spec.name} has no wire encoding; run this "

@@ -6,8 +6,9 @@ tell it from its neighbours (``comp=block``, ``peekonly=true``), where
 each parameter of the registry op travels (path, query, header or body)
 in which codec, the reply as a pair (the server's encoder, the client's
 parser), the admission-time :class:`~repro.cluster.ops.OpDescriptor`
-rule and the routing.  At import each row is compiled into two
-straight-line functions, so neither end interprets the table per call:
+rule and the routing.  Each row is compiled into two straight-line
+functions, each on its first call, so neither end interprets the table
+per call and neither compiles a route it never uses:
 
 * **client side** — :data:`ENCODERS` maps each ``(client, op)`` to its
   route's ``encode``, which binds the call by the registry op's own
@@ -31,20 +32,18 @@ multipart, the one deliberate departure.
 from __future__ import annotations
 
 import base64
-import email.utils
 import functools
 import inspect
 import json
 import math
 import re
 import string
-import xml.etree.ElementTree as ET
+import time
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, Mapping, NamedTuple,
                     Optional, Tuple)
 from urllib.parse import quote
 from xml.parsers import expat
-from xml.sax.saxutils import escape
 
 from ..cluster.ops import OpDescriptor, OpKind, Service
 from ..pipeline import OPERATIONS
@@ -152,10 +151,8 @@ def error_to_response(exc: StorageError, *, table: bool = False,
         headers.append(
             ("Content-Type", "application/json;odata=minimalmetadata"))
     else:
-        root = ET.Element("Error")
-        ET.SubElement(root, "Code").text = exc.error_code
-        ET.SubElement(root, "Message").text = message
-        body = _xml_body(root)
+        body = _xml_body("Error", _el("Code", exc.error_code)
+                         + _el("Message", message))
         headers.append(("Content-Type", "application/xml"))
     return HttpResponse(exc.status_code, headers, body)
 
@@ -210,6 +207,7 @@ def payload_to_error(doc: Mapping[str, Any]) -> StorageError:
 def response_to_error(status: int, headers: Mapping[str, str],
                       body: bytes, *, table: bool = False) -> StorageError:
     """Reconstruct the StorageError a >=400 response encodes."""
+    import xml.etree.ElementTree as ET
     code = headers.get("x-ms-error-code", "")
     message = ""
     try:
@@ -240,9 +238,17 @@ def response_to_error(status: int, headers: Mapping[str, str],
 # Small shared helpers
 # ---------------------------------------------------------------------------
 
+_DAYS = "Mon Tue Wed Thu Fri Sat Sun".split()
+_MONTHS = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
+
+
 @functools.lru_cache(maxsize=64)
 def _date_of_second(second: int) -> str:
-    return email.utils.formatdate(second, usegmt=True)
+    """``email.utils.formatdate(second, usegmt=True)``, in English always."""
+    t = time.gmtime(second)
+    return (f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} "
+            f"{t.tm_year:04d} {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d}"
+            f" GMT")
 
 
 def _http_date(epoch: float) -> str:
@@ -257,8 +263,11 @@ def _http_date(epoch: float) -> str:
         int(whole) + (micros >= 1000000) - (micros < 0))
 
 
-def _xml_body(root: ET.Element) -> bytes:
-    return (_XML_DECL + ET.tostring(root, encoding="unicode")).encode("utf-8")
+def _xml_body(tag: str, inner: str) -> bytes:
+    """A document of one element holding ``inner``, as ElementTree
+    serialises it."""
+    root = f"<{tag}>{inner}</{tag}>" if inner else f"<{tag} />"
+    return (_XML_DECL + root).encode("utf-8")
 
 
 def _json_bytes(doc: Any) -> bytes:
@@ -290,14 +299,13 @@ def _parse_range(raw: str) -> Tuple[int, int]:
 
 def _names_xml(kind: str, names: List[str]) -> bytes:
     """``<EnumerationResults><Blobs><Blob><Name>..`` style listings."""
-    root = ET.Element("EnumerationResults")
-    box = ET.SubElement(root, kind + "s")
-    for name in names:
-        ET.SubElement(ET.SubElement(box, kind), "Name").text = name
-    return _xml_body(root)
+    box = "".join(f"<{kind}>{_el('Name', name)}</{kind}>" for name in names)
+    box = f"<{kind}s>{box}</{kind}s>" if box else f"<{kind}s />"
+    return _xml_body("EnumerationResults", box)
 
 
 def _parse_names_xml(kind: str, body: bytes) -> List[str]:
+    import xml.etree.ElementTree as ET
     root = ET.fromstring(body.decode("utf-8"))
     return [el.findtext("Name") or ""
             for el in root.iter(kind)]
@@ -314,7 +322,8 @@ def _merge_names(results: List[List[str]]) -> List[str]:
 
 def _el(tag: str, text: str) -> str:
     """One text element, exactly as ElementTree serialises it."""
-    return f"<{tag}>{escape(text)}</{tag}>" if text else f"<{tag} />"
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f"<{tag}>{text}</{tag}>" if text else f"<{tag} />"
 
 
 def _message_text(raw: bytes) -> str:
@@ -348,10 +357,8 @@ def _message_xml(msg: QueueMessage, peeked: bool, text: bool) -> str:
 def _messages_xml(messages: List[QueueMessage], *, peeked: bool = False,
                   text: bool = True) -> bytes:
     """The message list, from a template: no element tree per message."""
-    inner = "".join(_message_xml(msg, peeked, text) for msg in messages)
-    root = (f"<QueueMessagesList>{inner}</QueueMessagesList>" if inner
-            else "<QueueMessagesList />")
-    return (_XML_DECL + root).encode("utf-8")
+    return _xml_body("QueueMessagesList", "".join(
+        _message_xml(msg, peeked, text) for msg in messages))
 
 
 def _read_messages(body: bytes) -> List[Dict[str, str]]:
@@ -398,8 +405,8 @@ def _message(fields: Mapping[str, str],
         raw, date = fields.get(tag + "Epoch"), fields.get(tag)
         if raw is not None:
             return float(raw)
-        return (email.utils.parsedate_to_datetime(date).timestamp()
-                if date else 0.0)
+        from email.utils import parsedate_to_datetime
+        return parsedate_to_datetime(date).timestamp() if date else 0.0
 
     if content is None:
         content = BytesContent(base64.b64decode(fields.get("MessageText",
@@ -697,13 +704,12 @@ class Body:
 
 
 def _block_list_xml(values: Mapping[str, Any]) -> bytes:
-    root = ET.Element("BlockList")
-    for block_id in values["block_ids"]:
-        ET.SubElement(root, "Latest").text = str(block_id)
-    return _xml_body(root)
+    return _xml_body("BlockList", "".join(
+        _el("Latest", str(block_id)) for block_id in values["block_ids"]))
 
 
 def _read_block_list(raw: bytes) -> Dict[str, Any]:
+    import xml.etree.ElementTree as ET
     root = ET.fromstring(raw.decode("utf-8"))
     return {"block_ids": [el.text or "" for el in root
                           if el.tag in ("Latest", "Committed", "Uncommitted")]}
@@ -899,7 +905,7 @@ _PAGE = Reply(
     _CONTENT.parse)
 _BLOCK_COUNT = Reply(
     200,
-    lambda v, count: _xml(_xml_body(ET.Element("BlockList")),
+    lambda v, count: _xml(_xml_body("BlockList", ""),
                           ("x-ms-block-count", str(count))),
     lambda v, headers, body: int(headers.get("x-ms-block-count", "0")))
 _MESSAGES = Reply(200, lambda v, msgs: _xml(_messages_xml(msgs)),
@@ -1056,15 +1062,37 @@ class Route:
         #: The wire cannot carry these: a call must leave them alone.
         self.uncarried = {p.name: p.default for p in self.params
                           if p.name not in carried}
-        #: ``encode(*args, **kwargs)`` -> :class:`WireCall`, ``decode(req,
-        #: path_values)`` -> :class:`DecodedOp` or ``None`` (not this route's)
-        self.encode, self.decode = _compile(self)
+
+    # A route compiles on its first call, one side at a time: a server
+    # decodes the routes it is sent and never encodes.  The function then
+    # stands in for the method, on the row and in ``ENCODERS`` or
+    # ``_CANDIDATES``; two threads compiling a route at once install equal
+    # functions.
+
+    def encode(self, *args: Any, **kwargs: Any) -> WireCall:
+        """The call's :class:`WireCall`."""
+        encode = self.__dict__.get("encode")
+        if encode is None:
+            encode = self.encode = ENCODERS[self.client, self.op] = \
+                _compile(self, "encode")
+        return encode(*args, **kwargs)
+
+    def decode(self, req: HttpRequest, path_values: Any) -> Optional[DecodedOp]:
+        """The request's :class:`DecodedOp`, ``None`` if not this route's."""
+        decode = self.__dict__.get("decode")
+        if decode is None:
+            decode = self.decode = _compile(self, "decode")
+            tried = _CANDIDATES[self.client, self.method, self.path.shape]
+            tried[:] = [decode if getattr(d, "__self__", None) is self else d
+                        for d in tried]
+        return decode(req, path_values)
 
 
-def _compile(route: Route) -> Tuple[Callable[..., WireCall], Callable]:
-    """The route's encoder and decoder, each one function made from the row:
-    the registry op's own signature binds a call, and each discriminator,
-    slot, codec, default and the path format is a literal or a name."""
+def _compile(route: Route, side: str) -> Callable:
+    """The route's encoder or decoder (``side``), one function made from
+    the row: the registry op's own signature binds a call, and each
+    discriminator, slot, codec, default and the path format is a literal
+    or a name."""
     scope: Dict[str, Any] = {
         "WireCall": WireCall, "DecodedOp": DecodedOp, "partial":
         functools.partial, "HttpResponse": HttpResponse,
@@ -1154,9 +1182,9 @@ def _compile(route: Route) -> Tuple[Callable[..., WireCall], Callable]:
         f"HttpResponse({route.reply.status}, "
         f"*{name(route.reply.encode)}(values, result)), merge=merge, "
         f"result_nbytes={name(route.result_nbytes)})")
-    exec(compile("\n".join(enc + dec), f"<route {route.client}.{route.op}>",
-                 "exec"), scope)
-    return scope[route.op], scope[f"decode_{route.op}"]
+    exec(compile("\n".join(enc if side == "encode" else dec),
+                 f"<route {route.client}.{route.op}>", "exec"), scope)
+    return scope[route.op if side == "encode" else f"decode_{route.op}"]
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ dashboards something faithful to read.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 __all__ = [
     "RequestRecord",
@@ -59,14 +60,14 @@ class RequestLog:
     """Append-only request log with simple query helpers."""
 
     def __init__(self, capacity: Optional[int] = None) -> None:
-        self._records: List[RequestRecord] = []
+        self._records: Deque[RequestRecord] = deque(maxlen=capacity)
         self.capacity = capacity
         self.dropped = 0
 
     def append(self, record: RequestRecord) -> None:
-        if self.capacity is not None and len(self._records) >= self.capacity:
-            # Like the real service's retention limit: oldest entries go.
-            self._records.pop(0)
+        if len(self._records) == self.capacity:
+            # Like the real service's retention limit: oldest entries go
+            # (the deque drops its first as this one goes on).
             self.dropped += 1
         self._records.append(record)
 

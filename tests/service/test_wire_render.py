@@ -1,14 +1,16 @@
 """Templated wire output equals the serialisers it replaced, byte for byte,
 and the expat message reader reads what an element tree reads.
 
-The queue-message XML and the RFC 1123 dates are emitted without an
-``ElementTree`` per message or a ``formatdate`` per call, and read back
-without an element tree; the implementations they replaced stay here
-(and in ``tests.service.wire_oracle``) as the reference.
+The XML documents and the RFC 1123 dates are emitted without
+``ElementTree`` or ``email.utils``, and queue messages read back without
+an element tree; the implementations they replaced stay here (and in
+``tests.service.wire_oracle``) as the reference.
 """
 
 import base64
+import calendar
 import email.utils
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.service import wire
 from repro.storage.content import BytesContent
+from repro.storage.errors import ResourceNotFoundError
 from repro.storage.queue.state import QueueMessage
 from tests.service import wire_oracle
 from tests.service.test_wire_routes import view
@@ -158,3 +161,69 @@ def test_message_body_is_what_elementtree_wrote(data):
 @given(st.one_of(epochs, st.floats(min_value=-1e6, max_value=0.0)))
 def test_http_date_is_formatdate(epoch):
     assert wire._http_date(epoch) == reference_date(epoch)
+
+
+# -- the date and the XML documents, without email.utils or ElementTree ------
+
+def second(*fields):
+    return calendar.timegm((*fields, 0, 0, 0))
+
+
+@pytest.mark.parametrize("epoch", [
+    0, second(2000, 2, 29, 0, 0, 0), second(2000, 2, 29, 23, 59, 59),
+    second(1900, 2, 28, 12, 0, 0), 2 ** 31 - 1, 2 ** 31,
+    second(2100, 2, 28, 23, 59, 59), second(2100, 3, 1, 0, 0, 0),
+    second(9999, 12, 31, 23, 59, 59)])
+def test_date_of_second_is_formatdate(epoch):
+    assert wire._date_of_second(epoch) == reference_date(epoch)
+
+
+def test_date_of_second_is_formatdate_on_a_sweep():
+    rng = random.Random(2012)
+    for epoch in (rng.randrange(-2 ** 32, 2 ** 35) for _ in range(20000)):
+        assert wire._date_of_second(epoch) == reference_date(epoch), epoch
+
+
+@pytest.mark.parametrize("whole", [0, second(2000, 2, 29, 23, 59, 59),
+                                   2 ** 31 - 1, second(2050, 12, 31, 23,
+                                                       59, 59)])
+def test_http_date_rounds_a_fraction_up_as_formatdate_does(whole):
+    # Rounded to the microsecond, .9999996 is the next second.
+    assert wire._http_date(whole + 0.9999996) \
+        == reference_date(whole + 0.9999996) == reference_date(whole + 1)
+    assert wire._http_date(whole + 0.999999) == reference_date(whole)
+
+
+def reference_document(root):
+    return ('<?xml version="1.0" encoding="utf-8"?>'
+            + ET.tostring(root, encoding="unicode")).encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(xml_text)
+def test_an_error_body_is_what_elementtree_wrote(message):
+    exc = ResourceNotFoundError(message)
+    root = ET.Element("Error")
+    ET.SubElement(root, "Code").text = exc.error_code
+    ET.SubElement(root, "Message").text = str(exc)
+    assert wire.error_to_response(exc).body == reference_document(root)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["Blob", "Queue"]), st.lists(xml_text, max_size=3))
+def test_a_listing_is_what_elementtree_wrote(kind, names):
+    root = ET.Element("EnumerationResults")
+    box = ET.SubElement(root, kind + "s")
+    for name in names:
+        ET.SubElement(ET.SubElement(box, kind), "Name").text = name
+    assert wire._names_xml(kind, names) == reference_document(root)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(xml_text, max_size=3))
+def test_a_block_list_is_what_elementtree_wrote(block_ids):
+    root = ET.Element("BlockList")
+    for block_id in block_ids:
+        ET.SubElement(root, "Latest").text = block_id
+    assert wire._block_list_xml({"block_ids": block_ids}) \
+        == reference_document(root)
