@@ -17,10 +17,10 @@ service-node / data-node split):
 any figure workload against one in-process.
 """
 
-# Without a bytecode cache, compiling ``wire`` (the largest module a server
-# loads) is a serving process's largest transient, about 4 MB.  Compiled
-# first, the modules compiled after it reuse that memory; compiled last,
-# it stacked on all of them and the server's peak RSS was 2 MB higher.
+# ``wire`` first: without a bytecode cache, compiling it (the largest
+# module a server loads) is a serving process's largest transient, about
+# 4 MB, and the modules compiled after it reuse that memory instead of
+# stacking on it.
 from . import wire
 from .cluster import ClusterRunner, ServiceCluster
 from .datanode import DataNode, DataNodeClient

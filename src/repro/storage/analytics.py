@@ -65,7 +65,7 @@ class RequestLog:
         self.dropped = 0
 
     def append(self, record: RequestRecord) -> None:
-        if len(self._records) == self.capacity:
+        if self.capacity is not None and len(self._records) >= self.capacity:
             # Like the real service's retention limit: oldest entries go
             # (the deque drops its first as this one goes on).
             self.dropped += 1
