@@ -8,14 +8,15 @@ DNs).  Operations execute through the registry pipeline via
 ``prepare -> interceptors -> apply`` drive the emulator's threads use,
 so the two tiers cannot diverge semantically.
 
-The SN->DN link is an exchange of pickled frames inside the event loop
-the nodes share: ``(account, client, op, args, kwargs)`` one way and
-``("ok", result)`` / ``("storage-err", payload)`` the other.  Pickling
-is the copy boundary — the SN and the DN never share a live object, as
-if a wire lay between them — and the frame bytes are what a link
-between processes would carry.  It is a trusted, same-deployment link
-(like HSDS's internal DN traffic), so fidelity lives at the *wire*
-tier, not here.
+The SN->DN link is a plain call inside the event loop the nodes share:
+``(account, client, op, args, kwargs)`` in, ``("ok", result)`` /
+``("storage-err", payload)`` / ``("err", text)`` out.  The state machines
+are the copy boundary: they copy any container they store, and return
+what is immutable by contract (``Entity``, ``Content``, ``BlobSnapshot``)
+or built for the call (``QueueMessage.snapshot()``, query pages), so an
+R = 2 write hands both replicas one ``args`` and no live container is
+shared.  It is a trusted, same-deployment link (like HSDS's internal DN
+traffic), so fidelity lives at the *wire* tier, not here.
 
 An exchange runs eagerly, in the caller's task: an op that does not
 wait costs no task and no turn of the loop.  Only when the node itself
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import pickle
 import types
 from typing import Dict, Iterable, Mapping, Optional, Set, Tuple, Union
 
@@ -177,17 +177,7 @@ class DataNode:
                     f"data node {self.index} crashed mid-call"))
 
     # -- the exchange -------------------------------------------------------
-    async def _exchange(self, frame: bytes) -> bytes:
-        """One request frame in, one reply frame out."""
-        account, client, op, args, kwargs = pickle.loads(frame)
-        reply = await self._dispatch(account, client, op, args, kwargs)
-        try:
-            return pickle.dumps(reply)
-        except Exception as exc:  # unpicklable result: report it
-            return pickle.dumps(
-                ("err", f"unpicklable result for {op}: {exc}"))
-
-    async def _park(self, exchange, waiting_on) -> bytes:
+    async def _park(self, exchange, waiting_on) -> tuple:
         """Finish an exchange that waits as a task; its caller waits here.
 
         The caller awaits a reply future, not the task, so a caller that
@@ -205,8 +195,9 @@ class DataNode:
         finally:
             self._parked.discard(reply)
 
-    async def _dispatch(self, account: str, client: str, op: str,
+    async def _exchange(self, account: str, client: str, op: str,
                         args: tuple, kwargs: dict) -> tuple:
+        """One request in, one ``(tag, payload)`` reply out."""
         self.requests_served += 1
         if op == "_ping":
             # Heartbeat: account-agnostic, answered before shard lookup.
@@ -270,9 +261,10 @@ class DataNode:
 # These run inline on the event loop against the shard's state machines,
 # bypassing the op pipeline: replica migration is fabric-internal traffic,
 # not client traffic, so it must neither be throttled nor fault-injected.
-# Payloads travel as pickled state fragments (Content objects are pure
-# data), and imports are idempotent overwrites so a retried migration —
-# or two rebalancers racing — converges instead of corrupting.
+# An export builds fresh containers and an import copies what it stores
+# (Content objects are immutable), so no two replicas share one; imports
+# are idempotent overwrites so a retried migration — or two rebalancers
+# racing — converges instead of corrupting.
 
 
 def _fabric_manifest(shard: _Shard) -> Dict[str, list]:
@@ -312,18 +304,18 @@ def _fabric_import_blob(shard: _Shard, route_key: str,
     if payload[0] == "page":
         _, max_size, ranges, written, metadata, snapshots = payload
         blob = container.create_page_blob(blob_name, max_size)
-        blob._ranges = ranges
+        blob._ranges = list(ranges)
         blob._written_bytes = written
         service._account_delta(written)
     else:
         _, committed, uncommitted, size, metadata, snapshots = payload
         blob = container.create_block_blob(blob_name)
-        blob._committed = committed
-        blob._uncommitted = uncommitted
+        blob._committed = list(committed)
+        blob._uncommitted = dict(uncommitted)
         blob._size = size
         service._account_delta(size)
-    blob.metadata = metadata
-    blob.snapshots = snapshots
+    blob.metadata = dict(metadata)
+    blob.snapshots = dict(snapshots)
 
 
 def _fabric_export_queue(shard: _Shard, route_key: str) -> list:
@@ -393,20 +385,18 @@ class DataNodeClient:
 
     async def call(self, account: str, client: str, op: str,
                    args: tuple, kwargs: dict):
-        request = pickle.dumps((account, client, op, args, kwargs))
         async with self._lock:
             node = self.node
             if not node.up:
                 raise ConnectionRefusedError(
                     f"data node {node.index} on {self.host} is down")
-            exchange = node._exchange(request)
+            exchange = node._exchange(account, client, op, args, kwargs)
             try:
                 waiting_on = exchange.send(None)
             except StopIteration as done:
-                frame = done.value
+                tag, payload = done.value
             else:
-                frame = await node._park(exchange, waiting_on)
-        tag, payload = pickle.loads(frame)
+                tag, payload = await node._park(exchange, waiting_on)
         if tag == "ok":
             return payload
         if tag == "storage-err":

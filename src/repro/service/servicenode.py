@@ -47,7 +47,7 @@ from ..storage.errors import (
     StorageError,
 )
 from . import httpd
-from .datanode import DataNodeClient
+from .datanode import DataNodeClient, _resume
 from .httpd import HttpError, HttpRequest, HttpResponse
 from .membership import TRANSPORT_ERRORS, Membership
 from .tenants import TenantDirectory
@@ -102,12 +102,17 @@ class AccessLogEntry(NamedTuple):
 async def _within(timeout: float, call):
     """``await call`` in the current task, ``TimeoutError`` after ``timeout``.
 
-    What ``asyncio.wait_for`` does without the task it wraps the call
-    in: a timer cancels *this* task, and that one cancellation is
-    translated.  A cancellation from outside (client gone, loop
-    teardown) stays a ``CancelledError``.  Written by hand because
-    ``asyncio.timeout`` is 3.11+.
+    A call that completes in its first step returns with no timer: none
+    could have fired before the task yielded.  One that waits arms the
+    deadline the way ``asyncio.wait_for`` does, without a task: a timer
+    cancels *this* task, and that cancellation is translated, while one
+    from outside (client gone, loop teardown) stays a ``CancelledError``.
+    Written by hand because ``asyncio.timeout`` is 3.11+.
     """
+    try:
+        waiting_on = call.send(None)
+    except StopIteration as done:
+        return done.value
     task = asyncio.current_task()
     expired = False
 
@@ -118,7 +123,7 @@ async def _within(timeout: float, call):
 
     timer = asyncio.get_running_loop().call_later(timeout, expire)
     try:
-        return await call
+        return await _resume(call, waiting_on)
     except asyncio.CancelledError:
         if not expired:
             raise

@@ -101,14 +101,15 @@ def string_to_sign(account: str, method: str, path: str,
 
 
 @functools.lru_cache(maxsize=256)
-def _key_bytes(key: str) -> bytes:
-    """An account key decoded once, not once per request."""
-    return base64.b64decode(key)
+def _keyed(key: str) -> hmac.HMAC:
+    """An account key's HMAC, keyed once; never updated, only copied."""
+    return hmac.new(base64.b64decode(key), digestmod="sha256")
 
 
 def compute_signature(key: str, to_sign: str) -> str:
-    digest = hmac.digest(_key_bytes(key), to_sign.encode("utf-8"), "sha256")
-    return base64.b64encode(digest).decode("ascii")
+    mac = _keyed(key).copy()
+    mac.update(to_sign.encode("utf-8"))
+    return base64.b64encode(mac.digest()).decode("ascii")
 
 
 def sign_request(account: str, key: str, method: str, path: str,

@@ -20,7 +20,7 @@ Semantics modeled after the 2011 AppFabric Caching API:
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from ..clock import Clock
@@ -134,7 +134,7 @@ class CacheState:
         )
         self._items[key] = item
         self._bytes += content.size
-        return item
+        return replace(item)  # a sliding get renews the stored item only
 
     def add(self, key: str, value, *, ttl: Optional[float] = None,
             sliding: bool = False) -> CacheItem:

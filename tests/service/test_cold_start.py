@@ -22,8 +22,10 @@ NOT_SERVED = ("numpy", "repro.bench", "repro.backend", "repro.compute",
               "repro.core", "repro.sim", "repro.framework", "repro.traffic",
               "repro.simkit", "repro.cluster.model",
               "repro.cluster.calibration", "repro.cluster.servers")
-#: The standard library a server has no use for.
-UNUSED_STDLIB = ("urllib.request", "http.client", "email", "xml.sax")
+#: The standard library a server has no use for (the SN->DN hop is a
+#: plain call, so nothing is pickled).
+UNUSED_STDLIB = ("urllib.request", "http.client", "email", "xml.sax",
+                 "pickle")
 
 SERVE_EVERY_ROUTE_FAMILY = f"""
 import sys

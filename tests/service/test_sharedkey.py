@@ -1,6 +1,13 @@
 """SharedKey signing: canonicalization, verification, tamper detection."""
 
+import base64
+import hmac
+import sys
+import threading
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service.sharedkey import (
     DEV_ACCOUNT,
@@ -126,3 +133,43 @@ class TestVerify:
                 == compute_signature(DEV_KEY, "abc"))
         assert (compute_signature(DEV_KEY, "abc")
                 != compute_signature(DEV_KEY, "abd"))
+
+
+class TestKeyedMac:
+    """The signature is the one-shot HMAC-SHA256 whatever the key: the
+    pre-keyed MAC a key is cached as only saves keying it per request."""
+
+    @settings(max_examples=200)
+    @given(key=st.one_of(st.just(DEV_KEY),
+                         st.binary(max_size=200).map(
+                             lambda raw: base64.b64encode(raw).decode())),
+           to_sign=st.text(max_size=300))
+    def test_signature_is_the_one_shot_hmac(self, key, to_sign):
+        expected = base64.b64encode(hmac.digest(
+            base64.b64decode(key), to_sign.encode("utf-8"),
+            "sha256")).decode("ascii")
+        assert compute_signature(key, to_sign) == expected
+        # Signing again with the cached key leaves it as it was.
+        assert compute_signature(key, to_sign) == expected
+
+    def test_threads_signing_through_one_cached_key_agree(self):
+        strings = [f"GET\n\n/{DEV_ACCOUNT}/q{i}" for i in range(64)]
+        expected = [compute_signature(DEV_KEY, s) for s in strings]
+        results = []
+
+        def sign_all():
+            results.append([compute_signature(DEV_KEY, s)
+                            for _ in range(50) for s in strings])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sign_all) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected * 50] * 4

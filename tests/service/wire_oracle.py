@@ -1,7 +1,7 @@
 """The wire codec read the slow way: oracles of ``repro.service.wire``.
 
 ``wire`` compiles each :class:`~repro.service.wire.Route` row into one
-encoder and one decoder function at import, and reads queue-message XML
+encoder and one decoder function on first use, and reads queue-message XML
 with expat handlers.  Here the same rows are *interpreted* on every
 call, and the same documents are read through an element tree, so the
 tests can hold the fast paths to what the table and the XML say.
