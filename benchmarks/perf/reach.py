@@ -195,8 +195,6 @@ KEEP = {
     "repro.emulator.clients:EmulatorAccount.set_fault_plan": _ERROR,
     "repro.emulator.clients:EmulatorAccount._note_busy": _ERROR,
     "repro.framework.taskpool:TaskPoolConfig.poison_queue_name": _ERROR,
-    "repro.pipeline.executors:_burn_on_clock": _ERROR,
-    "repro.pipeline.executors:_settle": _ERROR,
     "repro.resilience.deadline:Deadline.*": _ERROR,
     "repro.service.client:ServiceConnection._drop": _ERROR,
     "repro.service.cluster:ServiceCluster.drain_data_node": _ERROR,
@@ -608,6 +606,7 @@ SHARED_NAMES = {
     "repro.service.datanode:DataNode.set_fault_plan": _FAULT_PLAN,
     "repro.service.cluster:ClusterRunner.wait_settled":
         "the .wait_settled loads in src/ are Membership.wait_settled",
+    "repro.pipeline.executors:_settle": "the ._settle loads in src/ are ServiceNode._settle",
     "repro.traffic.engine:LoadResult.windows_csv":
         "the .windows_csv loads in src/ are repro chaos's --windows-csv option",
 }

@@ -17,8 +17,9 @@ The client APIs mirror :mod:`repro.sim.clients` method-for-method, minus the
 
 The method bodies are not written here: like the sim clients, every class
 below is derived from the shared operation registry
-(:mod:`repro.pipeline.registry`), bound to the account's
-:class:`~repro.pipeline.executors.BlockingExecutor`.  Because every call
+(:mod:`repro.pipeline.registry`), and every call runs through
+:meth:`EmulatorAccount.run`: the account's lock, its interceptor
+pipeline on the account clock, then the state change.  Because every call
 crosses the same interceptor pipeline, the emulator supports fault
 injection (:meth:`EmulatorAccount.set_fault_plan`), Storage Analytics
 (:func:`repro.storage.analytics.attach_analytics`), and — opt-in —
@@ -32,9 +33,9 @@ import time
 from typing import Optional
 
 from ..pipeline import (
-    BlockingExecutor,
     FaultInterceptor,
     OpCall,
+    OpContext,
     Pipeline,
     ThrottleInterceptor,
     blocking_method,
@@ -65,7 +66,6 @@ class EmulatorAccount:
     def __init__(self, name: str = "devstoreaccount1", *,
                  limits: ServiceLimits = LIMITS_2012,
                  clock: Optional[Clock] = None,
-                 latency: float = 0.0,
                  fifo_jitter_seed: Optional[int] = None,
                  enforce_targets: bool = False) -> None:
         self.state = StorageAccountState(
@@ -75,9 +75,6 @@ class EmulatorAccount:
         self._lock = threading.RLock()
         #: The co-located caching service (paper II.B).
         self.cache_state = CacheServiceState(self.state.clock)
-        #: Artificial per-operation latency in seconds (0 disables); useful
-        #: to make race conditions and contention observable in examples.
-        self.latency = latency
         self.limits = limits
         #: Fault schedule consulted on every operation (None = no faults);
         #: windows are evaluated against this account's clock.
@@ -93,7 +90,6 @@ class EmulatorAccount:
             # seconds, so target enforcement is off unless asked for.
             stages.append(ThrottleInterceptor(limits, on_busy=self._note_busy))
         self.pipeline = Pipeline(stages)
-        self.executor = BlockingExecutor(self)
         self._op_call = OpCall(
             self.state, self.cache_state,
             now_fn=self.state.clock.now,
@@ -111,9 +107,40 @@ class EmulatorAccount:
     def _note_busy(self) -> None:
         self.server_busy_count += 1
 
-    def _maybe_sleep(self) -> None:
-        if self.latency > 0:
-            time.sleep(self.latency)
+    def run(self, spec, call, args, kwargs):
+        """Run one op body: prepare, the pipeline, then apply, locked.
+
+        An injected TIMEOUT dooms the request: it burns the budget on
+        the account clock (a :class:`~repro.storage.ManualClock`
+        advances, any other clock is slept on) and raises, and the
+        change is never applied.
+        """
+        with self._lock:
+            clock = self.state.clock
+            body = spec.body(call, *args, **kwargs)
+            desc = next(body)  # prepare: validation errors raise here
+            ctx = OpContext(op=desc, backend="emulator",
+                            started_at=clock.now(),
+                            worker=threading.current_thread().name)
+            pipeline = self.pipeline
+            try:
+                pipeline.run_before(ctx)
+                timeout = ctx.timeout_spec
+                if timeout is not None:
+                    if hasattr(clock, "advance"):
+                        clock.advance(timeout.timeout_after)
+                    else:
+                        time.sleep(timeout.timeout_after)
+                    raise ctx.fault_plan.record_timeout(
+                        timeout, desc, clock.now())
+            except BaseException as exc:
+                body.close()
+                ctx.finished_at = clock.now()
+                pipeline.run_failed(ctx, exc)
+                raise
+            ctx.finished_at = clock.now()
+            pipeline.run_after(ctx)
+            return spec.apply(body)
 
     def blob_client(self) -> "EmulatorBlobClient":
         return EmulatorBlobClient(self)
@@ -134,7 +161,6 @@ class _EmulatorClientBase:
     def __init__(self, account: EmulatorAccount) -> None:
         self.account = account
         self.state = account.state
-        self._executor = account.executor
         self._call = account._op_call
 
 

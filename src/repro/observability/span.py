@@ -35,7 +35,7 @@ class Span:
     #: Open benchmark phase at completion ("put_16384"), or None when the
     #: op ran outside any recorded phase (barrier traffic, setup).
     phase: Optional[str]
-    #: Executor that drove the round trip: "sim" or "emulator".
+    #: Backend that drove the round trip: "sim" or "emulator".
     backend: str
     #: Service / operation / partition from the :class:`OpDescriptor`.
     service: str

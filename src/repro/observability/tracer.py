@@ -8,14 +8,14 @@ round trip into a :class:`~.buffer.TraceBuffer` and feeds a
 :class:`~.histogram.HistogramSet` of per-``service.operation`` latencies.
 
 Determinism contract: the tracer only *reads* the context — the clock
-fields the executor already filled (sim time on the DES backend, account
+fields the backend already filled (sim time on the DES backend, account
 clock on the emulator), the descriptor, and the fault/throttle
 annotations.  It never sleeps, never draws randomness, and never touches
 the wall clock on the sim backend, so a traced run is bit-identical to an
 untraced one.
 
 Worker attribution comes from :attr:`OpContext.worker` (set by the
-executors: the active simkit process name on the DES fabric, the thread
+backends: the active simkit process name on the DES fabric, the thread
 name on the emulator).  Benchmark-phase attribution comes from the
 :func:`repro.core.metrics.set_phase_hook` callback, which the backends
 point at :meth:`Tracer.on_phase` for the duration of a traced run.

@@ -3,8 +3,10 @@
 One op registry defines the 2012 SDK surface; an ordered interceptor stack
 (auth -> analytics -> faults -> throttles) applies every cross-cutting
 concern on both backends.  A derived sim client charges the registry's
-descriptors on the DES cluster directly; two thin executors bind the same
-registry to blocking threads and to a data node's event loop.
+descriptors on the DES cluster directly; a derived emulator client runs
+them through its account's lock and pipeline
+(:meth:`repro.emulator.EmulatorAccount.run`); a data node applies them
+directly.
 """
 
 from .context import OpContext
@@ -17,11 +19,6 @@ from .interceptors import (
     ThrottleInterceptor,
 )
 from .registry import OPERATIONS, OpCall, OpSpec
-from .executors import (
-    AsyncExecutor,
-    BlockingExecutor,
-    drive_operation,
-)
 from .clients import (
     blocking_method,
     derive_client_class,
@@ -42,9 +39,6 @@ __all__ = [
     "OPERATIONS",
     "OpCall",
     "OpSpec",
-    "BlockingExecutor",
-    "AsyncExecutor",
-    "drive_operation",
     "derive_client_class",
     "sim_method",
     "blocking_method",

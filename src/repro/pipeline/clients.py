@@ -8,10 +8,10 @@ backend:
 * :func:`sim_method` — a simkit **generator method**: prepare, ``yield
   from`` the client's ``cluster.execute(desc)`` (interceptors + cost
   model in simulated time), apply.  Call with ``yield from``.
-* :func:`blocking_method` — a plain **blocking method** delegating to the
-  account's :class:`~repro.pipeline.executors.BlockingExecutor`.
-* :func:`shim_method` — a generator method over the *blocking* executor
-  that never actually yields, so sim-style bodies (``yield from
+* :func:`blocking_method` — a plain **blocking method** delegating to
+  :meth:`repro.emulator.EmulatorAccount.run` (lock, interceptors, apply).
+* :func:`shim_method` — a generator method over the same ``run`` that
+  never actually yields, so sim-style bodies (``yield from
   client.op(...)``) run unmodified against the emulator.  This is what
   lets one benchmark body drive either backend.
 
@@ -54,33 +54,27 @@ def sim_method(spec: OpSpec) -> Callable:
         except BaseException:
             gen.close()
             raise
-        try:
-            gen.send(None)  # apply at the simulated completion instant
-        except StopIteration as stop:
-            return stop.value
-        gen.close()
-        raise RuntimeError(
-            f"operation body {spec.name!r} yielded more than once")
+        return spec.apply(gen)  # at the simulated completion instant
 
     return _describe(method, spec)
 
 
 def blocking_method(spec: OpSpec) -> Callable:
-    """Plain blocking method over the emulator's executor."""
+    """Plain blocking method: the emulator account runs the op."""
     def method(self, *args, **kwargs):
-        return self._executor.run(spec, self._call, args, kwargs)
+        return self.account.run(spec, self._call, args, kwargs)
 
     return _describe(method, spec)
 
 
 def shim_method(spec: OpSpec) -> Callable:
-    """Never-yielding generator over the blocking executor.
+    """Never-yielding generator over the emulator account's ``run``.
 
     ``yield from`` on it returns the blocking result immediately, so code
     written for the sim clients drives the emulator unchanged.
     """
     def method(self, *args, **kwargs):
-        return self._executor.run(spec, self._call, args, kwargs)
+        return self.account.run(spec, self._call, args, kwargs)
         yield  # pragma: no cover -- marks this as a generator function
 
     return _describe(method, spec)

@@ -3,8 +3,8 @@
 One :class:`OpContext` is created per storage round trip, regardless of
 backend.  Interceptors read the immutable
 :class:`~repro.cluster.ops.OpDescriptor` and annotate the mutable fields:
-fault interceptors set ``latency_factor``/``timeout_spec``, the executors
-fill in the timing fields, and observers (Storage Analytics) read the
+fault interceptors set ``latency_factor``/``timeout_spec``, the backend
+fills in the timing fields, and observers (Storage Analytics) read the
 finished record.
 """
 
@@ -36,11 +36,11 @@ class OpContext:
                  started_at: float = 0.0) -> None:
         #: What operation (service, kind, partition, bytes) is in flight.
         self.op = op
-        #: Which executor is driving: ``"sim"``, ``"emulator"``, ``"service"``.
+        #: Which backend is driving: ``"sim"``, ``"emulator"``, ``"service"``.
         self.backend = backend
         #: Worker role the op is attributed to (the active simkit process
         #: name on the DES fabric, the thread name on the emulator); None
-        #: when the executor could not tell.  Read by the tracing stage.
+        #: when the backend could not tell.  Read by the tracing stage.
         self.worker = worker
         #: Backend clock reading when the round trip began (sim time or
         #: wall seconds since the emulator account was created).
@@ -53,9 +53,9 @@ class OpContext:
         #: Multiplier injected by active LATENCY fault windows (1.0 = none).
         self.latency_factor = 1.0
         #: The TIMEOUT fault spec that fired for this op, if any.  The
-        #: executor burns ``timeout_spec.timeout_after`` and raises.
+        #: backend burns ``timeout_spec.timeout_after`` and raises.
         self.timeout_spec: Optional[Any] = None
-        #: The fault plan that set ``timeout_spec`` (the executor asks it
+        #: The fault plan that set ``timeout_spec`` (the backend asks it
         #: to record the fired timeout).
         self.fault_plan: Optional[Any] = None
         #: The error that terminated the round trip, if it failed.

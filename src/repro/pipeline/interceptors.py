@@ -1,4 +1,4 @@
-"""The ordered, composable interceptor stack shared by both executors.
+"""The ordered, composable interceptor stack shared by the sim and emulator.
 
 An :class:`Interceptor` sees every operation crossing one account's
 pipeline — on the simulated fabric *and* on the emulator — through three
@@ -13,7 +13,7 @@ hooks:
   operation was rejected or timed out, with the terminating error.
 
 The canonical stack order is ``trace -> auth -> analytics -> faults ->
-throttles`` (then the executor's cost-model/data-plane stage, which is
+throttles`` (then the backend's cost-model/data-plane stage, which is
 not an interceptor: it is the backend itself).  Observers sit early so
 their ``after``/``failed`` hooks see the verdicts of everything behind
 them; the tracing stage (:class:`repro.observability.Tracer`) sits
@@ -205,7 +205,7 @@ class FaultInterceptor(Interceptor):
 
     Raises the scheduled error for outage/throttle/transient/crash faults,
     stretches ``ctx.latency_factor`` for LATENCY windows, and parks fired
-    TIMEOUT specs on the context for the executor to burn.  ``cluster`` is
+    TIMEOUT specs on the context for the backend to burn.  ``cluster`` is
     the :class:`~repro.cluster.model.StorageCluster` on the sim backend and
     ``None`` on the emulator (no placement model there).
     """

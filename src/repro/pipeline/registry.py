@@ -8,18 +8,20 @@ paper's Algorithms 1-5) is one *operation body*: a generator that
    before any time is charged, exactly like a front-end rejecting a bad
    request;
 2. **yields** the single :class:`~repro.cluster.ops.OpDescriptor` of the
-   round trip — the executor charges it (DES timing + interceptors on the
-   sim backend, lock + interceptors on the emulator);
+   round trip — its host charges it (DES timing + interceptors on the
+   sim backend, lock + interceptors on the emulator, nothing on a data
+   node);
 3. **applies** the state-machine change at the completion instant and
-   returns the result.
+   returns the result (:meth:`OpSpec.apply` resumes it there).
 
 Operations marked ``local=True`` are pure client-side bookkeeping (no
 round trip, no charge); their body is a plain function.
 
 The two client modules (:mod:`repro.sim.clients`,
 :mod:`repro.emulator.clients`) derive their classes from this table via
-:mod:`repro.pipeline.clients` — there are no hand-written per-op method
-bodies anywhere else.
+:mod:`repro.pipeline.clients`, and the live tier's data nodes
+(:mod:`repro.service.datanode`) run its bodies directly — there are no
+hand-written per-op method bodies anywhere else.
 """
 
 from __future__ import annotations
@@ -48,6 +50,16 @@ class OpSpec:
     #: True for client-side bookkeeping reads that make no round trip.
     local: bool = False
 
+    def apply(self, body):
+        """Resume a prepared ``body`` into its apply step; its result."""
+        try:
+            body.send(None)
+        except StopIteration as stop:
+            return stop.value
+        body.close()
+        raise RuntimeError(
+            f"operation body {self.name!r} yielded more than once")
+
 
 #: The full registry, keyed by client kind then method name.
 OPERATIONS: Dict[str, Dict[str, OpSpec]] = {
@@ -67,7 +79,8 @@ def _operation(client: str, *, local: bool = False,
 class OpCall:
     """What an operation body may touch: state machines + the fault plan.
 
-    One per client; both executors hand it to every body.  ``now`` and the
+    One per client (one per shard on a data node); every host hands it
+    to every body.  ``now`` and the
     queue fault hooks use the *backend's* clock, so injected message loss
     and duplicate delivery fire on sim time and wall-clock time alike.
     """

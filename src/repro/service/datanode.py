@@ -3,10 +3,12 @@
 A data node holds the *storage state machines* for every account,
 sharded by partition key: the service nodes route each operation to the
 DN that owns its partition (or broadcast namespace operations to all
-DNs).  Operations execute through the registry pipeline via
-:class:`~repro.pipeline.executors.AsyncExecutor` — the same
-``prepare -> interceptors -> apply`` drive the emulator's threads use,
-so the two tiers cannot diverge semantically.
+DNs).  A shard runs the registry's operation bodies directly: prepare,
+then apply (:meth:`~repro.pipeline.registry.OpSpec.apply`), with no
+interceptor between them — a shard injects no faults and charges no
+time, and the service node already ran the tenant's pipeline.  These
+are the same bodies the DES and the emulator's threads run, so the
+tiers cannot diverge semantically.
 
 The SN->DN link is a plain call inside the event loop the nodes share:
 ``(account, client, op, args, kwargs)`` in, ``("ok", result)`` /
@@ -52,7 +54,7 @@ import functools
 import types
 from typing import Dict, Iterable, Mapping, Optional, Set, Tuple, Union
 
-from ..pipeline import OPERATIONS, AsyncExecutor, OpCall, Pipeline
+from ..pipeline import OPERATIONS, OpCall
 from ..storage import StorageAccountState
 from ..storage.blob.state import PageBlobState
 from ..storage.errors import StorageError
@@ -112,16 +114,13 @@ class _Shard:
         self.state = StorageAccountState(
             account, clock, limits, fifo_jitter_seed=fifo_jitter_seed)
         self.cache_state = CacheServiceState(clock)
-        # A shard injects no faults: the chaos campaigns fail whole data
-        # nodes (DN_CRASH / DN_SLOW), never single ops.
-        self.executor = AsyncExecutor(self.state, Pipeline([]))
         self.op_call = OpCall(
             self.state, self.cache_state,
             now_fn=clock.now, plan_fn=lambda: None)
 
 
 class DataNode:
-    """One shard server: per-account state + async registry executor."""
+    """One shard server: per-account state, answering registry ops."""
 
     def __init__(self, index: int,
                  accounts: Union[Mapping[str, object], Iterable[str]], *,
@@ -210,13 +209,12 @@ class DataNode:
         if shard is None:
             return ("err", f"data node {self.index} holds no shard for "
                            f"account {account!r}")
+        fabric = _FABRIC_OPS.get(op)
         try:
-            if op.startswith("_manifest") or op.startswith("_export_") \
-                    or op.startswith("_import_"):
-                result = _FABRIC_OPS[op](shard, *args)
+            if fabric is not None:
+                result = fabric(shard, *args)
             else:
-                result = await self._execute(shard, client, op,
-                                             args, kwargs)
+                result = _execute(shard, client, op, args, kwargs)
         except StorageError as exc:
             return ("storage-err", error_to_payload(exc))
         except Exception as exc:
@@ -227,33 +225,43 @@ class DataNode:
             result = None
         return ("ok", result)
 
-    async def _execute(self, shard: _Shard, client: str, op: str,
-                       args: tuple, kwargs: dict):
-        if op == "_download":
-            # The SN cannot know the blob's flavor; resolve it here where
-            # the state lives and download whichever blob this is.
-            container, blob = args
-            target = shard.state.blobs.get_container(container).get_blob(blob)
-            op = ("download_page_blob" if isinstance(target, PageBlobState)
-                  else "download_block_blob")
-        elif op == "_get_page":
-            # Range reads answer with ``Content-Range: bytes a-b/total``;
-            # only this side knows the blob's total size, so pair it with
-            # the slice.
-            content = await shard.executor.run(
-                OPERATIONS[client]["get_page"], shard.op_call, args, kwargs,
-                worker=f"dn{self.index}")
-            container, blob = args[0], args[1]
-            target = shard.state.blobs.get_container(container).get_blob(blob)
-            return (content, target.max_size)
-        spec = OPERATIONS[client].get(op)
-        if spec is None:
-            raise StorageError(f"unknown operation {client}.{op}")
-        if spec.local:
-            # Bookkeeping reads run inline: the event loop serializes.
-            return spec.body(shard.op_call, *args, **kwargs)
-        return await shard.executor.run(
-            spec, shard.op_call, args, kwargs, worker=f"dn{self.index}")
+
+def _apply(spec, shard: _Shard, args: tuple, kwargs: dict):
+    """Prepare, then apply: a shard runs no interceptors between them.
+
+    A shard injects no faults: the chaos campaigns fail whole data nodes
+    (DN_CRASH / DN_SLOW), never single ops.
+    """
+    body = spec.body(shard.op_call, *args, **kwargs)
+    next(body)  # prepare: validation errors raise here
+    return spec.apply(body)
+
+
+def _execute(shard: _Shard, client: str, op: str,
+             args: tuple, kwargs: dict):
+    if op == "_download":
+        # The SN cannot know the blob's flavor; resolve it here where
+        # the state lives and download whichever blob this is.
+        container, blob = args
+        target = shard.state.blobs.get_container(container).get_blob(blob)
+        op = ("download_page_blob" if isinstance(target, PageBlobState)
+              else "download_block_blob")
+    elif op == "_get_page":
+        # Range reads answer with ``Content-Range: bytes a-b/total``;
+        # only this side knows the blob's total size, so pair it with
+        # the slice.
+        content = _apply(OPERATIONS[client]["get_page"], shard,
+                         args, kwargs)
+        container, blob = args[0], args[1]
+        target = shard.state.blobs.get_container(container).get_blob(blob)
+        return (content, target.max_size)
+    spec = OPERATIONS[client].get(op)
+    if spec is None:
+        raise StorageError(f"unknown operation {client}.{op}")
+    if spec.local:
+        # Bookkeeping reads run inline: the event loop serializes.
+        return spec.body(shard.op_call, *args, **kwargs)
+    return _apply(spec, shard, args, kwargs)
 
 
 # -- fabric (rebalancer) pseudo-ops -----------------------------------------

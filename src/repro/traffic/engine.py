@@ -300,7 +300,10 @@ class LoadResult:
     rows: List[WindowRow]
     aggregator: StatsAggregator
     #: Digest over the issued op sequence + outcomes (see
-    #: :func:`schedule_digest`); backend-independent for seeded runs.
+    #: :func:`schedule_digest`): reproducible for seeded DES runs, but
+    #: on a wall-clock backend the outcomes follow timing, so two runs
+    #: of one tree may differ.  The issued sequence alone is
+    #: ``schedule_digest(schedule.iter_ops())``.
     digest: str
     #: Virtual seconds from first arrival to last completion.
     elapsed_s: float

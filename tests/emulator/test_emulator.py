@@ -1,11 +1,14 @@
 """Tests for the thread-safe local emulator."""
 
 import threading
+import time
 
 import pytest
 
 from repro.emulator import EmulatorAccount
+from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.storage import MB, ManualClock
+from repro.storage.errors import OperationTimedOutError
 from repro.storage.table import BatchOperation
 
 
@@ -181,15 +184,20 @@ class TestThreadSafety:
         assert blob.block_count("cont", "shared") == 100
         assert blob.download_block_blob("cont", "shared").size == 100 * 64
 
-    def test_artificial_latency(self):
-        import time
-        account = EmulatorAccount(latency=0.01)
-        q = account.queue_client()
-        start = time.monotonic()
-        q.create_queue("tasks")
-        q.put_message("tasks", b"x")
-        elapsed = time.monotonic() - start
-        assert elapsed >= 0.02
+
+class TestWallClockTimeout:
+    def test_timeout_sleeps_its_budget_and_applies_nothing(self):
+        account = EmulatorAccount()  # the default wall clock
+        account.set_fault_plan(FaultPlan([
+            FaultSpec(FaultKind.TIMEOUT, service="blob", timeout_after=0.05),
+        ]))
+        blob = account.blob_client()
+        started = time.monotonic()
+        with pytest.raises(OperationTimedOutError):
+            blob.create_container("cont")
+        assert time.monotonic() - started >= 0.05
+        assert account.fault_plan.counts[FaultKind.TIMEOUT] == 1
+        assert account.state.blobs.list_containers() == []
 
 
 class TestEmulatorCache:

@@ -1,16 +1,19 @@
-"""Randomized cross-backend equivalence through both executors.
+"""Randomized cross-backend equivalence on every host of the registry.
 
 One seeded operation sequence — including operations engineered to fail —
-is pushed through the DES executor (sim clients inside a simkit process)
-and the blocking executor (emulator clients).  Because both derive every
-method from the same registry body, the final data-plane state AND the
-per-operation error classes must match exactly.
+is pushed through the DES (sim clients inside a simkit process), the
+emulator (blocking clients) and a data node (``DataNodeClient.call``).
+Because all three run every op through the same registry body, the final
+data-plane state AND the per-operation error classes must match exactly.
 """
+
+import asyncio
 
 import numpy as np
 import pytest
 
 from repro.emulator import EmulatorAccount
+from repro.service import DataNode, DataNodeClient
 from repro.sim import SimStorageAccount
 from repro.simkit import Environment
 from repro.storage import KB, ManualClock
@@ -120,6 +123,26 @@ def run_on_emulator(ops, instrument=None):
     return account.state, account.cache_state, outcomes
 
 
+def run_on_data_node(ops):
+    """The same ops through ``DataNodeClient.call`` on one data node."""
+    async def main():
+        node = DataNode(0, ["acct"])
+        client = DataNodeClient(*await node.start())
+        outcomes = []
+        for kind, method, args, kwargs in ops:
+            try:
+                await client.call("acct", kind, method, args, kwargs)
+            except Exception as exc:
+                outcomes.append(type(exc).__name__)
+            else:
+                outcomes.append(None)
+        await node.stop()
+        return node._shards["acct"], outcomes
+
+    shard, outcomes = asyncio.run(main())
+    return shard.state, shard.cache_state, outcomes
+
+
 def fingerprint(state, cache_state):
     cont = state.blobs.get_container("cont")
     blobs = {}
@@ -151,6 +174,10 @@ def test_same_state_and_same_errors_on_both_executors(seed):
     assert sim_outcomes == emu_outcomes
     assert fingerprint(sim_state, sim_cache) == fingerprint(emu_state,
                                                             emu_cache)
+    dn_state, dn_cache, dn_outcomes = run_on_data_node(ops)
+    assert dn_outcomes == sim_outcomes
+    assert fingerprint(dn_state, dn_cache) == fingerprint(sim_state,
+                                                          sim_cache)
 
 
 @pytest.mark.parametrize("seed", [11, 47])

@@ -74,3 +74,24 @@ def test_a_node_that_is_gone_refuses_calls(end):
                               ("q1q",), {})
 
     asyncio.run(main())
+
+
+def test_event_loop_serializes_mutations():
+    """Many concurrent inserts over several links all land: each op runs
+    to completion inside its call, so no two mutations interleave."""
+    async def main():
+        node = DataNode(0, [DEV_ACCOUNT])
+        address = await node.start()
+        links = [DataNodeClient(*address) for _ in range(5)]
+        await links[0].call(DEV_ACCOUNT, "table", "create_table",
+                            ("conc",), {})
+        await asyncio.gather(*[
+            links[i % 5].call(DEV_ACCOUNT, "table", "insert",
+                              ("conc", "p", f"r{i}", {"i": i}), {})
+            for i in range(25)
+        ])
+        return await links[0].call(DEV_ACCOUNT, "table", "query_partition",
+                                   ("conc", "p", None), {})
+
+    rows = asyncio.run(main())
+    assert len(rows) == 25
