@@ -193,7 +193,6 @@ KEEP = {
     "repro.chaos.verdict:ChaosRunError.__init__": _ERROR,
     "repro.chaos.invariants:_PageBlobReplay.__init__": _ERROR,
     "repro.emulator.clients:EmulatorAccount.set_fault_plan": _ERROR,
-    "repro.emulator.clients:EmulatorAccount._note_busy": _ERROR,
     "repro.framework.taskpool:TaskPoolConfig.poison_queue_name": _ERROR,
     "repro.resilience.deadline:Deadline.*": _ERROR,
     "repro.service.client:ServiceConnection._drop": _ERROR,
@@ -319,8 +318,8 @@ KEEP = {
     "repro.storage.table.state:TableState.__len__": _ORACLE,
     "repro.storage.table.state:TableServiceState.total_bytes": _ORACLE,
     "repro.traffic.slo:WindowViolation.to_dict": _ORACLE,
-    "repro.traffic.stats:_Window.eq_exact": _ORACLE + " (record == record_chunk)",
-    "repro.traffic.stats:StatsAggregator.__eq__": _ORACLE + " (record == record_chunk)",
+    "repro.traffic.stats:_Window.eq_exact": _ORACLE + " (the one-at-a-time oracle == record_chunk)",
+    "repro.traffic.stats:StatsAggregator.__eq__": _ORACLE + " (the one-at-a-time oracle == record_chunk)",
     "repro.workloads.ycsb:ZipfianGenerator.sample": _ORACLE,
 }
 
@@ -328,6 +327,8 @@ KEEP = {
 MOVED = {
     "repro.observability.tracer:phase_totals":
         "tests/observability/test_reconciliation.py: the span-side rollup it checks",
+    "repro.traffic.stats:StatsAggregator.record":
+        "tests/traffic/stats_oracle.py: the one-at-a-time fold record_chunk is held to",
 }
 
 
@@ -609,6 +610,8 @@ SHARED_NAMES = {
     "repro.pipeline.executors:_settle": "the ._settle loads in src/ are ServiceNode._settle",
     "repro.traffic.engine:LoadResult.windows_csv":
         "the .windows_csv loads in src/ are repro chaos's --windows-csv option",
+    "repro.traffic.stats:StatsAggregator.record":
+        "the .record loads in src/ are chaos.history.History.record",
 }
 
 
@@ -768,8 +771,6 @@ def report(out: str, write: bool = True) -> list:
     for entry in missing:
         row = row_of(entry)
         if entry.id not in current:
-            if entry.id in MOVED:
-                row["moved"] = MOVED[entry.id]
             deleted.append(row)
             continue
         reason = _reason(entry, keep, sites)
@@ -799,6 +800,8 @@ def report(out: str, write: bool = True) -> list:
         deleted = [r for r in _read(LIST)["deleted"]
                    if r["id"] not in profiled_ids] + deleted
     for row in deleted:
+        if row["id"] in MOVED:
+            row["moved"] = MOVED[row["id"]]
         if row["id"] in SHARED_NAMES:
             row["namesake"] = SHARED_NAMES[row["id"]]
     for entry_id, found in unchecked_deletions([r["id"] for r in deleted]).items():

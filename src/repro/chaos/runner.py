@@ -48,6 +48,65 @@ def _crash_verdict(verdict: ChaosVerdict, label: str,
         f"{type(exc).__name__}: {exc}"))
     return ChaosRunError(f"chaos run {label} crashed: {exc}", verdict)
 
+
+def _start_crash_driver(env, pool, schedule: ChaosSchedule,
+                        history: History) -> None:
+    """Kill each worker instance ``schedule.crashes`` names at its time,
+    if it is running then, and log the kill in ``history``."""
+    from ..compute.roles import RoleStatus
+
+    def crash_driver():
+        now = 0.0
+        for event in schedule.crashes:
+            if event.time > now:
+                yield env.timeout(event.time - now)
+                now = event.time
+            if event.role_id >= len(pool.instances):
+                continue
+            instance = pool.instances[event.role_id]
+            if instance.status is RoleStatus.RUNNING:
+                pool.fail_instance(event.role_id, cause="chaos kill")
+                history.crash_events.append(
+                    (env.now, "crash", event.role_id))
+
+    if schedule.crashes:
+        env.process(crash_driver(), name="chaos-crash-driver")
+
+
+def _log_restarts(history: History, supervisor) -> None:
+    """Add the supervisor's restarts to the crash log, in time order."""
+    for record in supervisor.restarts:
+        history.crash_events.append(
+            (record.restarted_at, "restart", record.role_id))
+    history.crash_events.sort()
+
+
+def _exactly_once(checker: str, history: History, results,
+                  payloads: List[bytes]) -> List[Violation]:
+    """Every task's result exactly once, in a completed bag-of-tasks run.
+
+    An injected duplicate delivery legitimately runs a task twice
+    (at-least-once), so its duplicate result may displace another from
+    the bounded drain.  Still required then: no phantom results, and
+    nothing undelivered went missing (conservation already accounts
+    each message individually).
+    """
+    got = sorted(r.payload for r in results)
+    want = sorted(payloads)
+    dup_injected = any(e[1] == "duplicate_delivery"
+                       for e in history.fault_events)
+    if got != want and not dup_injected:
+        return [Violation(
+            checker,
+            f"collected results do not cover every task exactly once: "
+            f"{len(got)} results for {len(want)} tasks")]
+    phantoms = set(got) - set(want)
+    if dup_injected and phantoms:
+        return [Violation(
+            checker, f"{len(phantoms)} result(s) match no submitted task")]
+    return []
+
+
 #: Default per-op retry budget for the termination invariant.
 RETRY_BUDGET = 64
 
@@ -264,7 +323,6 @@ def run_chaos_taskpool(profile: str = "none", seed: int = 0, *,
     once.
     """
     from ..compute import Fabric, Supervisor
-    from ..compute.roles import RoleStatus
     from ..faults.profiles import APP_NAME
     from ..framework import TaskPoolApp, TaskPoolConfig
     from ..observability import Tracer, sim_worker_resolver
@@ -312,20 +370,7 @@ def run_chaos_taskpool(profile: str = "none", seed: int = 0, *,
                              name="workers", contain_crashes=True)
         supervisor = Supervisor(pool, recycle_delay=recycle_delay).start()
 
-        def crash_driver():
-            now = 0.0
-            for event in schedule.crashes:
-                if event.time > now:
-                    yield env.timeout(event.time - now)
-                    now = event.time
-                instance = pool.instances[event.role_id]
-                if instance.status is RoleStatus.RUNNING:
-                    pool.fail_instance(event.role_id, cause="chaos kill")
-                    history.crash_events.append(
-                        (env.now, "crash", event.role_id))
-
-        if schedule.crashes:
-            env.process(crash_driver(), name="chaos-crash-driver")
+        _start_crash_driver(env, pool, schedule, history)
         fabric.start_all()
         web_done = web.all_done_event()
         env.run(until=AnyOf(env, [web_done, env.timeout(horizon)]))
@@ -333,10 +378,7 @@ def run_chaos_taskpool(profile: str = "none", seed: int = 0, *,
         supervisor.stop()
         # Let surviving workers observe the stop signal and exit cleanly.
         env.run(until=env.timeout(config.idle_poll_interval * 4 + 2.0))
-        for record in supervisor.restarts:
-            history.crash_events.append(
-                (record.restarted_at, "restart", record.role_id))
-        history.crash_events.sort()
+        _log_restarts(history, supervisor)
         history.snapshot_final_state(account.state)
     except Exception as exc:
         verdict.counts = {"audited_ops": len(history.records)}
@@ -345,26 +387,8 @@ def run_chaos_taskpool(profile: str = "none", seed: int = 0, *,
         history, spans=tracer.spans, metrics=metrics,
         retry_budget=retry_budget, completed=completed))
     if completed:
-        got = sorted(r.payload for r in app.results)
-        want = sorted(payloads)
-        dup_injected = any(e[1] == "duplicate_delivery"
-                           for e in history.fault_events)
-        if got != want and not dup_injected:
-            verdict.violations.append(Violation(
-                "taskpool",
-                f"collected results do not cover every task exactly once: "
-                f"{len(got)} results for {len(want)} tasks"))
-        elif dup_injected:
-            # At-least-once semantics: an injected duplicate delivery
-            # legitimately runs a task twice, so its duplicate result may
-            # displace another from the bounded drain.  Still required:
-            # no phantom results, and nothing undelivered went missing
-            # (conservation already accounts each message individually).
-            phantoms = set(got) - set(want)
-            if phantoms:
-                verdict.violations.append(Violation(
-                    "taskpool",
-                    f"{len(phantoms)} result(s) match no submitted task"))
+        verdict.violations.extend(
+            _exactly_once("taskpool", history, app.results, payloads))
     redeliveries = sum(
         1 for event in history.queue_events()
         if event[0] == "deliver" and event[3] > 1)

@@ -372,14 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="simulated clients: multiplies the per-client "
                            "arrival rate (default 1)")
     load.add_argument("--flock-size", type=int, default=8192, metavar="N",
-                      help="sim/geo backends: arrivals injected and "
-                           "completions folded into the stats per chunk "
-                           "(>= 1; changes no result; default 8192)")
-    # Selects nothing: scripts pass it, as benchmarks/suite passes scheduler=.
-    load.add_argument("--scheduler", choices=["heap", "calendar"],
-                      default="heap",
-                      help="accepted for compatibility; selects nothing "
-                           "(the kernel has one event queue)")
+                      help="completions folded into the stats, and on "
+                           "sim/geo arrivals injected, per chunk (>= 1; "
+                           "changes no result; default 8192)")
 
     return parser
 

@@ -66,7 +66,6 @@ class StorageCluster:
         )
         self.cache_servers = ServerPool(env, "cache", cal.cache_server_slots)
 
-        self.server_busy_count = 0
         #: The active fault schedule (:mod:`repro.faults`), or None for a
         #: healthy fabric.  Consulted on every :meth:`execute`.
         self.fault_plan: Optional[FaultPlan] = None
@@ -76,18 +75,14 @@ class StorageCluster:
         # Section IV).  Observers (analytics, auth) insert themselves via
         # ``pipeline.add``.
         self._fault_stage = stages.FaultInterceptor(
-            lambda: self.fault_plan, cluster=self, on_busy=self._note_busy)
+            lambda: self.fault_plan, cluster=self)
         self._throttle_stage = stages.ThrottleInterceptor(
             limits,
             window_s=cal.throttle_window_s,
             retry_after_s=cal.throttle_retry_after_s,
-            on_busy=self._note_busy,
         )
         self.pipeline = stages.Pipeline(
             [self._fault_stage, self._throttle_stage])
-
-    def _note_busy(self) -> None:
-        self.server_busy_count += 1
 
     # -- fault injection ---------------------------------------------------
     def set_fault_plan(self, plan: Optional[FaultPlan]) -> None:

@@ -79,16 +79,11 @@ class EmulatorAccount:
         #: Fault schedule consulted on every operation (None = no faults);
         #: windows are evaluated against this account's clock.
         self.fault_plan = None
-        #: ServerBusy rejections served (injected faults + throttles).
-        self.server_busy_count = 0
-        stages = [
-            FaultInterceptor(lambda: self.fault_plan, cluster=None,
-                             on_busy=self._note_busy),
-        ]
+        stages = [FaultInterceptor(lambda: self.fault_plan, cluster=None)]
         if enforce_targets:
             # Opt-in: the framework's retry loop sleeps on real wall-clock
             # seconds, so target enforcement is off unless asked for.
-            stages.append(ThrottleInterceptor(limits, on_busy=self._note_busy))
+            stages.append(ThrottleInterceptor(limits))
         self.pipeline = Pipeline(stages)
         self._op_call = OpCall(
             self.state, self.cache_state,
@@ -103,9 +98,6 @@ class EmulatorAccount:
         default, or a :class:`~repro.storage.clock.ManualClock` in tests.
         """
         self.fault_plan = plan
-
-    def _note_busy(self) -> None:
-        self.server_busy_count += 1
 
     def run(self, spec, call, args, kwargs):
         """Run one op body: prepare, the pipeline, then apply, locked.

@@ -43,7 +43,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..chaos.history import History, OpRecord, audit_account
 from ..chaos.invariants import Violation, check_history
-from ..chaos.runner import RETRY_BUDGET, _crash_verdict
+from ..chaos.runner import (RETRY_BUDGET, _crash_verdict, _exactly_once,
+                            _log_restarts, _start_crash_driver)
 from ..chaos.schedule import build_schedule
 from ..chaos.verdict import ChaosVerdict
 from ..faults.spec import FaultKind
@@ -462,7 +463,6 @@ def run_elasticity(profile: str = "region-outage", seed: int = 0, *,
     how many.
     """
     from ..compute import Autoscaler, Fabric, Supervisor
-    from ..compute.roles import RoleStatus
     from ..framework import TaskPoolApp, TaskPoolConfig
 
     busy = work_s * tasks / max(1, workers)
@@ -528,22 +528,7 @@ def run_elasticity(profile: str = "region-outage", seed: int = 0, *,
             max_instances=max_instances or workers + 4,
         ).start()
 
-        def crash_driver():
-            now = 0.0
-            for event in schedule.crashes:
-                if event.time > now:
-                    yield env.timeout(event.time - now)
-                    now = event.time
-                if event.role_id >= len(pool.instances):
-                    continue
-                instance = pool.instances[event.role_id]
-                if instance.status is RoleStatus.RUNNING:
-                    pool.fail_instance(event.role_id, cause="chaos kill")
-                    history.crash_events.append(
-                        (env.now, "crash", event.role_id))
-
-        if schedule.crashes:
-            env.process(crash_driver(), name="chaos-crash-driver")
+        _start_crash_driver(env, pool, schedule, history)
         fabric.start_all()
         web_done = web.all_done_event()
         env.run(until=AnyOf(env, [web_done, env.timeout(horizon)]))
@@ -551,10 +536,7 @@ def run_elasticity(profile: str = "region-outage", seed: int = 0, *,
         scaler.stop()
         supervisor.stop()
         env.run(until=env.timeout(config.idle_poll_interval * 4 + 2.0))
-        for record in supervisor.restarts:
-            history.crash_events.append(
-                (record.restarted_at, "restart", record.role_id))
-        history.crash_events.sort()
+        _log_restarts(history, supervisor)
         if not geo.controller.promoted:
             # Let the shipper drain so the ledger's prefix law sees a
             # settled frontier.
@@ -573,21 +555,8 @@ def run_elasticity(profile: str = "region-outage", seed: int = 0, *,
             f"horizon"))
     verdict.violations.extend(check_history(history, completed=completed))
     if completed:
-        got = sorted(r.payload for r in app.results)
-        want = sorted(payloads)
-        dup_injected = any(e[1] == "duplicate_delivery"
-                           for e in history.fault_events)
-        if got != want and not dup_injected:
-            verdict.violations.append(Violation(
-                "elasticity",
-                f"collected results do not cover every task exactly once: "
-                f"{len(got)} results for {len(want)} tasks"))
-        elif dup_injected:
-            phantoms = set(got) - set(want)
-            if phantoms:
-                verdict.violations.append(Violation(
-                    "elasticity",
-                    f"{len(phantoms)} result(s) match no submitted task"))
+        verdict.violations.extend(
+            _exactly_once("elasticity", history, app.results, payloads))
     if scaler.scale_outs < 1 and require_scaleout:
         verdict.violations.append(Violation(
             "elasticity",

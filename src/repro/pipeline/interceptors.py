@@ -28,7 +28,7 @@ from typing import Callable, List, Optional, Sequence
 from ..cluster.ops import QUEUE_MESSAGE_KINDS, TABLE_ENTITY_KINDS, Service
 from ..cluster.ratelimit import SlidingWindowThrottle
 from ..storage.analytics import RequestRecord
-from ..storage.errors import ServerBusyError, StorageError
+from ..storage.errors import StorageError
 from .context import OpContext
 
 __all__ = [
@@ -213,23 +213,16 @@ class FaultInterceptor(Interceptor):
     name = "faults"
 
     def __init__(self, plan_source: Callable[[], Optional[object]], *,
-                 cluster=None,
-                 on_busy: Optional[Callable[[], None]] = None) -> None:
+                 cluster=None) -> None:
         self._plan_source = plan_source
         self.cluster = cluster
-        self.on_busy = on_busy
 
     def before(self, ctx: OpContext) -> None:
         plan = self._plan_source()
         if plan is None:
             return
-        try:
-            factor, timeout_spec = plan.pre_execute(
-                ctx.op, ctx.started_at, self.cluster)
-        except ServerBusyError:
-            if self.on_busy is not None:
-                self.on_busy()
-            raise
+        factor, timeout_spec = plan.pre_execute(
+            ctx.op, ctx.started_at, self.cluster)
         ctx.latency_factor *= factor
         if timeout_spec is not None and ctx.timeout_spec is None:
             ctx.timeout_spec = timeout_spec
@@ -292,12 +285,10 @@ class ThrottleInterceptor(Interceptor):
     name = "throttles"
 
     def __init__(self, limits, *, window_s: float = 1.0,
-                 retry_after_s: float = 1.0,
-                 on_busy: Optional[Callable[[], None]] = None) -> None:
+                 retry_after_s: float = 1.0) -> None:
         self.limits = limits
         self.window_s = window_s
         self.retry_after_s = retry_after_s
-        self.on_busy = on_busy
         self.account_tx = SlidingWindowThrottle(
             limits.account_transactions_per_second, window_s,
             name="account transactions", retry_after=retry_after_s,
@@ -339,16 +330,11 @@ class ThrottleInterceptor(Interceptor):
             # ops do not count against the 5,000 tx/s or 3 GB/s targets.
             return
         now = ctx.started_at
-        try:
-            self.account_tx.charge(now, op.units)
-            if op.nbytes:
-                self.account_bw.charge(now, op.nbytes)
-            if service is Service.QUEUE:
-                if op.kind in QUEUE_MESSAGE_KINDS:
-                    self.queue_throttle(op.partition).charge(now, op.units)
-            elif service is Service.TABLE and op.kind in TABLE_ENTITY_KINDS:
-                self.partition_throttle(op.partition).charge(now, op.units)
-        except Exception:
-            if self.on_busy is not None:
-                self.on_busy()
-            raise
+        self.account_tx.charge(now, op.units)
+        if op.nbytes:
+            self.account_bw.charge(now, op.nbytes)
+        if service is Service.QUEUE:
+            if op.kind in QUEUE_MESSAGE_KINDS:
+                self.queue_throttle(op.partition).charge(now, op.units)
+        elif service is Service.TABLE and op.kind in TABLE_ENTITY_KINDS:
+            self.partition_throttle(op.partition).charge(now, op.units)

@@ -5,7 +5,9 @@ socket per service (``TCP_NODELAY``, one send per request, replies parsed
 by the same head parser the server reads requests with), SharedKey
 signing on every request, and error bodies decoded back into the same
 :mod:`repro.storage.errors` hierarchy the in-process backends raise — so
-retry loops and fault-handling benchmark bodies run unchanged.
+retry loops and fault-handling benchmark bodies run unchanged.  A call
+is sent once: a 503 ServerBusy reaches the caller's retry loop, as on
+every other backend.
 
 The ``Wire*Client`` classes are derived from the operation registry like
 every other backend's clients: each method encodes its call through
@@ -26,7 +28,6 @@ from typing import Any, Dict, Mapping, Tuple
 from urllib.parse import quote, unquote
 
 from ..pipeline import OpSpec, derive_client_class
-from ..storage.errors import StorageError
 from . import sharedkey
 from .httpd import MAX_HEADER_BYTES, HttpError, framed, parse_head
 from .wire import ENCODERS, WIRE_VERSION, WireCall, _http_date, \
@@ -51,19 +52,11 @@ class ServiceConnection:
     def __init__(self, endpoints: Mapping[str, Tuple[str, int]],
                  account: str = sharedkey.DEV_ACCOUNT,
                  key: str = sharedkey.DEV_KEY, *,
-                 timeout: float = 30.0, busy_retries: int = 0,
-                 max_retry_after: float = 5.0) -> None:
+                 timeout: float = 30.0) -> None:
         self.endpoints = dict(endpoints)
         self.account = account
         self.key = key
         self.timeout = timeout
-        #: 503 ServerBusy replies are retried up to this many times,
-        #: honoring the server's ``Retry-After`` hint (capped at
-        #: ``max_retry_after`` wall seconds).  Default 0: callers that
-        #: assert on 503s (tenant-isolation tests, throttling figures)
-        #: see every rejection.
-        self.busy_retries = busy_retries
-        self.max_retry_after = max_retry_after
         self._conns: Dict[str, socket.socket] = {}
 
     def close(self) -> None:
@@ -84,27 +77,13 @@ class ServiceConnection:
         self._conns.pop(service).close()
 
     def exchange(self, call: WireCall) -> Any:
-        """Send one encoded call; return its parsed result or raise.
+        """Send one encoded call once; return its parsed result or raise.
 
-        503 ServerBusy replies are retried ``busy_retries`` times after
-        sleeping the server's ``Retry-After`` hint — the 2012 SDK habit
-        the scalability-target docs prescribe.  Each attempt is re-dated
-        and re-signed (a slept request must not go out stale).
+        A 503 ServerBusy reply raises like any other error, its
+        ``Retry-After`` hint on the exception: retrying is the caller's
+        policy (:func:`repro.sim.retry.retrying`, the resilience
+        policies), not the connection's.
         """
-        for attempt in range(self.busy_retries + 1):
-            try:
-                return self._exchange_once(call)
-            except StorageError as exc:
-                if (getattr(exc, "status_code", None) != 503
-                        or attempt >= self.busy_retries):
-                    raise
-                hint = getattr(exc, "retry_after", None)
-                if hint is None:
-                    hint = 1.0
-                time.sleep(min(max(0.0, hint), self.max_retry_after))
-        raise RuntimeError("unreachable")  # pragma: no cover
-
-    def _exchange_once(self, call: WireCall) -> Any:
         path = f"/{self.account}{call.path}"
         query = {k: str(v) for k, v in call.query.items()}
         headers = dict(call.headers)

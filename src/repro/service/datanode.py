@@ -11,8 +11,10 @@ are the same bodies the DES and the emulator's threads run, so the
 tiers cannot diverge semantically.
 
 The SN->DN link is a plain call inside the event loop the nodes share:
-``(account, client, op, args, kwargs)`` in, ``("ok", result)`` /
-``("storage-err", payload)`` / ``("err", text)`` out.  The state machines
+``(account, client, op, args, kwargs)`` in, the result out — or the
+exception: a :class:`~repro.storage.errors.StorageError` crosses as the
+object the state machine raised, and any other failure (a missing shard,
+a bug) as ``RuntimeError("data node error: ...")``.  The state machines
 are the copy boundary: they copy any container they store, and return
 what is immutable by contract (``Entity``, ``Content``, ``BlobSnapshot``)
 or built for the call (``QueueMessage.snapshot()``, query pages), so an
@@ -62,7 +64,6 @@ from ..storage.cache import CacheServiceState
 from ..storage.clock import Clock, LoopClock
 from ..storage.limits import LIMITS_2012
 from ..storage.table.entity import Entity
-from .wire import error_to_payload, payload_to_error
 
 __all__ = ["DataNode", "DataNodeClient"]
 
@@ -176,7 +177,7 @@ class DataNode:
                     f"data node {self.index} crashed mid-call"))
 
     # -- the exchange -------------------------------------------------------
-    async def _park(self, exchange, waiting_on) -> tuple:
+    async def _park(self, exchange, waiting_on):
         """Finish an exchange that waits as a task; its caller waits here.
 
         The caller awaits a reply future, not the task, so a caller that
@@ -195,35 +196,36 @@ class DataNode:
             self._parked.discard(reply)
 
     async def _exchange(self, account: str, client: str, op: str,
-                        args: tuple, kwargs: dict) -> tuple:
-        """One request in, one ``(tag, payload)`` reply out."""
+                        args: tuple, kwargs: dict):
+        """One request in, its result out; a failure raises."""
         self.requests_served += 1
         if op == "_ping":
             # Heartbeat: account-agnostic, answered before shard lookup.
-            return ("ok", {"node": self.index,
-                           "served": self.requests_served})
+            return {"node": self.index, "served": self.requests_served}
         if self.slow_delay > 0:
             # DN_SLOW fault: a sick-but-alive node (GC stall, bad disk).
             await asyncio.sleep(self.slow_delay)
         shard = self._shards.get(account)
         if shard is None:
-            return ("err", f"data node {self.index} holds no shard for "
-                           f"account {account!r}")
+            raise RuntimeError(
+                f"data node error: data node {self.index} holds no shard "
+                f"for account {account!r}")
         fabric = _FABRIC_OPS.get(op)
         try:
             if fabric is not None:
                 result = fabric(shard, *args)
             else:
                 result = _execute(shard, client, op, args, kwargs)
-        except StorageError as exc:
-            return ("storage-err", error_to_payload(exc))
+        except StorageError:
+            raise
         except Exception as exc:
-            return ("err", f"{type(exc).__name__}: {exc}")
+            raise RuntimeError(f"data node error: {type(exc).__name__}: "
+                               f"{exc}") from exc
         if op.startswith("create_"):
             # create_* ops return live state objects (they carry
             # back-references and locks); the wire result is just "ok".
-            result = None
-        return ("ok", result)
+            return None
+        return result
 
 
 def _apply(spec, shard: _Shard, args: tuple, kwargs: dict):
@@ -402,11 +404,5 @@ class DataNodeClient:
             try:
                 waiting_on = exchange.send(None)
             except StopIteration as done:
-                tag, payload = done.value
-            else:
-                tag, payload = await node._park(exchange, waiting_on)
-        if tag == "ok":
-            return payload
-        if tag == "storage-err":
-            raise payload_to_error(payload)
-        raise RuntimeError(f"data node error: {payload}")
+                return done.value
+            return await node._park(exchange, waiting_on)

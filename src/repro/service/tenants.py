@@ -66,19 +66,13 @@ class Tenant:
         self.limits = config.limits
         self.log = RequestLog(capacity=REQUEST_LOG_TAIL)
         self.metrics = MetricsAggregator()
-        #: ServerBusy rejections served to this tenant (throttles).
-        self.server_busy_count = 0
         stages = [
             AuthInterceptor(self._authorize_ctx),
             AnalyticsInterceptor(self.log, self.metrics),
         ]
         if config.enforce_targets:
-            stages.append(
-                ThrottleInterceptor(config.limits, on_busy=self._note_busy))
+            stages.append(ThrottleInterceptor(config.limits))
         self.pipeline = Pipeline(stages)
-
-    def _note_busy(self) -> None:
-        self.server_busy_count += 1
 
     # -- authentication -----------------------------------------------------
     def authorize_request(self, service: str, request: HttpRequest) -> None:

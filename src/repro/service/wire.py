@@ -71,8 +71,6 @@ __all__ = [
     "decode_request",
     "error_to_response",
     "response_to_error",
-    "error_to_payload",
-    "payload_to_error",
 ]
 
 #: The x-ms-version this tier speaks (the paper's era).
@@ -178,30 +176,6 @@ def _instantiate_error(code: str, message: str, *, status: int = 500,
         return cls(message, retry_after=(
             retry_after if retry_after is not None else 1.0))
     return cls(message)
-
-
-def error_to_payload(exc: StorageError) -> Dict[str, Any]:
-    """Structured form of a StorageError for the internal SN<->DN frames."""
-    doc: Dict[str, Any] = {
-        "code": exc.error_code, "status": exc.status_code,
-        "message": str(exc),
-    }
-    retry_after = getattr(exc, "retry_after", None)
-    if retry_after is not None:
-        doc["retry_after"] = retry_after
-    if isinstance(exc, BatchError):
-        doc["batch_index"] = exc.index
-        doc["batch_cause"] = exc.cause.error_code
-    return doc
-
-
-def payload_to_error(doc: Mapping[str, Any]) -> StorageError:
-    return _instantiate_error(
-        doc.get("code", ""), doc.get("message", ""),
-        status=int(doc.get("status", 500)),
-        retry_after=doc.get("retry_after"),
-        batch_index=doc.get("batch_index"),
-        batch_cause=doc.get("batch_cause"))
 
 
 def response_to_error(status: int, headers: Mapping[str, str],

@@ -53,7 +53,7 @@ from ..storage.content import SyntheticContent
 from ..storage.errors import StorageError
 from .arrivals import ArrivalSpec
 from .slo import SLOReport, SLOSpec
-from .stats import StatsAggregator, WindowRow, windows_csv
+from .stats import CompletionBuffer, StatsAggregator, WindowRow, windows_csv
 
 if TYPE_CHECKING:
     from ..faults.spec import FaultSpec
@@ -109,8 +109,8 @@ class LoadConfig:
     kill_at: Optional[float] = None
     #: Simulated clients: multiplies the per-client arrival rate.
     clients: int = 1
-    #: DES backends: arrivals unpacked from the columns, and completions
-    #: the stats flush folds, at a time; that is all it sizes, no result.
+    #: Completions the stats flush folds at a time, and on the DES
+    #: backends arrivals unpacked from the columns; it sizes no result.
     flock_size: int = DEFAULT_FLOCK_SIZE
     #: Selects nothing: benchmarks/suite still passes both old names.
     scheduler: str = "heap"
@@ -541,8 +541,9 @@ def _run_wallclock(config: LoadConfig, schedule: FlockSchedule,
     exhaust(_setup(make_clients(), config))
 
     outcomes: List[Optional[bool]] = [None] * len(schedule)
-    kinds, kind_nbytes, labels = (schedule.kinds, schedule.kind_nbytes,
-                                  schedule.labels)
+    kinds, kind_nbytes = schedule.kinds, schedule.kind_nbytes
+    completions = CompletionBuffer(agg, config.flock_size, kind_nbytes,
+                                   schedule.labels)
     time_scale = config.time_scale
     lock = threading.Lock()
     local = threading.local()
@@ -563,8 +564,7 @@ def _run_wallclock(config: LoadConfig, schedule: FlockSchedule,
         outcomes[i] = ok
         end = (time.monotonic() - origin) / time_scale
         with lock:
-            agg.record(at, max(at, end), ok=ok, nbytes=kind_nbytes[k],
-                       operation=labels[k])
+            completions.add(at, max(at, end), ok, k)
             last_end = max(last_end, end)
 
     def stop_on_error(future) -> None:
@@ -582,6 +582,7 @@ def _run_wallclock(config: LoadConfig, schedule: FlockSchedule,
                 break
             futures.append(pool.submit(run_op, *row))
             futures[-1].add_done_callback(stop_on_error)
+    completions.flush()
     for future in futures:
         future.result()
     return outcomes, last_end

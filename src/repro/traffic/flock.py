@@ -11,8 +11,8 @@ clients, so the schedule every backend runs is columnar:
   into plain scalars and arms one kernel event per arrival;
 * an operation is no simkit process: the arrival's callback starts its
   client generator as a :class:`~repro.simkit.Detached`, which resumes
-  it off the events it yields and hands its outcome to the completion
-  buffers, flushed to
+  it off the events it yields and hands its outcome to the run's
+  :class:`~repro.traffic.stats.CompletionBuffer`, flushed to
   :meth:`~repro.traffic.stats.StatsAggregator.record_chunk` per chunk.
 
 Each arrival is still an independent open-loop operation charging the
@@ -25,13 +25,14 @@ from __future__ import annotations
 
 from functools import partial
 from random import Random
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
 from ..storage.errors import StorageError
 from .engine import (LOAD_PARTITION, LOAD_QUEUE, MIXES, LoadConfig,
                      ScheduledOp, _clients, _op_starters, _setup)
+from .stats import CompletionBuffer
 
 __all__ = ["FlockSchedule", "build_flock_schedule", "run_flock_des"]
 
@@ -138,7 +139,7 @@ def run_flock_des(backend, config: LoadConfig, flock: FlockSchedule,
     client generator as a :class:`~repro.simkit.Detached` — no process,
     no start or exit event per op — off the columnar schedule unpacked
     ``flock_size`` arrivals at a time, completions going to the stats
-    buffers directly.  Returns ``(outcomes, last_end, events_processed)``.
+    buffer directly.  Returns ``(outcomes, last_end, events_processed)``.
     """
     from ..core.runner import RunConfig
     from ..simkit import Detached, Environment
@@ -159,23 +160,13 @@ def run_flock_des(backend, config: LoadConfig, flock: FlockSchedule,
     done = env.event()
     last_end = 0.0
     chunk = config.flock_size
-    kind_nbytes = flock.kind_nbytes
-    labels = flock.labels
-    starters = _op_starters(clients, flock.kinds, kind_nbytes)
+    starters = _op_starters(clients, flock.kinds, flock.kind_nbytes)
     arrivals = flock.rows(chunk)
     #: The arrival the armed kernel event stands for.
     head = None
 
-    #: Completions not yet flushed, flat (start, end, ok, kind id, ...).
-    buf: List[object] = []
-
-    def flush() -> None:
-        if buf:
-            ks = buf[3::4]
-            agg.record_chunk(buf[0::4], buf[1::4], oks=buf[2::4],
-                             nbytes=[kind_nbytes[k] for k in ks],
-                             operations=[labels[k] for k in ks])
-            buf.clear()
+    completions = CompletionBuffer(agg, chunk, flock.kind_nbytes,
+                                   flock.labels)
 
     def finish(i: int, k: int, started: float, ok: bool, value) -> None:
         nonlocal pending, last_end
@@ -183,9 +174,7 @@ def run_flock_des(backend, config: LoadConfig, flock: FlockSchedule,
             raise value  # a bug, not a refused op: out of env.run
         outcomes[i] = ok
         end = env.now - origin
-        buf.extend((started, end, ok, k))
-        if len(buf) >= 4 * chunk:
-            flush()
+        completions.add(started, end, ok, k)
         if end > last_end:
             last_end = end
         pending -= 1
@@ -213,5 +202,5 @@ def run_flock_des(backend, config: LoadConfig, flock: FlockSchedule,
     if n:
         arrive()
         env.run(until=done)
-    flush()
+    completions.flush()
     return outcomes, last_end, env.events_processed

@@ -6,8 +6,9 @@ byte totals, log-bucketed latency
 :class:`~repro.observability.histogram.Histogram`\\ s, and an exact
 in-flight time integral (each operation contributes its overlap with
 every window it spans, so boundary-crossing work is neither
-double-counted nor dropped).  ``record`` and ``record_chunk`` fold the
-same operations into equal aggregators.
+double-counted nor dropped).  Completions reach it through one
+:class:`CompletionBuffer` per run, which folds them with
+:meth:`StatsAggregator.record_chunk` in completion order.
 
 Attribution rules (fixed):
 
@@ -30,8 +31,8 @@ from typing import Dict, List, Optional, Sequence
 
 from ..observability.histogram import DEFAULT_GROWTH, Histogram
 
-__all__ = ["StatsAggregator", "WindowRow", "WINDOW_CSV_HEADER",
-           "windows_csv"]
+__all__ = ["CompletionBuffer", "StatsAggregator", "WindowRow",
+           "WINDOW_CSV_HEADER", "windows_csv"]
 
 
 class _Window:
@@ -144,50 +145,18 @@ class StatsAggregator:
     def index_of(self, t: float) -> int:
         return int(math.floor(t / self.window_s))
 
-    def record(self, start: float, end: float, *, ok: bool = True,
-               nbytes: int = 0, operation: Optional[str] = None) -> None:
-        """Fold one finished operation (times relative to the run origin)."""
-        if end < start:
-            raise ValueError(f"operation ends ({end}) before it starts "
-                             f"({start})")
-        if start < 0:
-            raise ValueError("start must be >= 0")
-        latency = end - start
-        self._window(self.index_of(start)).arrivals += 1
-        done = self._window(self.index_of(end))
-        done.completions += 1
-        done.latency.observe(latency)
-        done.nbytes += nbytes
-        if not ok:
-            done.errors += 1
-        if operation:
-            done.ops[operation] = done.ops.get(operation, 0) + 1
-        # Exact in-flight split across every window [start, end) touches.
-        if latency > 0:
-            first, last = self.index_of(start), self.index_of(end)
-            for idx in range(first, last + 1):
-                lo = max(start, idx * self.window_s)
-                hi = min(end, (idx + 1) * self.window_s)
-                if hi > lo:
-                    self._window(idx).inflight_area += hi - lo
-        self.overall.observe(latency)
-        self.total_arrivals += 1
-        self.total_completions += 1
-        self.total_bytes += nbytes
-        if not ok:
-            self.total_errors += 1
-
     def record_chunk(self, starts, ends, *, oks=None, nbytes=None,
                      operations=None) -> None:
-        """Fold a batch of finished operations in one call.
+        """Fold a batch of finished operations (times relative to the
+        run origin) in one call.
 
-        The state change is exactly equivalent to calling
-        :meth:`record` once per element, in order (pinned by
-        ``tests/traffic/test_stats_chunk.py``): validation and window
+        The state change is exactly equivalent to folding each element
+        alone, in order (pinned by ``tests/traffic/test_stats_chunk.py``
+        against the one-at-a-time oracle there): validation and window
         indexing are vectorized with numpy, while latency observations
         reuse the scalar histogram path so bucket boundaries agree to
-        the last ulp.  Flock-mode load runs flush their completion
-        buffers through here.
+        the last ulp.  Every load run's :class:`CompletionBuffer`
+        flushes through here.
 
         ``oks``/``nbytes``/``operations`` are optional parallel
         sequences (defaults: ok, 0 bytes, unattributed).
@@ -323,3 +292,41 @@ class StatsAggregator:
             "bytes": self.total_bytes,
             "latency": self.overall.to_dict(),
         }
+
+
+class CompletionBuffer:
+    """One load run's completions, folded into an aggregator in chunks.
+
+    :meth:`add` takes one completion as ``(start, end, ok, kind id)``;
+    every ``size`` completions, and at :meth:`flush`, the buffer goes to
+    :meth:`StatsAggregator.record_chunk` in the order the completions
+    came, so the aggregator ends as if each had been folded as it
+    finished.  Kind ids index ``kind_nbytes`` and ``labels``.
+    """
+
+    __slots__ = ("agg", "_limit", "_kind_nbytes", "_labels", "_buf")
+
+    def __init__(self, agg: StatsAggregator, size: int,
+                 kind_nbytes: Sequence[int], labels: Sequence[str]) -> None:
+        self.agg = agg
+        self._limit = 4 * size
+        self._kind_nbytes = kind_nbytes
+        self._labels = labels
+        #: Flat (start, end, ok, kind id, ...) quadruples.
+        self._buf: List[object] = []
+
+    def add(self, start: float, end: float, ok: bool, kind: int) -> None:
+        buf = self._buf
+        buf.extend((start, end, ok, kind))
+        if len(buf) >= self._limit:
+            self.flush()
+
+    def flush(self) -> None:
+        buf = self._buf
+        if buf:
+            kinds = buf[3::4]
+            self.agg.record_chunk(
+                buf[0::4], buf[1::4], oks=buf[2::4],
+                nbytes=[self._kind_nbytes[k] for k in kinds],
+                operations=[self._labels[k] for k in kinds])
+            buf.clear()

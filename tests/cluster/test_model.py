@@ -13,6 +13,7 @@ from repro.cluster import (
 )
 from repro.simkit import Environment
 from repro.storage import KB, LIMITS_2012, MB, ServerBusyError
+from repro.storage.analytics import attach_analytics
 
 
 @pytest.fixture
@@ -197,6 +198,7 @@ class TestExecution:
         limits = LIMITS_2012.with_overrides(account_transactions_per_second=10)
         cal = FabricCalibration(jitter_sigma=0.0)
         cluster = StorageCluster(env, limits=limits, calibration=cal)
+        _, metrics = attach_analytics(cluster)
         errors = []
 
         def client(env, i):
@@ -210,7 +212,7 @@ class TestExecution:
             env.process(client(env, i))
         env.run()
         assert len(errors) == 10
-        assert cluster.server_busy_count == 10
+        assert metrics.service_totals("queue").total_throttles == 10
 
     def test_per_queue_throttle(self, env):
         limits = LIMITS_2012.with_overrides(queue_messages_per_second=5)

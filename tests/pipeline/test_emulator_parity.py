@@ -21,10 +21,17 @@ from repro.storage.errors import (
 )
 
 
+def throttles(metrics) -> int:
+    """The 503s Storage Analytics counted, over every service."""
+    return sum(metrics.service_totals(service).total_throttles
+               for service in metrics.services())
+
+
 class TestEmulatorFaultPlan:
     def test_outage_window_fires_on_manual_clock(self):
         clock = ManualClock()
         account = EmulatorAccount(clock=clock)
+        _, metrics = attach_analytics(account)
         account.set_fault_plan(FaultPlan([
             FaultSpec(FaultKind.OUTAGE, service="queue",
                       start=10.0, duration=5.0),
@@ -34,21 +41,24 @@ class TestEmulatorFaultPlan:
         clock.set(12.0)  # inside the window
         with pytest.raises(ServerBusyError):
             queue.put_message("que", b"x")
-        assert account.server_busy_count == 1
+        assert throttles(metrics) == 1
         clock.set(20.0)  # window closed: service recovered
         queue.put_message("que", b"x")
         assert len(account.fault_plan.events) == 1
 
-    def test_transient_fault_does_not_bump_busy_count(self):
+    def test_a_transient_500_is_not_a_throttle(self):
         clock = ManualClock()
         account = EmulatorAccount(clock=clock)
+        _, metrics = attach_analytics(account)
         account.set_fault_plan(FaultPlan([
             FaultSpec(FaultKind.TRANSIENT_ERROR, service="table"),
         ]))
         table = account.table_client()
         with pytest.raises(TransientServerError):
             table.create_table("Tab")
-        assert account.server_busy_count == 0
+        totals = metrics.service_totals("table")
+        assert totals.total_errors == 1
+        assert totals.total_throttles == 0
 
     def test_timeout_burns_budget_on_the_account_clock(self):
         clock = ManualClock()
@@ -96,14 +106,16 @@ class TestEmulatorFaultPlan:
 class TestEmulatorThrottling:
     def test_targets_not_enforced_by_default(self):
         account = EmulatorAccount(clock=ManualClock())
+        _, metrics = attach_analytics(account)
         queue = account.queue_client()
         queue.create_queue("que")
         for i in range(600):  # > 500 msg/s, all at t=0
             queue.put_message("que", b"x")
-        assert account.server_busy_count == 0
+        assert throttles(metrics) == 0
 
     def test_per_queue_target_enforced_when_opted_in(self):
         account = EmulatorAccount(clock=ManualClock(), enforce_targets=True)
+        _, metrics = attach_analytics(account)
         queue = account.queue_client()
         queue.create_queue("que")
         rejected = 0
@@ -113,7 +125,7 @@ class TestEmulatorThrottling:
             except ServerBusyError:
                 rejected += 1
         assert rejected > 0
-        assert account.server_busy_count == rejected
+        assert throttles(metrics) == rejected
 
     def test_account_transaction_target_enforced(self):
         from repro.storage.limits import LIMITS_2012

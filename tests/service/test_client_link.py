@@ -353,28 +353,24 @@ def test_silent_server_times_out(scripted):
     assert conn._conns == {}
 
 
-def test_busy_retry_is_redated_and_resigned(scripted, monkeypatch):
-    ticks = iter(range(10))
-    monkeypatch.setattr(client_mod.time, "time",
-                        lambda: FROZEN_NOW + 5 * next(ticks))
+def test_a_busy_reply_is_raised_not_retried(scripted, monkeypatch):
+    """A 503 is the caller's to retry: it is sent once, and raised with
+    the server's ``Retry-After`` hint on a keep-alive socket."""
+    monkeypatch.setattr(client_mod.time, "time", lambda: FROZEN_NOW)
     busy = (b"HTTP/1.1 503 Service Unavailable\r\n"
-            b"x-ms-error-code: ServerBusy\r\nRetry-After: 0\r\n"
+            b"x-ms-error-code: ServerBusy\r\nRetry-After: 2\r\n"
             b"Content-Length: 0\r\n\r\n")
-    server, conn = scripted([("reply", busy), ("reply", OK_REPLY)],
-                            busy_retries=1)
-    conn.exchange(CREATE("busyq"))
-    first, second = (parse(raw) for raw in server.requests)
-    assert first.header("x-ms-date") != second.header("x-ms-date")
-    assert first.header("authorization") != second.header("authorization")
-    for request in (first, second):
-        sharedkey.verify_request(
-            DEV_KEY, request.method, request.path, request.query,
-            request.headers, request.header("authorization"))
-    conn.close()
-
-    server, conn = scripted([("reply", busy)])  # busy_retries=0: surfaced
-    with pytest.raises(ServerBusyError):
+    server, conn = scripted([("reply", busy), ("reply", OK_REPLY)])
+    with pytest.raises(ServerBusyError) as info:
         conn.exchange(CREATE("busyq"))
+    assert info.value.retry_after == 2.0
+    assert len(server.requests) == 1
+    request = parse(server.requests[0])
+    sharedkey.verify_request(
+        DEV_KEY, request.method, request.path, request.query,
+        request.headers, request.header("authorization"))
+    conn.exchange(CREATE("after"))
+    assert server.accepted == 1
     conn.close()
 
 

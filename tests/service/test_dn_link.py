@@ -14,6 +14,8 @@ import pytest
 
 from repro.service import DataNode, DataNodeClient, ServiceCluster
 from repro.service.sharedkey import DEV_ACCOUNT
+from repro.storage.errors import QueueNotFoundError
+from repro.storage.queue.state import QueueServiceState
 from tests.service.conftest import listening_ports
 from tests.service.test_request_path import _prepare, handle, run_on_cluster
 
@@ -57,6 +59,62 @@ def test_a_crash_fails_a_stalled_exchange_at_the_crash():
     seen, elapsed = run_on_cluster(body, dn=2, dn_timeout=5.0)
     assert seen == (503, 1, 1)  # a transport error, charged to the breaker
     assert elapsed < 0.35  # the crash, not the stall
+
+
+def _failing_get_queue(error):
+    def get_queue(self, name):
+        raise error
+    return get_queue
+
+
+@pytest.mark.parametrize("stall", [0.0, 0.05], ids=["eager", "parked"])
+def test_a_storage_error_crosses_as_the_object_the_state_raised(
+        monkeypatch, stall):
+    missing = QueueNotFoundError("prebuilt: the queue went away")
+    parks = []
+    park = DataNode._park
+
+    async def counted_park(self, exchange, waiting_on):
+        parks.append(self.index)
+        return await park(self, exchange, waiting_on)
+
+    async def main():
+        node = DataNode(0, [DEV_ACCOUNT])
+        client = DataNodeClient(*await node.start())
+        await client.call(DEV_ACCOUNT, "queue", "create_queue", ("q1q",), {})
+        node.slow_delay = stall
+        monkeypatch.setattr(DataNode, "_park", counted_park)
+        monkeypatch.setattr(QueueServiceState, "get_queue",
+                            _failing_get_queue(missing))
+        with pytest.raises(QueueNotFoundError) as info:
+            await client.call(DEV_ACCOUNT, "queue", "put_message",
+                              ("q1q", b"m"), {})
+        return info.value
+
+    assert asyncio.run(main()) is missing
+    assert parks == ([0] if stall else [])
+
+
+def test_any_other_failure_is_a_data_node_error_and_a_breaker_failure(
+        monkeypatch):
+    async def body(cluster, node):
+        await _prepare(node)
+        membership = cluster.membership
+        (owner,) = membership.owners(
+            node.route_label(DEV_ACCOUNT, "queue", "costq"))
+        monkeypatch.setattr(QueueServiceState, "get_queue",
+                            _failing_get_queue(ValueError("boom")))
+        with pytest.raises(RuntimeError) as info:
+            await node.data_nodes[owner].call(
+                DEV_ACCOUNT, "queue", "put_message", ("costq", b"m"), {})
+        response, _ = await handle(node, "queue", "put_message",
+                                   "costq", b"m")
+        return (str(info.value), response.status,
+                membership.breaker(owner).consecutive_failures,
+                membership.counters["replica_errors"])
+
+    assert run_on_cluster(body, dn=2) == (
+        "data node error: ValueError: boom", 503, 1, 1)
 
 
 @pytest.mark.parametrize("end", ["stop", "crash"])

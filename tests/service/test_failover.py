@@ -63,9 +63,9 @@ def recovered(runner, deaths):
     return recovery["detected"] and recovery["settled"]
 
 
-def make_clients(cluster, *, busy_retries=4):
+def make_clients(cluster):
     conn = ServiceConnection(cluster.endpoints(0), "devstoreaccount1",
-                             DEV_KEY, busy_retries=busy_retries)
+                             DEV_KEY)
     return (WireBlobClient(conn), WireQueueClient(conn),
             WireTableClient(conn))
 
@@ -161,9 +161,9 @@ class TestCrashFailover:
 
 
 class TestNoOwner503:
-    def test_ownerless_shard_503_and_client_honors_retry_after(self):
+    def test_ownerless_shard_answers_503_with_retry_after(self):
         with replicated_cluster(dn=1, replicas=1) as (cluster, runner):
-            bc, _, _ = make_clients(cluster, busy_retries=0)
+            bc, _, _ = make_clients(cluster)
             drive(bc.create_container(CONTAINER))
             kill(runner, 0)
             assert recovered(runner, 1)
@@ -173,15 +173,6 @@ class TestNoOwner503:
             assert info.value.status_code == 503
             assert getattr(info.value, "retry_after", None) == 0.25
             assert cluster.membership.counters["no_owner_503s"] >= 1
-
-            # With a retry budget the client sleeps out each advertised
-            # Retry-After before giving up: two retries >= 2 * 0.25 s.
-            bc2, _, _ = make_clients(cluster, busy_retries=2)
-            started = time.monotonic()
-            with pytest.raises(StorageError) as info:
-                drive(bc2.download_block_blob(CONTAINER, "orphan"))
-            assert info.value.status_code == 503
-            assert time.monotonic() - started >= 0.45
 
 
 class TestHedgedReads:

@@ -84,19 +84,23 @@ class TestSimCacheClient:
     def test_cache_ops_not_throttled_by_account(self, env):
         """Cache traffic must not consume storage-account transactions."""
         from repro.storage import LIMITS_2012
+        from repro.storage.analytics import attach_analytics
         account = SimStorageAccount(
             env, limits=LIMITS_2012.with_overrides(
                 account_transactions_per_second=2),
             seed=1)
+        _, metrics = attach_analytics(account.cluster)
         cache = account.cache_client()
 
         def body():
             yield from cache.create_cache("hot")
             for i in range(50):  # far beyond 2 tx/s
                 yield from cache.put("hot", f"k{i}", b"v")
-            return account.cluster.server_busy_count
 
-        assert run(env, body()) == 0
+        run(env, body())
+        totals = metrics.service_totals("cache")
+        assert totals.total_requests == 51
+        assert totals.total_throttles == 0
 
     def test_custom_capacity_and_ttl(self, env, account):
         cache = account.cache_client()

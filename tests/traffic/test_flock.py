@@ -166,10 +166,9 @@ class TestRunEquivalence:
             if case_id.startswith("queue-overload"):
                 assert result.aggregator.total_errors > 1000
 
-    def test_calendar_flock_matches_heap_flock(self, capsys):
+    def test_calendar_flock_matches_heap_flock(self):
         """Both old names are accepted and select nothing, on every
-        signature ``benchmarks/suite`` and old scripts still pass one to."""
-        from repro.cli import main
+        signature ``benchmarks/suite`` still passes one to."""
         from repro.simkit import Environment
 
         default = run_load(config(flock_size=64))
@@ -181,17 +180,6 @@ class TestRunEquivalence:
             assert named.config.describe() == default.config.describe()
         with pytest.raises(ValueError, match="scheduler"):
             Environment(scheduler="wheel")
-
-        argv = ["load", "--rate", "20", "--duration", "4"]
-        verdicts = []
-        for extra in ([], ["--scheduler", "calendar"]):
-            assert main(argv + extra) == 0
-            verdicts.append(json.loads(capsys.readouterr().out))
-            del verdicts[-1]["resources"]      # wall clock and RSS
-        assert verdicts[0] == verdicts[1]
-        with pytest.raises(SystemExit) as usage:
-            main(argv + ["--scheduler", "wheel"])
-        assert usage.value.code == 2
 
     def test_tiny_flock_size_still_matches(self):
         """Chunk boundaries are invisible: chunk=1 flushes per op."""

@@ -1,4 +1,4 @@
-"""``StatsAggregator.record_chunk`` == a sequential ``record`` loop.
+"""``StatsAggregator.record_chunk`` == the one-at-a-time oracle.
 
 The chunked path vectorizes validation and window indexing but must
 leave the aggregator in *exactly* the state the scalar path would —
@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.traffic import StatsAggregator
+from repro.traffic.stats import CompletionBuffer
+from tests.traffic.stats_oracle import record
 
 WINDOW_S = 2.0
 
@@ -18,7 +20,7 @@ WINDOW_S = 2.0
 def _scalar(ops):
     agg = StatsAggregator(WINDOW_S)
     for start, lat, ok, nbytes, op in ops:
-        agg.record(start, start + lat, ok=ok, nbytes=nbytes, operation=op)
+        record(agg, start, start + lat, ok=ok, nbytes=nbytes, operation=op)
     return agg
 
 
@@ -53,6 +55,28 @@ class TestChunkEquivalence:
         assert ([r.to_dict() for r in chunked.rows()]
                 == [r.to_dict() for r in scalar.rows()])
 
+    @given(ops=st.lists(_OP, min_size=0, max_size=60),
+           size=st.sampled_from((1, 3, 64)))
+    @settings(max_examples=40, deadline=None)
+    def test_completion_buffer_folds_in_completion_order(self, ops, size):
+        """Both load loops' buffer: every ``size`` completions it folds
+        what it holds, and after the last flush the aggregator is the
+        one-at-a-time fold of the same completions."""
+        labels = ("", "queue.put", "blob.get")
+        kind_nbytes = (0, 4096, 17)
+        agg = StatsAggregator(WINDOW_S)
+        buffer = CompletionBuffer(agg, size, kind_nbytes, labels)
+        ref = StatsAggregator(WINDOW_S)
+        for n, (start, lat, ok, _nbytes, _op) in enumerate(ops, 1):
+            kind = n % len(labels)
+            buffer.add(start, start + lat, ok, kind)
+            assert agg.total_completions == n - n % size
+            record(ref, start, start + lat, ok=ok, nbytes=kind_nbytes[kind],
+                   operation=labels[kind])
+        buffer.flush()
+        assert agg == ref
+        assert agg.total_completions == len(ops)
+
     def test_boundary_crossing_op_splits_inflight_identically(self):
         """One op spanning three windows: the inflight split is exact."""
         ops = [(1.5, 4.0, True, 10, "blob.get")]
@@ -66,8 +90,8 @@ class TestChunkEquivalence:
         agg = StatsAggregator(WINDOW_S)
         agg.record_chunk([0.0, 1.0], [0.5, 1.5])
         ref = StatsAggregator(WINDOW_S)
-        ref.record(0.0, 0.5)
-        ref.record(1.0, 1.5)
+        record(ref, 0.0, 0.5)
+        record(ref, 1.0, 1.5)
         assert agg == ref
         assert agg.total_errors == 0 and agg.total_bytes == 0
 

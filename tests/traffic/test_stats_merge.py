@@ -31,9 +31,9 @@ window_widths = st.floats(min_value=0.5, max_value=10.0,
 
 
 def fill(agg, ops):
-    for start, latency, ok, nbytes in ops:
-        agg.record(start, start + latency, ok=ok, nbytes=nbytes,
-                   operation=f"op{nbytes % 3}")
+    agg.record_chunk([o[0] for o in ops], [o[0] + o[1] for o in ops],
+                     oks=[o[2] for o in ops], nbytes=[o[3] for o in ops],
+                     operations=[f"op{o[3] % 3}" for o in ops])
     return agg
 
 
@@ -102,7 +102,7 @@ def test_rows_are_read_only_derivations(ops, w):
 
 def test_boundary_completion_goes_to_later_window():
     agg = StatsAggregator(5.0)
-    agg.record(4.0, 5.0)  # completes exactly on the boundary
+    agg.record_chunk([4.0], [5.0])  # completes exactly on the boundary
     rows = agg.rows()
     assert rows[0].arrivals == 1 and rows[0].completions == 0
     assert rows[1].completions == 1
@@ -113,6 +113,6 @@ def test_boundary_completion_goes_to_later_window():
 
 def test_spanning_op_splits_inflight_exactly():
     agg = StatsAggregator(2.0)
-    agg.record(1.0, 6.5)  # spans windows 0..3
+    agg.record_chunk([1.0], [6.5])  # spans windows 0..3
     areas = [r.mean_in_flight * 2.0 for r in agg.rows()]
     assert [round(a, 9) for a in areas] == [1.0, 2.0, 2.0, 0.5]
