@@ -132,15 +132,12 @@ class GeoBackend(SimBackend):
 
     name = "geo"
 
-    def __init__(self, lag_s: float = 2.0) -> None:
-        self.lag_s = lag_s
-
     def _make_account(self, env: Environment, config):
         from .geo import GeoAccount
         return GeoAccount(
             env, limits=config.limits, calibration=config.calibration,
             seed=config.seed, fifo_jitter_seed=config.fifo_jitter_seed,
-            lag_s=self.lag_s,
+            lag_s=2.0,
         )
 
 
@@ -268,13 +265,12 @@ class ServiceBackend(Backend):
     name = "service"
 
     def __init__(self, time_scale: float = 0.01, nodes: int = 1,
-                 dn: int = 2, enforce_targets: bool = False) -> None:
+                 dn: int = 2) -> None:
         if time_scale <= 0:
             raise ValueError("time_scale must be > 0")
         self.time_scale = time_scale
         self.nodes = nodes
         self.dn = dn
-        self.enforce_targets = enforce_targets
 
     def run(self, body_factory, config) -> BenchResult:
         if config.trace:
@@ -285,8 +281,10 @@ class ServiceBackend(Backend):
         from .service import DEV_KEY, TenantConfig, TenantDirectory
         from .service.cluster import ClusterRunner, ServiceCluster
 
+        # Targets unenforced: the throttle windows read the wall clock,
+        # which sees the workload's rate compressed by ``time_scale``.
         tenants = TenantDirectory([TenantConfig.development(
-            limits=config.limits, enforce_targets=self.enforce_targets)])
+            limits=config.limits, enforce_targets=False)])
         cluster = ServiceCluster(
             nodes=self.nodes, dn=self.dn, tenants=tenants,
             fifo_jitter_seed=config.fifo_jitter_seed)

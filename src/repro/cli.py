@@ -869,7 +869,7 @@ def _run_load(args) -> int:
 
 
 def _run_sndn(args) -> int:
-    from .service.topology import sweep_topology
+    from .service.virtual import sweep
 
     try:
         sn_counts = [int(v) for v in args.sn.split(",") if v]
@@ -889,18 +889,12 @@ def _run_sndn(args) -> int:
               f"{args.replication}", file=sys.stderr)
         return 2
     crashing = args.crash_at is not None
-    overrides = {}
-    if args.replication > 1 or crashing:
-        overrides["replication"] = args.replication
-    if crashing:
-        overrides["crash_node"] = 0
-        overrides["crash_at_s"] = args.crash_at
-        overrides["detect_s"] = args.detect
     try:
-        results = sweep_topology(
+        results = sweep(
             sn_counts, dn_counts, clients=args.clients,
-            duration_s=args.duration, seed=args.seed,
-            fanout_fraction=args.fanout, **overrides)
+            duration_s=args.duration, fanout=args.fanout, seed=args.seed,
+            replication=args.replication, crash_at=args.crash_at,
+            detect=args.detect)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2

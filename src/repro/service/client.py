@@ -38,6 +38,8 @@ __all__ = [
     "WireBlobClient",
     "WireQueueClient",
     "WireTableClient",
+    "reply_result",
+    "signed_request",
     "wire_clients",
 ]
 
@@ -84,44 +86,13 @@ class ServiceConnection:
         policy (:func:`repro.sim.retry.retrying`, the resilience
         policies), not the connection's.
         """
-        path = f"/{self.account}{call.path}"
-        query = {k: str(v) for k, v in call.query.items()}
-        headers = dict(call.headers)
-        headers["x-ms-date"] = _http_date(time.time())
-        headers["x-ms-version"] = WIRE_VERSION
-        signable = dict(headers)
-        signable["Content-Length"] = str(len(call.body))
-        # Signed as the server reads it: the path percent-decoded.
-        headers["Authorization"] = sharedkey.sign_request(
-            self.account, self.key, call.method, unquote(path), query,
-            signable, table_flavor=(call.service == "table"))
-        target = path
-        if query:
-            target += "?" + "&".join(
-                f"{quote(k, safe='')}={quote(v, safe='')}"
-                for k, v in query.items())
-        status, resp_headers, body = self._send(
-            call.service, call.method, target, headers, call.body)
-        if status >= 400:
-            raise response_to_error(status, resp_headers, body,
-                                    table=(call.service == "table"))
-        return call.parse(status, resp_headers, body)
+        host, port = self.endpoints[call.service]
+        head = signed_request(call, self.account, self.key, f"{host}:{port}")
+        status, headers, body = self._send(call.service,
+                                           framed(head, call.body))
+        return reply_result(call, status, headers, body)
 
-    def _send(self, service: str, method: str, target: str,
-              headers: Mapping[str, str], body: bytes):
-        host, port = self.endpoints[service]
-        if _NOT_IN_TARGET.search(target):
-            raise ValueError(f"request target {target!r} holds whitespace "
-                             f"or control characters")
-        lines = [f"{method} {target} HTTP/1.1", f"Host: {host}:{port}",
-                 "Accept-Encoding: identity"]
-        if body or method in ("PUT", "POST", "PATCH"):
-            lines.append(f"Content-Length: {len(body)}")
-        lines.extend(f"{k}: {v}" for k, v in headers.items())
-        if any("\r" in line or "\n" in line for line in lines):
-            raise ValueError("line break inside a request header")
-        pieces = framed(
-            ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"), body)
+    def _send(self, service: str, pieces: Tuple[bytes, ...]):
         for attempt in (0, 1):
             sock = self._connection(service)
             try:
@@ -143,6 +114,52 @@ class ServiceConnection:
                 self._drop(service)
             return status, resp_headers, payload
         raise RuntimeError("unreachable")  # pragma: no cover
+
+
+def signed_request(call: WireCall, account: str, key: str,
+                   host: str) -> bytes:
+    """The SharedKey-signed request head of ``call``; its body follows.
+
+    The one request builder: the socket connection sends what it
+    returns, and :mod:`repro.service.virtual` feeds it to a service node
+    through an in-memory stream.
+    """
+    path = f"/{account}{call.path}"
+    query = {k: str(v) for k, v in call.query.items()}
+    headers = dict(call.headers)
+    headers["x-ms-date"] = _http_date(time.time())
+    headers["x-ms-version"] = WIRE_VERSION
+    signable = dict(headers)
+    signable["Content-Length"] = str(len(call.body))
+    # Signed as the server reads it: the path percent-decoded.
+    headers["Authorization"] = sharedkey.sign_request(
+        account, key, call.method, unquote(path), query, signable,
+        table_flavor=(call.service == "table"))
+    target = path
+    if query:
+        target += "?" + "&".join(
+            f"{quote(k, safe='')}={quote(v, safe='')}"
+            for k, v in query.items())
+    if _NOT_IN_TARGET.search(target):
+        raise ValueError(f"request target {target!r} holds whitespace "
+                         f"or control characters")
+    lines = [f"{call.method} {target} HTTP/1.1", f"Host: {host}",
+             "Accept-Encoding: identity"]
+    if call.body or call.method in ("PUT", "POST", "PATCH"):
+        lines.append(f"Content-Length: {len(call.body)}")
+    lines.extend(f"{k}: {v}" for k, v in headers.items())
+    if any("\r" in line or "\n" in line for line in lines):
+        raise ValueError("line break inside a request header")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
+def reply_result(call: WireCall, status: int, headers: Mapping[str, str],
+                 body: bytes) -> Any:
+    """``call``'s parsed result, or its error raised (headers lower-case)."""
+    if status >= 400:
+        raise response_to_error(status, headers, body,
+                                table=(call.service == "table"))
+    return call.parse(status, headers, body)
 
 
 def _read_response(sock: socket.socket) -> Tuple[int, Dict[str, str], bytes]:

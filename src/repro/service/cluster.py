@@ -143,6 +143,34 @@ class ServiceCluster:
                  if dn.crashed_at is not None), default=None)),
         }
 
+    def arm(self, faults: Iterable[FaultSpec],
+            time_scale: float = 1.0) -> None:
+        """Arm DN faults on the running loop's timers; call it on the loop.
+
+        Each fires ``start * time_scale`` seconds from now: a DN_CRASH
+        crash-stops its node, a DN_SLOW stalls every request the node
+        serves by ``latency_factor`` seconds until ``end``.  The one kill
+        schedule of ``repro load --kill-dn``, the dn-failover campaign
+        and ``repro sndn --crash-at``.
+        """
+        loop = asyncio.get_running_loop()
+
+        def at(when: float, fn, *args) -> None:
+            # A fault due now lands before the loop runs anything else.
+            if when > 0:
+                loop.call_later(when * time_scale, fn, *args)
+            else:
+                fn(*args)
+
+        for spec in _dn_faults(faults):
+            if spec.kind is FaultKind.DN_CRASH:
+                at(spec.start, self.crash_data_node, spec.node)
+                continue
+            node = self.data_nodes[spec.node]
+            at(spec.start, setattr, node, "slow_delay", spec.latency_factor)
+            if spec.duration != float("inf"):
+                at(spec.end, setattr, node, "slow_delay", 0.0)
+
     # -- conveniences -------------------------------------------------------
     def endpoints(self, node: int = 0) -> Dict[str, Tuple[str, int]]:
         """``service -> (host, port)`` for one service node."""
@@ -157,6 +185,13 @@ class ServiceCluster:
                             for svc, (h, p) in sorted(sn.endpoints.items()))
             lines.append(f"  sn{sn.index}: {eps}")
         return "\n".join(lines)
+
+
+def _dn_faults(faults: Iterable[FaultSpec]) -> List[FaultSpec]:
+    faults = list(faults)
+    if any(spec.kind not in DN_KINDS for spec in faults):
+        raise ValueError("a cluster takes DN_CRASH and DN_SLOW faults")
+    return faults
 
 
 class ClusterRunner:
@@ -219,38 +254,11 @@ class ClusterRunner:
 
     def schedule_faults(self, faults: Iterable[FaultSpec],
                         time_scale: float = 1.0) -> None:
-        """Arm DN faults on the cluster loop's timers, from any thread.
-
-        Each fires ``start * time_scale`` seconds from now: a DN_CRASH
-        crash-stops its node, a DN_SLOW stalls every request the node
-        serves by ``latency_factor`` seconds until ``end``.  The one kill
-        schedule of ``repro load --kill-dn`` and the dn-failover campaign.
-        """
+        """:meth:`ServiceCluster.arm` on the cluster loop, from any thread."""
         if self._loop is None:
             raise RuntimeError("cluster is not running")
-        faults = list(faults)
-        if any(spec.kind not in DN_KINDS for spec in faults):
-            raise ValueError("a cluster takes DN_CRASH and DN_SLOW faults")
-        self._loop.call_soon_threadsafe(self._arm, faults, time_scale)
-
-    def _arm(self, faults: List[FaultSpec], time_scale: float) -> None:
-        loop = asyncio.get_running_loop()
-
-        def at(when: float, fn, *args) -> None:
-            # A fault due now lands before the loop runs anything else.
-            if when > 0:
-                loop.call_later(when * time_scale, fn, *args)
-            else:
-                fn(*args)
-
-        for spec in faults:
-            if spec.kind is FaultKind.DN_CRASH:
-                at(spec.start, self.cluster.crash_data_node, spec.node)
-                continue
-            node = self.cluster.data_nodes[spec.node]
-            at(spec.start, setattr, node, "slow_delay", spec.latency_factor)
-            if spec.duration != float("inf"):
-                at(spec.end, setattr, node, "slow_delay", 0.0)
+        self._loop.call_soon_threadsafe(
+            self.cluster.arm, _dn_faults(faults), time_scale)
 
     def drain_data_node(self, index: int, timeout: float = 30.0) -> None:
         """Gracefully retire one DN; blocks until migration completes."""

@@ -144,12 +144,17 @@ class DataNode:
         #: When ``crash()`` ran, on the node's clock.
         self.crashed_at: Optional[float] = None
         #: Exchanges that waited and now run as tasks, and the reply
-        #: futures their callers wait on.
+        #: futures their callers wait on (in park order: a crash fails
+        #: them in the order they came).
         self._exchanges: Set[asyncio.Task] = set()
-        self._parked: Set[asyncio.Future] = set()
+        self._parked: Dict[asyncio.Future, None] = {}
         self.requests_served = 0
         #: Injected per-request service delay in seconds (DN_SLOW fault).
         self.slow_delay = 0.0
+        #: CPU seconds each request holds the node's one CPU for; 0 on a
+        #: real loop, where the op's own run time is the cost.
+        self.cpu_s = 0.0
+        self._cpu: Optional[asyncio.Lock] = None
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self,
@@ -157,6 +162,7 @@ class DataNode:
         """Open to calls, on the running loop's clock; returns what a
         :class:`DataNodeClient` takes (the node where a port would be)."""
         self.clock.bind(asyncio.get_running_loop())
+        self._cpu = asyncio.Lock()
         self.up = True
         return host, self
 
@@ -189,11 +195,11 @@ class DataNode:
         self._exchanges.add(task)  # the loop holds tasks weakly
         task.add_done_callback(self._exchanges.discard)
         task.add_done_callback(functools.partial(_deliver, reply))
-        self._parked.add(reply)
+        self._parked[reply] = None
         try:
             return await reply
         finally:
-            self._parked.discard(reply)
+            del self._parked[reply]
 
     async def _exchange(self, account: str, client: str, op: str,
                         args: tuple, kwargs: dict):
@@ -202,6 +208,9 @@ class DataNode:
         if op == "_ping":
             # Heartbeat: account-agnostic, answered before shard lookup.
             return {"node": self.index, "served": self.requests_served}
+        if self.cpu_s:
+            async with self._cpu:
+                await asyncio.sleep(self.cpu_s)
         if self.slow_delay > 0:
             # DN_SLOW fault: a sick-but-alive node (GC stall, bad disk).
             await asyncio.sleep(self.slow_delay)

@@ -149,6 +149,9 @@ class Membership:
             "no_owner_503s": 0,
         }
         self._tasks: List[asyncio.Task] = []
+        #: Set by stop(): on 3.11 a cancel that lands as a ping answers is
+        #: swallowed by ``asyncio.wait_for``, so a beat loop checks this.
+        self._stopping = False
         # Made by start() on the cluster's event loop (py3.9 binds asyncio
         # primitives to the loop current at construction time).
         self._rebalance_lock: Optional[asyncio.Lock] = None
@@ -200,6 +203,7 @@ class Membership:
             self._tasks.append(asyncio.ensure_future(self._heartbeat(i)))
 
     async def stop(self) -> None:
+        self._stopping = True
         for task in self._tasks:
             task.cancel()
         if self._tasks:
@@ -223,7 +227,7 @@ class Membership:
     async def _heartbeat(self, node: int) -> None:
         cfg = self.config
         rng = Random(f"{cfg.seed}:hb:{node}")
-        while True:
+        while not self._stopping:
             # Seeded jitter de-synchronizes the per-node probes while
             # keeping the schedule reproducible under the seed.
             await asyncio.sleep(cfg.heartbeat_interval

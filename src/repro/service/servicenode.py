@@ -161,12 +161,17 @@ class ServiceNode:
         self.endpoints: Dict[str, Tuple[str, int]] = {}
         self._request_ids = itertools.count(1)
         self.inflight = 0
+        #: CPU seconds each request holds the node's one CPU for (auth,
+        #: decode, routing); 0 on a real loop, where they take their time.
+        self.cpu_s = 0.0
+        self._cpu: Optional[asyncio.Lock] = None
 
     # -- lifecycle ----------------------------------------------------------
     async def start(self, host: str = "127.0.0.1",
                     ports: Optional[Dict[str, int]] = None) -> None:
         """Bind the three listeners (``ports[service]`` or ephemeral)."""
         ports = ports or {}
+        self._cpu = asyncio.Lock()
         for service in SERVICES:
             server = await httpd.serve(
                 self._make_handler(service), host, ports.get(service, 0),
@@ -203,6 +208,9 @@ class ServiceNode:
     async def handle(self, service: str,
                      request: HttpRequest) -> HttpResponse:
         request_id = f"sn{self.index}-{next(self._request_ids):08d}"
+        if self.cpu_s:
+            async with self._cpu:
+                await asyncio.sleep(self.cpu_s)
         account = request.path.strip("/").split("/", 1)[0]
         table = service == "table"
         try:
@@ -413,7 +421,9 @@ class ServiceNode:
                             launch()
                         continue
                     outcomes = []
-                    for task in done:
+                    # In launch order, not the set's: a rerun must see
+                    # simultaneous replies in the same order.
+                    for task in [t for t in tasks if t in done]:
                         del tasks[task]
                         exc = task.exception()
                         outcomes.append(

@@ -206,7 +206,12 @@ def schedule_digest(schedule: Iterable[ScheduledOp],
 
     ``schedule`` is any iterable of ops (``FlockSchedule.iter_ops()``
     streams them from its columnar arrays); ``outcomes`` any indexable
-    of None/bool-convertible entries.
+    of None/bool-convertible entries.  Without outcomes the digest is a
+    fingerprint of the schedule, equal on every backend (the
+    dn-failover verdict's ``op_digest``).  With them it is ``repro
+    load``'s ``op_digest``: on the emulator and service backends the
+    outcomes follow wall timing, so it identifies a tree only on
+    ``sim`` and ``geo``.
     """
     h = hashlib.sha256()
     for s in schedule:
@@ -299,11 +304,8 @@ class LoadResult:
     config: LoadConfig
     rows: List[WindowRow]
     aggregator: StatsAggregator
-    #: Digest over the issued op sequence + outcomes (see
-    #: :func:`schedule_digest`): reproducible for seeded DES runs, but
-    #: on a wall-clock backend the outcomes follow timing, so two runs
-    #: of one tree may differ.  The issued sequence alone is
-    #: ``schedule_digest(schedule.iter_ops())``.
+    #: Digest over the issued op sequence + outcomes: it identifies a
+    #: tree only on ``sim`` and ``geo`` (see :func:`schedule_digest`).
     digest: str
     #: Virtual seconds from first arrival to last completion.
     elapsed_s: float
@@ -490,7 +492,11 @@ def service_run(config: LoadConfig, schedule: FlockSchedule,
     if config.replicas > 1 or faults:
         failure_domain = FailureDomainConfig.kill_test(
             config.replicas, config.seed)
-    tenants = TenantDirectory([TenantConfig.development()])
+    # As ``ServiceBackend.run`` boots it: the throttle windows read the
+    # cluster's wall clock, so at ``time_scale`` < 1 they would see the
+    # offered rate compressed and refuse ops the schedule never overdrew.
+    tenants = TenantDirectory(
+        [TenantConfig.development(enforce_targets=False)])
     cluster = ServiceCluster(nodes=1, dn=config.dn, tenants=tenants,
                              failure_domain=failure_domain)
     account = tenants.accounts()[0]

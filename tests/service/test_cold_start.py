@@ -21,7 +21,8 @@ SRC = ROOT / "src"
 NOT_SERVED = ("numpy", "repro.bench", "repro.backend", "repro.compute",
               "repro.core", "repro.sim", "repro.framework", "repro.traffic",
               "repro.simkit", "repro.cluster.model",
-              "repro.cluster.calibration", "repro.cluster.servers")
+              "repro.cluster.calibration", "repro.cluster.servers",
+              "repro.service.virtual")
 #: The standard library a server has no use for (the SN->DN hop is a
 #: plain call, so nothing is pickled).
 UNUSED_STDLIB = ("urllib.request", "http.client", "email", "xml.sax",

@@ -97,3 +97,20 @@ class TestCliIntegration:
             ["sndn", "--sn", "1,2", "--dn", "2,4", "--duration", "5"])
         assert args.sn == "1,2"
         assert args.dn == "2,4"
+
+
+class TestLoadOnService:
+    def test_compressed_time_trips_no_throttle(self):
+        """``repro load --backend service --mix queue --rate 100
+        --duration 4`` offers 100 ops/s of virtual time; at the default
+        ``time_scale`` the wall clock sees 100x that, so a tenant that
+        enforced its targets would refuse ops the schedule never
+        overdrew.  ``service_run`` boots the tenant as ``ServiceBackend``
+        does, and not one op fails."""
+        from repro.traffic import ArrivalSpec, LoadConfig, run_load
+
+        result = run_load(LoadConfig(
+            arrivals=ArrivalSpec(rate=100.0, seed=2012), duration=4.0,
+            mix="queue", seed=2012, backend="service"))
+        assert result.aggregator.total_completions > 400
+        assert result.aggregator.total_errors == 0
