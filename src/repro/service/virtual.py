@@ -39,7 +39,8 @@ from .sharedkey import DEV_KEY
 from .tenants import TenantConfig, TenantDirectory
 from .wire import ENCODERS
 
-__all__ = ["CPU_S", "VirtualLoop", "PointResult", "measure", "sweep"]
+__all__ = ["CPU_S", "VirtualLoop", "PointResult", "measure", "run_virtual",
+           "sweep"]
 
 #: Per-request CPU seconds of one node of each tier: SharedKey check,
 #: decode and routing at a service node; the storage op at a data node.
@@ -51,15 +52,18 @@ CONTAINER = "sndn"
 
 
 class _VirtualSelector(selectors.DefaultSelector):
-    """Never blocks: an idle wait moves the clock on instead."""
+    """Never blocks: where the loop would wait, it polls with ``select(0)``
+    and, if nothing is ready, moves the clock by the wait instead."""
 
     def __init__(self) -> None:
         super().__init__()
         self.now = 0.0
 
     def select(self, timeout: Optional[float] = None):
+        if timeout == 0:
+            return []  # callbacks are due at this instant: run them first
         ready = super().select(0)
-        if ready or timeout == 0:
+        if ready:
             return ready
         if timeout is None:
             raise RuntimeError("virtual loop is idle with no timer "
@@ -172,23 +176,22 @@ def measure(service_nodes: int, data_nodes: int, *, clients: int = 16,
                                     seed, crash_at))
 
 
-async def _closed_loop(cluster: ServiceCluster, result: PointResult,
-                       clients: int, fanout: float, seed: int,
-                       crash_at: Optional[float]) -> PointResult:
-    loop = asyncio.get_running_loop()
-    for dn in cluster.data_nodes:
-        dn.cpu_s = CPU_S["dn"]
+async def _closed_loop(cluster: ServiceCluster, *args) -> PointResult:
     await cluster.start()
     try:
-        for sn in cluster.service_nodes:
-            sn.cpu_s = CPU_S["sn"]
-        await _drive(cluster, result, clients, fanout, seed, crash_at, loop)
+        return await _drive(cluster, *args)
     finally:
         await cluster.stop()
-    return result
 
 
-async def _drive(cluster, result, clients, fanout, seed, crash_at, loop):
+async def _drive(cluster: ServiceCluster, result: PointResult, clients: int,
+                 fanout: float, seed: int,
+                 crash_at: Optional[float]) -> PointResult:
+    loop = asyncio.get_running_loop()
+    for sn in cluster.service_nodes:
+        sn.cpu_s = CPU_S["sn"]
+    for dn in cluster.data_nodes:
+        dn.cpu_s = CPU_S["dn"]
     account = cluster.tenants.accounts()[0]
 
     def signed(client: str, op: str, *args) -> Tuple[str, bytes]:
@@ -244,6 +247,7 @@ async def _drive(cluster, result, clients, fanout, seed, crash_at, loop):
                 result.failed += 1
 
     await asyncio.gather(*(client(i) for i in range(clients)))
+    return result
 
 
 def sweep(sn_counts: Sequence[int], dn_counts: Sequence[int],
