@@ -38,7 +38,6 @@ __all__ = [
     "WireBlobClient",
     "WireQueueClient",
     "WireTableClient",
-    "reply_result",
     "signed_request",
     "wire_clients",
 ]
@@ -90,7 +89,10 @@ class ServiceConnection:
         head = signed_request(call, self.account, self.key, f"{host}:{port}")
         status, headers, body = self._send(call.service,
                                            framed(head, call.body))
-        return reply_result(call, status, headers, body)
+        if status >= 400:
+            raise response_to_error(status, headers, body,
+                                    table=(call.service == "table"))
+        return call.parse(status, headers, body)
 
     def _send(self, service: str, pieces: Tuple[bytes, ...]):
         for attempt in (0, 1):
@@ -119,11 +121,8 @@ class ServiceConnection:
 def signed_request(call: WireCall, account: str, key: str,
                    host: str) -> bytes:
     """The SharedKey-signed request head of ``call``; its body follows.
-
-    The one request builder: the socket connection sends what it
-    returns, and :mod:`repro.service.virtual` feeds it to a service node
-    through an in-memory stream.
-    """
+    What the socket connection sends and :mod:`repro.service.virtual`
+    feeds a service node through an in-memory stream."""
     path = f"/{account}{call.path}"
     query = {k: str(v) for k, v in call.query.items()}
     headers = dict(call.headers)
@@ -151,15 +150,6 @@ def signed_request(call: WireCall, account: str, key: str,
     if any("\r" in line or "\n" in line for line in lines):
         raise ValueError("line break inside a request header")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-
-
-def reply_result(call: WireCall, status: int, headers: Mapping[str, str],
-                 body: bytes) -> Any:
-    """``call``'s parsed result, or its error raised (headers lower-case)."""
-    if status >= 400:
-        raise response_to_error(status, headers, body,
-                                table=(call.service == "table"))
-    return call.parse(status, headers, body)
 
 
 def _read_response(sock: socket.socket) -> Tuple[int, Dict[str, str], bytes]:

@@ -150,8 +150,7 @@ class ServiceCluster:
         Each fires ``start * time_scale`` seconds from now: a DN_CRASH
         crash-stops its node, a DN_SLOW stalls every request the node
         serves by ``latency_factor`` seconds until ``end``.  The one kill
-        schedule of ``repro load --kill-dn``, the dn-failover campaign
-        and ``repro sndn --crash-at``.
+        schedule of ``repro load --kill-dn``, dn-failover and ``repro sndn``.
         """
         loop = asyncio.get_running_loop()
 
@@ -162,7 +161,7 @@ class ServiceCluster:
             else:
                 fn(*args)
 
-        for spec in _dn_faults(faults):
+        for spec in faults:
             if spec.kind is FaultKind.DN_CRASH:
                 at(spec.start, self.crash_data_node, spec.node)
                 continue
@@ -185,13 +184,6 @@ class ServiceCluster:
                             for svc, (h, p) in sorted(sn.endpoints.items()))
             lines.append(f"  sn{sn.index}: {eps}")
         return "\n".join(lines)
-
-
-def _dn_faults(faults: Iterable[FaultSpec]) -> List[FaultSpec]:
-    faults = list(faults)
-    if any(spec.kind not in DN_KINDS for spec in faults):
-        raise ValueError("a cluster takes DN_CRASH and DN_SLOW faults")
-    return faults
 
 
 class ClusterRunner:
@@ -257,8 +249,10 @@ class ClusterRunner:
         """:meth:`ServiceCluster.arm` on the cluster loop, from any thread."""
         if self._loop is None:
             raise RuntimeError("cluster is not running")
-        self._loop.call_soon_threadsafe(
-            self.cluster.arm, _dn_faults(faults), time_scale)
+        faults = list(faults)
+        if any(spec.kind not in DN_KINDS for spec in faults):
+            raise ValueError("a cluster takes DN_CRASH and DN_SLOW faults")
+        self._loop.call_soon_threadsafe(self.cluster.arm, faults, time_scale)
 
     def drain_data_node(self, index: int, timeout: float = 30.0) -> None:
         """Gracefully retire one DN; blocks until migration completes."""

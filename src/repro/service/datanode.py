@@ -144,15 +144,13 @@ class DataNode:
         #: When ``crash()`` ran, on the node's clock.
         self.crashed_at: Optional[float] = None
         #: Exchanges that waited and now run as tasks, and the reply
-        #: futures their callers wait on (in park order: a crash fails
-        #: them in the order they came).
+        #: futures their callers wait on, in park order (a crash's order).
         self._exchanges: Set[asyncio.Task] = set()
         self._parked: Dict[asyncio.Future, None] = {}
         self.requests_served = 0
         #: Injected per-request service delay in seconds (DN_SLOW fault).
         self.slow_delay = 0.0
-        #: CPU seconds each request holds the node's one CPU for; 0 on a
-        #: real loop, where the op's own run time is the cost.
+        #: Seconds a request holds the node's one CPU; 0 (off) on a real loop.
         self.cpu_s = 0.0
         self._cpu: Optional[asyncio.Lock] = None
 

@@ -149,8 +149,7 @@ class Membership:
             "no_owner_503s": 0,
         }
         self._tasks: List[asyncio.Task] = []
-        #: Set by stop(): on 3.11 a cancel that lands as a ping answers is
-        #: swallowed by ``asyncio.wait_for``, so a beat loop checks this.
+        #: 3.11's ``wait_for`` swallows a cancel that lands as a ping answers.
         self._stopping = False
         # Made by start() on the cluster's event loop (py3.9 binds asyncio
         # primitives to the loop current at construction time).

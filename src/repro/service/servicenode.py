@@ -161,8 +161,7 @@ class ServiceNode:
         self.endpoints: Dict[str, Tuple[str, int]] = {}
         self._request_ids = itertools.count(1)
         self.inflight = 0
-        #: CPU seconds each request holds the node's one CPU for (auth,
-        #: decode, routing); 0 on a real loop, where they take their time.
+        #: Seconds a request holds the node's one CPU; 0 (off) on a real loop.
         self.cpu_s = 0.0
         self._cpu: Optional[asyncio.Lock] = None
 
@@ -421,8 +420,7 @@ class ServiceNode:
                             launch()
                         continue
                     outcomes = []
-                    # In launch order, not the set's: a rerun must see
-                    # simultaneous replies in the same order.
+                    # Launch order, not set order: reruns see ties alike.
                     for task in [t for t in tasks if t in done]:
                         del tasks[task]
                         exc = task.exception()

@@ -1,23 +1,19 @@
 """``repro sndn``: the real SN/DN cluster on a virtual-time event loop.
 
 :class:`VirtualLoop` is the stdlib selector event loop with a virtual
-``time()``: its selector polls without blocking, and when nothing is
-ready it moves the clock on by the timeout the loop asked to wait —
-to the next timer.  An unmodified
-:class:`~repro.service.cluster.ServiceCluster` runs on it: heartbeats,
-hedge delays, DN deadlines and armed DN faults are all loop timers, so
-they all keep virtual time.
+``time()``: where it would wait, its selector polls without blocking
+and, if nothing is ready, moves the clock to the next timer.  An
+unmodified :class:`~repro.service.cluster.ServiceCluster` runs on it:
+heartbeats, hedges, DN deadlines and armed faults are loop timers.
 
-:func:`measure` boots one (service nodes × data nodes) deployment on a
-fresh loop and drives it with closed-loop clients.  Each request is
-built by :func:`~repro.service.client.signed_request` (the socket
-client's builder), read off an in-memory stream by
+:func:`measure` drives one deployment with closed-loop clients.  A
+request is built by :func:`~repro.service.client.signed_request` (the
+socket client's builder), read off an in-memory stream by
 :func:`~repro.service.httpd.read_request` and answered by
-:meth:`~repro.service.servicenode.ServiceNode.handle`: codec, SharedKey,
-tenant pipeline, ring, breakers and hedging all stay in the path.  The
-Python that runs costs no virtual time; each node charges its
-:data:`CPU_S` instead, as ``asyncio.sleep`` under its own lock (one CPU
-per node).  A hop between nodes costs nothing.
+``ServiceNode.handle``, so codec, SharedKey, tenant pipeline, ring,
+breakers and hedging are the live tier's.  Python run time costs no
+virtual time: each node charges its :data:`CPU_S` under its own lock
+(one CPU per node), and a hop between nodes costs nothing.
 """
 
 from __future__ import annotations
@@ -55,9 +51,7 @@ class _VirtualSelector(selectors.DefaultSelector):
     """Never blocks: where the loop would wait, it polls with ``select(0)``
     and, if nothing is ready, moves the clock by the wait instead."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.now = 0.0
+    now = 0.0
 
     def select(self, timeout: Optional[float] = None):
         if timeout == 0:
@@ -110,9 +104,7 @@ class PointResult:
     data_nodes: int
     duration_s: float
     completed: int = 0
-    #: Requests answered with an error status (a dead shard's 503, a
-    #: lost blob's 404).
-    failed: int = 0
+    failed: int = 0  # answered with an error status (503, a lost blob's 404)
     latencies: List[float] = field(default_factory=list, repr=False)
 
     @property
@@ -130,9 +122,8 @@ class PointResult:
 
     @property
     def p95_latency_s(self) -> float:
-        if not self.latencies:
-            return 0.0
-        return float(np.percentile(self.latencies, 95))
+        return (float(np.percentile(self.latencies, 95)) if self.latencies
+                else 0.0)
 
 
 def measure(service_nodes: int, data_nodes: int, *, clients: int = 16,
@@ -154,12 +145,8 @@ def measure(service_nodes: int, data_nodes: int, *, clients: int = 16,
     if not 1 <= replication <= data_nodes:
         raise ValueError(f"replication must be in [1, data nodes="
                          f"{data_nodes}], got {replication}")
-    if not 0.0 <= fanout <= 1.0:
-        raise ValueError("fanout must be in [0, 1]")
-    if duration_s <= 0 or detect <= 0:
-        raise ValueError("duration and detect must be > 0")
-    if crash_at is not None and not 0 <= crash_at < duration_s:
-        raise ValueError("crash_at must fall inside the duration")
+    if not 0.0 <= fanout <= 1.0 or duration_s <= 0 or detect <= 0:
+        raise ValueError("need fanout in [0, 1], duration and detect > 0")
     failure_domain = None
     if replication > 1 or crash_at is not None:
         dead_after = FailureDomainConfig.dead_after
@@ -194,30 +181,26 @@ async def _drive(cluster: ServiceCluster, result: PointResult, clients: int,
         dn.cpu_s = CPU_S["dn"]
     account = cluster.tenants.accounts()[0]
 
-    def signed(client: str, op: str, *args) -> Tuple[str, bytes]:
+    def signed(op: str, *args) -> bytes:
         # What a client does costs no virtual time, so each distinct
         # request is built and signed once.
-        call = ENCODERS[client, op](*args)
-        return call.service, (signed_request(call, account, DEV_KEY, "sndn")
-                              + call.body)
+        call = ENCODERS["blob", op](CONTAINER, *args)
+        return signed_request(call, account, DEV_KEY, "sndn") + call.body
 
-    async def request(sn, service: str, raw: bytes) -> int:
+    async def request(sn, raw: bytes) -> int:
         reader = asyncio.StreamReader(limit=httpd.MAX_HEADER_BYTES)
         reader.feed_data(raw)
         reader.feed_eof()
-        response = await sn.handle(service, await httpd.read_request(reader))
+        response = await sn.handle("blob", await httpd.read_request(reader))
         return response.status
 
-    payload = b"x" * BLOB_BYTES
     names = [f"b{i:03d}" for i in range(BLOBS)]
-    reads = [signed("blob", "download_block_blob", CONTAINER, name)
-             for name in names]
-    writes = [signed("blob", "upload_blob", CONTAINER, name, payload)
+    reads = [signed("download_block_blob", name) for name in names]
+    writes = [signed("upload_blob", name, b"x" * BLOB_BYTES)
               for name in names]
-    listing = signed("blob", "list_blobs", CONTAINER)
-    for service, raw in [signed("blob", "create_container", CONTAINER)] \
-            + writes:
-        if await request(cluster.service_nodes[0], service, raw) >= 400:
+    listing = signed("list_blobs")
+    for raw in [signed("create_container")] + writes:
+        if await request(cluster.service_nodes[0], raw) >= 400:
             raise RuntimeError(f"sndn set-up failed: {raw[:60]!r}")
 
     horizon = loop.time() + result.duration_s
@@ -230,13 +213,12 @@ async def _drive(cluster: ServiceCluster, result: PointResult, clients: int,
         rng = Random(f"{seed}:client:{index}")
         while True:
             if rng.random() < fanout:
-                service, raw = listing
+                raw = listing
             else:
                 pick = rng.randrange(BLOBS)
-                service, raw = (reads if rng.random() < 0.5
-                                else writes)[pick]
+                raw = (reads if rng.random() < 0.5 else writes)[pick]
             started = loop.time()
-            status = await request(sn, service, raw)
+            status = await request(sn, raw)
             ended = loop.time()
             if ended > horizon:
                 return  # finished past the window: not counted

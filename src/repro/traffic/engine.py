@@ -206,12 +206,11 @@ def schedule_digest(schedule: Iterable[ScheduledOp],
 
     ``schedule`` is any iterable of ops (``FlockSchedule.iter_ops()``
     streams them from its columnar arrays); ``outcomes`` any indexable
-    of None/bool-convertible entries.  Without outcomes the digest is a
-    fingerprint of the schedule, equal on every backend (the
-    dn-failover verdict's ``op_digest``).  With them it is ``repro
-    load``'s ``op_digest``: on the emulator and service backends the
-    outcomes follow wall timing, so it identifies a tree only on
-    ``sim`` and ``geo``.
+    of None/bool-convertible entries.  Without outcomes it fingerprints
+    the schedule on every backend (dn-failover's ``op_digest``); with
+    them it is ``repro load``'s ``op_digest``, whose outcomes follow wall
+    timing on the emulator and service backends: it identifies a tree
+    only on ``sim`` and ``geo``.
     """
     h = hashlib.sha256()
     for s in schedule:
@@ -492,9 +491,8 @@ def service_run(config: LoadConfig, schedule: FlockSchedule,
     if config.replicas > 1 or faults:
         failure_domain = FailureDomainConfig.kill_test(
             config.replicas, config.seed)
-    # As ``ServiceBackend.run`` boots it: the throttle windows read the
-    # cluster's wall clock, so at ``time_scale`` < 1 they would see the
-    # offered rate compressed and refuse ops the schedule never overdrew.
+    # Targets off, as in ``ServiceBackend.run``: the throttle windows read
+    # the wall clock, which sees the rate compressed by ``time_scale``.
     tenants = TenantDirectory(
         [TenantConfig.development(enforce_targets=False)])
     cluster = ServiceCluster(nodes=1, dn=config.dn, tenants=tenants,
