@@ -269,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "interrupted)")
 
     sndn = sub.add_parser(
-        "sndn", help="DES scaling figure for the SN/DN topology: sweep "
-                     "front-end and shard counts over the modeled "
-                     "request path")
+        "sndn", help="scaling figure: sweep service- and data-node "
+                     "counts of the real SN/DN cluster on a virtual-time "
+                     "event loop")
     sndn.add_argument("--sn", default="1,2,4",
                       help="service-node counts, comma-separated "
                            "(default 1,2,4)")
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "those of 1,2,4,8 that are >= --replication)")
     sndn.add_argument("--clients", type=int, default=32)
     sndn.add_argument("--duration", type=float, default=30.0,
-                      help="simulated seconds per point (default 30)")
+                      help="virtual seconds per point (default 30)")
     sndn.add_argument("--fanout", type=float, default=0.05,
                       help="fraction of requests touching every shard "
                            "(default 0.05)")
@@ -294,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "availability column)")
     sndn.add_argument("--detect", type=float, default=1.0,
                       metavar="SECONDS",
-                      help="death-detection + ring-heal window after the "
-                           "crash (default 1.0)")
+                      help="about when a dead node is declared dead: "
+                           "heartbeats every SECONDS / 3 (default 1.0)")
     sndn.add_argument("--csv", metavar="DIR",
                       help="also write the sweep as CSV into DIR")
 
