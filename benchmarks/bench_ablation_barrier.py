@@ -14,7 +14,6 @@ import os
 from conftest import emit
 
 from repro.bench import FigureData
-from repro.compute import Deployment
 from repro.framework import QueueBarrier
 from repro.sim import SimStorageAccount
 from repro.simkit import Environment

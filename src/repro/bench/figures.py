@@ -53,9 +53,9 @@ from ..core import (
     table_bench_body,
     table_phase_name,
 )
-from ..storage import KB, MB
+from ..storage import KB
 from .executor import SweepExecutor
-from .report import FigureData, format_table
+from .report import FigureData
 
 __all__ = [
     "BenchScale",

@@ -23,7 +23,7 @@ at a time.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import GeneratorType
 from typing import Any, Dict, List, Optional, Tuple
 

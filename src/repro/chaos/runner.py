@@ -17,7 +17,7 @@ tolerance" claim, checked rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..storage import KB
 from .history import History, audit_account

@@ -29,7 +29,7 @@ Figures 6-9.  All times are in seconds; all rates in bytes/second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..storage.limits import KB, MB
 

@@ -13,7 +13,7 @@ model the fabric giving up on crash-looping roles).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..simkit import Environment

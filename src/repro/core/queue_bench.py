@@ -16,7 +16,7 @@ Two scenarios, exactly as Section IV.B describes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from ..compute.roles import RoleContext

@@ -24,7 +24,7 @@ mechanisms").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Generator, List, Optional, Sequence
 
 from ..compute.roles import RoleContext

@@ -35,7 +35,7 @@ import asyncio
 import collections
 import itertools
 import time
-from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Deque, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from ..cluster.ops import OpDescriptor
 from ..pipeline import OpContext

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, List, Optional
 
-from .exceptions import SimkitError
-
 __all__ = [
     "PENDING",
     "URGENT",

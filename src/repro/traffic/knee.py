@@ -18,8 +18,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from .engine import LoadConfig, LoadResult, run_load
-from .slo import SLOSpec
+from .engine import LoadConfig, run_load
 
 __all__ = ["KneeProbe", "KneeResult", "find_knee"]
 

@@ -1,7 +1,5 @@
 """Tests for the generic bag-of-tasks framework (paper Section III)."""
 
-import json
-
 import pytest
 
 from repro.compute import Fabric, RoleStatus

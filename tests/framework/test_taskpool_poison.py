@@ -9,8 +9,6 @@ crashed workers, the run still terminates and completes every healthy
 task.
 """
 
-import pytest
-
 from repro.compute import Fabric, RoleStatus, Supervisor
 from repro.framework import TaskPoolApp, TaskPoolConfig
 from repro.resilience import FixedBackoff

@@ -1,9 +1,7 @@
 """Property-based tests (hypothesis) on core storage invariants."""
 
-from dataclasses import dataclass
 from typing import List
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
