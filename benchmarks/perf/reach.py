@@ -192,6 +192,7 @@ KEEP = {
     "repro.chaos.runner:_crash_verdict": _ERROR,
     "repro.chaos.verdict:ChaosRunError.__init__": _ERROR,
     "repro.chaos.invariants:_PageBlobReplay.__init__": _ERROR,
+    "repro.cluster.servers:PartitionServer.cancel": _ERROR + " (a recycled role's booking)",
     "repro.emulator.clients:EmulatorAccount.set_fault_plan": _ERROR,
     "repro.framework.taskpool:TaskPoolConfig.poison_queue_name": _ERROR,
     "repro.resilience.deadline:Deadline.*": _ERROR,
@@ -209,6 +210,8 @@ KEEP = {
     "repro.service.servicenode:ServiceNode._framing_error": _ERROR,
     "repro.service.servicenode:ServiceNode._no_owner": _ERROR,
     "repro.simkit.environment:Environment._reraise": _ERROR,
+    "repro.simkit.environment:Environment.cancel": _ERROR + " (a recycled role's booking)",
+    "repro.simkit.environment:Environment.reschedule": _ERROR + " (a recycled role's booking)",
     "repro.simkit.exceptions:": _ERROR,
     "repro.storage.errors:": _ERROR,
     # what an outside client may send

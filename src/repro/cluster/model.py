@@ -26,7 +26,7 @@ from ..faults.spec import FaultKind, FaultSpec
 # side of the cycle takes the module and reads its names at construction.
 from ..pipeline import interceptors as stages
 from ..pipeline.context import OpContext
-from ..simkit import Environment
+from ..simkit import Environment, Interrupt
 from ..storage.limits import LIMITS_2012, ServiceLimits
 from .calibration import DEFAULT_CALIBRATION, FabricCalibration
 from .ops import OpDescriptor, OpKind, Service
@@ -263,11 +263,17 @@ class StorageCluster:
             rtt = self.base_rtt(op) * self._jitter() * ctx.latency_factor
             occupancy = ctx.server_latency * self._jitter() * ctx.latency_factor
             server = self.server_for(op)
-            # Request leg of the round trip.
+            # Request leg of the round trip, then the slot's hold and the
+            # response leg as one event.
             yield env.timeout(rtt / 2)
-            yield from server.serve(occupancy, op.nbytes)
-            # Response leg.
-            yield env.timeout(rtt / 2)
+            booking = server.book(occupancy, rtt / 2)
+            try:
+                yield booking.event
+            except Interrupt:  # a recycled role
+                server.cancel(booking, op.nbytes)
+                raise
+            server.ops_served += 1
+            server.bytes_served += op.nbytes
         except Exception as exc:
             ctx.finished_at = env._now
             pipeline.run_failed(ctx, exc)

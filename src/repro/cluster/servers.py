@@ -4,58 +4,137 @@
 servers to provide enhanced scalability." (paper Section IV)
 
 A :class:`PartitionServer` models one storage node: a bounded number of
-concurrent request slots (a :class:`repro.simkit.Resource`) plus counters.
-Requests queue FIFO when all slots are busy — that queueing is what turns
-rising worker counts into rising per-operation times in Figures 4b, 6-8.
+concurrent request slots plus counters.  Requests are served first come,
+first served when all slots are busy — that queueing is what turns rising
+worker counts into rising per-operation times in Figures 4b, 6-8.
+
+A request books its slot when it arrives: the occupancy is known by then,
+so the instant its hold starts and ends follows from the instants the
+server's slots free (:meth:`PartitionServer.book`), and its round trip
+needs no kernel event for the grant or for the end of the hold.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from collections import deque
+from heapq import heapify, heapreplace
+from typing import Deque, Dict, List, Optional
 
-from ..simkit import Environment, Resource
+from ..simkit import Environment, Timeout
 
-__all__ = ["PartitionServer", "ServerPool"]
+__all__ = ["Booking", "PartitionServer", "ServerPool"]
+
+
+class Booking:
+    """One request's hold of a slot: ``[start, end)``, then ``response``
+    seconds until its round trip completes at ``event``."""
+
+    __slots__ = ("start", "end", "occupancy", "response", "event")
+
+    def __init__(self, start: float, end: float, occupancy: float,
+                 response: float, event: Timeout) -> None:
+        self.start = start
+        self.end = end
+        self.occupancy = occupancy
+        self.response = response
+        self.event = event
 
 
 class PartitionServer:
     """One storage node serving a set of partitions."""
 
     def __init__(self, env: Environment, name: str, slots: int) -> None:
+        if slots <= 0:
+            raise ValueError("slots must be > 0")
         self.env = env
         self.name = name
-        self.slots = Resource(env, capacity=slots)
+        self.slots = slots
+        #: For each slot, the instant its last booking ends (a min-heap).
+        self._ends: List[float] = [float("-inf")] * slots
+        #: Bookings that had to queue, in arrival order, kept until they
+        #: end: the only ones an interrupt can move (see :meth:`cancel`).
+        self._queued: Deque[Booking] = deque()
         self.ops_served = 0
         self.bytes_served = 0
 
-    def serve(self, occupancy: float, nbytes: int = 0):
-        """Process generator: hold one slot for ``occupancy`` seconds.
+    def book(self, occupancy: float, response: float) -> Booking:
+        """Book the slot that frees first for ``occupancy`` seconds.
 
-        A free slot is taken on the spot, so an uncontended hold costs one
-        kernel event (its occupancy timeout); a request that has to queue
-        adds one grant event.  The counters record *completed* holds: one
-        cut short by an :class:`~repro.simkit.Interrupt` (a recycled role)
-        gives its slot back — or, if it was still waiting, leaves the
-        queue — and is not counted as served.
+        The first-come-first-served multi-server recursion: the hold
+        starts at ``max(now, earliest end)``, which is where the FIFO
+        semaphore this replaces granted it, in the same order and to the
+        same float.  The booking's ``event`` fires ``response`` seconds
+        after the hold ends: the round trip's one kernel event after its
+        request leg, whether it queued or not.
         """
-        slots = self.slots
-        if not slots.try_acquire():
-            request = slots.request()
-            try:
-                yield request
-            except BaseException:
-                slots.release(request)
-                raise
-        try:
-            yield self.env.timeout(occupancy)
-            self.ops_served += 1
-            self.bytes_served += nbytes
-        finally:
-            slots.release()
+        env = self.env
+        now = env._now
+        ends = self._ends
+        start = ends[0]
+        if start < now:
+            start = now
+        end = start + occupancy
+        heapreplace(ends, end)
+        booking = Booking(start, end, occupancy, response,
+                          env.timeout_at(end + response))
+        queued = self._queued
+        while queued and queued[0].end <= now:
+            queued.popleft()
+        if start > now:
+            queued.append(booking)
+        return booking
+
+    def cancel(self, booking: Booking, nbytes: int = 0) -> None:
+        """Cut ``booking`` at the current instant (its role was recycled).
+
+        The booking's event is taken off the kernel's queue.  A hold in
+        progress ends now and its slot goes to the next booking; a booking
+        still queued leaves the queue.  Either way the bookings behind it
+        that had not started are booked again in arrival order, as the
+        semaphore's early release and waiter withdrawal granted them, and
+        their events move to their new instants.  A hold that had already
+        ended is counted as served; one that ends at this very instant is
+        cut, as the semaphore's was when the interrupt came first.
+        """
+        env = self.env
+        now = env._now
+        env.cancel(booking.event)
+        if booking.end <= now:
+            if booking.end < now:
+                self.ops_served += 1
+                self.bytes_served += nbytes
+            return
+        ends = self._ends
+        queued = self._queued
+        # A queued booking due to start now has not: the interrupt comes
+        # before the hand-over of the instant, as it did to the semaphore.
+        waiting = [b for b in queued if b.start >= now]
+        # Undo the waiting bookings, newest first: each took the slot that
+        # freed first, at the instant it freed (its start).
+        for b in reversed(waiting):
+            ends.remove(b.end)
+            ends.append(b.start)
+        if booking in waiting:
+            waiting.remove(booking)
+            queued.remove(booking)
+        else:
+            ends.remove(booking.end)
+            ends.append(now)
+            booking.end = now
+        heapify(ends)
+        for b in waiting:
+            start = max(now, ends[0])
+            end = start + b.occupancy
+            heapreplace(ends, end)
+            if end != b.end:
+                env.reschedule(b.event, end + b.response)
+            b.start, b.end = start, end
 
     @property
     def queue_length(self) -> int:
-        return len(self.slots.queue)
+        """Bookings still waiting for their hold to start."""
+        now = self.env._now
+        return sum(1 for b in self._queued if b.start > now)
 
 
 class ServerPool:

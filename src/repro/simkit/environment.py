@@ -242,6 +242,53 @@ class Environment:
         )
         return event
 
+    def timeout_at(self, when: float) -> Timeout:
+        """Create a :class:`Timeout` firing at the absolute instant ``when``.
+
+        For a caller that computed the instant itself: ``now + (a + b)``
+        and ``(now + a) + b`` are different floats, and :meth:`timeout`
+        can only add one delay to ``now``.
+        """
+        now = self._now
+        if when < now:
+            raise ValueError(f"instant {when} is before now ({now})")
+        event = Timeout.__new__(Timeout)
+        event.env = self
+        event.callbacks = []
+        event._value = None
+        event._ok = True
+        event._defused = False
+        event._delay = when - now
+        heapq.heappush(self._queue, (when, NORMAL, next(self._eid), event))
+        return event
+
+    def cancel(self, event: Event) -> None:
+        """Take a scheduled, unprocessed ``event`` off the queue for good.
+
+        Linear in the queue length: meant for rare corrections, such as a
+        partition-server booking cut short.
+        """
+        queue = self._queue
+        for i, entry in enumerate(queue):
+            if entry[3] is event:
+                queue[i] = queue[-1]
+                queue.pop()
+                heapq.heapify(queue)
+                return
+        raise ValueError(f"{event!r} is not scheduled")
+
+    def reschedule(self, event: Event, when: float) -> None:
+        """Move a scheduled, unprocessed ``event`` to the instant ``when``.
+
+        It is ordered as if scheduled now, at normal priority, after the
+        events already queued for ``when``.  Linear in the queue length,
+        as :meth:`cancel` is.
+        """
+        if when < self._now:
+            raise ValueError(f"instant {when} is before now ({self._now})")
+        self.cancel(event)
+        heapq.heappush(self._queue, (when, NORMAL, next(self._eid), event))
+
     def process(self, generator: ProcessGenerator,
                 name: Optional[str] = None) -> Process:
         """Start a new :class:`Process` from ``generator``."""

@@ -86,6 +86,14 @@ class QueueState:
         #: runs once the clock passes it (keeps per-op cost O(1) while the
         #: 7-day TTL is far away, which is every benchmark).
         self._next_expiry = float("inf")
+        #: The FIFO scan's cursor: the first ``_hidden`` messages are known
+        #: to be invisible until ``_hidden_until`` (a lower bound on their
+        #: visibility times), so a scan before then starts behind them —
+        #: gets keep a run of in-flight messages at the head of a busy
+        #: queue.  Visibility only grows with time, so the bound holds
+        #: while a clock steps back too.
+        self._hidden = 0
+        self._hidden_until = float("inf")
 
     # -- internal ---------------------------------------------------------
     def _now(self) -> float:
@@ -106,19 +114,32 @@ class QueueState:
                     next_expiry = m.expiration_time
         self._messages = kept
         self._next_expiry = next_expiry
+        self._hidden, self._hidden_until = 0, float("inf")
 
     def _visible_indices(self, limit: Optional[int] = None) -> List[int]:
         now = self._now()
         rng = self._service._reorder_rng
         if rng is None and limit is not None:
             # FIFO fast path: only the first ``limit`` visible messages are
-            # needed; stop scanning as soon as they are found.
+            # needed; stop scanning as soon as they are found.  The scan
+            # starts behind the known-invisible head and re-derives it.
+            messages = self._messages
+            if now < self._hidden_until:
+                hidden, until = self._hidden, self._hidden_until
+            else:
+                hidden, until = 0, float("inf")
             idx: List[int] = []
-            for i, m in enumerate(self._messages):
-                if m.visible(now):
+            for i in range(hidden, len(messages)):
+                visible_at = messages[i].next_visible_time
+                if now >= visible_at:
                     idx.append(i)
                     if len(idx) >= limit:
                         break
+                elif not idx:
+                    hidden = i + 1
+                    if visible_at < until:
+                        until = visible_at
+            self._hidden, self._hidden_until = hidden, until
             return idx
         idx = [i for i, m in enumerate(self._messages) if m.visible(now)]
         if rng is not None and len(idx) > 1:
@@ -229,6 +250,8 @@ class QueueState:
                     )
                 self._service._account_delta(-m.size)
                 del self._messages[i]
+                if i < self._hidden:
+                    self._hidden -= 1
                 return
         raise MessageNotFoundError(f"message {message_id!r} not found")
 
@@ -236,7 +259,7 @@ class QueueState:
                        visibility_timeout: float = 0.0) -> QueueMessage:
         """Update content and/or extend invisibility of a gotten message."""
         self._purge_expired()
-        for m in self._messages:
+        for i, m in enumerate(self._messages):
             if m.message_id == message_id:
                 if m.pop_receipt != pop_receipt or pop_receipt is None:
                     raise MessageNotFoundError(
@@ -253,6 +276,7 @@ class QueueState:
                     self._service._account_delta(content.size - m.size)
                     m.content = content
                 m.next_visible_time = self._now() + max(0.0, visibility_timeout)
+                self._lowered(i, m.next_visible_time)
                 m.pop_receipt = f"rcpt-{next(self._receipts)}"
                 return m.snapshot()
         raise MessageNotFoundError(f"message {message_id!r} not found")
@@ -264,17 +288,24 @@ class QueueState:
         at-least-once anomaly where a gotten message is served to another
         consumer as well.  Returns False if the message no longer exists.
         """
-        for m in self._messages:
+        for i, m in enumerate(self._messages):
             if m.message_id == message_id:
                 m.next_visible_time = self._now()
+                self._lowered(i, m.next_visible_time)
                 return True
         return False
+
+    def _lowered(self, i: int, visible_at: float) -> None:
+        """Message ``i`` may now be visible from ``visible_at`` on."""
+        if i < self._hidden and visible_at < self._hidden_until:
+            self._hidden_until = visible_at
 
     def clear(self) -> None:
         """Delete all messages."""
         for m in self._messages:
             self._service._account_delta(-m.size)
         self._messages = []
+        self._hidden, self._hidden_until = 0, float("inf")
 
     # -- introspection --------------------------------------------------------
     def approximate_message_count(self) -> int:

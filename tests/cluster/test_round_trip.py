@@ -1,10 +1,11 @@
 """What one DES storage round trip costs, pinned by numbers that repeat.
 
 Kernel event counts, jitter values and op digests are pure functions of
-the seed, so they can gate without a quiet host: a round trip that finds a
-free partition-server slot is three kernel events (request leg, occupancy,
-response leg), one that has to queue is four (plus its grant); the
-block-drawn jitter stream equals the scalar one value for value; and no
+the seed, so they can gate without a quiet host: a round trip is two
+kernel events (its request leg, then the end of its response leg, the
+slot booked in between), whether it finds a free partition-server slot
+or has to queue; the block-drawn jitter stream equals the scalar one
+value for value; and no
 per-op body under ``repro.pipeline`` / ``repro.cluster`` executes an
 ``import`` statement.
 """
@@ -35,14 +36,14 @@ PUT = OpDescriptor(Service.QUEUE, OpKind.PUT_MESSAGE, "q", nbytes=4 * KB)
 
 
 class TestKernelEventsPerRoundTrip:
-    def test_uncontended_round_trip_is_three_events(self):
+    def test_uncontended_round_trip_is_two_events(self):
         env = Environment()
         cluster = StorageCluster(env, seed=1)
         env.process(cluster.execute(PUT))
         env.run()
-        assert env.events_processed == PROCESS_EVENTS + 3
+        assert env.events_processed == PROCESS_EVENTS + 2
 
-    def test_queued_round_trip_is_four_events(self):
+    def test_queued_round_trip_is_two_events(self):
         env = Environment()
         cal = FabricCalibration(jitter_sigma=0.0, queue_server_slots=1)
         cluster = StorageCluster(env, calibration=cal, seed=1)
@@ -56,7 +57,7 @@ class TestKernelEventsPerRoundTrip:
         env.process(put())  # same queue, same instants
         env.run()
         assert ends[1] > ends[0]                    # the second one queued
-        assert env.events_processed == 2 * PROCESS_EVENTS + 3 + 4
+        assert env.events_processed == 2 * PROCESS_EVENTS + 2 + 2
 
     def test_mixed_load_event_budget_and_digest(self):
         """``des-mixed-flat`` of the frozen suite at its pinned seed."""
@@ -68,8 +69,9 @@ class TestKernelEventsPerRoundTrip:
             clients=1, flock_size=8192))
         assert result.digest == ("8a54c7fa4e516ced6072e0e5a73361681b3cbd05"
                                  "7c89d33cb846e48e09ba4e0f")
-        # 86,950 with a grant and a release event on every round trip.
-        assert result.resources["kernel_events"] <= 69_613
+        # 86,950 with a grant and a release event on every round trip;
+        # 49,768 with an occupancy event and grants for those that queued.
+        assert result.resources["kernel_events"] <= 32_797
 
 
 class TestJitterStream:

@@ -5,6 +5,8 @@ import pytest
 from repro.cluster import PartitionServer, ServerPool
 from repro.simkit import Environment, Interrupt
 
+from tests.cluster.bookings import idle, round_trip
+
 
 @pytest.fixture
 def env():
@@ -18,7 +20,7 @@ class TestPartitionServer:
         done = []
 
         def client(env, occupancy, nbytes):
-            yield from server.serve(occupancy, nbytes)
+            yield from round_trip(server, occupancy, nbytes=nbytes)
             done.append(env.now)
 
         env.process(client(env, 2.0, 100))
@@ -34,7 +36,7 @@ class TestPartitionServer:
         lengths = []
 
         def client(env):
-            yield from server.serve(5.0)
+            yield from round_trip(server, 5.0)
 
         def observer(env):
             yield env.timeout(1.0)
@@ -51,7 +53,7 @@ class TestPartitionServer:
         done = []
 
         def client(env, i):
-            yield from server.serve(1.0)
+            yield from round_trip(server, 1.0)
             done.append((i, env.now))
 
         for i in range(4):
@@ -62,13 +64,16 @@ class TestPartitionServer:
     def test_interrupted_requests_are_not_counted_as_served(self, env):
         """A recycled role's request never completed: no op, no bytes, no
         full occupancy on the books, and its slot (or its place in the
-        queue) goes to the next waiter at that very instant."""
+        queue) goes to the next booking at that very instant."""
         server = PartitionServer(env, "s1", slots=1)
         log = []
+        bookings = {}
 
         def client(name, occupancy, nbytes):
             try:
-                yield from server.serve(occupancy, nbytes)
+                yield from round_trip(
+                    server, occupancy, nbytes=nbytes,
+                    booked=lambda booking: bookings.setdefault(name, booking))
                 log.append((name, "served", env.now))
             except Interrupt:
                 log.append((name, "interrupted", env.now))
@@ -79,11 +84,17 @@ class TestPartitionServer:
 
         def recycler(env):
             yield env.timeout(1.0)
+            assert bookings["next"].start == 20.0
             waiter.interrupt("recycled")      # mid-queue
             assert server.queue_length == 2   # delivered after this event
             yield env.timeout(2.0)
             assert server.queue_length == 1
+            assert bookings["next"].start == 10.0
             holder.interrupt("recycled")      # mid-occupancy, at t=3
+            yield env.timeout(0.0)
+            # The holder's slot went to the next booking at t=3.
+            assert (bookings["holder"].end, bookings["next"].start) == (3.0, 3.0)
+            assert server.queue_length == 0
 
         env.process(recycler(env))
         env.run()
@@ -92,7 +103,32 @@ class TestPartitionServer:
                        ("next", "served", 5.0)]
         assert server.ops_served == 1
         assert server.bytes_served == 300
-        assert server.slots.count == 0 and server.queue_length == 0
+        assert idle(server)
+
+    def test_a_cut_leaves_no_event_behind(self, env):
+        """Two kernel events per round trip: the request leg's and the
+        booking's; an interrupted booking's is taken off the queue."""
+        server = PartitionServer(env, "s1", slots=1)
+
+        def client():
+            try:
+                yield from round_trip(server, 10.0)
+            except Interrupt:
+                pass
+
+        holder = env.process(client())
+        env.process(client())
+
+        def recycler():
+            yield env.timeout(1.0)
+            holder.interrupt()
+
+        env.process(recycler())
+        env.run()
+        assert env.now == 11.0   # not 10.0's cut hold, nor 20.0's old end
+        # Three processes (start + end each), the recycler's timeout and
+        # interrupt, and the served booking's event: the cut one never fires.
+        assert env.events_processed == 3 * 2 + 2 + 1
 
 
 class TestServerPool:

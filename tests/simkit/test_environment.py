@@ -206,6 +206,49 @@ class TestScheduleGuards:
         assert e.processed
 
 
+class TestAbsoluteInstants:
+    """``timeout_at`` and the two corrections a cut booking needs."""
+
+    def test_timeout_at_fires_at_that_float(self, env):
+        env.timeout(0.1)
+        env.run()
+        when = (env.now + 0.2) + 0.7   # not env.now + (0.2 + 0.7)
+        assert when != env.now + (0.2 + 0.7)
+        fired = []
+        env.timeout_at(when).callbacks.append(lambda _: fired.append(env.now))
+        env.run()
+        assert fired == [when]
+
+    def test_timeout_at_in_the_past_rejected(self, env):
+        env.timeout(5)
+        env.run()
+        with pytest.raises(ValueError, match="before now"):
+            env.timeout_at(4.0)
+
+    def test_cancel_takes_an_event_off_the_queue(self, env):
+        fired = []
+        for t in (1.0, 2.0, 3.0):
+            env.timeout_at(t).callbacks.append(lambda e: fired.append(env.now))
+        doomed = env.timeout_at(2.5)
+        doomed.callbacks.append(lambda e: fired.append("doomed"))
+        env.cancel(doomed)
+        env.run()
+        assert fired == [1.0, 2.0, 3.0] and env.events_processed == 3
+        with pytest.raises(ValueError, match="not scheduled"):
+            env.cancel(doomed)
+
+    def test_reschedule_moves_an_event_behind_that_instant(self, env):
+        order = []
+        moved = env.timeout_at(5.0)
+        moved.callbacks.append(lambda e: order.append(("moved", env.now)))
+        env.timeout_at(2.0).callbacks.append(lambda e: order.append(("other", env.now)))
+        env.reschedule(moved, 2.0)
+        env.run()
+        assert order == [("other", 2.0), ("moved", 2.0)]
+        with pytest.raises(ValueError, match="before now"):
+            env.reschedule(env.timeout(1.0), 1.0)
+
+
 class TestKernelFastPaths:
     """The inlined run() loops must behave exactly like step()-by-step."""
 
