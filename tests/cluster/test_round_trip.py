@@ -36,7 +36,7 @@ PUT = OpDescriptor(Service.QUEUE, OpKind.PUT_MESSAGE, "q", nbytes=4 * KB)
 
 
 class TestKernelEventsPerRoundTrip:
-    def test_uncontended_round_trip_is_two_events(self):
+    def test_free_slot_round_trip_is_two_events(self):
         env = Environment()
         cluster = StorageCluster(env, seed=1)
         env.process(cluster.execute(PUT))
@@ -99,7 +99,7 @@ class TestJitterStream:
         assert cluster._rng.random() == untouched.random()
 
 
-PER_OP_BODIES = {"before", "after", "failed", "charge", "execute", "serve"}
+PER_OP_BODIES = {"before", "after", "failed", "charge", "execute", "book"}
 
 
 def test_no_import_statement_on_a_per_op_path():
