@@ -65,6 +65,18 @@ class StorageCluster:
             env, "table", cal.table_server_slots, shards=cal.table_range_servers
         )
         self.cache_servers = ServerPool(env, "cache", cal.cache_server_slots)
+        # What ``execute`` reads per round trip, one dict read each: the
+        # pools' partition -> server memos (``ServerPool._placed``, kept
+        # current by the pools themselves) and the client <-> front-end
+        # RTTs.
+        self._placed = {service: self.pool_for(service)._placed
+                        for service in Service}
+        self._base_rtt = {
+            Service.BLOB: cal.blob_base_rtt,
+            Service.QUEUE: cal.queue_base_rtt,
+            Service.TABLE: cal.table_base_rtt,
+            Service.CACHE: cal.cache_base_rtt,
+        }
 
         #: The active fault schedule (:mod:`repro.faults`), or None for a
         #: healthy fabric.  Consulted on every :meth:`execute`.
@@ -74,8 +86,7 @@ class StorageCluster:
         # charged: fault plan, then the published throttle targets (paper
         # Section IV).  Observers (analytics, auth) insert themselves via
         # ``pipeline.add``.
-        self._fault_stage = stages.FaultInterceptor(
-            lambda: self.fault_plan, cluster=self)
+        self._fault_stage = stages.FaultInterceptor(self, cluster=self)
         self._throttle_stage = stages.ThrottleInterceptor(
             limits,
             window_s=cal.throttle_window_s,
@@ -122,17 +133,6 @@ class StorageCluster:
         return self.table_servers
 
     # -- cost model -------------------------------------------------------
-    def base_rtt(self, op: OpDescriptor) -> float:
-        """Client <-> front-end latency (not server occupancy)."""
-        cal = self.cal
-        if op.service is Service.BLOB:
-            return cal.blob_base_rtt
-        if op.service is Service.QUEUE:
-            return cal.queue_base_rtt
-        if op.service is Service.CACHE:
-            return cal.cache_base_rtt
-        return cal.table_base_rtt
-
     def server_occupancy(self, op: OpDescriptor) -> float:
         """Partition-server busy time of one operation."""
         cal = self.cal
@@ -202,7 +202,10 @@ class StorageCluster:
 
     def server_for(self, op: OpDescriptor) -> PartitionServer:
         """The partition server handling this op (placement rules)."""
-        return self.pool_for(op.service).server_for(op.partition)
+        server = self._placed[op.service].get(op.partition)
+        if server is None:
+            server = self.pool_for(op.service).server_for(op.partition)
+        return server
 
     def _jitter(self) -> float:
         block = self._jitter_block
@@ -234,15 +237,17 @@ class StorageCluster:
         stretch the round trip.
         """
         # ``env._now`` / ``env._active_proc`` are the fields behind the
-        # ``now`` / ``active_process`` properties: this body runs once per
-        # round trip of every figure, and reads the clock six times.
+        # ``now`` / ``active_process`` properties, and the hook lists are
+        # what ``Pipeline.run_before`` / ``run_after`` walk: this body runs
+        # once per round trip of every figure, so it reads them itself.
         env = self.env
         pipeline = self.pipeline
         active = env._active_proc
-        ctx = OpContext(op=op, backend="sim", started_at=env._now,
-                        worker=active.name if active is not None else None)
+        ctx = OpContext(op, "sim",
+                        active.name if active is not None else None, env._now)
         try:
-            pipeline.run_before(ctx)
+            for hook in pipeline._before_hooks:
+                hook(ctx)
         except Exception as exc:
             ctx.finished_at = env._now
             pipeline.run_failed(ctx, exc)
@@ -259,16 +264,25 @@ class StorageCluster:
         try:
             # Jitter draw order (rtt, then occupancy) is part of the seeded
             # reproducibility contract — figures are bit-identical per seed.
-            ctx.server_latency = self.server_occupancy(op)
-            rtt = self.base_rtt(op) * self._jitter() * ctx.latency_factor
-            occupancy = ctx.server_latency * self._jitter() * ctx.latency_factor
-            server = self.server_for(op)
+            # A draw is a ``pop`` of the current block; ``_jitter`` only
+            # runs to refill it (or to return 1.0 without jitter).
+            ctx.server_latency = occupancy = self.server_occupancy(op)
+            factor = ctx.latency_factor
+            block = self._jitter_block
+            rtt = (self._base_rtt[op.service]
+                   * (block.pop() if block else self._jitter()) * factor)
+            block = self._jitter_block
+            occupancy = (occupancy
+                         * (block.pop() if block else self._jitter()) * factor)
+            server = self._placed[op.service].get(op.partition)
+            if server is None:
+                server = self.pool_for(op.service).server_for(op.partition)
             # Request leg of the round trip, then the slot's hold and the
-            # response leg as one event.
+            # response leg as one event: the booking.
             yield env.timeout(rtt / 2)
             booking = server.book(occupancy, rtt / 2)
             try:
-                yield booking.event
+                yield booking
             except Interrupt:  # a recycled role
                 server.cancel(booking, op.nbytes)
                 raise
@@ -279,4 +293,5 @@ class StorageCluster:
             pipeline.run_failed(ctx, exc)
             raise
         ctx.finished_at = env._now
-        pipeline.run_after(ctx)
+        for hook in pipeline._after_hooks:
+            hook(ctx)

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 __all__ = ["Service", "OpKind", "OpDescriptor", "WRITE_KINDS",
            "QUEUE_MESSAGE_KINDS", "TABLE_ENTITY_KINDS"]
@@ -81,14 +81,15 @@ TABLE_ENTITY_KINDS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class OpDescriptor:
+class OpDescriptor(NamedTuple):
     """One storage request as seen by the fabric's cost model.
 
     ``partition`` selects the partition server (container+blob name for
     blobs, queue name for queues, PartitionKey for tables — paper IV.A-C);
     ``nbytes`` is the payload moved; ``units`` is the number of
     entities/messages/blobs the op counts as against per-second targets.
+    Every round trip builds one, so it is an immutable tuple: half the
+    construction cost of a frozen dataclass, the same hash and repr.
     """
 
     service: Service

@@ -17,27 +17,26 @@ needs no kernel event for the grant or for the end of the hold.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapify, heapreplace
+from heapq import heapify, heappush, heapreplace
 from typing import Deque, Dict, List, Optional
 
 from ..simkit import Environment, Timeout
+from ..simkit.events import NORMAL
 
 __all__ = ["Booking", "PartitionServer", "ServerPool"]
 
 
-class Booking:
-    """One request's hold of a slot: ``[start, end)``, then ``response``
-    seconds until its round trip completes at ``event``."""
+class Booking(Timeout):
+    """One request's hold of a slot, ``[start, end)``, and the kernel
+    event that completes its round trip ``response`` seconds later: a
+    round trip in flight holds this one object."""
 
-    __slots__ = ("start", "end", "occupancy", "response", "event")
+    __slots__ = ("start", "end", "occupancy", "response")
 
-    def __init__(self, start: float, end: float, occupancy: float,
-                 response: float, event: Timeout) -> None:
-        self.start = start
-        self.end = end
-        self.occupancy = occupancy
-        self.response = response
-        self.event = event
+    @property
+    def event(self) -> "Booking":
+        """What the round trip waits for: the booking itself."""
+        return self
 
 
 class PartitionServer:
@@ -63,9 +62,11 @@ class PartitionServer:
         The first-come-first-served multi-server recursion: the hold
         starts at ``max(now, earliest end)``, which is where the FIFO
         semaphore this replaces granted it, in the same order and to the
-        same float.  The booking's ``event`` fires ``response`` seconds
-        after the hold ends: the round trip's one kernel event after its
-        request leg, whether it queued or not.
+        same float.  The booking, itself a :class:`Timeout`, fires
+        ``response`` seconds after the hold ends: the round trip's one
+        kernel event after its request leg, whether it queued or not.  It
+        is built and queued field by field, as ``Environment.timeout_at``
+        would, without the calls.
         """
         env = self.env
         now = env._now
@@ -75,8 +76,19 @@ class PartitionServer:
             start = now
         end = start + occupancy
         heapreplace(ends, end)
-        booking = Booking(start, end, occupancy, response,
-                          env.timeout_at(end + response))
+        when = end + response
+        booking = Booking.__new__(Booking)
+        booking.env = env
+        booking.callbacks = []
+        booking._value = None
+        booking._ok = True
+        booking._defused = False
+        booking._delay = when - now
+        booking.start = start
+        booking.end = end
+        booking.occupancy = occupancy
+        booking.response = response
+        heappush(env._queue, (when, NORMAL, next(env._eid), booking))
         queued = self._queued
         while queued and queued[0].end <= now:
             queued.popleft()
@@ -87,18 +99,19 @@ class PartitionServer:
     def cancel(self, booking: Booking, nbytes: int = 0) -> None:
         """Cut ``booking`` at the current instant (its role was recycled).
 
-        The booking's event is taken off the kernel's queue.  A hold in
-        progress ends now and its slot goes to the next booking; a booking
-        still queued leaves the queue.  Either way the bookings behind it
-        that had not started are booked again in arrival order, as the
+        The booking is taken off the kernel's queue.  A hold in progress
+        ends now and its slot goes to the next booking; a booking still
+        queued leaves the queue.  Either way the bookings behind it that
+        had not started are booked again in arrival order, as the
         semaphore's early release and waiter withdrawal granted them, and
-        their events move to their new instants.  A hold that had already
-        ended is counted as served; one that ends at this very instant is
-        cut, as the semaphore's was when the interrupt came first.
+        move to their new instants on the kernel's queue.  A hold that had
+        already ended is counted as served; one that ends at this very
+        instant is cut, as the semaphore's was when the interrupt came
+        first.
         """
         env = self.env
         now = env._now
-        env.cancel(booking.event)
+        env.cancel(booking)
         if booking.end <= now:
             if booking.end < now:
                 self.ops_served += 1
@@ -127,7 +140,7 @@ class PartitionServer:
             end = start + b.occupancy
             heapreplace(ends, end)
             if end != b.end:
-                env.reschedule(b.event, end + b.response)
+                env.reschedule(b, end + b.response)
             b.start, b.end = start, end
 
     @property

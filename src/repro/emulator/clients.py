@@ -79,7 +79,7 @@ class EmulatorAccount:
         #: Fault schedule consulted on every operation (None = no faults);
         #: windows are evaluated against this account's clock.
         self.fault_plan = None
-        stages = [FaultInterceptor(lambda: self.fault_plan, cluster=None)]
+        stages = [FaultInterceptor(self, cluster=None)]
         if enforce_targets:
             # Opt-in: the framework's retry loop sleeps on real wall-clock
             # seconds, so target enforcement is off unless asked for.

@@ -23,12 +23,12 @@ whole stack's verdict.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.ops import QUEUE_MESSAGE_KINDS, TABLE_ENTITY_KINDS, Service
-from ..cluster.ratelimit import SlidingWindowThrottle
 from ..storage.analytics import RequestRecord
-from ..storage.errors import StorageError
+from ..storage.errors import ServerBusyError, StorageError
 from .context import OpContext
 
 __all__ = [
@@ -205,20 +205,21 @@ class FaultInterceptor(Interceptor):
 
     Raises the scheduled error for outage/throttle/transient/crash faults,
     stretches ``ctx.latency_factor`` for LATENCY windows, and parks fired
-    TIMEOUT specs on the context for the backend to burn.  ``cluster`` is
-    the :class:`~repro.cluster.model.StorageCluster` on the sim backend and
+    TIMEOUT specs on the context for the backend to burn.  ``owner`` is
+    the object whose ``fault_plan`` attribute holds the plan (or None),
+    read on every op; ``cluster`` is the
+    :class:`~repro.cluster.model.StorageCluster` on the sim backend and
     ``None`` on the emulator (no placement model there).
     """
 
     name = "faults"
 
-    def __init__(self, plan_source: Callable[[], Optional[object]], *,
-                 cluster=None) -> None:
-        self._plan_source = plan_source
+    def __init__(self, owner, *, cluster=None) -> None:
+        self._owner = owner
         self.cluster = cluster
 
     def before(self, ctx: OpContext) -> None:
-        plan = self._plan_source()
+        plan = self._owner.fault_plan
         if plan is None:
             return
         factor, timeout_spec = plan.pre_execute(
@@ -274,53 +275,54 @@ class GeoSecondaryInterceptor(Interceptor):
 class ThrottleInterceptor(Interceptor):
     """Enforce the published per-second scalability targets (paper §IV).
 
-    Owns the sliding-window limiters for the account-wide 5,000 tx/s and
-    3 GB/s targets plus the lazily-created 500 msg/s-per-queue and 500
-    ent/s-per-partition windows, rejecting with
-    :class:`~repro.storage.errors.ServerBusyError` exactly where the real
-    service would.  The caching service is billed and scaled separately,
-    so its ops are exempt.
+    Sliding windows for the account-wide 5,000 tx/s and 3 GB/s targets
+    plus the 500 msg/s-per-queue and 500 ent/s-per-partition windows,
+    rejecting with :class:`~repro.storage.errors.ServerBusyError` exactly
+    where the real service would.  The caching service is billed and
+    scaled separately, so its ops are exempt.
+
+    Every window has the same length and reads the same clock, so one
+    log of admissions serves them all: an entry records what one op
+    added to each window it was admitted by, and leaves all of them at
+    the same instant.  An op admitted by the transaction window and
+    rejected by a later one keeps its earlier charges, as a chain of
+    :class:`~repro.cluster.ratelimit.SlidingWindowThrottle` would
+    (``tests/pipeline/test_throttle_log.py`` holds it to that chain).
+    Instants must not decrease, which holds for every backend clock.
     """
 
     name = "throttles"
 
     def __init__(self, limits, *, window_s: float = 1.0,
                  retry_after_s: float = 1.0) -> None:
+        if window_s <= 0:
+            raise ValueError("window must be > 0")
         self.limits = limits
         self.window_s = window_s
         self.retry_after_s = retry_after_s
-        self.account_tx = SlidingWindowThrottle(
-            limits.account_transactions_per_second, window_s,
-            name="account transactions", retry_after=retry_after_s,
-        )
-        self.account_bw = SlidingWindowThrottle(
-            limits.account_bandwidth_bytes_per_second, window_s,
-            name="account bandwidth", retry_after=retry_after_s,
-        )
-        self.queue_throttles = {}
-        self.partition_throttles = {}
+        self._window = float(window_s)
+        self._tx_limit = float(limits.account_transactions_per_second)
+        self._bytes_limit = float(limits.account_bandwidth_bytes_per_second)
+        self._queue_limit = float(limits.queue_messages_per_second)
+        self._entity_limit = float(limits.partition_entities_per_second)
+        for limit in (self._tx_limit, self._bytes_limit, self._queue_limit,
+                      self._entity_limit):
+            if limit <= 0:
+                raise ValueError("limit must be > 0")
+        #: ``(instant, transactions, bytes, keyed sums or None, key)``
+        #: per admission, oldest first.
+        self._log: Deque[Tuple[float, int, int, Optional[dict], str]] = (
+            deque())
+        #: Units in the window: account-wide, and per queue / partition.
+        self._tx = 0.0
+        self._bytes = 0.0
+        self._queue_msgs: Dict[str, float] = {}
+        self._entities: Dict[str, float] = {}
 
-    def queue_throttle(self, partition: str):
-        throttle = self.queue_throttles.get(partition)
-        if throttle is None:
-            throttle = SlidingWindowThrottle(
-                self.limits.queue_messages_per_second, self.window_s,
-                name=f"queue {partition!r} messages",
-                retry_after=self.retry_after_s,
-            )
-            self.queue_throttles[partition] = throttle
-        return throttle
-
-    def partition_throttle(self, partition: str):
-        throttle = self.partition_throttles.get(partition)
-        if throttle is None:
-            throttle = SlidingWindowThrottle(
-                self.limits.partition_entities_per_second, self.window_s,
-                name=f"table partition {partition!r} entities",
-                retry_after=self.retry_after_s,
-            )
-            self.partition_throttles[partition] = throttle
-        return throttle
+    def _busy(self, name: str, limit: float) -> ServerBusyError:
+        return ServerBusyError(
+            f"throttled: {name} exceeded {limit:g}/{self._window:g}s",
+            retry_after=self.retry_after_s)
 
     def before(self, ctx: OpContext) -> None:
         op = ctx.op
@@ -330,11 +332,40 @@ class ThrottleInterceptor(Interceptor):
             # ops do not count against the 5,000 tx/s or 3 GB/s targets.
             return
         now = ctx.started_at
-        self.account_tx.charge(now, op.units)
-        if op.nbytes:
-            self.account_bw.charge(now, op.nbytes)
+        log = self._log
+        horizon = now - self._window
+        while log and log[0][0] <= horizon:
+            _, units, nbytes, sums, key = log.popleft()
+            self._tx -= units
+            self._bytes -= nbytes
+            if sums is not None:
+                sums[key] -= units
+        units = op.units
+        if self._tx + units > self._tx_limit:
+            raise self._busy("account transactions", self._tx_limit)
+        nbytes = op.nbytes
+        if nbytes and self._bytes + nbytes > self._bytes_limit:
+            self._tx += units
+            log.append((now, units, 0, None, ""))
+            raise self._busy("account bandwidth", self._bytes_limit)
+        sums = None
+        kind = op.kind
         if service is Service.QUEUE:
-            if op.kind in QUEUE_MESSAGE_KINDS:
-                self.queue_throttle(op.partition).charge(now, op.units)
-        elif service is Service.TABLE and op.kind in TABLE_ENTITY_KINDS:
-            self.partition_throttle(op.partition).charge(now, op.units)
+            if kind in QUEUE_MESSAGE_KINDS:
+                sums, limit = self._queue_msgs, self._queue_limit
+        elif service is Service.TABLE and kind in TABLE_ENTITY_KINDS:
+            sums, limit = self._entities, self._entity_limit
+        self._tx += units
+        self._bytes += nbytes
+        if sums is None:
+            log.append((now, units, nbytes, None, ""))
+            return
+        key = op.partition
+        in_window = sums.get(key, 0.0)
+        if in_window + units > limit:
+            log.append((now, units, nbytes, None, ""))
+            raise self._busy(
+                f"queue {key!r} messages" if sums is self._queue_msgs
+                else f"table partition {key!r} entities", limit)
+        sums[key] = in_window + units
+        log.append((now, units, nbytes, sums, key))

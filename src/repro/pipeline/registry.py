@@ -359,17 +359,11 @@ def put_message(call, queue: str, data, *, ttl: Optional[float] = None,
         content, ttl=ttl, visibility_delay=visibility_delay)
 
 
-def _next_visible_size(call, queue: str) -> int:
-    q = call.state.queues.get_queue(queue)
-    peeked = q.peek_messages(1)
-    return peeked[0].size if peeked else 0
-
-
 @_operation("queue")
 def get_message(call, queue: str, *,
                 visibility_timeout: Optional[float] = None):
     """``GetMessage``: returns a message or ``None``."""
-    nbytes = _next_visible_size(call, queue)
+    nbytes = call.state.queues.get_queue(queue).next_visible_size()
     yield OpDescriptor(
         Service.QUEUE, OpKind.GET_MESSAGE, partition=queue, nbytes=nbytes)
     msg = call.state.queues.get_queue(queue).get_message(
@@ -403,7 +397,7 @@ def get_messages(call, queue: str, n: int = 1, *,
 @_operation("queue")
 def peek_message(call, queue: str):
     """``PeekMessage``: non-destructive read, or ``None``."""
-    nbytes = _next_visible_size(call, queue)
+    nbytes = call.state.queues.get_queue(queue).next_visible_size()
     yield OpDescriptor(
         Service.QUEUE, OpKind.PEEK_MESSAGE, partition=queue, nbytes=nbytes)
     return call.state.queues.get_queue(queue).peek_message()

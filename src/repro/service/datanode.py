@@ -337,7 +337,7 @@ def _fabric_import_blob(shard: _Shard, route_key: str,
 
 def _fabric_export_queue(shard: _Shard, route_key: str) -> list:
     queue = shard.state.queues.get_queue(route_key)
-    now = queue._now()
+    now = shard.state.clock.now()
     return [m.content for m in queue._messages if not m.expired(now)]
 
 

@@ -74,7 +74,7 @@ class SimStorageAccount:
         self.cache_state = CacheServiceState(self.state.clock)
         self._op_call = OpCall(
             self.state, self.cache_state,
-            now_fn=lambda: env.now,
+            now_fn=self.state.clock.now,
             plan_fn=lambda: self.cluster.fault_plan,
         )
 

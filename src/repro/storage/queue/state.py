@@ -96,11 +96,9 @@ class QueueState:
         self._hidden_until = float("inf")
 
     # -- internal ---------------------------------------------------------
-    def _now(self) -> float:
-        return self._service._clock.now()
-
-    def _purge_expired(self) -> None:
-        now = self._now()
+    # Each public method asks the clock once and hands the reading to the
+    # helpers below: one call per op on any clock.
+    def _purge_expired(self, now: float) -> None:
         if now < self._next_expiry:
             return
         kept = []
@@ -116,8 +114,8 @@ class QueueState:
         self._next_expiry = next_expiry
         self._hidden, self._hidden_until = 0, float("inf")
 
-    def _visible_indices(self, limit: Optional[int] = None) -> List[int]:
-        now = self._now()
+    def _visible_indices(self, now: float,
+                         limit: Optional[int] = None) -> List[int]:
         rng = self._service._reorder_rng
         if rng is None and limit is not None:
             # FIFO fast path: only the first ``limit`` visible messages are
@@ -168,7 +166,7 @@ class QueueState:
             )
         if visibility_delay < 0:
             raise InvalidOperationError("visibility_delay must be >= 0")
-        now = self._now()
+        now = self._service._clock.now()
         max_ttl = limits.max_message_ttl_seconds
         if ttl is None or ttl > max_ttl:
             ttl = max_ttl
@@ -201,14 +199,14 @@ class QueueState:
         """
         if n < 1:
             raise InvalidOperationError("n must be >= 1")
-        self._purge_expired()
+        now = self._service._clock.now()
+        self._purge_expired(now)
         if visibility_timeout is None:
             visibility_timeout = self._service.limits.default_visibility_timeout_seconds
         if visibility_timeout <= 0:
             raise InvalidOperationError("visibility_timeout must be > 0")
-        now = self._now()
         got: List[QueueMessage] = []
-        for i in self._visible_indices(limit=n):
+        for i in self._visible_indices(now, limit=n):
             if len(got) >= n:
                 break
             m = self._messages[i]
@@ -230,9 +228,18 @@ class QueueState:
         """Look at up to ``n`` visible messages without any state change."""
         if n < 1:
             raise InvalidOperationError("n must be >= 1")
-        self._purge_expired()
+        now = self._service._clock.now()
+        self._purge_expired(now)
         return [self._messages[i].snapshot()
-                for i in self._visible_indices(limit=n)[:n]]
+                for i in self._visible_indices(now, limit=n)[:n]]
+
+    def next_visible_size(self) -> int:
+        """Payload size of the message a get or peek would return now (0
+        if none is visible): ``peek_messages(1)``'s, without the copy."""
+        now = self._service._clock.now()
+        self._purge_expired(now)
+        idx = self._visible_indices(now, limit=1)
+        return self._messages[idx[0]].content.size if idx else 0
 
     def peek_message(self) -> Optional[QueueMessage]:
         peeked = self.peek_messages(1)
@@ -240,7 +247,7 @@ class QueueState:
 
     def delete_message(self, message_id: str, pop_receipt: str) -> None:
         """Delete a previously-gotten message (receipt must match)."""
-        self._purge_expired()
+        self._purge_expired(self._service._clock.now())
         for i, m in enumerate(self._messages):
             if m.message_id == message_id:
                 if m.pop_receipt != pop_receipt or pop_receipt is None:
@@ -258,7 +265,8 @@ class QueueState:
     def update_message(self, message_id: str, pop_receipt: str, data=None, *,
                        visibility_timeout: float = 0.0) -> QueueMessage:
         """Update content and/or extend invisibility of a gotten message."""
-        self._purge_expired()
+        now = self._service._clock.now()
+        self._purge_expired(now)
         for i, m in enumerate(self._messages):
             if m.message_id == message_id:
                 if m.pop_receipt != pop_receipt or pop_receipt is None:
@@ -275,7 +283,7 @@ class QueueState:
                         )
                     self._service._account_delta(content.size - m.size)
                     m.content = content
-                m.next_visible_time = self._now() + max(0.0, visibility_timeout)
+                m.next_visible_time = now + max(0.0, visibility_timeout)
                 self._lowered(i, m.next_visible_time)
                 m.pop_receipt = f"rcpt-{next(self._receipts)}"
                 return m.snapshot()
@@ -290,7 +298,7 @@ class QueueState:
         """
         for i, m in enumerate(self._messages):
             if m.message_id == message_id:
-                m.next_visible_time = self._now()
+                m.next_visible_time = self._service._clock.now()
                 self._lowered(i, m.next_visible_time)
                 return True
         return False
@@ -314,13 +322,13 @@ class QueueState:
         This is what Algorithm 2's barrier polls via ``GetMsgCount``; like
         the real service it counts invisible messages too.
         """
-        self._purge_expired()
+        self._purge_expired(self._service._clock.now())
         return len(self._messages)
 
     def visible_message_count(self) -> int:
         """Count of currently visible messages (test/diagnostic helper)."""
-        self._purge_expired()
-        now = self._now()
+        now = self._service._clock.now()
+        self._purge_expired(now)
         return sum(1 for m in self._messages if m.visible(now))
 
     def partition_key(self) -> str:

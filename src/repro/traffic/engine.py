@@ -44,6 +44,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import islice
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator,
                     List, NamedTuple, Optional, Sequence, Tuple)
 
@@ -77,6 +78,8 @@ LOAD_TABLE = "loadt"
 LOAD_PARTITION = "load"
 
 DEFAULT_FLOCK_SIZE = 8192
+#: Lines ``schedule_digest`` hashes per ``update``.
+DIGEST_CHUNK_LINES = 8192
 
 
 @dataclass(frozen=True)
@@ -213,11 +216,17 @@ def schedule_digest(schedule: Iterable[ScheduledOp],
     only on ``sim`` and ``geo``.
     """
     h = hashlib.sha256()
-    for s in schedule:
-        ok = "-" if outcomes is None else str(int(bool(outcomes[s.index])))
-        h.update(f"{s.index},{s.at:.9f},{s.service},{s.op},{s.key},"
-                 f"{s.nbytes},{ok}\n".encode())
-    return h.hexdigest()
+    ops = iter(schedule)
+    while True:
+        # One encode and one update per chunk of lines: the same bytes,
+        # in the same order, as one of each per op.
+        lines = [f"{s.index},{s.at:.9f},{s.service},{s.op},{s.key},"
+                 f"{s.nbytes},"
+                 f"{'-' if outcomes is None else int(bool(outcomes[s.index]))}"
+                 f"\n" for s in islice(ops, DIGEST_CHUNK_LINES)]
+        if not lines:
+            return h.hexdigest()
+        h.update("".join(lines).encode())
 
 
 # -- operation bodies --------------------------------------------------------

@@ -1,16 +1,17 @@
 """What one DES storage round trip costs, pinned by numbers that repeat.
 
-Kernel event counts, jitter values and op digests are pure functions of
-the seed, so they can gate without a quiet host: a round trip is two
-kernel events (its request leg, then the end of its response leg, the
-slot booked in between), whether it finds a free partition-server slot
-or has to queue; the block-drawn jitter stream equals the scalar one
-value for value; and no
-per-op body under ``repro.pipeline`` / ``repro.cluster`` executes an
-``import`` statement.
+Kernel event counts, Python call counts, jitter values and op digests
+are pure functions of the seed, so they can gate without a quiet host: a
+round trip is two kernel events (its request leg, then the end of its
+response leg, the slot booked in between), whether it finds a free
+partition-server slot or has to queue; a ``paper-figs`` cell stays
+within its Python call budget; the block-drawn jitter stream equals the
+scalar one value for value; and no per-op body under ``repro.pipeline``
+/ ``repro.cluster`` executes an ``import`` statement.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,30 @@ class TestKernelEventsPerRoundTrip:
         # 86,950 with a grant and a release event on every round trip;
         # 49,768 with an occupancy event and grants for those that queued.
         assert result.resources["kernel_events"] <= 32_797
+
+
+CALLS_TOOL = (Path(__file__).resolve().parents[2]
+              / "benchmarks" / "perf" / "calls.py")
+
+
+def _calls_tool():
+    spec = importlib.util.spec_from_file_location("perf_calls", CALLS_TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_python_call_budget_of_a_queue_cell():
+    """``paper-figs``' fig6 cell at 8 workers, seed 2012, counted as
+    ``benchmarks/perf/calls.py --cell fig6:8`` counts it: 277,090 calls
+    (66.70 a round trip) with a throttle window object per target, a
+    dataclass descriptor, and the clock, the placement and the booking
+    each behind calls of their own; 173,845 (41.85) with one throttle
+    log, a tuple descriptor and direct reads."""
+    tool = _calls_tool()
+    calls, trips = tool.count_calls(tool.paper_cell("fig6", 8, 2012))
+    assert trips == 4_154
+    assert sum(calls.values()) <= 173_845
 
 
 class TestJitterStream:

@@ -36,8 +36,8 @@ class SteppingClock:
 class PlainScanQueue(QueueState):
     """The oracle: every FIFO scan starts at the head."""
 
-    def _visible_indices(self, limit: Optional[int] = None) -> List[int]:
-        now = self._now()
+    def _visible_indices(self, now: float,
+                         limit: Optional[int] = None) -> List[int]:
         idx: List[int] = []
         for i, m in enumerate(self._messages):
             if m.visible(now):
