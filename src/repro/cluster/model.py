@@ -17,7 +17,7 @@ from inside a simkit process to charge the timing of each data-plane call.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Generator, Iterator, List, Optional
 
 from ..faults.plan import FaultPlan
 from ..faults.spec import FaultKind, FaultSpec
@@ -76,6 +76,41 @@ class StorageCluster:
             Service.QUEUE: cal.queue_base_rtt,
             Service.TABLE: cal.table_base_rtt,
             Service.CACHE: cal.cache_base_rtt,
+        }
+        # ``(base, per_byte)`` of the kinds whose occupancy is
+        # ``base + nbytes * per_byte``, the same floats in the same order
+        # as ``server_occupancy`` computes them (a zero base adds nothing
+        # to a product, a zero rate nothing to a base): the round trip
+        # reads them here and calls ``server_occupancy`` for the rest.
+        self._linear_cost = {
+            OpKind.DOWNLOAD_BLOB: (0.0, cal.blob_stream_read_s_per_byte),
+            OpKind.GET_BLOCK: (cal.blob_block_lookup_s,
+                               cal.blob_stream_read_s_per_byte),
+            OpKind.GET_PAGE: (cal.blob_page_seek_s,
+                              cal.blob_stream_read_s_per_byte),
+            OpKind.PUT_PAGE: (0.0, cal.blob_write_s_per_byte),
+            OpKind.UPLOAD_BLOB: (0.0, cal.blob_write_s_per_byte),
+            OpKind.PUT_MESSAGE: (cal.queue_put_sync_s,
+                                 cal.queue_write_s_per_byte),
+            OpKind.PEEK_MESSAGE: (0.0, cal.queue_read_s_per_byte),
+            OpKind.DELETE_MESSAGE: (cal.queue_delete_sync_s, 0.0),
+            OpKind.UPDATE_MESSAGE: (cal.queue_put_sync_s,
+                                    cal.queue_write_s_per_byte),
+            OpKind.GET_MESSAGE_COUNT: (cal.queue_msg_count_s, 0.0),
+            OpKind.CACHE_GET: (cal.cache_get_base_s, cal.cache_s_per_byte),
+            OpKind.CACHE_PUT: (cal.cache_put_base_s, cal.cache_s_per_byte),
+            OpKind.CACHE_REMOVE: (cal.cache_put_base_s,
+                                  cal.cache_s_per_byte),
+            OpKind.QUERY_ENTITY: (cal.table_query_base_s,
+                                  cal.table_read_s_per_byte),
+            OpKind.INSERT_ENTITY: (cal.table_insert_base_s,
+                                   cal.table_insert_s_per_byte),
+            OpKind.UPDATE_ENTITY: (cal.table_update_base_s,
+                                   cal.table_update_s_per_byte),
+            OpKind.MERGE_ENTITY: (cal.table_update_base_s,
+                                  cal.table_update_s_per_byte),
+            OpKind.DELETE_ENTITY: (cal.table_delete_base_s,
+                                   cal.table_delete_s_per_byte),
         }
 
         #: The active fault schedule (:mod:`repro.faults`), or None for a
@@ -224,8 +259,10 @@ class StorageCluster:
         return block.pop()
 
     # -- execution ---------------------------------------------------------
-    def execute(self, op: OpDescriptor) -> Iterator:
-        """Simkit process generator charging the timing of one operation.
+    def execute(self, op: Optional[OpDescriptor],
+                body: Optional[Generator] = None,
+                name: Optional[str] = None) -> Iterator:
+        """Simkit process generator: one storage round trip.
 
         The operation crosses the account's interceptor pipeline first
         (fault plan, throttle targets, any installed observers), then the
@@ -235,63 +272,95 @@ class StorageCluster:
         and retry, like the paper's worker roles.  Injected timeout faults
         burn their ``timeout_after`` first, injected latency windows
         stretch the round trip.
+
+        ``execute(desc)`` charges the timing of a bare descriptor and
+        returns None.  ``execute(None, body, name)`` runs an operation
+        body of the registry (:mod:`repro.pipeline.registry`) around it,
+        as the sim clients' methods do: the body prepares on the first
+        resume, so data-plane errors raise before any time is charged,
+        and applies at the completion instant; the body's result is the
+        round trip's.  A body that yields a second descriptor is a
+        ``RuntimeError`` naming the op ``name``.
         """
         # ``env._now`` / ``env._active_proc`` are the fields behind the
         # ``now`` / ``active_process`` properties, and the hook lists are
         # what ``Pipeline.run_before`` / ``run_after`` walk: this body runs
         # once per round trip of every figure, so it reads them itself.
+        if body is not None:
+            op = next(body)  # prepare
         env = self.env
         pipeline = self.pipeline
-        active = env._active_proc
-        ctx = OpContext(op, "sim",
-                        active.name if active is not None else None, env._now)
         try:
-            for hook in pipeline._before_hooks:
-                hook(ctx)
-        except Exception as exc:
-            ctx.finished_at = env._now
-            pipeline.run_failed(ctx, exc)
-            raise
-        if ctx.timeout_spec is not None:
-            # The request is doomed: it consumes the timeout budget (and
-            # nothing else — the server never completes the work).
-            yield env.timeout(ctx.timeout_spec.timeout_after)
-            error = ctx.fault_plan.record_timeout(
-                ctx.timeout_spec, op, env._now)
-            ctx.finished_at = env._now
-            pipeline.run_failed(ctx, error)
-            raise error
-        try:
-            # Jitter draw order (rtt, then occupancy) is part of the seeded
-            # reproducibility contract — figures are bit-identical per seed.
-            # A draw is a ``pop`` of the current block; ``_jitter`` only
-            # runs to refill it (or to return 1.0 without jitter).
-            ctx.server_latency = occupancy = self.server_occupancy(op)
-            factor = ctx.latency_factor
-            block = self._jitter_block
-            rtt = (self._base_rtt[op.service]
-                   * (block.pop() if block else self._jitter()) * factor)
-            block = self._jitter_block
-            occupancy = (occupancy
-                         * (block.pop() if block else self._jitter()) * factor)
-            server = self._placed[op.service].get(op.partition)
-            if server is None:
-                server = self.pool_for(op.service).server_for(op.partition)
-            # Request leg of the round trip, then the slot's hold and the
-            # response leg as one event: the booking.
-            yield env.timeout(rtt / 2)
-            booking = server.book(occupancy, rtt / 2)
+            active = env._active_proc
+            ctx = OpContext(op, "sim", active.name if active is not None
+                            else None, env._now)
             try:
-                yield booking
-            except Interrupt:  # a recycled role
-                server.cancel(booking, op.nbytes)
+                for hook in pipeline._before_hooks:
+                    hook(ctx)
+            except Exception as exc:
+                ctx.finished_at = env._now
+                pipeline.run_failed(ctx, exc)
                 raise
-            server.ops_served += 1
-            server.bytes_served += op.nbytes
-        except Exception as exc:
+            if ctx.timeout_spec is not None:
+                # The request is doomed: it consumes the timeout budget
+                # (and nothing else — the server never completes the work).
+                yield env.timeout(ctx.timeout_spec.timeout_after)
+                error = ctx.fault_plan.record_timeout(
+                    ctx.timeout_spec, op, env._now)
+                ctx.finished_at = env._now
+                pipeline.run_failed(ctx, error)
+                raise error
+            try:
+                # Jitter draw order (rtt, then occupancy) is part of the
+                # seeded reproducibility contract — figures are
+                # bit-identical per seed.  A draw is a ``pop`` of the
+                # current block; ``_jitter`` only runs to refill it (or to
+                # return 1.0 without jitter).
+                cost = self._linear_cost.get(op.kind)
+                if cost is None:
+                    occupancy = self.server_occupancy(op)
+                else:
+                    occupancy = cost[0] + op.nbytes * cost[1]
+                ctx.server_latency = occupancy
+                factor = ctx.latency_factor
+                block = self._jitter_block
+                rtt = (self._base_rtt[op.service]
+                       * (block.pop() if block else self._jitter()) * factor)
+                block = self._jitter_block
+                occupancy = (occupancy
+                             * (block.pop() if block else self._jitter())
+                             * factor)
+                server = self._placed[op.service].get(op.partition)
+                if server is None:
+                    server = self.pool_for(op.service).server_for(
+                        op.partition)
+                # Request leg of the round trip, then the slot's hold and
+                # the response leg as one event: the booking.
+                yield env.timeout(rtt / 2)
+                booking = server.book(occupancy, rtt / 2)
+                try:
+                    yield booking
+                except Interrupt:  # a recycled role
+                    server.cancel(booking, op.nbytes)
+                    raise
+                server.ops_served += 1
+                server.bytes_served += op.nbytes
+            except Exception as exc:
+                ctx.finished_at = env._now
+                pipeline.run_failed(ctx, exc)
+                raise
             ctx.finished_at = env._now
-            pipeline.run_failed(ctx, exc)
+            for hook in pipeline._after_hooks:
+                hook(ctx)
+        except BaseException:
+            if body is not None:
+                body.close()
             raise
-        ctx.finished_at = env._now
-        for hook in pipeline._after_hooks:
-            hook(ctx)
+        if body is None:
+            return None
+        try:
+            body.send(None)  # apply, at the completion instant
+        except StopIteration as stop:
+            return stop.value
+        body.close()
+        raise RuntimeError(f"operation body {name!r} yielded more than once")

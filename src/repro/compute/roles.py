@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Callable, Generator, Optional
 
-from ..simkit import Environment, Interrupt, Process
+from ..simkit import Environment, Interrupt, Process, StopProcess
 from .vmsizes import VMSize
 
 __all__ = ["RoleContext", "RoleInstance", "RoleStatus", "RoleBody"]
@@ -60,6 +60,43 @@ class RoleContext:
         return self.env.timeout(seconds)
 
 
+class _RoleProcess(Process):
+    """A role body run as a process, reporting its end to its instance.
+
+    An :class:`Interrupt` (a recycled role) ends the process as a ``None``
+    success with the instance FAILED; so does any other exception when the
+    instance contains crashes, else the process fails with it.  A body
+    that raises :class:`StopProcess` has the instance FAILED with it as
+    well, while the process ends as the kernel ends any such process.
+    """
+
+    __slots__ = ("role",)
+
+    def __init__(self, env: Environment, generator: Generator, name: str,
+                 role: "RoleInstance") -> None:
+        super().__init__(env, generator, name)
+        self.role = role
+
+    def _exit(self, ok: bool, value: Any) -> None:
+        role = self.role
+        if ok:
+            role.status = RoleStatus.COMPLETED
+            role.result = value
+        else:
+            role.status = RoleStatus.FAILED
+            role.failure = value
+            if isinstance(value, Interrupt) or role.contain_crashes:
+                ok, value = True, None
+        Process._exit(self, ok, value)
+
+    def _stop(self, stop: StopProcess) -> None:
+        role = self.role
+        role.status = RoleStatus.FAILED
+        role.failure = stop
+        Process._exit(self, True, None if role.contain_crashes
+                      else stop.value)
+
+
 class RoleInstance:
     """One running instance of a web or worker role."""
 
@@ -83,29 +120,18 @@ class RoleInstance:
         return f"{self.context.role_name}#{self.context.role_id}"
 
     def start(self) -> Process:
-        """Launch the role body as a simkit process."""
+        """Launch the role body as a simkit process.
+
+        The body's generator is the process itself; its end sets
+        :attr:`status`, :attr:`result` and :attr:`failure` on the spot
+        (:class:`_RoleProcess`).
+        """
         if self.status is RoleStatus.RUNNING:
             raise RuntimeError(f"{self.name} is already running")
         self.status = RoleStatus.RUNNING
-        self.process = self.env.process(self._guard(), name=self.name)
+        self.process = _RoleProcess(self.env, self.body(self.context),
+                                    self.name, self)
         return self.process
-
-    def _guard(self):
-        try:
-            self.result = yield from self.body(self.context)
-        except Interrupt as interrupt:
-            self.status = RoleStatus.FAILED
-            self.failure = interrupt
-            return None
-        except BaseException as exc:
-            self.status = RoleStatus.FAILED
-            self.failure = exc
-            if self.contain_crashes:
-                return None
-            raise
-        else:
-            self.status = RoleStatus.COMPLETED
-            return self.result
 
     def fail(self, cause: Any = "role recycled") -> None:
         """Simulate an instance failure (fabric recycle, VM crash)."""

@@ -5,9 +5,11 @@ the single registry in :mod:`repro.pipeline.registry` — one method per
 :class:`~repro.pipeline.registry.OpSpec`, bound to what runs it on that
 backend:
 
-* :func:`sim_method` — a simkit **generator method**: prepare, ``yield
-  from`` the client's ``cluster.execute(desc)`` (interceptors + cost
-  model in simulated time), apply.  Call with ``yield from``.
+* :func:`sim_method` — a plain method returning the client cluster's
+  round-trip generator, ``cluster.execute(None, body, name)``, built
+  around the op body: it prepares on its first resume, charges the
+  interceptors and the cost model in simulated time, and applies at the
+  completion instant.  Call with ``yield from``.
 * :func:`blocking_method` — a plain **blocking method** delegating to
   :meth:`repro.emulator.EmulatorAccount.run` (lock, interceptors, apply).
 * :func:`shim_method` — a generator method over the same ``run`` that
@@ -43,18 +45,17 @@ def _describe(method: Callable, spec: OpSpec) -> Callable:
 
 
 def sim_method(spec: OpSpec) -> Callable:
-    """Generator method charging the DES cost model between prepare/apply."""
+    """Method returning the DES round trip of one op body.
+
+    No generator frame of its own: the cluster's round trip prepares the
+    body, charges it and applies it (:meth:`StorageCluster.execute`).
+    """
     body = spec.body
+    name = spec.name
 
     def method(self, *args, **kwargs):
-        gen = body(self._call, *args, **kwargs)
-        desc = next(gen)  # prepare: data-plane errors raise before timing
-        try:
-            yield from self.cluster.execute(desc)
-        except BaseException:
-            gen.close()
-            raise
-        return spec.apply(gen)  # at the simulated completion instant
+        return self.cluster.execute(
+            None, body(self._call, *args, **kwargs), name)
 
     return _describe(method, spec)
 

@@ -12,7 +12,9 @@ paper's Algorithms 1-5) is one *operation body*: a generator that
    sim backend, lock + interceptors on the emulator, nothing on a data
    node);
 3. **applies** the state-machine change at the completion instant and
-   returns the result (:meth:`OpSpec.apply` resumes it there).
+   returns the result (:meth:`OpSpec.apply` resumes it there; the DES
+   round trip, :meth:`~repro.cluster.StorageCluster.execute`, resumes
+   it itself, with the same guard against a second yield).
 
 Operations marked ``local=True`` are pure client-side bookkeeping (no
 round trip, no charge); their body is a plain function.

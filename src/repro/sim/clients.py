@@ -1,8 +1,9 @@
 """Simulated storage clients: data-plane semantics + fabric timing.
 
 These clients expose the same operations the 2012 Azure SDK offered (the
-bold API names in the paper's Algorithms 1-5), implemented as **simkit
-process generators**: call them with ``yield from`` inside a process. ::
+bold API names in the paper's Algorithms 1-5); each method returns a
+**simkit process generator**: call it with ``yield from`` inside a
+process. ::
 
     def worker(env, account):
         queue = account.queue_client()
@@ -13,7 +14,9 @@ process generators**: call them with ``yield from`` inside a process. ::
 
 Each call charges the cluster's cost model (latency, server contention,
 throttling) and applies the state change when the simulated round trip
-completes.
+completes.  The generator a method returns is the cluster's round trip
+itself (:meth:`StorageCluster.execute` around the op body), not one
+that yields from it: a sim client method adds no frame of its own.
 
 The per-operation method bodies are *not* written here: every class below
 is derived from the shared operation registry
@@ -111,7 +114,7 @@ SimBlobClient = derive_client_class(
     "SimBlobClient", "blob", _SimClientBase, method_factory=sim_method,
     doc="""Blob service client (paper Algorithm 1/5 API surface).
 
-    Derived from the operation registry; every method is a simkit
+    Derived from the operation registry; every method returns a simkit
     generator — call with ``yield from``.
     """,
 )
@@ -120,7 +123,7 @@ SimQueueClient = derive_client_class(
     "SimQueueClient", "queue", _SimClientBase, method_factory=sim_method,
     doc="""Queue service client (paper Algorithms 2-4 API surface).
 
-    Derived from the operation registry; every method is a simkit
+    Derived from the operation registry; every method returns a simkit
     generator — call with ``yield from``.
     """,
 )
@@ -129,7 +132,7 @@ SimTableClient = derive_client_class(
     "SimTableClient", "table", _SimClientBase, method_factory=sim_method,
     doc="""Table service client (paper section IV.C API surface).
 
-    Derived from the operation registry; every method is a simkit
+    Derived from the operation registry; every method returns a simkit
     generator — call with ``yield from``.
     """,
 )
@@ -138,7 +141,7 @@ SimCacheClient = derive_client_class(
     "SimCacheClient", "cache", _SimClientBase, method_factory=sim_method,
     doc="""Caching service client (paper II.B; billed separately).
 
-    Derived from the operation registry; every method is a simkit
+    Derived from the operation registry; every method returns a simkit
     generator — call with ``yield from``.
     """,
 )

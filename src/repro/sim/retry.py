@@ -63,9 +63,8 @@ def retrying(env: Environment, op_factory: Callable[[], Iterator], *,
         backoff, stats = _PAPER_BACKOFF, None
     else:
         backoff, stats = policy.backoff, policy.stats
-    start = env.now
     if isinstance(deadline, (int, float)):
-        deadline = Deadline(start + float(deadline))
+        deadline = Deadline(env.now + float(deadline))
     attempt = 0
     while True:
         if breaker is not None:

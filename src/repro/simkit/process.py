@@ -72,6 +72,11 @@ class _Resumable:
 
     __slots__ = ()
 
+    def _stop(self, stop: StopProcess) -> None:
+        """The generator raised :class:`StopProcess`: a success with its
+        value, as a return would be."""
+        self._exit(True, stop.value)
+
     @property
     def target(self) -> Optional[Event]:
         """The event the generator currently waits for, if suspended."""
@@ -96,8 +101,11 @@ class _Resumable:
                         next_event = self._generator.throw(exc)
                     else:  # pragma: no cover - defensive
                         next_event = self._generator.throw(RuntimeError(exc))
-            except (StopIteration, StopProcess) as stop:
+            except StopIteration as stop:
                 self._exit(True, stop.value)
+                break
+            except StopProcess as stop:
+                self._stop(stop)
                 break
             except BaseException as exc:
                 self._exit(False, exc)

@@ -187,12 +187,22 @@ class StatsAggregator:
         overall_observe = self.overall.observe
         total_nbytes = 0
         nerr = 0
+        # The window last looked up, by index: consecutive completions
+        # mostly start and end in one window, and then look up none.
+        at = -1
+        win = None
         for i in range(n):
             fi = first[i]
             li = last[i]
             lat = lats[i]
-            window(fi).arrivals += 1
-            done = window(li)
+            if fi != at:
+                at = fi
+                win = window(fi)
+            win.arrivals += 1
+            if li != at:
+                at = li
+                win = window(li)
+            done = win
             done.completions += 1
             done.latency.observe(lat)
             nb = 0 if nbytes is None else nbytes[i]
@@ -209,7 +219,7 @@ class StatsAggregator:
             if lat > 0:
                 if fi == li:
                     # Single-window op: the overlap is the whole latency.
-                    window(fi).inflight_area += lat
+                    done.inflight_area += lat
                 else:
                     start = starts_l[i]
                     end = ends_l[i]

@@ -12,6 +12,8 @@ scalar one value for value; and no per-op body under ``repro.pipeline``
 
 import ast
 import importlib.util
+import inspect
+import os
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from repro.cluster import (
     StorageCluster,
 )
 from repro.cluster.model import JITTER_BLOCK
+from repro.pipeline import OPERATIONS, sim_method
 from repro.simkit import Environment
 from repro.storage import KB
 from repro.traffic import ArrivalSpec, LoadConfig, run_load
@@ -86,17 +89,43 @@ def _calls_tool():
     return module
 
 
-def test_python_call_budget_of_a_queue_cell():
+@pytest.fixture(scope="module")
+def queue_cell_calls():
     """``paper-figs``' fig6 cell at 8 workers, seed 2012, counted as
-    ``benchmarks/perf/calls.py --cell fig6:8`` counts it: 277,090 calls
-    (66.70 a round trip) with a throttle window object per target, a
-    dataclass descriptor, and the clock, the placement and the booking
-    each behind calls of their own; 173,845 (41.85) with one throttle
-    log, a tuple descriptor and direct reads."""
+    ``benchmarks/perf/calls.py --cell fig6:8`` counts it."""
     tool = _calls_tool()
-    calls, trips = tool.count_calls(tool.paper_cell("fig6", 8, 2012))
+    return tool.count_calls(tool.paper_cell("fig6", 8, 2012))
+
+
+def test_python_call_budget_of_a_queue_cell(queue_cell_calls):
+    """277,090 calls (66.70 a round trip) with a throttle window object
+    per target, a dataclass descriptor, and the clock, the placement and
+    the booking each behind calls of their own; 173,845 (41.85) with one
+    throttle log, a tuple descriptor and direct reads; 145,757 (35.09)
+    with the client method and the role guard folded into the round trip
+    and the role's process."""
+    calls, trips = queue_cell_calls
     assert trips == 4_154
-    assert sum(calls.values()) <= 173_845
+    assert sum(calls.values()) <= 145_757
+
+
+def test_one_generator_frame_per_round_trip(queue_cell_calls):
+    """Below a role body and ``retrying`` a round trip resumes the
+    cluster's round trip and nothing else: no role guard, and the sim
+    client method is called once per round trip, never resumed."""
+    calls, trips = queue_cell_calls
+    spec = OPERATIONS["queue"]["put_message"]
+    method = sim_method(spec)
+    assert not inspect.isgeneratorfunction(method)
+    assert inspect.isgeneratorfunction(StorageCluster.execute)
+    names = {name for (_path, _line, name) in calls}
+    assert "_guard" not in names
+    site = (os.path.join("pipeline", "clients.py"),
+            method.__code__.co_firstlineno, "method")
+    assert calls[site] == trips
+    execute = (os.path.join("cluster", "model.py"),
+               StorageCluster.execute.__code__.co_firstlineno, "execute")
+    assert calls[execute] == 3 * trips  # start, request leg, booking
 
 
 class TestJitterStream:

@@ -63,6 +63,19 @@ def test_a_sim_client_refuses_a_second_yield():
     assert "twiceq" not in account.state.queues.queues
 
 
+def test_a_sim_round_trip_started_as_a_process_refuses_a_second_yield():
+    client_class = derive_client_class(
+        "TwiceSimClient", "queue", _SimClientBase, method_factory=sim_method)
+    env = Environment()
+    account = SimStorageAccount(env)
+    process = env.process(client_class(account).create_twice("twiceq"))
+    with pytest.raises(RuntimeError, match=MESSAGE):
+        env.run()
+    assert process.ok is False and str(process.value) == MESSAGE
+    assert env.now > 0  # refused at the completion instant, once charged
+    assert "twiceq" not in account.state.queues.queues
+
+
 def test_an_emulator_client_refuses_a_second_yield():
     client_class = derive_client_class(
         "TwiceEmulatorClient", "queue", _EmulatorClientBase,
