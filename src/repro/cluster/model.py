@@ -77,11 +77,11 @@ class StorageCluster:
             Service.TABLE: cal.table_base_rtt,
             Service.CACHE: cal.cache_base_rtt,
         }
-        # ``(base, per_byte)`` of the kinds whose occupancy is
-        # ``base + nbytes * per_byte``, the same floats in the same order
-        # as ``server_occupancy`` computes them (a zero base adds nothing
-        # to a product, a zero rate nothing to a base): the round trip
-        # reads them here and calls ``server_occupancy`` for the rest.
+        # Partition-server busy time of the kinds whose occupancy is
+        # ``base + nbytes * per_byte``, as ``(base, per_byte)`` (a zero
+        # base adds nothing to a product, a zero rate nothing to a base).
+        # The round trip reads this table itself and calls
+        # ``server_occupancy`` for the other kinds.
         self._linear_cost = {
             OpKind.DOWNLOAD_BLOB: (0.0, cal.blob_stream_read_s_per_byte),
             OpKind.GET_BLOCK: (cal.blob_block_lookup_s,
@@ -170,19 +170,14 @@ class StorageCluster:
     # -- cost model -------------------------------------------------------
     def server_occupancy(self, op: OpDescriptor) -> float:
         """Partition-server busy time of one operation."""
+        cost = self._linear_cost.get(op.kind)
+        if cost is not None:
+            return cost[0] + op.nbytes * cost[1]
         cal = self.cal
         n = op.nbytes
         kind = op.kind
 
         if op.service is Service.BLOB:
-            if kind is OpKind.DOWNLOAD_BLOB:
-                return n * cal.blob_stream_read_s_per_byte
-            if kind is OpKind.GET_BLOCK:
-                return cal.blob_block_lookup_s + n * cal.blob_stream_read_s_per_byte
-            if kind is OpKind.GET_PAGE:
-                return cal.blob_page_seek_s + n * cal.blob_stream_read_s_per_byte
-            if kind in (OpKind.PUT_PAGE, OpKind.UPLOAD_BLOB):
-                return n * cal.blob_write_s_per_byte
             if kind is OpKind.PUT_BLOCK:
                 return n * (cal.blob_write_s_per_byte
                             + cal.blob_block_stage_s_per_byte)
@@ -193,41 +188,19 @@ class StorageCluster:
             return cal.blob_commit_base_s
 
         if op.service is Service.QUEUE:
-            if kind is OpKind.PUT_MESSAGE:
-                return cal.queue_put_sync_s + n * cal.queue_write_s_per_byte
-            if kind is OpKind.PEEK_MESSAGE:
-                return n * cal.queue_read_s_per_byte
             if kind is OpKind.GET_MESSAGE:
                 t = (cal.queue_get_invisibility_s
                      + n * cal.queue_read_s_per_byte)
                 if cal.queue_get_16k_anomaly_lo < n <= cal.queue_get_16k_anomaly_hi:
                     t *= cal.queue_get_16k_anomaly_factor
                 return t
-            if kind is OpKind.DELETE_MESSAGE:
-                return cal.queue_delete_sync_s
-            if kind is OpKind.UPDATE_MESSAGE:
-                return cal.queue_put_sync_s + n * cal.queue_write_s_per_byte
-            if kind is OpKind.GET_MESSAGE_COUNT:
-                return cal.queue_msg_count_s
             # create/delete queue: metadata-only.
             return cal.queue_put_sync_s
 
         if op.service is Service.CACHE:
-            if kind is OpKind.CACHE_GET:
-                return cal.cache_get_base_s + n * cal.cache_s_per_byte
-            if kind in (OpKind.CACHE_PUT, OpKind.CACHE_REMOVE):
-                return cal.cache_put_base_s + n * cal.cache_s_per_byte
             return cal.cache_put_base_s  # create_cache: metadata-only
 
         # TABLE
-        if kind is OpKind.QUERY_ENTITY:
-            return cal.table_query_base_s + n * cal.table_read_s_per_byte
-        if kind is OpKind.INSERT_ENTITY:
-            return cal.table_insert_base_s + n * cal.table_insert_s_per_byte
-        if kind in (OpKind.UPDATE_ENTITY, OpKind.MERGE_ENTITY):
-            return cal.table_update_base_s + n * cal.table_update_s_per_byte
-        if kind is OpKind.DELETE_ENTITY:
-            return cal.table_delete_base_s + n * cal.table_delete_s_per_byte
         if kind is OpKind.BATCH:
             # A batch is one round trip but pays per-entity insert costs.
             return (cal.table_insert_base_s * max(1, op.units)

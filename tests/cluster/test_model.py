@@ -156,6 +156,52 @@ class TestCostModel:
         assert not OpDescriptor(Service.BLOB, OpKind.DOWNLOAD_BLOB, "c/b").is_write
 
 
+def _written_out(cal, kind, n):
+    """The occupancy of a linear-cost kind as the cost model spelled it
+    out per kind before the ``(base, per_byte)`` table."""
+    return {
+        OpKind.DOWNLOAD_BLOB: lambda: n * cal.blob_stream_read_s_per_byte,
+        OpKind.GET_BLOCK: lambda: (cal.blob_block_lookup_s
+                                   + n * cal.blob_stream_read_s_per_byte),
+        OpKind.GET_PAGE: lambda: (cal.blob_page_seek_s
+                                  + n * cal.blob_stream_read_s_per_byte),
+        OpKind.PUT_PAGE: lambda: n * cal.blob_write_s_per_byte,
+        OpKind.UPLOAD_BLOB: lambda: n * cal.blob_write_s_per_byte,
+        OpKind.PUT_MESSAGE: lambda: (cal.queue_put_sync_s
+                                     + n * cal.queue_write_s_per_byte),
+        OpKind.PEEK_MESSAGE: lambda: n * cal.queue_read_s_per_byte,
+        OpKind.DELETE_MESSAGE: lambda: cal.queue_delete_sync_s,
+        OpKind.UPDATE_MESSAGE: lambda: (cal.queue_put_sync_s
+                                        + n * cal.queue_write_s_per_byte),
+        OpKind.GET_MESSAGE_COUNT: lambda: cal.queue_msg_count_s,
+        OpKind.CACHE_GET: lambda: (cal.cache_get_base_s
+                                   + n * cal.cache_s_per_byte),
+        OpKind.CACHE_PUT: lambda: (cal.cache_put_base_s
+                                   + n * cal.cache_s_per_byte),
+        OpKind.CACHE_REMOVE: lambda: (cal.cache_put_base_s
+                                      + n * cal.cache_s_per_byte),
+        OpKind.QUERY_ENTITY: lambda: (cal.table_query_base_s
+                                      + n * cal.table_read_s_per_byte),
+        OpKind.INSERT_ENTITY: lambda: (cal.table_insert_base_s
+                                       + n * cal.table_insert_s_per_byte),
+        OpKind.UPDATE_ENTITY: lambda: (cal.table_update_base_s
+                                       + n * cal.table_update_s_per_byte),
+        OpKind.MERGE_ENTITY: lambda: (cal.table_update_base_s
+                                      + n * cal.table_update_s_per_byte),
+        OpKind.DELETE_ENTITY: lambda: (cal.table_delete_base_s
+                                       + n * cal.table_delete_s_per_byte),
+    }[kind]()
+
+
+@pytest.mark.parametrize("n", (0, 1, 511, 4 * KB, 16 * KB + 1, 3 * MB + 7))
+def test_linear_cost_table_is_bit_identical_to_the_written_out_costs(
+        cluster, n):
+    for kind in cluster._linear_cost:
+        op = OpDescriptor(Service.QUEUE, kind, "p", nbytes=n)
+        assert cluster.server_occupancy(op).hex() == _written_out(
+            cluster.cal, kind, n).hex(), kind
+
+
 class TestExecution:
     def test_execute_takes_time(self, env, cluster):
         op = OpDescriptor(Service.QUEUE, OpKind.PUT_MESSAGE, "q", nbytes=1024)
