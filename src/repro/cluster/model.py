@@ -81,7 +81,7 @@ class StorageCluster:
         # ``base + nbytes * per_byte``, as ``(base, per_byte)`` (a zero
         # base adds nothing to a product, a zero rate nothing to a base).
         # The round trip reads this table itself and calls
-        # ``server_occupancy`` for the other kinds.
+        # ``_other_occupancy`` for the other kinds.
         self._linear_cost = {
             OpKind.DOWNLOAD_BLOB: (0.0, cal.blob_stream_read_s_per_byte),
             OpKind.GET_BLOCK: (cal.blob_block_lookup_s,
@@ -169,10 +169,17 @@ class StorageCluster:
 
     # -- cost model -------------------------------------------------------
     def server_occupancy(self, op: OpDescriptor) -> float:
-        """Partition-server busy time of one operation."""
+        """Partition-server busy time of one operation, before jitter.
+
+        The round trip (:meth:`execute`) makes this same table read
+        inline and calls :meth:`_other_occupancy` on a miss."""
         cost = self._linear_cost.get(op.kind)
-        if cost is not None:
-            return cost[0] + op.nbytes * cost[1]
+        if cost is None:
+            return self._other_occupancy(op)
+        return cost[0] + op.nbytes * cost[1]
+
+    def _other_occupancy(self, op: OpDescriptor) -> float:
+        """Busy time of the kinds outside the linear cost table."""
         cal = self.cal
         n = op.nbytes
         kind = op.kind
@@ -291,7 +298,7 @@ class StorageCluster:
                 # return 1.0 without jitter).
                 cost = self._linear_cost.get(op.kind)
                 if cost is None:
-                    occupancy = self.server_occupancy(op)
+                    occupancy = self._other_occupancy(op)
                 else:
                     occupancy = cost[0] + op.nbytes * cost[1]
                 ctx.server_latency = occupancy

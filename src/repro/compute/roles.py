@@ -124,13 +124,15 @@ class RoleInstance:
 
         The body's generator is the process itself; its end sets
         :attr:`status`, :attr:`result` and :attr:`failure` on the spot
-        (:class:`_RoleProcess`).
+        (:class:`_RoleProcess`).  The body is called here: a body that
+        raises at the call, or returns no generator, raises out of this
+        method and leaves the instance as it was.
         """
         if self.status is RoleStatus.RUNNING:
             raise RuntimeError(f"{self.name} is already running")
-        self.status = RoleStatus.RUNNING
         self.process = _RoleProcess(self.env, self.body(self.context),
                                     self.name, self)
+        self.status = RoleStatus.RUNNING
         return self.process
 
     def fail(self, cause: Any = "role recycled") -> None:

@@ -202,6 +202,32 @@ def test_linear_cost_table_is_bit_identical_to_the_written_out_costs(
             cluster.cal, kind, n).hex(), kind
 
 
+def _service_of(kind):
+    name = kind.name
+    if kind in (OpKind.GET_PAGE, OpKind.GET_BLOCK, OpKind.PUT_PAGE,
+                OpKind.PUT_BLOCK, OpKind.PUT_BLOCK_LIST) or "BLOB" in name \
+            or "CONTAINER" in name:
+        return Service.BLOB
+    if "MESSAGE" in name or "QUEUE" in name:
+        return Service.QUEUE
+    if "CACHE" in name:
+        return Service.CACHE
+    return Service.TABLE
+
+
+@pytest.mark.parametrize("kind", list(OpKind))
+def test_the_round_trip_charges_server_occupancy(env, cluster, kind):
+    """The round trip's inline table read and its call for the other
+    kinds charge what ``server_occupancy`` says, 16 KB anomaly, batch
+    units and block counts included."""
+    service = _service_of(kind)
+    op = OpDescriptor(service, kind, "p", nbytes=16 * KB + 1, units=3,
+                      block_count=5)
+    rtt = cluster._base_rtt[service]
+    assert run_op(env, cluster, op) == rtt / 2 + cluster.server_occupancy(
+        op) + rtt / 2
+
+
 class TestExecution:
     def test_execute_takes_time(self, env, cluster):
         op = OpDescriptor(Service.QUEUE, OpKind.PUT_MESSAGE, "q", nbytes=1024)

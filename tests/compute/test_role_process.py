@@ -4,7 +4,8 @@ A recycled role (an :class:`Interrupt`) ends FAILED while its process
 succeeds with ``None``, whichever leg of a storage round trip it was
 waiting for, and the slot it held or queued for goes to the next
 booking; a crash is contained or propagated as the instance says; a
-body that raises :class:`StopProcess` ends FAILED as well.
+body that raises :class:`StopProcess` ends FAILED as well; a body
+that fails at its call fails ``start`` itself.
 """
 
 import pytest
@@ -120,6 +121,35 @@ class TestABodyThatRaises:
         assert instance.status is RoleStatus.FAILED
         assert isinstance(instance.failure, ValueError)
         assert process.ok is False and process.value is instance.failure
+
+
+class TestABodyFactoryThatFails:
+    """The body is called by ``start``: what it raises, or a body that
+    returns no generator, raises out of ``start`` under either crash
+    setting and leaves the instance startable."""
+
+    @staticmethod
+    def raising(ctx):
+        raise ValueError("bad config")
+
+    @staticmethod
+    def not_a_generator(ctx):
+        return "not a generator"
+
+    @pytest.mark.parametrize("contain_crashes", (True, False))
+    @pytest.mark.parametrize("body", ("raising", "not_a_generator"))
+    def test_start_raises_and_the_instance_stays_created(
+            self, body, contain_crashes):
+        env = Environment()
+        instance = _instance(env, getattr(self, body), contain_crashes)
+        with pytest.raises(ValueError):
+            instance.start()
+        assert instance.status is RoleStatus.CREATED
+        assert instance.process is None
+        instance.body = TestABodyThatRaises.body
+        process = instance.start()
+        assert instance.status is RoleStatus.RUNNING
+        assert instance.process is process
 
 
 class TestABodyThatRaisesStopProcess:
